@@ -33,12 +33,18 @@ TOL_ZERO = 1e-8
 class CoefficientSystem:
     """Coefficients of a PDE system of order ``p`` in ``M`` equations.
 
-    ``evaluate(x, uval, X)`` is vectorized over stacked cells: ``x`` has shape
-    ``(cells, n)``, ``uval`` ``(cells, du)`` and ``X`` ``(cells, D)`` with the
-    top-order tensor flattened row-major; it returns ``(cells, M)``.
+    ``evaluate(x, uval, X)`` is vectorized over stacked rows: ``x`` has shape
+    ``(rows, n)``, ``uval`` ``(rows, du)`` and ``X`` ``(rows, D)`` with the
+    top-order tensor flattened row-major; it returns ``(rows, M)``.  The rows
+    are cell-aligned: row ``r`` of ``uval`` is the per-cell state of the cell
+    whose node sits at ``x[r]``, so evaluators never look cells up from
+    coordinates.
 
-    ``u_source`` names what fills the ``uval`` slot: the map values
-    themselves or a fixed fine-step gradient quotient of the map.
+    ``u_source(u, frame, fine_step)`` returns the grid function of per-cell
+    state whose rows fill the ``uval`` slot: the map itself by default, a
+    fixed fine-step gradient quotient of the map for gradient-sourced
+    systems, or a field the system carries (the scaling ``A(x)`` of
+    ``solver.make_nonlinearity``).
 
     Linear-in-jet systems may provide ``jet_linearization(x, uval)``
     returning per-cell ``(L, c)`` with ``F = L X + c``; it enables exact
@@ -52,7 +58,7 @@ class CoefficientSystem:
     N: int
     M: int
     evaluate: callable
-    u_source: str = "value"
+    u_source: callable = lambda u, frame, fine_step: u
     zero_set_oracle: callable | None = None
     jet_linearization: callable | None = None
     name: str = "system"
@@ -82,7 +88,7 @@ def tensor_system(tensor):
         return Lb, np.zeros((cells, N))
 
     return CoefficientSystem(order=2, n=n, N=N, M=N, evaluate=evaluate,
-                             u_source="value", jet_linearization=jet_linearization,
+                             jet_linearization=jet_linearization,
                              name="linear-tensor")
 
 
@@ -117,7 +123,7 @@ def infinity_laplace_system(n, rank_tol=1e-9):
         return L, np.zeros((x.shape[0], n))
 
     return CoefficientSystem(order=2, n=n, N=n, M=n, evaluate=evaluate,
-                             u_source="gradient",
+                             u_source=difference_quotient_1,
                              jet_linearization=jet_linearization,
                              name="infinity-laplace")
 
@@ -141,8 +147,7 @@ def eikonal_system(n, N, speed):
         return 2.0 * X.reshape(X.shape[0], 1, -1)
 
     sys = CoefficientSystem(order=1, n=n, N=N, M=1, evaluate=evaluate,
-                            u_source="value", zero_set_oracle=zero_set_oracle,
-                            name="eikonal")
+                            zero_set_oracle=zero_set_oracle, name="eikonal")
     sys.jet_gradient = gradient_entries
     sys.x_gradient = lambda x, uval, X: np.zeros((x.shape[0], 1, n))
     return sys
@@ -204,19 +209,11 @@ def tangent_system(base, F_x=None, F_X=None, fd_step=None):
         return L.reshape(cells, M * n, N * n * n), gx
 
     sys = CoefficientSystem(order=2, n=n, N=N, M=M * n, evaluate=evaluate,
-                            u_source="gradient",
+                            u_source=difference_quotient_1,
                             jet_linearization=jet_linearization,
                             name=f"tangent({base.name})")
     sys.fd_fallback = fd_fallback
     return sys
-
-
-def _uval_grid(u, F, frame, fine_step):
-    if F.u_source == "value":
-        return u
-    if F.u_source == "gradient":
-        return difference_quotient_1(u, frame, fine_step)
-    raise ValueError(f"unknown u_source {F.u_source!r}")
 
 
 def cutoff(U, F, u, R, uval=None, f=None):
@@ -231,49 +228,61 @@ def cutoff(U, F, u, R, uval=None, f=None):
     """
     dom = U.domain
     vals = U.values.reshape(-1, U.components)
-    norms = np.linalg.norm(vals, axis=1)
-    over = norms > R
+    over = np.linalg.norm(vals, axis=1) > R
+    x = dom.node_coords().reshape(-1, dom.dim)
+    state = u if uval is None else uval
+    uv = state.values.reshape(-1, state.components)
+    fv = None if f is None else f.values.reshape(-1, f.components)
+    lin = _linearize(F, x, uv) if over.any() else None
+    return GridFunction(dom, _cut(vals, over, F, R, x, uv, fv, lin).reshape(U.values.shape))
+
+
+def _linearize(F, x, uval):
+    """Per-row ``(L, c, pinv(L))`` with ``F = L X + c``; ``None`` unless the
+    system is jet-linear."""
+    if not F.linear_in_jet:
+        return None
+    L, c = F.jet_linearization(x, uval)
+    return L, c, np.linalg.pinv(L)
+
+
+def _cut(vals, over, F, R, x, uv, fv, lin):
+    """``vals`` with the ``over`` rows replaced by verified zeros of ``F = f``
+    inside the radius-R ball; rows of ``x``, ``uv``, ``fv`` (``None`` for
+    vanishing data) and ``lin`` (see ``_linearize``) align with ``vals``."""
     out = vals.copy()
-    if over.any():
-        x = dom.node_coords().reshape(-1, dom.dim)[over]
-        if uval is None:
-            uv = u.values.reshape(-1, u.components)[over]
-        else:
-            uv = uval.values.reshape(-1, uval.components)[over]
-        if f is not None:
-            fv = f.values.reshape(-1, f.components)[over]
-        else:
-            fv = None
-        if F.linear_in_jet:
-            L, c = F.jet_linearization(x, uv)
-            rhs = -c if fv is None else fv - c
-            sel = np.einsum("cdm,cm->cd", np.linalg.pinv(L), rhs)
-            sel_norm = np.linalg.norm(sel, axis=1)
-            if np.max(sel_norm) > R * (1 + 1e-9):
-                raise ValueError(
-                    f"zero set misses the radius-{R} ball at "
-                    f"{int(np.sum(sel_norm > R))} cells")
-            resid = np.einsum("cmd,cd->cm", L, sel) + c - (0.0 if fv is None else fv)
-            if np.max(np.abs(resid)) > 1e3 * TOL_ZERO * max(
-                    1.0, float(np.max(np.abs(rhs)))):
-                raise ValueError("data not in the range of the jet map; "
-                                 "no zero exists")
-            out[over] = sel
-        elif F.zero_set_oracle is not None:
-            if fv is not None and np.max(np.abs(fv)) > TOL_ZERO:
-                raise ValueError("oracle systems need the data folded into "
-                                 "the coefficients")
-            pts = F.zero_set_oracle(x, uv, R)
-            sel = pts[:, 0, :]
-            res = F.evaluate(x, uv, sel)
-            if np.max(np.linalg.norm(res, axis=1)) > TOL_ZERO:
-                raise ValueError("oracle points are not zeros of the system")
-            if np.max(np.linalg.norm(sel, axis=1)) > R * (1 + 1e-9):
-                raise ValueError("oracle produced points outside the ball")
-            out[over] = sel
-        else:
-            raise ValueError("cut-off needs a linear system or a zero-set oracle")
-    return GridFunction(dom, out.reshape(U.values.shape))
+    if not over.any():
+        return out
+    x, uv = x[over], uv[over]
+    fv = None if fv is None else fv[over]
+    if lin is not None:
+        L, c, pinv = (a[over] for a in lin)
+        rhs = -c if fv is None else fv - c
+        sel = np.einsum("cdm,cm->cd", pinv, rhs)
+        sel_norm = np.linalg.norm(sel, axis=1)
+        if np.max(sel_norm) > R * (1 + 1e-9):
+            raise ValueError(
+                f"zero set misses the radius-{R} ball at "
+                f"{int(np.sum(sel_norm > R))} cells")
+        resid = np.einsum("cmd,cd->cm", L, sel) + c - (0.0 if fv is None else fv)
+        if np.max(np.abs(resid)) > 1e3 * TOL_ZERO * max(
+                1.0, float(np.max(np.abs(rhs)))):
+            raise ValueError("data not in the range of the jet map; "
+                             "no zero exists")
+    elif F.zero_set_oracle is not None:
+        if fv is not None and np.max(np.abs(fv)) > TOL_ZERO:
+            raise ValueError("oracle systems need the data folded into "
+                             "the coefficients")
+        sel = F.zero_set_oracle(x, uv, R)[:, 0, :]
+        res = F.evaluate(x, uv, sel)
+        if np.max(np.linalg.norm(res, axis=1)) > TOL_ZERO:
+            raise ValueError("oracle points are not zeros of the system")
+        if np.max(np.linalg.norm(sel, axis=1)) > R * (1 + 1e-9):
+            raise ValueError("oracle produced points outside the ball")
+    else:
+        raise ValueError("cut-off needs a linear system or a zero-set oracle")
+    out[over] = sel
+    return out
 
 
 @dataclass
@@ -357,15 +366,11 @@ def check_dsolution(u, F, frame, schedules, R_list=None, Phi_family=None, f=None
     if f.components != F.M:
         raise ValueError("right-hand side does not match the system")
     fine = fine_step or min(abs(h) for row in schedules[-1][-1].rows for h in row)
-    uval = _uval_grid(u, F, frame, fine)
+    uval = F.u_source(u, frame, fine)
 
     x_flat = dom.node_coords().reshape(-1, dom.dim)
     uval_flat = uval.values.reshape(-1, uval.components)
     f_flat = f.values.reshape(-1, F.M)
-
-    def residual_fn(x, X):
-        idx = _cell_index_of(dom, x)
-        return F.evaluate(x, uval_flat[idx], X) - f_flat[idx]
 
     zeros = F.evaluate(x_flat, uval_flat, np.zeros((x_flat.shape[0], F.jet_dim)))
     mask = dom.mask()
@@ -423,42 +428,53 @@ def check_dsolution(u, F, frame, schedules, R_list=None, Phi_family=None, f=None
         s = max(s, 1.0)
         R_list = [2.0 * s, 8.0 * s]
 
+    # per-cell linearization (and its pinv), shared by every level and radius
+    lin = _linearize(F, x_flat, uval_flat)
+    lip = None if lin is None else np.linalg.norm(lin[0], axis=(1, 2))
+    inner = interior.reshape(-1)
+
     for level, (window, field_lvl) in enumerate(zip(schedules, fields)):
+        # one residual per (cell, atom) row, cells row-major and atoms
+        # innermost, shared by every witness and by support and integral
+        k = field_lvl.n_atoms
+        atom_res = F.evaluate(np.repeat(x_flat, k, axis=0),
+                              np.repeat(uval_flat, k, axis=0),
+                              field_lvl.points.reshape(-1, field_lvl.space_dim)
+                              ) - np.repeat(f_flat, k, axis=0)
         pairing = 0.0
         for phi in phi_family:
-            paired = pair(field_lvl, phi, residual_fn)
+            paired = pair(field_lvl, phi, lambda x, X: atom_res)
             pairing = max(pairing, float(np.max(
                 np.linalg.norm(paired.values[interior], axis=-1))))
         residuals["pairing"].append(pairing)
 
         sup_res, int_res, sup_field = _finite_atom_residuals(
-            field_lvl, residual_fn, interior, dom)
+            field_lvl, atom_res, interior)
         residuals["support"].append(sup_res)
         residuals["integral"].append(int_res)
 
         if oracle_ok:
-            finest = window[-1]
-            jet = jet_difference_quotients(u, frame, finest)[F.order - 1]
-            if project is not None:
-                vals = project.project(
-                    jet.values.reshape((-1,) + project.ambient_shape))
-                jet = GridFunction(dom, vals.reshape(jet.values.shape))
+            # the finest schedule's jets are the level's last atoms; a jet
+            # at infinity lies outside every cut-off ball
+            jets = field_lvl.points[..., -1, :].reshape(-1, F.jet_dim)
+            at_inf = field_lvl.infinite[..., -1].reshape(-1)
+            norms = np.linalg.norm(jets, axis=1)
             cut_res, dist_res = 0.0, 0.0
             feasible = 0
             for R in R_list:
                 try:
-                    cut = cutoff(jet, F, u, R, uval=uval, f=f)
+                    cut = _cut(jets, at_inf | (norms > R), F, R, x_flat, uval_flat,
+                               f_flat, lin)
                 except ValueError as exc:
                     infeasible_R.setdefault(level, []).append((float(R), str(exc)))
                     continue
                 feasible += 1
-                res = F.evaluate(x_flat, uval_flat,
-                                 cut.values.reshape(-1, F.jet_dim)) - f_flat
-                res = np.linalg.norm(res, axis=1).reshape(dom.shape)
-                cut_res = max(cut_res, float(np.max(res[interior])))
-                dist_res = max(dist_res, _distance_residual(
-                    cut, F, x_flat, uval_flat, f_flat, R, dom, interior,
-                    distance_in_coefficient_units))
+                res = F.evaluate(x_flat, uval_flat, cut) - f_flat
+                cut_res = max(cut_res, float(np.max(
+                    np.linalg.norm(res, axis=1)[inner])))
+                dist = _distance_residual(cut, res, F, x_flat, uval_flat, f_flat,
+                                          R, lin, lip, distance_in_coefficient_units)
+                dist_res = max(dist_res, float(np.max(dist[inner])))
             if feasible == 0:
                 raise ValueError(
                     "no cut-off radius admits a zero inside its ball; "
@@ -501,18 +517,6 @@ def h_finest_of(window):
     return min(abs(h) for sched in window for row in sched.rows for h in row)
 
 
-def _cell_index_of(dom, x):
-    # pairing callbacks receive node coordinates replicated per atom; recover
-    # flat cell indices from the coordinates
-    idx = np.rint((x - np.asarray(dom.origin)) / dom.spacing).astype(int)
-    flat = np.zeros(x.shape[0], dtype=int)
-    stride = 1
-    for k in reversed(range(dom.dim)):
-        flat += idx[:, k] * stride
-        stride *= dom.shape[k]
-    return flat
-
-
 def _default_checker_cutoff(u, F, frame, coarsest_window):
     jet = jet_difference_quotients(u, frame, coarsest_window[0])[F.order - 1]
     scale = float(np.max(np.linalg.norm(
@@ -520,13 +524,9 @@ def _default_checker_cutoff(u, F, frame, coarsest_window):
     return 1e6 * max(scale, 1.0)
 
 
-def _finite_atom_residuals(field_lvl, residual_fn, interior, dom):
-    k = field_lvl.n_atoms
-    x = dom.node_coords().reshape(-1, dom.dim)
-    x_rep = np.repeat(x, k, axis=0)
-    pts = field_lvl.points.reshape(-1, field_lvl.space_dim)
-    res = np.linalg.norm(residual_fn(x_rep, pts), axis=1)
-    res = res.reshape(dom.shape + (k,))
+def _finite_atom_residuals(field_lvl, atom_res, interior):
+    dom = field_lvl.domain
+    res = np.linalg.norm(atom_res, axis=1).reshape(field_lvl.infinite.shape)
     res = np.where(field_lvl.infinite, 0.0, res)
     sup_cell = res.max(axis=-1)
     int_cell = np.sum(np.where(field_lvl.infinite, 0.0, field_lvl.weights) * res, axis=-1)
@@ -534,29 +534,25 @@ def _finite_atom_residuals(field_lvl, residual_fn, interior, dom):
     return float(sup_cell[interior].max()), float(int_cell[interior].max()), field
 
 
-def _distance_residual(cut, F, x_flat, uval_flat, f_flat, R, dom, interior,
+def _distance_residual(vals, res, F, x_flat, uval_flat, f_flat, R, lin, lip,
                        coefficient_units):
-    """Distance from cut-off jets to the zero set, optionally rescaled to
-    coefficient units by a per-cell operator-norm estimate."""
-    vals = cut.values.reshape(-1, F.jet_dim)
-    if F.linear_in_jet:
-        L, c = F.jet_linearization(x_flat, uval_flat)
-        res = np.einsum("cmd,cd->cm", L, vals) + c - f_flat
-        dist = np.zeros(vals.shape[0])
-        lip = np.zeros(vals.shape[0])
-        pinv = np.linalg.pinv(L)
-        dist = np.linalg.norm(np.einsum("cdm,cm->cd", pinv, res), axis=1)
-        lip = np.linalg.norm(L, axis=(1, 2))
+    """Per-cell distance from cut-off jets ``vals`` to the zero set, optionally
+    rescaled to coefficient units by a per-cell operator-norm estimate.
+
+    ``res`` holds the coefficient residuals at ``vals``; ``lin`` and ``lip``
+    are the shared linearization and its per-cell norm (``None`` for oracle
+    systems).
+    """
+    if lin is not None:
+        L, c, pinv = lin
+        lin_res = np.einsum("cmd,cd->cm", L, vals) + c - f_flat
+        dist = np.linalg.norm(np.einsum("cdm,cm->cd", pinv, lin_res), axis=1)
     else:
         pts = F.zero_set_oracle(x_flat, uval_flat, R)
-        diffs = vals[:, None, :] - pts
-        dist = np.min(np.linalg.norm(diffs, axis=2), axis=1)
+        dist = np.min(np.linalg.norm(vals[:, None, :] - pts, axis=2), axis=1)
         # local slope estimate of the coefficients near the ball
-        probe = F.evaluate(x_flat, uval_flat, vals)
-        denom = np.maximum(dist, 1e-30)
-        lip = np.linalg.norm(probe - f_flat, axis=1) / denom
-    out = (dist * lip if coefficient_units else dist).reshape(dom.shape)
-    return float(out[interior].max())
+        lip = np.linalg.norm(res, axis=1) / np.maximum(dist, 1e-30)
+    return dist * lip if coefficient_units else dist
 
 
 def _non_increasing(seq, slack=0.1):

@@ -64,6 +64,15 @@ class ManifestError(Exception):
     pass
 
 
+def _load_input(loader, path, flag):
+    """Read the input file given by ``flag``; an unreadable or malformed file
+    is a parse error."""
+    try:
+        return loader(path)
+    except (OSError, ValueError) as exc:
+        raise ManifestError(f"cannot read {flag} file {path}: {exc}") from exc
+
+
 class CheckFailure(Exception):
     pass
 
@@ -105,7 +114,7 @@ def cmd_analyze_tensor(args):
     cfg = effective_config(args, ["decomposition", "eps"])
     if not cfg["decomposition"]:
         raise ManifestError("analyze-tensor needs a decomposition file")
-    dec = Decomposition.load(cfg["decomposition"])
+    dec = _load_input(Decomposition.load, cfg["decomposition"], "--decomposition")
     validation = tensors.validate_decomposition(dec)
     doc = {
         "validation": {k: {"passed": bool(ok), "detail": detail}
@@ -148,7 +157,7 @@ def cmd_diffuse(args):
                                   "ratio", "r-inf"])
     if not cfg["grid"]:
         raise ManifestError("diffuse needs a grid file")
-    u = load_grid(cfg["grid"])
+    u = _load_input(load_grid, cfg["grid"], "--grid")
     dom = u.domain
     order = int(cfg["order"] or 1)
     base = float(cfg["base-step"] or 8 * dom.spacing)
@@ -180,7 +189,7 @@ def _build_system(cfg, u):
     if name == "linear-tensor":
         if not cfg.get("tensor"):
             raise ManifestError("linear-tensor check needs a decomposition file")
-        dec = Decomposition.load(cfg["tensor"])
+        dec = _load_input(Decomposition.load, cfg["tensor"], "--tensor")
         return tensor_system(reconstruct(dec))
     if name == "eikonal-tangent":
         speed = float(cfg.get("speed") or 1.0)
@@ -196,10 +205,10 @@ def cmd_check(args):
                                   "speed", "c-disc"])
     if not cfg["grid"] or not cfg["system"]:
         raise ManifestError("check needs a grid file and a system name")
-    u = load_grid(cfg["grid"])
+    u = _load_input(load_grid, cfg["grid"], "--grid")
     dom = u.domain
     F = _build_system(cfg, u)
-    f = load_grid(cfg["f"]) if cfg["f"] else None
+    f = _load_input(load_grid, cfg["f"], "--f") if cfg["f"] else None
     levels = int(cfg["levels"] or 3)
     base = float(cfg["base-step"] or 16 * dom.spacing)
     count = int(cfg["window"] or 3)
@@ -246,8 +255,8 @@ def cmd_solve_linear(args):
     cfg = effective_config(args, ["decomposition", "f", "eps-seq"])
     if not cfg["decomposition"] or not cfg["f"]:
         raise ManifestError("solve-linear needs a decomposition and a data grid")
-    dec = Decomposition.load(cfg["decomposition"])
-    f = load_grid(cfg["f"])
+    dec = _load_input(Decomposition.load, cfg["decomposition"], "--decomposition")
+    f = _load_input(load_grid, cfg["f"], "--f")
     eps_seq = _parse_floats(cfg["eps-seq"]) if cfg["eps-seq"] else [1e-1, 1e-2, 1e-3, 1e-4]
     try:
         fd, rep = solver.solve_linear(dec, f, eps_seq)
@@ -281,8 +290,8 @@ def cmd_solve_nonlinear(args):
                                   "lip-frac", "max-iter", "tol-final"])
     if not cfg["decomposition"] or not cfg["f"]:
         raise ManifestError("solve-nonlinear needs a decomposition and a data grid")
-    dec = Decomposition.load(cfg["decomposition"])
-    f = load_grid(cfg["f"])
+    dec = _load_input(Decomposition.load, cfg["decomposition"], "--decomposition")
+    f = _load_input(load_grid, cfg["f"], "--f")
     dom = f.domain
     eps_seq = _parse_floats(cfg["eps-seq"]) if cfg["eps-seq"] else [1e-1, 1e-2, 1e-3, 1e-4]
     gamma = float(cfg["gamma"] if cfg["gamma"] is not None else 0.2)
@@ -390,7 +399,7 @@ def cmd_verify_estimate(args):
     x = dom.node_coords()
 
     if cfg["decomposition"]:
-        decs = [Decomposition.load(cfg["decomposition"])]
+        decs = [_load_input(Decomposition.load, cfg["decomposition"], "--decomposition")]
     else:
         count = int(cfg["battery"] or 5)
         decs = [tensors.random_decomposition(rng, 2, 2) for _ in range(count)]

@@ -34,10 +34,12 @@ class Domain:
     def __post_init__(self):
         if self.mask_kind not in MASK_KINDS:
             raise ValueError(f"unknown mask kind {self.mask_kind!r}")
-        if self.spacing <= 0:
-            raise ValueError("spacing must be positive")
+        if not (np.isfinite(self.spacing) and self.spacing > 0):
+            raise ValueError("spacing must be positive and finite")
         if len(self.origin) != len(self.shape):
             raise ValueError("origin/shape dimension mismatch")
+        if not np.isfinite(self.origin).all():
+            raise ValueError("origin must be finite")
 
     @property
     def dim(self):

@@ -18,25 +18,6 @@ from .grids import GridFunction
 WEIGHT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class CompactPoint:
-    """Either a finite point of the tensor space or the added point at infinity."""
-
-    payload: np.ndarray | None
-
-    @property
-    def is_infinity(self):
-        return self.payload is None
-
-    @staticmethod
-    def infinity():
-        return CompactPoint(payload=None)
-
-    @staticmethod
-    def finite(x):
-        return CompactPoint(payload=np.asarray(x, float))
-
-
 @dataclass
 class AtomicMeasure:
     """Finitely many weighted atoms summing to unit mass."""
@@ -276,6 +257,11 @@ def diffuse_jet_field(u, frame, windows, R_inf):
 def pair(field, phi, weight_fn, weight_bounded=False):
     """Duality pairing per cell: ``sum_k w_k phi(X_k) weight_fn(x, X_k)``.
 
+    ``weight_fn(x, X)`` is called once, on one row per (cell, atom): cells in
+    row-major lattice order, atoms innermost, so row ``c * n_atoms + k``
+    holds atom ``k`` of flat cell ``c``.  It returns one value (or one row
+    of ``M`` components) per row.
+
     The atom at infinity contributes ``w * phi.value_at_infinity`` per
     component without evaluating ``weight_fn`` (zero when ``phi`` is
     compactly supported).  A non-compactly-supported ``phi`` together with
@@ -431,8 +417,11 @@ def load_measure_field(path):
         k = int(header["atoms"])
         D = int(np.prod(header["space_shape"]))
         cells = dom.n_nodes
-        rec = np.frombuffer(fh.read(cells * (1 + k * (2 + D)) * 8), dtype="<f8")
-    rec = rec.reshape(cells, 1 + k * (2 + D))
+        size = cells * (1 + k * (2 + D)) * 8
+        raw = fh.read(size)
+        if len(raw) != size:
+            raise ValueError(f"truncated measure file: {path}")
+    rec = np.frombuffer(raw, dtype="<f8").reshape(cells, 1 + k * (2 + D))
     body = rec[:, 1:].reshape(cells, k, 2 + D)
     infinite = body[..., 0] > 0.5
     points = body[..., 1:1 + D]

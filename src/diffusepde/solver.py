@@ -360,26 +360,24 @@ def make_nonlinearity(dec, A_of_x, gamma, g=None, lipschitz_g=0.0, subspaces=Non
                          f"nu*|gamma| + Lip(g) < nu (nu={nu:.3e})")
     tensor = reconstruct(dec)
     N, n = dec.N, dec.n
-    dom = A_of_x.domain
-    a_flat = A_of_x.values.reshape(-1)
-    # masked-out nodes carry zeroed scaling values; results there are unused
-    a_flat = np.where(a_flat > 0, a_flat, 1.0)
 
     from .checker import CoefficientSystem
-    from .checker import _cell_index_of
 
     def evaluate(x, uval, X):
-        idx = _cell_index_of(dom, x)
+        """``uval`` holds the rows' scaling values ``A(x)``."""
+        # masked-out nodes carry zeroed scaling values; results there are unused
+        a = np.where(uval[:, 0] > 0, uval[:, 0], 1.0)
         Xp = data.xi.project(X.reshape((-1, N, n, n)))
         lin = np.einsum("aibj,cbij->ca", tensor.entries, Xp)
         out = (1.0 + gamma) * lin
         if g is not None:
             gv = np.asarray(g(Xp.reshape(X.shape[0], -1)), float)
             out = out + data.sigma.project(gv)
-        return out / a_flat[idx][:, None]
+        return out / a[:, None]
 
     system = CoefficientSystem(order=2, n=n, N=N, M=N, evaluate=evaluate,
-                               u_source="value", name="certified-nonlinearity")
+                               u_source=lambda u, frame, fine_step: A_of_x,
+                               name="certified-nonlinearity")
     cert = EllipticityCertificate(dec=dec, A_of_x=A_of_x,
                                   B=lipschitz_g / nu, C=abs(gamma))
     return system, cert
@@ -410,14 +408,15 @@ def check_degenerate_ellipticity(F, cert, sample_count=200, rng=None, tol=1e-9,
     X = 0.5 * (X.reshape(-1, N, n, n) + X.reshape(-1, N, n, n).transpose(0, 1, 3, 2)).reshape(-1, D)
     Z = 0.5 * (Z.reshape(-1, N, n, n) + Z.reshape(-1, N, n, n).transpose(0, 1, 3, 2)).reshape(-1, D)
 
-    FZ = F.evaluate(x, None, X + Z) - F.evaluate(x, None, X)
+    a_rows = a_vals[:, None]
+    FZ = F.evaluate(x, a_rows, X + Z) - F.evaluate(x, a_rows, X)
     AZ = np.einsum("aibj,cbij->ca", tensor.entries, Z.reshape(-1, N, n, n))
     xiZ = data.xi.project(Z.reshape(-1, N, n, n)).reshape(-1, D)
-    lhs = np.linalg.norm(AZ - a_vals[:, None] * FZ, axis=1)
+    lhs = np.linalg.norm(AZ - a_rows * FZ, axis=1)
     rhs = (cert.B * data.nu * np.linalg.norm(xiZ, axis=1)
            + cert.C * np.linalg.norm(AZ, axis=1))
     margins = rhs + tol - lhs
-    FX = F.evaluate(x, None, X)
+    FX = F.evaluate(x, a_rows, X)
     sigma_defect = np.max(np.abs(FX - data.sigma.project(FX)))
     violations = int(np.sum(margins < 0))
     return {
@@ -464,6 +463,7 @@ def campanato_solve(F, cert, f, eps_sequence, domain=None, max_iter=40,
     dom = domain
     a_vals = cert.A_of_x.values
     x_flat = dom.node_coords().reshape(-1, dom.dim)
+    a_flat = a_vals.reshape(-1, 1)
     f_norm = max(f.l2_norm(), 1e-300)
 
     operators = {}
@@ -475,7 +475,7 @@ def campanato_solve(F, cert, f, eps_sequence, domain=None, max_iter=40,
         fd, _ = solve_linear(dec, b, eps_sequence, domain=dom,
                              solver_tol=solver_tol, operators=operators,
                              subspaces=data)
-        FX = F.evaluate(x_flat, None,
+        FX = F.evaluate(x_flat, a_flat,
                         fd.xi_D2u.values.reshape(-1, fd.xi_D2u.components))
         FX = FX.reshape(dom.shape + (dec.N,))
         resid_field = GridFunction(dom, FX - f.values)

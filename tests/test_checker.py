@@ -312,3 +312,26 @@ def test_sawtooth_escaping_cluster_pairing_decreases():
     assert pairing[0] > 0.0
     assert pairing[-1] == 0.0
     assert pairing[0] >= pairing[1] >= pairing[2]
+
+
+def test_sawtooth_check_cascades_are_pinned():
+    """Exact residual cascades of a small supremal-energy check.  Rounding
+    changes in the per-atom residual, the shared linearization or the
+    cut-off show up here bit for bit."""
+    from diffusepde.reference import sawtooth_map
+    u = sawtooth_map(1.0, 2, 64).grids["map"]
+    h = u.domain.spacing
+    windows = [schedule_window(8 * h / 2**lvl, 2, ratio=0.5, order=2)
+               for lvl in range(2)]
+    rep = check_dsolution(u, infinity_laplace_system(2),
+                          build_frame("standard", N=2, n=2), windows,
+                          R_list=[10.0, 100.0])
+    assert {k: [x.hex() for x in v] for k, v in rep.residuals.items()} == {
+        "pairing": ["0x1.a407662b6ae7ep+2", "0x1.cc84890cf39a1p+1"],
+        "support": ["0x1.6a09e667f3bcdp+5", "0x1.6a09e667f3bcdp+6"],
+        "integral": ["0x1.c48c6001f0ac0p+4", "0x1.c48c6001f0ac0p+5"],
+        "cutoff": ["0x1.6a09e667f3bcdp+5", "0x1.6a09e667f3bcdp+6"],
+        "distance": ["0x1.ffffffffffffdp+5", "0x1.ffffffffffffdp+6"],
+    }
+    assert rep.R_inf.hex() == "0x1.594458ff7aee4p+24"
+    assert rep.tolerance.hex() == "0x1.9000000000000p+1"

@@ -161,6 +161,17 @@ def test_missing_required_input_exits_two(tmp_path):
     assert code == 2
 
 
+def test_truncated_grid_exits_two(tmp_path, capsys):
+    dom = Domain.unit_square(8)
+    path = tmp_path / "u.grid"
+    save_grid(path, GridFunction(dom, np.ones(dom.shape + (2,))))
+    path.write_bytes(path.read_bytes()[:-8])
+    code = main(["diffuse", "--grid", str(path), "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "truncated grid file" in err and str(path) in err
+
+
 def test_verify_estimate_battery(tmp_path):
     out = tmp_path / "run"
     code = main(["verify-estimate", "--battery", "1", "--resolution", "32",

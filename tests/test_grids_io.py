@@ -115,3 +115,11 @@ def test_nonfinite_values_rejected():
     vals[2, 2, 0] = np.nan
     with pytest.raises(ValueError):
         GridFunction(dom, vals)
+
+
+@pytest.mark.parametrize("spacing, origin", [
+    (np.nan, (0.0, 0.0)), (np.inf, (0.0, 0.0)), (0.1, (np.nan, 0.0)),
+    (0.1, (0.0, -np.inf))])
+def test_domain_rejects_nonfinite_spacing_and_origin(spacing, origin):
+    with pytest.raises(ValueError):
+        Domain(shape=(5, 5), spacing=spacing, origin=origin)

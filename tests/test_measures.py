@@ -344,6 +344,18 @@ def test_measure_serialization_roundtrip(tmp_path):
     assert back.R_inf == field.R_inf
 
 
+def test_truncated_measure_file_rejected(tmp_path):
+    dom = Domain.unit_square(6)
+    u = GridFunction.from_callable(dom, lambda x: np.sin(3 * x))
+    fr = build_frame("standard", N=2, n=2)
+    field = diffuse_field(u, fr, 1, [HSchedule.first_order(dom.spacing)], R_inf=2.0)
+    path = tmp_path / "measure.bin"
+    save_measure_field(path, field)
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(ValueError, match="truncated measure file"):
+        load_measure_field(path)
+
+
 def test_atomic_measure_weight_validation():
     with pytest.raises(ValueError):
         atom([[0.0]], [0.5], [False])

@@ -225,7 +225,8 @@ def test_make_nonlinearity_properties(rng):
     X = rng.standard_normal((50, 8))
     comp = data.xi.complement_basis()
     Z = rng.standard_normal((50, comp.shape[0])) @ comp
-    assert np.allclose(F.evaluate(x, None, X + Z), F.evaluate(x, None, X),
+    a = a_of_x.values.reshape(-1, 1)[:50]
+    assert np.allclose(F.evaluate(x, a, X + Z), F.evaluate(x, a, X),
                        atol=1e-12)
     with pytest.raises(ValueError):
         make_nonlinearity(dec, a_of_x, gamma=0.9, g=None, lipschitz_g=0.2 * data.nu)
@@ -324,6 +325,59 @@ def test_solver_output_passes_checker():
     rep = check_dsolution(u_full, F, frame, windows, R_list=[1e3], f=f,
                           project=data.xi, C_disc=120.0)
     assert rep.passed, rep.residuals
+
+
+def test_projected_linear_check_cascades_are_pinned():
+    """Exact residual cascades of the projected check of the solver output
+    (the setting of ``test_solver_output_passes_checker``)."""
+    dom = Domain.unit_square(48)
+    dec = Decomposition((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
+                        (np.diag([1.0, 0.0]), np.diag([1.0, 0.0])))
+    data = ranges_and_subspaces(dec)
+    x = dom.node_coords()
+    base = np.sin(np.pi * x[..., 0]) * np.sin(2 * np.pi * x[..., 1])
+    f = GridFunction(dom, np.stack([base, -0.5 * base], axis=-1))
+    fd, _ = solve_linear(dec, f, [1e-1, 1e-2, 1e-3, 1e-4])
+    h = dom.spacing
+    windows = [schedule_window(8 * h / 2**lvl, 2, ratio=0.5, order=2)
+               for lvl in range(2)]
+    rep = check_dsolution(fd.sigma_u, tensor_system(reconstruct(dec)),
+                          build_frame("from_decomposition", dec=dec), windows,
+                          R_list=[1e3], f=f, project=data.xi, C_disc=120.0)
+    assert {k: [x.hex() for x in v] for k, v in rep.residuals.items()} == {
+        "pairing": ["0x1.e6352e72a9105p-4", "0x1.65bf6e5616e91p-5"],
+        "support": ["0x1.a55a1a822b4c3p-3", "0x1.4e45e70e120abp-4"],
+        "integral": ["0x1.263e87049a28cp-3", "0x1.dc818d772cf5ap-5"],
+        "cutoff": ["0x1.4e45e70e120abp-4", "0x1.1c774cd235d5dp-5"],
+        "distance": ["0x1.d8bbc6098efb4p-4", "0x1.924bb2d9a5601p-5"],
+    }
+    assert rep.R_inf.hex() == "0x1.f78c0341d404dp+21"
+    assert rep.tolerance.hex() == "0x1.4000000000000p+3"
+
+
+def test_nonlinearity_reads_scaling_from_state_rows(rng):
+    """``make_nonlinearity`` takes ``A(x)`` from the cell-aligned ``uval``
+    rows, on a domain whose origin is off the lattice zero."""
+    dom = Domain.unit_disc(24)
+    dec = Decomposition((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
+                        (np.diag([1.0, 0.0]), np.diag([1.0, 0.0])))
+    data = ranges_and_subspaces(dec)
+    a_of_x = GridFunction.from_callable(
+        dom, lambda x: (2.0 + np.sin(3 * x[..., 0]) * np.cos(2 * x[..., 1]))[..., None])
+    gamma = 0.2
+    F, cert = make_nonlinearity(dec, a_of_x, gamma=gamma)
+    assert F.u_source(None, None, None) is a_of_x
+    cells = np.argwhere(dom.mask())
+    pick = cells[rng.choice(len(cells), size=40, replace=False)]
+    x = dom.node_coords()[tuple(pick.T)]
+    a = a_of_x.values[tuple(pick.T)]
+    X = rng.standard_normal((40, 8))
+    Xp = data.xi.project(X.reshape(-1, 2, 2, 2))
+    T = reconstruct(dec).entries
+    expected = (1 + gamma) * np.einsum("aibj,cbij->ca", T, Xp) / a
+    assert np.allclose(F.evaluate(x, a, X), expected, rtol=1e-13, atol=0.0)
+    # the coordinates play no part in finding the cell
+    assert np.array_equal(F.evaluate(np.zeros_like(x), a, X), F.evaluate(x, a, X))
 
 
 def test_boundary_ring_norm_decays_on_disc():
