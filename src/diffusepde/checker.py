@@ -360,6 +360,8 @@ def check_dsolution(u, F, frame, schedules, R_list=None, Phi_family=None, f=None
     along the complement).  Verdicts compare the finest-level interior
     residual against ``max(C_disc * h_finest, 1e-6 * scale)``.
     """
+    if not 0 <= C_disc < np.inf:
+        raise ValueError(f"C_disc must be finite and nonnegative, got {C_disc}")
     dom = u.domain
     if f is None:
         f = GridFunction(dom, np.zeros(dom.shape + (F.M,)))

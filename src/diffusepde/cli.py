@@ -135,15 +135,14 @@ def cmd_analyze_tensor(args):
             eps = float(cfg["eps"])
             canon = tensors.canonicalize_decomposition(dec)
             a_eps = tensors.regularize(canon, eps)
-            rng = np.random.default_rng(args.seed)
-            vals = []
-            for _ in range(10_000):
-                eta = rng.standard_normal(dec.N)
-                a = rng.standard_normal(dec.n)
-                eta /= np.linalg.norm(eta)
-                a /= np.linalg.norm(a)
-                vals.append(a_eps.rank_one_form(eta, a))
-            doc["regularized_rank_one_min"] = float(min(vals))
+            # 10 000 unit rank-one directions eta (x) a, drawn row by row
+            draws = np.random.default_rng(args.seed).standard_normal((10_000, dec.N + dec.n))
+            eta, a = draws[:, :dec.N], draws[:, dec.N:]
+            eta /= np.linalg.norm(eta, axis=1, keepdims=True)
+            a /= np.linalg.norm(a, axis=1, keepdims=True)
+            q = eta[:, :, None] * a[:, None, :]
+            vals = np.einsum("aibj,kai,kbj->k", a_eps.entries, q, q)
+            doc["regularized_rank_one_min"] = float(vals.min())
             doc["eps"] = eps
     _report(out, "analyze_tensor_report.json", doc, cfg)
     if not validation.passed:
@@ -165,7 +164,10 @@ def cmd_diffuse(args):
     ratio = float(cfg["ratio"] or 0.5)
     frame = build_frame("standard", N=u.components, n=dom.dim)
     window = schedule_window(base, count, ratio=ratio, order=order)
-    r_inf = float(cfg["r-inf"]) if cfg["r-inf"] else measures.default_cutoff(u, frame)
+    r_inf = (measures.default_cutoff(u, frame) if cfg["r-inf"] is None
+             else float(cfg["r-inf"]))
+    if not r_inf > 0:
+        raise ManifestError(f"--r-inf must be positive, got {r_inf}")
     field = diffuse_field(u, frame, order, window, r_inf)
     save_measure_field(out / "measure.bin", field)
     mask = dom.mask()
@@ -227,8 +229,11 @@ def cmd_check(args):
                             "levels above the lattice spacing; lower "
                             "--levels or raise --base-step")
     kwargs = {}
-    if cfg["c-disc"]:
+    if cfg["c-disc"] is not None:
         kwargs["C_disc"] = float(cfg["c-disc"])
+        if not 0 <= kwargs["C_disc"] < np.inf:
+            raise ManifestError("--c-disc must be finite and nonnegative, "
+                                f"got {kwargs['C_disc']}")
     report = check_dsolution(u, F, frame, windows, R_list=r_list, f=f, **kwargs)
     doc = report.to_json_dict()
     doc["windows"] = [[s.rows for s in w] for w in windows]

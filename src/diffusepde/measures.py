@@ -196,6 +196,11 @@ class YoungMeasureField:
                                  self.weights.copy(), self.infinite.copy(), self.R_inf)
 
 
+def _check_cutoff(R_inf):
+    if not R_inf > 0:
+        raise ValueError(f"cutoff radius must be positive, got {R_inf}")
+
+
 def _clip_to_infinity(points, R_inf):
     norms = np.linalg.norm(points, axis=-1)
     infinite = norms > R_inf
@@ -206,8 +211,7 @@ def _clip_to_infinity(points, R_inf):
 def dirac_field(v, R_inf):
     """One atom per cell at the sampled value; values beyond the cutoff go to
     the point at infinity."""
-    if R_inf <= 0:
-        raise ValueError("cutoff radius must be positive")
+    _check_cutoff(R_inf)
     dom = v.domain
     pts = v.values[..., None, :]
     pts, inf = _clip_to_infinity(pts, R_inf)
@@ -231,6 +235,7 @@ def diffuse_field(u, frame, order, schedules, R_inf):
     """
     if not schedules:
         raise ValueError("empty schedule window")
+    _check_cutoff(R_inf)
     dom = u.domain
     N = frame.N
     n = frame.n

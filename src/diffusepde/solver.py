@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grids import GridFunction, gradient_central, hessian_central, shift_array
+from .grids import GridFunction, gradient_central, hessian_central
 from .tensors import (Decomposition, canonicalize_decomposition,
                       ranges_and_subspaces, reconstruct, regularize)
 
@@ -45,7 +45,19 @@ def fibre_norms(fd):
 
 class DiscreteOperator:
     """Sparse second-order central-difference discretization of the tensor
-    contraction with the hessian, zero Dirichlet data on the mask."""
+    contraction with the hessian, zero Dirichlet data on the mask.
+
+    Unknowns are ordered by flat (row-major) index of the masked cell, with
+    the ``N`` components innermost: unknown ``k * N + alpha`` is component
+    ``alpha`` at the ``k``-th active cell.  Masked-out nodes carry the zero
+    extension, so a stencil entry reaching one is dropped.  The matrix is the
+    Kronecker sum ``sum_{i <= j} D_ij[keep][:, keep] (x) E_ij`` of lattice
+    difference matrices ``D_ij`` restricted to the active cells and ``N x N``
+    blocks of the symmetrized tensor: ``D_ii`` is the ``(1, -2, 1)`` pattern
+    along axis ``i`` with ``E_ii = T[:, i, :, i] / h^2``, and for ``i < j``
+    ``D_ij`` is the product of the ``(-1, 0, 1)`` central patterns along both
+    axes with ``E_ij = 2 T[:, i, :, j] / (4 h^2)``.
+    """
 
     def __init__(self, tensor, domain):
         if domain.dim != tensor.n:
@@ -54,8 +66,6 @@ class DiscreteOperator:
         self.domain = domain
         self.N = tensor.N
         self.mask = domain.mask()
-        self.index = -np.ones(domain.shape, dtype=int)
-        self.index[self.mask] = np.arange(int(self.mask.sum()))
         self.n_cells = int(self.mask.sum())
         self.matrix = self._assemble()
         self._lu = None
@@ -63,75 +73,47 @@ class DiscreteOperator:
     def _assemble(self):
         dom = self.domain
         h = dom.spacing
-        n, N = dom.dim, self.N
         ent = self.tensor.entries
         # symmetric-in-(i,j) effective coefficients
         eff = 0.5 * (ent + ent.transpose(0, 3, 2, 1))
+        keep = np.flatnonzero(self.mask)
 
-        rows, cols, vals = [], [], []
-        cell_idx = self.index[self.mask]
+        def lattice(axes, values, offsets):
+            """Kronecker product over the lattice axes of the 1-D pattern
+            ``values`` at ``offsets`` along ``axes`` and the identity along
+            the others, restricted to the active cells."""
+            out = sp.identity(1, format="csr")
+            for k, m in enumerate(dom.shape):
+                factor = sp.diags(values, offsets, (m, m)) if k in axes else sp.identity(m)
+                out = sp.kron(out, factor, format="csr")
+            return out[keep][:, keep]
 
-        def add(alpha, beta, offset, coeff):
-            if coeff == 0.0:
-                return
-            neigh = self.index.copy()
-            for k, s in enumerate(offset):
-                if s:
-                    neigh = shift_array(neigh, k, s, fill=-1)
-            neigh = neigh[self.mask]
-            ok = neigh >= 0
-            rows.append(cell_idx[ok] * N + alpha)
-            cols.append(neigh[ok] * N + beta)
-            vals.append(np.full(ok.sum(), coeff))
-
-        for alpha in range(N):
-            for beta in range(N):
-                for i in range(n):
-                    for j in range(n):
-                        c = eff[alpha, i, beta, j]
-                        if c == 0.0:
-                            continue
-                        if i == j:
-                            off_p = [0] * n
-                            off_p[i] = 1
-                            off_m = [0] * n
-                            off_m[i] = -1
-                            add(alpha, beta, off_p, c / h**2)
-                            add(alpha, beta, off_m, c / h**2)
-                            add(alpha, beta, [0] * n, -2 * c / h**2)
-                        elif i < j:
-                            for si in (1, -1):
-                                for sj in (1, -1):
-                                    off = [0] * n
-                                    off[i] = si
-                                    off[j] = sj
-                                    add(alpha, beta, off, si * sj * 2 * c / (4 * h**2))
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        vals = np.concatenate(vals)
-        m = sp.coo_matrix((vals, (rows, cols)),
-                          shape=(self.n_cells * N, self.n_cells * N))
-        return m.tocsc()
+        size = self.n_cells * self.N
+        terms = [sp.kron(lattice((i,), [1.0, -2.0, 1.0], [-1, 0, 1]),
+                         eff[:, i, :, i] / h**2)
+                 for i in range(dom.dim)]
+        terms += [sp.kron(lattice((i, j), [-1.0, 1.0], [-1, 1]),
+                          2 * eff[:, i, :, j] / (4 * h**2))
+                  for i in range(dom.dim) for j in range(i + 1, dom.dim)]
+        return sum(terms, sp.csc_matrix((size, size)))
 
     def factorize(self):
         if self._lu is None:
             try:
                 self._lu = spla.splu(self.matrix)
             except RuntimeError as exc:
-                cond = self.condition_estimate()
                 raise ArithmeticError(
-                    f"discrete operator numerically singular "
-                    f"(condition estimate {cond:.2e}): {exc}") from exc
+                    f"discrete operator numerically singular: {exc}") from exc
         return self._lu
 
     def condition_estimate(self):
-        try:
-            norm_a = spla.onenormest(self.matrix)
-            lu = spla.splu(self.matrix)
-            op = spla.LinearOperator(self.matrix.shape, matvec=lu.solve)
-            return float(norm_a * spla.onenormest(op))
-        except Exception:
-            return float("inf")
+        """1-norm condition number estimate from the operator's LU factors;
+        raises ``ArithmeticError`` as :meth:`factorize` does when there are
+        none."""
+        lu = self.factorize()
+        inverse = spla.LinearOperator(self.matrix.shape, matvec=lu.solve,
+                                      rmatvec=lambda b: lu.solve(b, trans="T"))
+        return float(spla.onenormest(self.matrix) * spla.onenormest(inverse))
 
     def rhs_vector(self, f):
         vals = f.values[self.mask]

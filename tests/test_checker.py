@@ -335,3 +335,12 @@ def test_sawtooth_check_cascades_are_pinned():
     }
     assert rep.R_inf.hex() == "0x1.594458ff7aee4p+24"
     assert rep.tolerance.hex() == "0x1.9000000000000p+1"
+
+
+@pytest.mark.parametrize("C_disc", [np.nan, np.inf, -5.0])
+def test_check_rejects_bad_discretization_constant(C_disc):
+    dom, u, f = manufactured_laplace(res=16)
+    with pytest.raises(ValueError, match="C_disc must be finite and nonnegative"):
+        check_dsolution(u, tensor_system(Tensor4.laplacian(2, 2)),
+                        build_frame("standard", N=2, n=2), default_windows(dom),
+                        f=f, C_disc=C_disc)

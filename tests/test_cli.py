@@ -5,7 +5,8 @@ import pytest
 
 from diffusepde.cli import main
 from diffusepde.grids import Domain, GridFunction, save_grid
-from diffusepde.tensors import Decomposition
+from diffusepde.tensors import (Decomposition, canonicalize_decomposition,
+                                random_decomposition, regularize)
 
 
 def write_diag_dec(path):
@@ -220,3 +221,50 @@ def test_check_subcommand_manufactured(tmp_path):
     doc = json.loads((out / "check_report.json").read_text())
     assert doc["passed"]
     assert (out / "residuals.csv").exists()
+
+
+def test_analyze_tensor_rank_one_min_matches_loop(tmp_path):
+    """The vectorized rank-one sampling against the per-direction loop it
+    replaced: same random stream, same minimum up to rounding."""
+    dec = random_decomposition(np.random.default_rng(7), 2, 2)
+    dec_path = tmp_path / "dec.json"
+    dec.save(dec_path)
+    out = tmp_path / "run"
+    assert main(["analyze-tensor", "--decomposition", str(dec_path), "--eps", "0.01",
+                 "--seed", "5", "--out", str(out)]) == 0
+    doc = json.loads((out / "analyze_tensor_report.json").read_text())
+    a_eps = regularize(canonicalize_decomposition(dec), 0.01)
+    rng = np.random.default_rng(5)
+    vals = []
+    for _ in range(10_000):
+        eta = rng.standard_normal(dec.N)
+        a = rng.standard_normal(dec.n)
+        eta /= np.linalg.norm(eta)
+        a /= np.linalg.norm(a)
+        vals.append(a_eps.rank_one_form(eta, a))
+    assert doc["regularized_rank_one_min"] == pytest.approx(min(vals), rel=1e-12)
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "0"])
+def test_diffuse_rejects_bad_cutoff(tmp_path, capsys, value):
+    dom = Domain.unit_square(16)
+    g_path = tmp_path / "u.grid"
+    save_grid(g_path, GridFunction.from_callable(dom, lambda x: np.sin(x)))
+    out = tmp_path / "run"
+    code = main(["diffuse", "--grid", str(g_path), "--r-inf", value, "--out", str(out)])
+    assert code == 2
+    assert "--r-inf must be positive" in capsys.readouterr().err
+    assert not (out / "diffuse_report.json").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-5"])
+def test_check_rejects_bad_discretization_constant(tmp_path, capsys, value):
+    dom = Domain.unit_square(32)
+    g_path = tmp_path / "u.grid"
+    save_grid(g_path, GridFunction.from_callable(dom, lambda x: np.sin(x)))
+    out = tmp_path / "run"
+    code = main(["check", "--grid", str(g_path), "--system", "infinity-laplace",
+                 "--c-disc", value, "--out", str(out)])
+    assert code == 2
+    assert "--c-disc must be finite and nonnegative" in capsys.readouterr().err
+    assert not (out / "check_report.json").exists()

@@ -49,6 +49,19 @@ def test_dirac_field_cutoff_to_infinity():
     assert not field.infinite[3, 0]
 
 
+@pytest.mark.parametrize("R_inf", [np.nan, -1.0, 0.0])
+def test_cutoff_radius_must_be_positive(R_inf):
+    dom = Domain.unit_square(8)
+    v = GridFunction(dom, np.zeros(dom.shape + (2,)))
+    frame = build_frame("standard", N=2, n=2)
+    window = [HSchedule(((0.25,),))]
+    with pytest.raises(ValueError, match="cutoff radius must be positive"):
+        dirac_field(v, R_inf)
+    with pytest.raises(ValueError, match="cutoff radius must be positive"):
+        diffuse_field(v, frame, 1, window, R_inf)
+    assert not dirac_field(v, np.inf).infinite.any()
+
+
 def test_reduced_support_examples():
     m = atom([[0.0]], [1.0], [True])
     assert reduced_support(m) == []

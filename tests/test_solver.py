@@ -1,16 +1,20 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from diffusepde.checker import CoefficientSystem, check_dsolution, tensor_system
 from diffusepde.frames import build_frame, schedule_window
 from diffusepde.grids import Domain, GridFunction
-from diffusepde.solver import (EllipticityCertificate, assemble_and_solve_eps,
+from diffusepde.solver import (DiscreteOperator, EllipticityCertificate,
+                               assemble_and_solve_eps,
                                boundary_ring_norm, campanato_solve,
                                check_degenerate_ellipticity, check_sigma_valued,
                                fibre_norms, make_nonlinearity, poincare_check,
                                solve_linear, verify_hessian_estimate)
-from diffusepde.tensors import (Decomposition, Tensor4, random_decomposition,
-                                ranges_and_subspaces, reconstruct, regularize)
+from diffusepde.tensors import (Decomposition, Tensor4, canonicalize_decomposition,
+                                random_decomposition, ranges_and_subspaces,
+                                reconstruct, regularize)
 
 
 def sinsin(dom, eta=(1.0,)):
@@ -389,3 +393,66 @@ def test_boundary_ring_norm_decays_on_disc():
         fd, _ = solve_linear(dec, f, [1e-1, 1e-2, 1e-3], domain=dom)
         norms.append(boundary_ring_norm(fd.sigma_u))
     assert norms[1] < norms[0]
+
+
+def _coupled_eps01():
+    dec = random_decomposition(np.random.default_rng(3), 2, 2)
+    return regularize(canonicalize_decomposition(dec), 0.1)
+
+
+@pytest.mark.parametrize("tensor, domain, digests", [
+    (_coupled_eps01(), Domain.unit_square(32),
+     ("cd2b1c2c14e1ce39b2d56fc98d08a1ba654361b29ca6df1fe8fe99b7f62c6141",
+      "29adb1805b430d79b67d47e0e21e4be67ba70b9f6cff0f449bf917e9bb0ccf3d",
+      "b32fca596bc34a89d097589a526c36e87beb1e0580cca44f97c56dfb688029ef")),
+    (Tensor4.laplacian(2, 2), Domain.unit_disc(24),
+     ("a45328968a317968c2eb5e0309b257a4c042dfd6110bae7b14f4945cd5a62ce5",
+      "6249d60f1f0bb600405475b1cd200a2a232639003d1e803332d165ae185e689a",
+      "56c5dfb33d4f3504702e9bd685ace8a125bcb813d16dc3ab602bedc2ccbeffff")),
+    (Tensor4.laplacian(2, 1), Domain.interval(0, 1, 50),
+     ("e256de500b8c017afc7c6b43f08208d8a456e65b899b9175c59c4a8fdae3aa54",
+      "e2f0ccdef6c36ab24653bbf5f71018f1b712fb08fb0e3b6e368bcd1ad811a910",
+      "9205df0d258b21e8125f1cb97d1bc104ac9d7053934ef4a6d274493babc1a375")),
+], ids=["coupled-square", "laplacian-disc", "laplacian-interval"])
+def test_operator_matrix_is_pinned(tensor, domain, digests):
+    """The assembled CSC matrix, bit for bit: sha256 of ``indptr`` and
+    ``indices`` as int64 and of ``data`` as float64."""
+    m = DiscreteOperator(tensor, domain).matrix
+    got = tuple(hashlib.sha256(np.asarray(a, dtype=t).tobytes()).hexdigest()
+                for a, t in ((m.indptr, np.int64), (m.indices, np.int64),
+                             (m.data, np.float64)))
+    assert got == digests
+
+
+def test_zero_tensor_operator_is_singular():
+    op = DiscreteOperator(Tensor4(2, 2, np.zeros((2, 2, 2, 2))), Domain.unit_square(8))
+    assert op.matrix.nnz == 0
+    with pytest.raises(ArithmeticError, match="singular"):
+        op.factorize()
+
+
+def test_condition_estimate_matches_dense_condition_number():
+    op = DiscreteOperator(Tensor4.laplacian(2, 2), Domain.unit_square(16))
+    dense = np.linalg.cond(op.matrix.toarray(), 1)
+    est = op.condition_estimate()
+    # both norm estimates are lower bounds, so the product is too
+    assert np.isfinite(est)
+    assert dense / 3 <= est <= dense * (1 + 1e-12)
+
+
+def test_campanato_aborts_when_not_contracting():
+    """A system three times the tensor action, certified as within C = 0.2
+    of it: the update doubles every step and the iteration aborts."""
+    dom = Domain.unit_square(16)
+    dec = Decomposition((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
+                        (np.diag([1.0, 0.0]), np.diag([1.0, 0.0])))
+    T = reconstruct(dec).entries
+
+    def evaluate(x, uval, X):
+        return 3.0 * np.einsum("aibj,cbij->ca", T, X.reshape(-1, 2, 2, 2))
+
+    F = CoefficientSystem(order=2, n=2, N=2, M=2, evaluate=evaluate)
+    a_of_x = GridFunction(dom, np.ones(dom.shape + (1,)))
+    cert = EllipticityCertificate(dec=dec, A_of_x=a_of_x, B=0.0, C=0.2)
+    with pytest.raises(ArithmeticError, match="not contracting"):
+        campanato_solve(F, cert, sinsin(dom, (1.0, 0.5)), [1e-1, 1e-2], max_iter=20)
