@@ -532,7 +532,7 @@ def _finite_atom_residuals(field_lvl, atom_res, interior):
     res = np.where(field_lvl.infinite, 0.0, res)
     sup_cell = res.max(axis=-1)
     int_cell = np.sum(np.where(field_lvl.infinite, 0.0, field_lvl.weights) * res, axis=-1)
-    field = GridFunction(dom, np.where(dom.mask(), sup_cell, 0.0)[..., None])
+    field = GridFunction(dom, sup_cell[..., None])
     return float(sup_cell[interior].max()), float(int_cell[interior].max()), field
 
 

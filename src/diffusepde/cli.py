@@ -90,6 +90,19 @@ def effective_config(args, keys):
     return cfg
 
 
+def _number(cfg, key, default, kind=float, bounds=(-np.inf, np.inf)):
+    """``cfg[key]`` as ``kind``, or ``default`` when it is unset; a value
+    that does not convert or lies outside the open interval ``bounds`` is a
+    parse error."""
+    try:
+        value = kind(default if cfg[key] is None else cfg[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ManifestError(f"--{key}: {exc}") from exc
+    if not bounds[0] < value < bounds[1]:
+        raise ManifestError(f"--{key} must lie in {bounds}, got {value}")
+    return value
+
+
 def _parse_floats(text):
     return [float(t) for t in str(text).split(",") if t != ""]
 
@@ -158,10 +171,10 @@ def cmd_diffuse(args):
         raise ManifestError("diffuse needs a grid file")
     u = _load_input(load_grid, cfg["grid"], "--grid")
     dom = u.domain
-    order = int(cfg["order"] or 1)
-    base = float(cfg["base-step"] or 8 * dom.spacing)
-    count = int(cfg["window"] or 4)
-    ratio = float(cfg["ratio"] or 0.5)
+    order = _number(cfg, "order", 1, int, (0, np.inf))
+    base = _number(cfg, "base-step", 8 * dom.spacing, float, (0, np.inf))
+    count = _number(cfg, "window", 4, int, (0, np.inf))
+    ratio = _number(cfg, "ratio", 0.5, float, (0, 1))
     frame = build_frame("standard", N=u.components, n=dom.dim)
     window = schedule_window(base, count, ratio=ratio, order=order)
     r_inf = (measures.default_cutoff(u, frame) if cfg["r-inf"] is None
@@ -211,10 +224,10 @@ def cmd_check(args):
     dom = u.domain
     F = _build_system(cfg, u)
     f = _load_input(load_grid, cfg["f"], "--f") if cfg["f"] else None
-    levels = int(cfg["levels"] or 3)
-    base = float(cfg["base-step"] or 16 * dom.spacing)
-    count = int(cfg["window"] or 3)
-    ratio = float(cfg["ratio"] or 0.5)
+    levels = _number(cfg, "levels", 3, int)
+    base = _number(cfg, "base-step", 16 * dom.spacing, float, (0, np.inf))
+    count = _number(cfg, "window", 3, int, (0, np.inf))
+    ratio = _number(cfg, "ratio", 0.5, float, (0, 1))
     r_list = _parse_floats(cfg["r-list"]) if cfg["r-list"] else None
     frame = build_frame("standard", N=u.components, n=dom.dim)
     windows = []
@@ -299,10 +312,10 @@ def cmd_solve_nonlinear(args):
     f = _load_input(load_grid, cfg["f"], "--f")
     dom = f.domain
     eps_seq = _parse_floats(cfg["eps-seq"]) if cfg["eps-seq"] else [1e-1, 1e-2, 1e-3, 1e-4]
-    gamma = float(cfg["gamma"] if cfg["gamma"] is not None else 0.2)
-    lip_frac = float(cfg["lip-frac"] if cfg["lip-frac"] is not None else 0.3)
-    max_iter = int(cfg["max-iter"] or 40)
-    tol_final = float(cfg["tol-final"] or 1e-6)
+    gamma = _number(cfg, "gamma", 0.2)
+    lip_frac = _number(cfg, "lip-frac", 0.3)
+    max_iter = _number(cfg, "max-iter", 40, int, (0, np.inf))
+    tol_final = _number(cfg, "tol-final", 1e-6, float, (0, np.inf))
 
     data = tensors.ranges_and_subspaces(dec, cross_check=False)
     nu = data.nu

@@ -157,10 +157,9 @@ class GridFunction:
         if values.ndim != domain.dim + 1:
             raise ValueError("values must have one trailing component axis")
         self.domain = domain
-        mask = domain.mask()
-        if not np.isfinite(values[mask]).all():
+        self.values = np.where(domain.mask()[..., None], values, 0.0)
+        if not np.isfinite(self.values).all():
             raise ValueError("non-finite values on active nodes")
-        self.values = np.where(mask[..., None], values, 0.0)
 
     @property
     def components(self):
@@ -175,7 +174,6 @@ class GridFunction:
             vals = vals[..., None]
         if components is not None and vals.shape[-1] != components:
             raise ValueError("component count mismatch")
-        vals = np.where(domain.mask()[..., None], vals, 0.0)
         return GridFunction(domain, vals)
 
     def zeros_like(self, components):
@@ -186,12 +184,6 @@ class GridFunction:
         sel = self.domain.mask() if where is None else where
         w = self.domain.spacing ** self.domain.dim
         return float(np.sqrt(w * np.sum(self.values[sel] ** 2)))
-
-    def linf_norm(self, where=None):
-        sel = self.domain.mask() if where is None else where
-        if not sel.any():
-            return 0.0
-        return float(np.max(np.abs(self.values[sel])))
 
     def __add__(self, other):
         self._check_compatible(other)

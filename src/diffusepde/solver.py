@@ -100,7 +100,9 @@ class DiscreteOperator:
     def factorize(self):
         if self._lu is None:
             try:
-                self._lu = spla.splu(self.matrix)
+                # symmetric to rounding: minimum degree on A + A^T, diagonal pivots
+                self._lu = spla.splu(self.matrix, permc_spec="MMD_AT_PLUS_A",
+                                     options={"SymmetricMode": True})
             except RuntimeError as exc:
                 raise ArithmeticError(
                     f"discrete operator numerically singular: {exc}") from exc

@@ -525,13 +525,6 @@ def ellipticity_constant(dec, rng=None, n_starts=64, n_samples=100_000,
     return float(nu), float(bound)
 
 
-def _quadratic_form(dec, eta, a):
-    total = 0.0
-    for b, am in zip(dec.B_factors, dec.A_factors):
-        total += (eta @ b @ eta) * (a @ am @ a)
-    return total
-
-
 def _search_minimum(dec, sigma_g, t_g, rng, n_starts, n_samples):
     best = np.inf
     tasks = []

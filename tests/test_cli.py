@@ -268,3 +268,66 @@ def test_check_rejects_bad_discretization_constant(tmp_path, capsys, value):
     assert code == 2
     assert "--c-disc must be finite and nonnegative" in capsys.readouterr().err
     assert not (out / "check_report.json").exists()
+
+
+def _sine_grid(tmp_path, resolution):
+    path = tmp_path / "u.grid"
+    save_grid(path, GridFunction.from_callable(Domain.unit_square(resolution),
+                                               lambda x: np.sin(x)))
+    return path
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--order", "0"), ("--window", "0"), ("--ratio", "0"), ("--ratio", "1"),
+    ("--ratio", "1.5"), ("--base-step", "nan"), ("--base-step", "inf"),
+    ("--base-step", "-1"), ("--base-step", "0")])
+def test_diffuse_rejects_bad_numeric_flag(tmp_path, capsys, flag, value):
+    out = tmp_path / "run"
+    code = main(["diffuse", "--grid", str(_sine_grid(tmp_path, 16)), flag, value,
+                 "--out", str(out)])
+    assert code == 2
+    assert f"{flag} must lie in" in capsys.readouterr().err
+    assert not (out / "diffuse_report.json").exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--window", "0", "--window must lie in"),
+    ("--ratio", "0", "--ratio must lie in"),
+    ("--ratio", "1.5", "--ratio must lie in"),
+    ("--base-step", "nan", "--base-step must lie in"),
+    ("--base-step", "-1", "--base-step must lie in"),
+    ("--levels", "0", "at least two refinement levels")])
+def test_check_rejects_bad_numeric_flag(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "run"
+    code = main(["check", "--grid", str(_sine_grid(tmp_path, 32)), "--system",
+                 "infinity-laplace", flag, value, "--out", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "check_report.json").exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--max-iter", "0"), ("--max-iter", "-3"), ("--tol-final", "0"),
+    ("--tol-final", "nan"), ("--tol-final", "-0.001"), ("--gamma", "nan"),
+    ("--lip-frac", "inf")])
+def test_solve_nonlinear_rejects_bad_numeric_flag(tmp_path, capsys, flag, value):
+    dec_path = tmp_path / "dec.json"
+    write_diag_dec(dec_path)
+    dom = Domain.unit_square(8)
+    f_path = tmp_path / "f.grid"
+    save_grid(f_path, GridFunction(dom, np.zeros(dom.shape + (2,))))
+    out = tmp_path / "run"
+    code = main(["solve-nonlinear", "--decomposition", str(dec_path), "--f", str(f_path),
+                 flag, value, "--out", str(out)])
+    assert code == 2
+    assert f"{flag} must lie in" in capsys.readouterr().err
+    assert not (out / "nonlinear_report.json").exists()
+
+
+def test_manifest_number_that_does_not_convert_exits_two(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"grid": str(_sine_grid(tmp_path, 16)),
+                                    "window": "four"}))
+    code = main(["diffuse", "--manifest", str(manifest), "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert "--window:" in capsys.readouterr().err

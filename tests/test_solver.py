@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from diffusepde.checker import CoefficientSystem, check_dsolution, tensor_system
 from diffusepde.frames import build_frame, schedule_window
@@ -331,9 +332,22 @@ def test_solver_output_passes_checker():
     assert rep.passed, rep.residuals
 
 
+# Cascades of the same check under the default (COLAMD) column ordering of the
+# operator's LU; the minimum-degree ordering moves them only by rounding.
+COLAMD_CASCADES = {
+    "pairing": ["0x1.e6352e72a9105p-4", "0x1.65bf6e5616e91p-5"],
+    "support": ["0x1.a55a1a822b4c3p-3", "0x1.4e45e70e120abp-4"],
+    "integral": ["0x1.263e87049a28cp-3", "0x1.dc818d772cf5ap-5"],
+    "cutoff": ["0x1.4e45e70e120abp-4", "0x1.1c774cd235d5dp-5"],
+    "distance": ["0x1.d8bbc6098efb4p-4", "0x1.924bb2d9a5601p-5"],
+}
+COLAMD_R_INF = "0x1.f78c0341d404dp+21"
+
+
 def test_projected_linear_check_cascades_are_pinned():
     """Exact residual cascades of the projected check of the solver output
-    (the setting of ``test_solver_output_passes_checker``)."""
+    (the setting of ``test_solver_output_passes_checker``), and their
+    agreement with the cascades under the COLAMD ordering."""
     dom = Domain.unit_square(48)
     dec = Decomposition((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
                         (np.diag([1.0, 0.0]), np.diag([1.0, 0.0])))
@@ -349,14 +363,18 @@ def test_projected_linear_check_cascades_are_pinned():
                           build_frame("from_decomposition", dec=dec), windows,
                           R_list=[1e3], f=f, project=data.xi, C_disc=120.0)
     assert {k: [x.hex() for x in v] for k, v in rep.residuals.items()} == {
-        "pairing": ["0x1.e6352e72a9105p-4", "0x1.65bf6e5616e91p-5"],
-        "support": ["0x1.a55a1a822b4c3p-3", "0x1.4e45e70e120abp-4"],
-        "integral": ["0x1.263e87049a28cp-3", "0x1.dc818d772cf5ap-5"],
-        "cutoff": ["0x1.4e45e70e120abp-4", "0x1.1c774cd235d5dp-5"],
-        "distance": ["0x1.d8bbc6098efb4p-4", "0x1.924bb2d9a5601p-5"],
+        "pairing": ["0x1.e6352e72a91c0p-4", "0x1.65bf6e5616e92p-5"],
+        "support": ["0x1.a55a1a822b56dp-3", "0x1.4e45e70e12097p-4"],
+        "integral": ["0x1.263e87049a2dcp-3", "0x1.dc818d772cf32p-5"],
+        "cutoff": ["0x1.4e45e70e12097p-4", "0x1.1c774cd235d35p-5"],
+        "distance": ["0x1.d8bbc6098ef98p-4", "0x1.924bb2d9a55c8p-5"],
     }
-    assert rep.R_inf.hex() == "0x1.f78c0341d404dp+21"
+    assert rep.R_inf.hex() == "0x1.f78c0341d3f18p+21"
     assert rep.tolerance.hex() == "0x1.4000000000000p+3"
+    for k, v in COLAMD_CASCADES.items():
+        assert rep.residuals[k] == pytest.approx([float.fromhex(x) for x in v],
+                                                 rel=1e-12, abs=0.0)
+    assert rep.R_inf == pytest.approx(float.fromhex(COLAMD_R_INF), rel=1e-12, abs=0.0)
 
 
 def test_nonlinearity_reads_scaling_from_state_rows(rng):
@@ -422,6 +440,31 @@ def test_operator_matrix_is_pinned(tensor, domain, digests):
                 for a, t in ((m.indptr, np.int64), (m.indices, np.int64),
                              (m.data, np.float64)))
     assert got == digests
+
+
+@pytest.mark.parametrize("tensor, domain", [
+    (_coupled_eps01(), Domain.unit_square(32)),
+    (Tensor4.laplacian(2, 2), Domain.unit_disc(24)),
+    (Tensor4.laplacian(2, 1), Domain.interval(0, 1, 50)),
+    (Tensor4.laplacian(2, 3), Domain(shape=(9, 9, 9), spacing=1 / 8,
+                                     origin=(0.0, 0.0, 0.0))),
+], ids=["coupled-square", "laplacian-disc", "laplacian-interval", "laplacian-cube"])
+def test_solve_matches_colamd_ordering(tensor, domain, rng):
+    """The minimum-degree LU solves as the default COLAMD ordering does, up
+    to rounding; the unknown order is the same."""
+    op = DiscreteOperator(tensor, domain)
+    f = GridFunction(domain, rng.standard_normal(domain.shape + (op.N,)))
+    u = op.solve(f).values[op.mask]
+    ref = spla.splu(op.matrix).solve(op.rhs_vector(f)).reshape(u.shape)
+    assert np.max(np.abs(u - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+
+def test_lu_ordering_reduces_fill():
+    """Guards the ordering: at 64^2 the coupled operator's factors hold fewer
+    nonzeros than under COLAMD."""
+    op = DiscreteOperator(_coupled_eps01(), Domain.unit_square(64))
+    lu, colamd = op.factorize(), spla.splu(op.matrix)
+    assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
 
 
 def test_zero_tensor_operator_is_singular():
