@@ -33,35 +33,48 @@ TOL_ZERO = 1e-8
 class CoefficientSystem:
     """Coefficients of a PDE system of order ``p`` in ``M`` equations.
 
-    ``evaluate(x, uval, X)`` is vectorized over stacked rows: ``x`` has shape
-    ``(rows, n)``, ``uval`` ``(rows, du)`` and ``X`` ``(rows, D)`` with the
-    top-order tensor flattened row-major; it returns ``(rows, M)``.  The rows
-    are cell-aligned: row ``r`` of ``uval`` is the per-cell state of the cell
+    A system is given by exactly one of two callables.  ``evaluate(x, uval,
+    X)`` is vectorized over stacked rows: ``x`` has shape ``(rows, n)``,
+    ``uval`` ``(rows, du)`` and ``X`` ``(rows, D)`` with the top-order
+    tensor flattened row-major; it returns ``(rows, M)``.  The rows are
+    cell-aligned: row ``r`` of ``uval`` is the per-cell state of the cell
     whose node sits at ``x[r]``, so evaluators never look cells up from
     coordinates.
+
+    A jet-linear system is given by ``jet_linearization(x, uval)`` alone,
+    returning per-row ``(L, c)`` of shapes ``(rows, M, D)`` and ``(rows,
+    M)`` with ``F = L X + c``; ``evaluate`` is derived from it.  It enables
+    exact zero-set distances and the trivial cut-off selection.  Other
+    systems may supply ``zero_set_oracle(x, uval, R)`` returning
+    representative points (``(cells, k, D)``) of the zero set inside the
+    R-ball.
 
     ``u_source(u, frame, fine_step)`` returns the grid function of per-cell
     state whose rows fill the ``uval`` slot: the map itself by default, a
     fixed fine-step gradient quotient of the map for gradient-sourced
     systems, or a field the system carries (the scaling ``A(x)`` of
     ``solver.make_nonlinearity``).
-
-    Linear-in-jet systems may provide ``jet_linearization(x, uval)``
-    returning per-cell ``(L, c)`` with ``F = L X + c``; it enables exact
-    zero-set distances and the trivial cut-off selection.  Other systems
-    supply ``zero_set_oracle(x, uval, R)`` returning representative points
-    (``(cells, k, D)``) of the zero set inside the R-ball.
     """
 
     order: int
     n: int
     N: int
     M: int
-    evaluate: callable
+    evaluate: callable | None = None
     u_source: callable = lambda u, frame, fine_step: u
     zero_set_oracle: callable | None = None
     jet_linearization: callable | None = None
     name: str = "system"
+
+    def __post_init__(self):
+        if (self.evaluate is None) == (self.jet_linearization is None):
+            raise ValueError("a coefficient system takes exactly one of "
+                             "evaluate and jet_linearization")
+        if self.evaluate is None:
+            def evaluate(x, uval, X):
+                L, c = self.jet_linearization(x, uval)
+                return np.einsum("cmd,cd->cm", L, X) + c
+            self.evaluate = evaluate
 
     @property
     def jet_dim(self):
@@ -79,15 +92,10 @@ def tensor_system(tensor):
     # hessian action matrix: rows are equations, columns flattened (b, i, j)
     Lmat = np.einsum("aibj->abij", L).reshape(N, N * n * n)
 
-    def evaluate(x, uval, X):
-        return X @ Lmat.T
-
     def jet_linearization(x, uval):
-        cells = x.shape[0]
-        Lb = np.broadcast_to(Lmat, (cells,) + Lmat.shape)
-        return Lb, np.zeros((cells, N))
+        return np.broadcast_to(Lmat, (len(x),) + Lmat.shape), np.zeros((len(x), N))
 
-    return CoefficientSystem(order=2, n=n, N=N, M=N, evaluate=evaluate,
+    return CoefficientSystem(order=2, n=n, N=N, M=N,
                              jet_linearization=jet_linearization,
                              name="linear-tensor")
 
@@ -100,29 +108,21 @@ def infinity_laplace_system(n, rank_tol=1e-9):
     singular value decomposition of ``P`` with a relative rank cutoff.
     """
 
-    def coefficient_matrices(P):
-        cells = P.shape[0]
-        Pm = P.reshape(cells, n, n)
+    def jet_linearization(x, uval):
+        """Per-cell ``(L, 0)`` at the gradient values ``uval``."""
+        cells = uval.shape[0]
+        Pm = uval.reshape(cells, n, n)
         u, s, vt = np.linalg.svd(Pm)
-        smax = s[:, :1]
-        keep = s > rank_tol * np.maximum(smax, 1e-300)
+        keep = s > rank_tol * np.maximum(s[:, :1], 1e-300)
         proj_range = np.einsum("cak,ck,cbk->cab", u, keep.astype(float), u)
         proj_perp = np.eye(n)[None] - proj_range
         p2 = np.einsum("cai,cai->c", Pm, Pm)
         L = (np.einsum("cai,cbj->cabij", Pm, Pm)
              + p2[:, None, None, None, None]
              * np.einsum("cab,ij->cabij", proj_perp, np.eye(n)))
-        return L.reshape(cells, n, n * n * n)
+        return L.reshape(cells, n, n * n * n), np.zeros((cells, n))
 
-    def evaluate(x, uval, X):
-        L = coefficient_matrices(uval)
-        return np.einsum("cmd,cd->cm", L, X)
-
-    def jet_linearization(x, uval):
-        L = coefficient_matrices(uval)
-        return L, np.zeros((x.shape[0], n))
-
-    return CoefficientSystem(order=2, n=n, N=n, M=n, evaluate=evaluate,
+    return CoefficientSystem(order=2, n=n, N=n, M=n,
                              u_source=difference_quotient_1,
                              jet_linearization=jet_linearization,
                              name="infinity-laplace")
@@ -165,11 +165,11 @@ def tangent_system(base, F_x=None, F_X=None, fd_step=None):
     """
     if base.order != 1:
         raise ValueError("tangent construction implemented for first-order systems")
-    F_x = F_x or getattr(base, "x_gradient", None)
+    F_x = F_x or getattr(base, "x_gradient", None) or (
+        lambda x, uval, P: np.zeros((x.shape[0], base.M, base.n)))
     F_X_eff = F_X or getattr(base, "jet_gradient", None)
-    fd_fallback = False
-    if F_X_eff is None:
-        fd_fallback = True
+    fd_fallback = F_X_eff is None
+    if fd_fallback:
         step = fd_step or 1e-6
 
         def F_X_eff(x, uval, P):
@@ -181,34 +181,22 @@ def tangent_system(base, F_x=None, F_X=None, fd_step=None):
                 out[:, :, d] = (base.evaluate(x, uval, P + e)
                                 - base.evaluate(x, uval, P - e)) / (2 * step)
             return out
-    if F_x is None:
-        def F_x(x, uval, P):
-            return np.zeros((x.shape[0], base.M, base.n))
 
     n, N, M = base.n, base.N, base.M
 
-    def evaluate(x, uval, X):
-        """``uval`` carries the first-order jet (gradient values) of the base map."""
-        P = uval
-        cells = x.shape[0]
-        gx = F_x(x, uval, P)                      # (cells, M, n)
-        gX = F_X_eff(x, uval, P).reshape(cells, M, N, n)
-        Xt = X.reshape(cells, N, n, n)
-        # equation (mu, i): gx[mu, i] + sum_{b j} gX[mu, b, j] X[b, j, i]
-        out = gx + np.einsum("cmbj,cbji->cmi", gX, Xt)
-        return out.reshape(cells, M * n)
-
     def jet_linearization(x, uval):
-        P = uval
+        """``uval`` carries the first-order jet (gradient values) of the base
+        map; equation ``(mu, i)`` reads ``gx[mu, i] + sum_{b j} gX[mu, b, j]
+        X[b, j, i]``."""
         cells = x.shape[0]
-        gx = F_x(x, uval, P).reshape(cells, M * n)
-        gX = F_X_eff(x, uval, P).reshape(cells, M, N, n)
+        gx = F_x(x, uval, uval).reshape(cells, M * n)
+        gX = F_X_eff(x, uval, uval).reshape(cells, M, N, n)
         L = np.zeros((cells, M, n, N, n, n))
         for i in range(n):
             L[:, :, i, :, :, i] = gX
         return L.reshape(cells, M * n, N * n * n), gx
 
-    sys = CoefficientSystem(order=2, n=n, N=N, M=M * n, evaluate=evaluate,
+    sys = CoefficientSystem(order=2, n=n, N=N, M=M * n,
                             u_source=difference_quotient_1,
                             jet_linearization=jet_linearization,
                             name=f"tangent({base.name})")
@@ -374,7 +362,19 @@ def check_dsolution(u, F, frame, schedules, R_list=None, Phi_family=None, f=None
     uval_flat = uval.values.reshape(-1, uval.components)
     f_flat = f.values.reshape(-1, F.M)
 
-    zeros = F.evaluate(x_flat, uval_flat, np.zeros((x_flat.shape[0], F.jet_dim)))
+    # per-cell linearization (and its pinv), shared by every level and radius
+    lin = _linearize(F, x_flat, uval_flat)
+
+    def coefficients(X):
+        """``F`` at jets ``X`` of shape ``(cells, k, D)``, ``k`` per cell."""
+        if lin is not None:
+            return np.einsum("cmd,ckd->ckm", lin[0], X) + lin[1][:, None]
+        k = X.shape[1]
+        return F.evaluate(np.repeat(x_flat, k, axis=0),
+                          np.repeat(uval_flat, k, axis=0),
+                          X.reshape(-1, F.jet_dim)).reshape(X.shape[:2] + (F.M,))
+
+    zeros = coefficients(np.zeros((x_flat.shape[0], 1, F.jet_dim)))
     mask = dom.mask()
     scale = float(np.median(np.abs(f.values[mask])) +
                   np.median(np.abs(zeros.reshape(dom.shape + (F.M,))[mask])))
@@ -395,10 +395,8 @@ def check_dsolution(u, F, frame, schedules, R_list=None, Phi_family=None, f=None
     if R_inf is None:
         R_inf = _default_checker_cutoff(u, F, frame, schedules[0])
 
-    skipped = []
     oracle_ok = F.linear_in_jet or F.zero_set_oracle is not None
-    if not oracle_ok:
-        skipped.extend(["cutoff", "distance"])
+    skipped = [] if oracle_ok else ["cutoff", "distance"]
 
     names = ["pairing", "support", "integral"] + (["cutoff", "distance"] if oracle_ok else [])
     residuals = {name: [] for name in names}
@@ -423,26 +421,19 @@ def check_dsolution(u, F, frame, schedules, R_list=None, Phi_family=None, f=None
     if R_list is None:
         # radii comfortably containing the settled finite mass
         fin = ~fields[-1].infinite & interior[..., None]
-        if fin.any():
-            s = float(np.linalg.norm(fields[-1].points[fin], axis=-1).max())
-        else:
-            s = 1.0
+        s = float(np.linalg.norm(fields[-1].points[fin], axis=-1).max()) if fin.any() else 1.0
         s = max(s, 1.0)
         R_list = [2.0 * s, 8.0 * s]
 
-    # per-cell linearization (and its pinv), shared by every level and radius
-    lin = _linearize(F, x_flat, uval_flat)
     lip = None if lin is None else np.linalg.norm(lin[0], axis=(1, 2))
     inner = interior.reshape(-1)
 
     for level, (window, field_lvl) in enumerate(zip(schedules, fields)):
         # one residual per (cell, atom) row, cells row-major and atoms
         # innermost, shared by every witness and by support and integral
-        k = field_lvl.n_atoms
-        atom_res = F.evaluate(np.repeat(x_flat, k, axis=0),
-                              np.repeat(uval_flat, k, axis=0),
-                              field_lvl.points.reshape(-1, field_lvl.space_dim)
-                              ) - np.repeat(f_flat, k, axis=0)
+        atom_res = (coefficients(field_lvl.points.reshape(
+            x_flat.shape[0], field_lvl.n_atoms, F.jet_dim))
+            - f_flat[:, None]).reshape(-1, F.M)
         pairing = 0.0
         for phi in phi_family:
             paired = pair(field_lvl, phi, lambda x, X: atom_res)
@@ -471,7 +462,7 @@ def check_dsolution(u, F, frame, schedules, R_list=None, Phi_family=None, f=None
                     infeasible_R.setdefault(level, []).append((float(R), str(exc)))
                     continue
                 feasible += 1
-                res = F.evaluate(x_flat, uval_flat, cut) - f_flat
+                res = coefficients(cut[:, None])[:, 0] - f_flat
                 cut_res = max(cut_res, float(np.max(
                     np.linalg.norm(res, axis=1)[inner])))
                 dist = _distance_residual(cut, res, F, x_flat, uval_flat, f_flat,
@@ -541,14 +532,12 @@ def _distance_residual(vals, res, F, x_flat, uval_flat, f_flat, R, lin, lip,
     """Per-cell distance from cut-off jets ``vals`` to the zero set, optionally
     rescaled to coefficient units by a per-cell operator-norm estimate.
 
-    ``res`` holds the coefficient residuals at ``vals``; ``lin`` and ``lip``
-    are the shared linearization and its per-cell norm (``None`` for oracle
-    systems).
+    ``res`` holds the coefficient residuals ``F - f`` at ``vals``; ``lin``
+    and ``lip`` are the shared linearization and its per-cell norm (``None``
+    for oracle systems).
     """
     if lin is not None:
-        L, c, pinv = lin
-        lin_res = np.einsum("cmd,cd->cm", L, vals) + c - f_flat
-        dist = np.linalg.norm(np.einsum("cdm,cm->cd", pinv, lin_res), axis=1)
+        dist = np.linalg.norm(np.einsum("cdm,cm->cd", lin[2], res), axis=1)
     else:
         pts = F.zero_set_oracle(x_flat, uval_flat, R)
         dist = np.min(np.linalg.norm(vals[:, None, :] - pts, axis=2), axis=1)

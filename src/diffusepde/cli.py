@@ -90,21 +90,35 @@ def effective_config(args, keys):
     return cfg
 
 
-def _number(cfg, key, default, kind=float, bounds=(-np.inf, np.inf)):
-    """``cfg[key]`` as ``kind``, or ``default`` when it is unset; a value
-    that does not convert or lies outside the open interval ``bounds`` is a
-    parse error."""
+def _number(cfg, key, default, kind=float, bounds=(-np.inf, np.inf), closed=False):
+    """``cfg[key]`` as ``kind``, or ``default`` when it is unset (``None``
+    when both are).  A value that does not convert, or lies outside the
+    interval ``bounds`` (open, or closed at its lower end when ``closed``),
+    is a parse error."""
+    value = default if cfg[key] is None else cfg[key]
+    if value is None:
+        return None
     try:
-        value = kind(default if cfg[key] is None else cfg[key])
+        value = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ManifestError(f"--{key}: {exc}") from exc
-    if not bounds[0] < value < bounds[1]:
-        raise ManifestError(f"--{key} must lie in {bounds}, got {value}")
+    lo, hi = bounds
+    if not (lo <= value if closed else lo < value) or not value < hi:
+        raise ManifestError(f"--{key} must lie in {'[' if closed else '('}{lo}, {hi}), "
+                            f"got {value}")
     return value
 
 
-def _parse_floats(text):
-    return [float(t) for t in str(text).split(",") if t != ""]
+def _numbers(cfg, key, default, bounds, closed=False):
+    """The comma-separated entries of ``cfg[key]``, each read as ``_number``
+    reads a float, or ``default`` when it is unset; no entry is a parse error."""
+    if cfg[key] is None:
+        return default
+    values = [_number({key: t}, key, None, float, bounds, closed)
+              for t in str(cfg[key]).split(",") if t != ""]
+    if not values:
+        raise ManifestError(f"--{key} needs at least one value")
+    return values
 
 
 def _outdir(args):
@@ -144,8 +158,8 @@ def cmd_analyze_tensor(args):
             "witness_vector": (validation.common_vector.tolist()
                                if validation.common_vector is not None else None),
         })
-        if cfg["eps"]:
-            eps = float(cfg["eps"])
+        eps = _number(cfg, "eps", None, float, (0, np.inf), closed=True)
+        if eps is not None:
             canon = tensors.canonicalize_decomposition(dec)
             a_eps = tensors.regularize(canon, eps)
             # 10 000 unit rank-one directions eta (x) a, drawn row by row
@@ -207,7 +221,7 @@ def _build_system(cfg, u):
         dec = _load_input(Decomposition.load, cfg["tensor"], "--tensor")
         return tensor_system(reconstruct(dec))
     if name == "eikonal-tangent":
-        speed = float(cfg.get("speed") or 1.0)
+        speed = _number(cfg, "speed", 1.0, float, (0, np.inf), closed=True)
         base = eikonal_system(u.domain.dim, u.components, speed)
         return tangent_system(base)
     raise ManifestError(f"unknown system {name!r}")
@@ -228,7 +242,7 @@ def cmd_check(args):
     base = _number(cfg, "base-step", 16 * dom.spacing, float, (0, np.inf))
     count = _number(cfg, "window", 3, int, (0, np.inf))
     ratio = _number(cfg, "ratio", 0.5, float, (0, 1))
-    r_list = _parse_floats(cfg["r-list"]) if cfg["r-list"] else None
+    r_list = _numbers(cfg, "r-list", None, (0, np.inf))
     frame = build_frame("standard", N=u.components, n=dom.dim)
     windows = []
     for lvl in range(levels):
@@ -275,7 +289,7 @@ def cmd_solve_linear(args):
         raise ManifestError("solve-linear needs a decomposition and a data grid")
     dec = _load_input(Decomposition.load, cfg["decomposition"], "--decomposition")
     f = _load_input(load_grid, cfg["f"], "--f")
-    eps_seq = _parse_floats(cfg["eps-seq"]) if cfg["eps-seq"] else [1e-1, 1e-2, 1e-3, 1e-4]
+    eps_seq = _numbers(cfg, "eps-seq", [1e-1, 1e-2, 1e-3, 1e-4], (0, np.inf), closed=True)
     try:
         fd, rep = solver.solve_linear(dec, f, eps_seq)
     except ValueError as exc:
@@ -311,7 +325,7 @@ def cmd_solve_nonlinear(args):
     dec = _load_input(Decomposition.load, cfg["decomposition"], "--decomposition")
     f = _load_input(load_grid, cfg["f"], "--f")
     dom = f.domain
-    eps_seq = _parse_floats(cfg["eps-seq"]) if cfg["eps-seq"] else [1e-1, 1e-2, 1e-3, 1e-4]
+    eps_seq = _numbers(cfg, "eps-seq", [1e-1, 1e-2, 1e-3, 1e-4], (0, np.inf), closed=True)
     gamma = _number(cfg, "gamma", 0.2)
     lip_frac = _number(cfg, "lip-frac", 0.3)
     max_iter = _number(cfg, "max-iter", 40, int, (0, np.inf))
@@ -359,18 +373,13 @@ def cmd_reference(args):
                                   "mu", "check"])
     if not cfg["case"]:
         raise ManifestError("reference needs a case name")
-    params = {}
-    if cfg["resolution"]:
-        params["resolution"] = int(cfg["resolution"])
-    if cfg["m"]:
-        params["M"] = float(cfg["m"])
-    if cfg["k"]:
-        params["k"] = int(cfg["k"])
-    if cfg["depth"]:
-        params["depth"] = int(cfg["depth"])
-    if cfg["mu"]:
-        params["mu"] = float(cfg["mu"])
-    case = reference.build_reference(cfg["case"], **params)
+    params = {name: _number(cfg, name.lower(), None, kind, (0, np.inf)) for name, kind
+              in [("resolution", int), ("M", float), ("k", int), ("depth", int), ("mu", float)]}
+    try:
+        case = reference.build_reference(
+            cfg["case"], **{k: v for k, v in params.items() if v is not None})
+    except ValueError as exc:
+        raise ManifestError(f"reference case {cfg['case']!r}: {exc}") from exc
     for name, gf in case.grids.items():
         save_grid(out / f"{name}.grid", gf)
     doc = {"name": case.name, "params": case.params,
@@ -410,16 +419,16 @@ def cmd_verify_estimate(args):
     cfg = effective_config(args, ["decomposition", "battery", "resolution",
                                   "eps-list", "tol-est"])
     rng = np.random.default_rng(args.seed)
-    res = int(cfg["resolution"] or 64)
-    eps_list = _parse_floats(cfg["eps-list"]) if cfg["eps-list"] else [0.0, 0.1, 1.0]
-    tol_est = float(cfg["tol-est"] or 0.05)
+    res = _number(cfg, "resolution", 64, int, (0, np.inf))
+    eps_list = _numbers(cfg, "eps-list", [0.0, 0.1, 1.0], (0, np.inf), closed=True)
+    tol_est = _number(cfg, "tol-est", 0.05, float, (0, np.inf), closed=True)
     dom = Domain.unit_square(res)
     x = dom.node_coords()
 
     if cfg["decomposition"]:
         decs = [_load_input(Decomposition.load, cfg["decomposition"], "--decomposition")]
     else:
-        count = int(cfg["battery"] or 5)
+        count = _number(cfg, "battery", 5, int, (0, np.inf))
         decs = [tensors.random_decomposition(rng, 2, 2) for _ in range(count)]
 
     def random_trig():

@@ -393,14 +393,14 @@ def check_degenerate_ellipticity(F, cert, sample_count=200, rng=None, tol=1e-9,
     Z = 0.5 * (Z.reshape(-1, N, n, n) + Z.reshape(-1, N, n, n).transpose(0, 1, 3, 2)).reshape(-1, D)
 
     a_rows = a_vals[:, None]
-    FZ = F.evaluate(x, a_rows, X + Z) - F.evaluate(x, a_rows, X)
+    FX = F.evaluate(x, a_rows, X)
+    FZ = F.evaluate(x, a_rows, X + Z) - FX
     AZ = np.einsum("aibj,cbij->ca", tensor.entries, Z.reshape(-1, N, n, n))
     xiZ = data.xi.project(Z.reshape(-1, N, n, n)).reshape(-1, D)
     lhs = np.linalg.norm(AZ - a_rows * FZ, axis=1)
     rhs = (cert.B * data.nu * np.linalg.norm(xiZ, axis=1)
            + cert.C * np.linalg.norm(AZ, axis=1))
     margins = rhs + tol - lhs
-    FX = F.evaluate(x, a_rows, X)
     sigma_defect = np.max(np.abs(FX - data.sigma.project(FX)))
     violations = int(np.sum(margins < 0))
     return {

@@ -140,6 +140,52 @@ def test_constant_system_tangent_vanishes():
     assert np.allclose(out, 0.0, atol=1e-5)
 
 
+def test_coefficient_system_takes_exactly_one_definition():
+    from diffusepde.checker import CoefficientSystem
+
+    def evaluate(x, uval, X):
+        return X[:, :1]
+
+    def jet_linearization(x, uval):
+        return np.ones((len(x), 1, 2)), np.zeros((len(x), 1))
+
+    with pytest.raises(ValueError, match="exactly one of"):
+        CoefficientSystem(order=1, n=2, N=1, M=1, evaluate=evaluate,
+                          jet_linearization=jet_linearization)
+    with pytest.raises(ValueError, match="exactly one of"):
+        CoefficientSystem(order=1, n=2, N=1, M=1)
+    F = CoefficientSystem(order=1, n=2, N=1, M=1, jet_linearization=jet_linearization)
+    X = np.array([[1.0, 2.0], [3.0, -4.0]])
+    assert np.array_equal(F.evaluate(np.zeros((2, 2)), np.zeros((2, 1)), X),
+                          [[3.0], [-1.0]])
+
+
+@pytest.mark.parametrize("system", ["infinity-laplace", "linear-tensor"])
+def test_check_linearizes_once_on_node_rows(system):
+    """A jet-linear system is bound once per check: one linearization over
+    the lattice nodes, and no row-wise evaluation at any level or radius."""
+    dom, u, f = manufactured_laplace(res=32)
+    if system == "infinity-laplace":
+        F, f = infinity_laplace_system(2), None
+    else:
+        F = tensor_system(Tensor4.laplacian(2, 2))
+    calls = []
+    linearize = F.jet_linearization
+
+    def recorded(x, uval):
+        calls.append(x.copy())
+        return linearize(x, uval)
+
+    def evaluate(x, uval, X):
+        raise AssertionError("check evaluated a jet-linear system row by row")
+
+    F.jet_linearization, F.evaluate = recorded, evaluate
+    check_dsolution(u, F, build_frame("standard", N=2, n=2),
+                    default_windows(dom, levels=2, base_factor=4), R_list=[10.0, 50.0], f=f)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], dom.node_coords().reshape(-1, 2))
+
+
 # cut-offs -------------------------------------------------------------------
 
 def test_cutoff_identity_inside_ball():

@@ -331,3 +331,76 @@ def test_manifest_number_that_does_not_convert_exits_two(tmp_path, capsys):
     code = main(["diffuse", "--manifest", str(manifest), "--out", str(tmp_path / "run")])
     assert code == 2
     assert "--window:" in capsys.readouterr().err
+
+
+def _command_args(tmp_path, command):
+    """Inputs that let ``command`` run up to its numeric flags, and its report."""
+    if command in ("analyze-tensor", "solve-linear", "solve-nonlinear"):
+        dec = ["--decomposition", str(tmp_path / "dec.json")]
+        write_diag_dec(tmp_path / "dec.json")
+        if command == "analyze-tensor":
+            return dec, "analyze_tensor_report.json"
+        f_path = tmp_path / "f.grid"
+        save_grid(f_path, GridFunction(Domain.unit_square(8), np.zeros((9, 9, 2))))
+        return dec + ["--f", str(f_path)], {"solve-linear": "solve_report.json",
+                                            "solve-nonlinear": "nonlinear_report.json"}[command]
+    if command == "check":
+        return (["--grid", str(_sine_grid(tmp_path, 32)), "--system", "eikonal-tangent"],
+                "check_report.json")
+    if command == "reference":
+        return ["--case", "sawtooth"], "reference_report.json"
+    return ["--battery", "1", "--resolution", "16"], "estimate_report.json"
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("analyze-tensor", "--eps", "nan"), ("analyze-tensor", "--eps", "-1"),
+    ("check", "--speed", "nan"), ("check", "--speed", "-1"),
+    ("reference", "--resolution", "0"), ("reference", "--m", "nan"),
+    ("reference", "--m", "0"), ("reference", "--k", "0"), ("reference", "--depth", "0"),
+    ("reference", "--mu", "nan"), ("verify-estimate", "--battery", "0"),
+    ("verify-estimate", "--battery", "-1"), ("verify-estimate", "--resolution", "0"),
+    ("verify-estimate", "--tol-est", "nan"), ("verify-estimate", "--tol-est", "-0.1"),
+    ("check", "--r-list", "nan"), ("check", "--r-list", "10,0"),
+    ("check", "--r-list", "-1"), ("check", "--r-list", "10,inf"),
+    ("solve-linear", "--eps-seq", "0.1,-0.1"), ("solve-linear", "--eps-seq", "0.1,nan"),
+    ("solve-nonlinear", "--eps-seq", "inf,0.1"),
+    ("verify-estimate", "--eps-list", "0.5,-0.5"), ("verify-estimate", "--eps-list", "nan")])
+def test_flag_out_of_range_exits_two(tmp_path, capsys, command, flag, value):
+    args, report = _command_args(tmp_path, command)
+    out = tmp_path / "run"
+    code = main([command, *args, flag, value, "--out", str(out)])
+    assert code == 2
+    assert f"{flag} must lie in" in capsys.readouterr().err
+    assert not (out / report).exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("check", "--r-list"), ("solve-linear", "--eps-seq"),
+    ("solve-nonlinear", "--eps-seq"), ("verify-estimate", "--eps-list")])
+def test_list_flag_that_does_not_convert_exits_two(tmp_path, capsys, command, flag):
+    args, _ = _command_args(tmp_path, command)
+    code = main([command, *args, flag, "0.5,x", "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert f"{flag}: could not convert" in capsys.readouterr().err
+
+
+def test_reference_parameter_the_case_rejects_exits_two(tmp_path, capsys):
+    code = main(["reference", "--case", "oscillation", "--mu", "1",
+                 "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert "frequency too low" in capsys.readouterr().err
+
+
+def test_explicit_zero_is_not_replaced_by_the_default(tmp_path):
+    """``--eps 0`` runs the regularized probe at eps 0, and ``--tol-est 0``
+    compares without slack; both used to fall back silently."""
+    write_diag_dec(tmp_path / "dec.json")
+    out = tmp_path / "analyze"
+    assert main(["analyze-tensor", "--decomposition", str(tmp_path / "dec.json"),
+                 "--eps", "0", "--out", str(out)]) == 0
+    doc = json.loads((out / "analyze_tensor_report.json").read_text())
+    assert doc["eps"] == 0.0 and "regularized_rank_one_min" in doc
+    out = tmp_path / "estimate"
+    main(["verify-estimate", "--battery", "1", "--resolution", "16", "--eps-list",
+          "0.5", "--tol-est", "0", "--out", str(out)])
+    assert json.loads((out / "estimate_report.json").read_text())["tol_est"] == 0.0
