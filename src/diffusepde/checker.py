@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .frames import difference_quotient_1, jet_difference_quotients
+from .frames import HSchedule, difference_quotient_1, jet_difference_quotients
 from .grids import GridFunction
 from .measures import bump, diffuse_field, pair
 
@@ -392,8 +392,13 @@ def check_dsolution(u, F, frame, schedules, R_list=None, Phi_family=None, f=None
     if not interior.any():
         raise ValueError("no interior cells at this margin; refine the grid")
 
+    # quotient grids by truncated schedule, shared by the cut-off and every level
+    jets = {}
     if R_inf is None:
-        R_inf = _default_checker_cutoff(u, F, frame, schedules[0])
+        first = HSchedule(rows=schedules[0][0].rows[:F.order])
+        jets[first] = jet_difference_quotients(u, frame, first)
+        R_inf = 1e6 * max(float(np.max(np.linalg.norm(jets[first].values[mask],
+                                                      axis=-1))), 1.0)
 
     oracle_ok = F.linear_in_jet or F.zero_set_oracle is not None
     skipped = [] if oracle_ok else ["cutoff", "distance"]
@@ -405,7 +410,7 @@ def check_dsolution(u, F, frame, schedules, R_list=None, Phi_family=None, f=None
 
     fields = []
     for window in schedules:
-        field_lvl = diffuse_field(u, frame, F.order, window, R_inf)
+        field_lvl = diffuse_field(u, frame, F.order, window, R_inf, jets)
         if project is not None:
             field_lvl = field_lvl.map_payloads(
                 lambda X: project.project(X.reshape((-1,) + project.ambient_shape))
@@ -508,13 +513,6 @@ def check_dsolution_battery(u, F, frame, batteries, **kwargs):
 
 def h_finest_of(window):
     return min(abs(h) for sched in window for row in sched.rows for h in row)
-
-
-def _default_checker_cutoff(u, F, frame, coarsest_window):
-    jet = jet_difference_quotients(u, frame, coarsest_window[0])[F.order - 1]
-    scale = float(np.max(np.linalg.norm(
-        jet.values[u.domain.mask()], axis=-1)))
-    return 1e6 * max(scale, 1.0)
 
 
 def _finite_atom_residuals(field_lvl, atom_res, interior):

@@ -110,15 +110,24 @@ def _number(cfg, key, default, kind=float, bounds=(-np.inf, np.inf), closed=Fals
 
 
 def _numbers(cfg, key, default, bounds, closed=False):
-    """The comma-separated entries of ``cfg[key]``, each read as ``_number``
-    reads a float, or ``default`` when it is unset; no entry is a parse error."""
-    if cfg[key] is None:
+    """The entries of ``cfg[key]`` (a comma-separated string or a list), each
+    read as ``_number`` reads a float, or ``default`` when unset; none is a parse error."""
+    raw = cfg[key]
+    if raw is None:
         return default
-    values = [_number({key: t}, key, None, float, bounds, closed)
-              for t in str(cfg[key]).split(",") if t != ""]
+    tokens = [str(t) for t in raw] if isinstance(raw, list) else str(raw).split(",")
+    values = [_number({key: t}, key, None, float, bounds, closed) for t in tokens if t != ""]
     if not values:
         raise ManifestError(f"--{key} needs at least one value")
     return values
+
+
+def _eps_sequence(cfg):
+    """``--eps-seq``: two or more strictly decreasing entries in [0, inf)."""
+    eps = _numbers(cfg, "eps-seq", [1e-1, 1e-2, 1e-3, 1e-4], (0, np.inf), closed=True)
+    if len(eps) < 2 or any(b >= a for a, b in zip(eps, eps[1:])):
+        raise ManifestError(f"--eps-seq needs two or more strictly decreasing entries, got {eps}")
+    return eps
 
 
 def _outdir(args):
@@ -189,12 +198,10 @@ def cmd_diffuse(args):
     base = _number(cfg, "base-step", 8 * dom.spacing, float, (0, np.inf))
     count = _number(cfg, "window", 4, int, (0, np.inf))
     ratio = _number(cfg, "ratio", 0.5, float, (0, 1))
+    r_inf = _number(cfg, "r-inf", None, float, (0, np.inf))
     frame = build_frame("standard", N=u.components, n=dom.dim)
     window = schedule_window(base, count, ratio=ratio, order=order)
-    r_inf = (measures.default_cutoff(u, frame) if cfg["r-inf"] is None
-             else float(cfg["r-inf"]))
-    if not r_inf > 0:
-        raise ManifestError(f"--r-inf must be positive, got {r_inf}")
+    r_inf = measures.default_cutoff(u, frame) if r_inf is None else r_inf
     field = diffuse_field(u, frame, order, window, r_inf)
     save_measure_field(out / "measure.bin", field)
     mask = dom.mask()
@@ -243,6 +250,7 @@ def cmd_check(args):
     count = _number(cfg, "window", 3, int, (0, np.inf))
     ratio = _number(cfg, "ratio", 0.5, float, (0, 1))
     r_list = _numbers(cfg, "r-list", None, (0, np.inf))
+    c_disc = _number(cfg, "c-disc", None, float, (0, np.inf), closed=True)
     frame = build_frame("standard", N=u.components, n=dom.dim)
     windows = []
     for lvl in range(levels):
@@ -255,12 +263,7 @@ def cmd_check(args):
         raise ManifestError("window cascade needs at least two refinement "
                             "levels above the lattice spacing; lower "
                             "--levels or raise --base-step")
-    kwargs = {}
-    if cfg["c-disc"] is not None:
-        kwargs["C_disc"] = float(cfg["c-disc"])
-        if not 0 <= kwargs["C_disc"] < np.inf:
-            raise ManifestError("--c-disc must be finite and nonnegative, "
-                                f"got {kwargs['C_disc']}")
+    kwargs = {} if c_disc is None else {"C_disc": c_disc}
     report = check_dsolution(u, F, frame, windows, R_list=r_list, f=f, **kwargs)
     doc = report.to_json_dict()
     doc["windows"] = [[s.rows for s in w] for w in windows]
@@ -289,7 +292,7 @@ def cmd_solve_linear(args):
         raise ManifestError("solve-linear needs a decomposition and a data grid")
     dec = _load_input(Decomposition.load, cfg["decomposition"], "--decomposition")
     f = _load_input(load_grid, cfg["f"], "--f")
-    eps_seq = _numbers(cfg, "eps-seq", [1e-1, 1e-2, 1e-3, 1e-4], (0, np.inf), closed=True)
+    eps_seq = _eps_sequence(cfg)
     try:
         fd, rep = solver.solve_linear(dec, f, eps_seq)
     except ValueError as exc:
@@ -325,7 +328,7 @@ def cmd_solve_nonlinear(args):
     dec = _load_input(Decomposition.load, cfg["decomposition"], "--decomposition")
     f = _load_input(load_grid, cfg["f"], "--f")
     dom = f.domain
-    eps_seq = _numbers(cfg, "eps-seq", [1e-1, 1e-2, 1e-3, 1e-4], (0, np.inf), closed=True)
+    eps_seq = _eps_sequence(cfg)
     gamma = _number(cfg, "gamma", 0.2)
     lip_frac = _number(cfg, "lip-frac", 0.3)
     max_iter = _number(cfg, "max-iter", 40, int, (0, np.inf))

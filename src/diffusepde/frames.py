@@ -13,9 +13,8 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
-from .grids import GridFunction
+from .grids import GridFunction, shift_array
 from .tensors import eigh_deterministic, range_basis
 
 TOL_LIN = 1e-10
@@ -260,12 +259,25 @@ def schedule_battery(base_step, levels, count, order, spacing, rng=None):
 
 
 def _interp_shifted(values, domain, offset):
-    """Multilinear interpolation of a scalar lattice field at ``x + offset``."""
-    coords = [np.arange(m, dtype=float) for m in domain.shape]
-    mesh = np.meshgrid(*coords, indexing="ij")
-    shift = np.asarray(offset, float) / domain.spacing
-    sample = [m + s for m, s in zip(mesh, shift)]
-    return map_coordinates(values, sample, order=1, mode="constant", cval=0.0)
+    """Multilinear interpolation of a scalar lattice field at ``x + offset``.
+
+    Per axis, node ``i`` samples at ``i + s`` (``s`` the offset in lattice
+    units): a slice shift for integer ``s``, else linear between the two
+    neighbouring nodes.  A sample outside ``[0, m - 1]`` reads 0 (no
+    interpolation toward the edge), and a zero reads ``+0.0``.
+    """
+    out = values
+    for axis, s in enumerate(np.asarray(offset, float) / domain.spacing):
+        if s == np.round(s):
+            out = shift_array(out, axis, int(s))
+            continue
+        m = out.shape[axis]
+        c = np.arange(m) + s
+        lo = np.clip(np.floor(c), 0, m - 2).astype(int)
+        t = (c - lo).reshape((-1,) + (1,) * (out.ndim - 1 - axis))
+        mixed = (1 - t) * np.take(out, lo, axis) + t * np.take(out, lo + 1, axis)
+        out = np.where(((c >= 0) & (c <= m - 1)).reshape(t.shape), mixed, 0.0)
+    return out + 0.0
 
 
 def directional_quotient(values, domain, direction, h):
@@ -279,52 +291,35 @@ def difference_quotient_1(u, frame, h):
 
     Components laid out row-major as ``(value index, domain index)``.
     """
-    dom = u.domain
-    if abs(h) < dom.spacing * (1 - 1e-12):
+    if abs(h) < u.domain.spacing * (1 - 1e-12):
         raise ValueError("step below lattice spacing")
-    N, n = frame.N, frame.n
-    if u.components != N or dom.dim != n:
-        raise ValueError("frame does not match the grid function")
-    out = np.zeros(dom.shape + (N, n))
-    for alpha in range(N):
-        proj = u.values @ frame.E_range[alpha]
-        for i in range(n):
-            q = directional_quotient(proj, dom, frame.E_domain[alpha, i], h)
-            out += q[..., None, None] * np.tensordot(
-                frame.E_range[alpha], frame.E_domain[alpha, i], axes=0)
-    return GridFunction(dom, out.reshape(dom.shape + (N * n,)))
+    return jet_difference_quotients(u, frame, HSchedule.first_order(h))
 
 
 def jet_difference_quotients(u, frame, sched):
-    """Iterated quotients of orders 1..p, assembled as symmetric tensors.
+    """Order-p iterated quotient along the schedule's last row, assembled as a
+    symmetric tensor.
 
-    The order-q output is a GridFunction with ``N * n^q`` components in
-    standard coordinates, symmetrized over the domain indices.
+    The output is a GridFunction with ``N * n^p`` components in standard
+    coordinates, symmetrized over the domain indices.
     """
     dom = u.domain
     sched.validate_for(dom)
-    N, n = frame.N, frame.n
+    N, n, p = frame.N, frame.n, sched.order
     if u.components != N or dom.dim != n:
         raise ValueError("frame does not match the grid function")
-    outputs = []
-    for q, row in enumerate(sched.rows, start=1):
-        raw = np.zeros(dom.shape + (N,) + (n,) * q)
-        for alpha in range(N):
-            proj = u.values @ frame.E_range[alpha]
-            # iterate quotients over all index tuples, reusing prefixes
-            stack = {(): proj}
-            for depth in range(q):
-                nxt = {}
-                for prefix, vals in stack.items():
-                    for i in range(n):
-                        nxt[prefix + (i,)] = directional_quotient(
-                            vals, dom, frame.E_domain[alpha, i], row[depth])
-                stack = nxt
-            for idx, vals in stack.items():
-                raw[(Ellipsis, alpha) + idx] = vals
-        assembled = _assemble_symmetric(raw, frame, q)
-        outputs.append(GridFunction(dom, assembled.reshape(dom.shape + (N * n**q,))))
-    return outputs
+    raw = np.zeros(dom.shape + (N,) + (n,) * p)
+    for alpha in range(N):
+        # iterate quotients over all index tuples, reusing prefixes
+        stack = {(): u.values @ frame.E_range[alpha]}
+        for h in sched.rows[-1]:
+            stack = {prefix + (i,): directional_quotient(
+                         vals, dom, frame.E_domain[alpha, i], h)
+                     for prefix, vals in stack.items() for i in range(n)}
+        for idx, vals in stack.items():
+            raw[(Ellipsis, alpha) + idx] = vals
+    assembled = _assemble_symmetric(raw, frame, p)
+    return GridFunction(dom, assembled.reshape(dom.shape + (N * n**p,)))
 
 
 def _mode_multiply(t, m, mode):

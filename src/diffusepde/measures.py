@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .frames import difference_quotient_1, jet_difference_quotients
+from .frames import HSchedule, difference_quotient_1, jet_difference_quotients
 from .grids import GridFunction
 
 WEIGHT_TOL = 1e-12
@@ -227,25 +227,29 @@ def default_cutoff(u, frame, spacing_factor=1e6):
     return spacing_factor * max(scale, 1.0)
 
 
-def diffuse_field(u, frame, order, schedules, R_inf):
+def diffuse_field(u, frame, order, schedules, R_inf, jets=None):
     """Empirical measure field of order-``order`` difference quotients.
 
     Each schedule in the window contributes one equally weighted atom per
-    cell; payloads beyond the cutoff are sent to infinity.
+    cell; payloads beyond the cutoff are sent to infinity.  A schedule of
+    higher order is truncated to its first ``order`` rows.  The optional
+    cache ``jets`` maps truncated schedules to quotient grids of this ``u``
+    and ``frame``; missing entries are computed and stored in it.
     """
     if not schedules:
         raise ValueError("empty schedule window")
     _check_cutoff(R_inf)
+    jets = {} if jets is None else jets
     dom = u.domain
-    N = frame.N
-    n = frame.n
-    space_shape = (N,) + (n,) * order
+    space_shape = (frame.N,) + (frame.n,) * order
     atoms = []
     for sched in schedules:
         if sched.order < order:
             raise ValueError("schedule order too low")
-        grids = jet_difference_quotients(u, frame, sched)
-        atoms.append(grids[order - 1].values.reshape(dom.shape + (1, -1)))
+        sched = HSchedule(rows=sched.rows[:order])
+        if sched not in jets:
+            jets[sched] = jet_difference_quotients(u, frame, sched)
+        atoms.append(jets[sched].values.reshape(dom.shape + (1, -1)))
     pts = np.concatenate(atoms, axis=-2)
     pts, inf = _clip_to_infinity(pts, R_inf)
     k = pts.shape[-2]

@@ -390,3 +390,43 @@ def test_check_rejects_bad_discretization_constant(C_disc):
         check_dsolution(u, tensor_system(Tensor4.laplacian(2, 2)),
                         build_frame("standard", N=2, n=2), default_windows(dom),
                         f=f, C_disc=C_disc)
+
+
+def test_check_computes_each_jet_once(monkeypatch):
+    """Overlapping windows share their schedules: one quotient per distinct
+    schedule per check, the default cut-off's included."""
+    from diffusepde import checker, measures
+    from diffusepde.frames import jet_difference_quotients
+    calls = []
+
+    def counted(u, frame, sched):
+        calls.append(sched.rows)
+        return jet_difference_quotients(u, frame, sched)
+
+    monkeypatch.setattr(checker, "jet_difference_quotients", counted)
+    monkeypatch.setattr(measures, "jet_difference_quotients", counted)
+    dom, u, f = manufactured_laplace(res=64)
+    windows = default_windows(dom, levels=2, base_factor=8, count=3)
+    check_dsolution(u, tensor_system(Tensor4.laplacian(2, 2)),
+                    build_frame("standard", N=2, n=2), windows, R_list=[100.0], f=f)
+    distinct = {s.rows for w in windows for s in w}
+    assert len(distinct) < sum(len(w) for w in windows)
+    assert sorted(calls) == sorted(distinct)
+
+
+def test_rotated_domain_frame_gives_the_same_verdicts():
+    """Off-lattice quotients along a domain frame rotated by 0.37 rad reach
+    the verdicts of the standard frame: all five pass on the solution's
+    data and fail on 1.8 times it."""
+    from diffusepde.frames import Frame
+    dom, u, f = manufactured_laplace(64)
+    F = tensor_system(Tensor4.laplacian(2, 2))
+    c, s = np.cos(0.37), np.sin(0.37)
+    rot = np.array([[c, -s], [s, c]])
+    frames = [build_frame("standard", N=2, n=2), Frame(np.eye(2), np.stack([rot.T, rot.T]))]
+    for data, expect in ((f, True), (f * 1.8, False)):
+        verdicts = [check_dsolution(u, F, fr, default_windows(dom), R_list=[100.0],
+                                    f=data).verdicts for fr in frames]
+        assert verdicts[0] == verdicts[1]
+        assert len(verdicts[0]) == 5
+        assert all(v == expect for v in verdicts[0].values()), verdicts

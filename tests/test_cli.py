@@ -253,7 +253,7 @@ def test_diffuse_rejects_bad_cutoff(tmp_path, capsys, value):
     out = tmp_path / "run"
     code = main(["diffuse", "--grid", str(g_path), "--r-inf", value, "--out", str(out)])
     assert code == 2
-    assert "--r-inf must be positive" in capsys.readouterr().err
+    assert "--r-inf must lie in (0, inf)" in capsys.readouterr().err
     assert not (out / "diffuse_report.json").exists()
 
 
@@ -266,7 +266,7 @@ def test_check_rejects_bad_discretization_constant(tmp_path, capsys, value):
     code = main(["check", "--grid", str(g_path), "--system", "infinity-laplace",
                  "--c-disc", value, "--out", str(out)])
     assert code == 2
-    assert "--c-disc must be finite and nonnegative" in capsys.readouterr().err
+    assert "--c-disc must lie in [0, inf)" in capsys.readouterr().err
     assert not (out / "check_report.json").exists()
 
 
@@ -326,11 +326,13 @@ def test_solve_nonlinear_rejects_bad_numeric_flag(tmp_path, capsys, flag, value)
 
 def test_manifest_number_that_does_not_convert_exits_two(tmp_path, capsys):
     manifest = tmp_path / "manifest.json"
-    manifest.write_text(json.dumps({"grid": str(_sine_grid(tmp_path, 16)),
-                                    "window": "four"}))
-    code = main(["diffuse", "--manifest", str(manifest), "--out", str(tmp_path / "run")])
-    assert code == 2
-    assert "--window:" in capsys.readouterr().err
+    for command, key, system in [("diffuse", "window", None), ("diffuse", "r-inf", None),
+                                 ("check", "c-disc", "infinity-laplace")]:
+        manifest.write_text(json.dumps({"grid": str(_sine_grid(tmp_path, 16)),
+                                        "system": system, key: "abc"}))
+        code = main([command, "--manifest", str(manifest), "--out", str(tmp_path / "run")])
+        assert code == 2, key
+        assert f"--{key}:" in capsys.readouterr().err
 
 
 def _command_args(tmp_path, command):
@@ -382,6 +384,32 @@ def test_list_flag_that_does_not_convert_exits_two(tmp_path, capsys, command, fl
     code = main([command, *args, flag, "0.5,x", "--out", str(tmp_path / "run")])
     assert code == 2
     assert f"{flag}: could not convert" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, value", [
+    ("solve-linear", "0.1"), ("solve-linear", "0.1,0.1"),
+    ("solve-nonlinear", "0.1,0.2"), ("solve-nonlinear", "0.1")])
+def test_eps_sequence_that_does_not_decrease_exits_two(tmp_path, capsys, command, value):
+    args, report = _command_args(tmp_path, command)
+    out = tmp_path / "run"
+    code = main([command, *args, "--eps-seq", value, "--out", str(out)])
+    assert code == 2
+    assert "--eps-seq needs two or more strictly decreasing entries" in capsys.readouterr().err
+    assert not (out / report).exists()
+
+
+def test_manifest_list_flag_as_json_array(tmp_path, capsys):
+    args = ["--grid", str(_sine_grid(tmp_path, 32)), "--system", "eikonal-tangent",
+            "--base-step", "0.125", "--window", "2", "--levels", "2"]
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"r-list": [10, 100.5]}))
+    out = tmp_path / "run"
+    assert main(["check", *args, "--manifest", str(manifest), "--out", str(out)]) in (0, 1)
+    assert json.loads((out / "check_report.json").read_text())["R_values"] == [10.0, 100.5]
+    manifest.write_text(json.dumps({"r-list": [10, "x"]}))
+    code = main(["check", *args, "--manifest", str(manifest), "--out", str(tmp_path / "bad")])
+    assert code == 2
+    assert "--r-list: could not convert" in capsys.readouterr().err
 
 
 def test_reference_parameter_the_case_rejects_exits_two(tmp_path, capsys):

@@ -158,7 +158,7 @@ def test_jet_exact_on_quadratic():
     sched = HSchedule(rows=((2 * dom.spacing,), (2 * dom.spacing, 3 * dom.spacing)))
     jets = jet_difference_quotients(u, fr, sched)
     inner = dom.interior_mask(6 * dom.spacing)
-    assert np.abs(jets[1].values[inner] - s.reshape(-1)).max() < 1e-9
+    assert np.abs(jets.values[inner] - s.reshape(-1)).max() < 1e-9
 
 
 def test_jet_second_order_taylor_rate():
@@ -178,7 +178,7 @@ def test_jet_second_order_taylor_rate():
         sched = HSchedule(rows=((h,), (h, h)))
         jets = jet_difference_quotients(u, fr, sched)
         inner = dom.interior_mask(2 * h + 2 * dom.spacing)
-        errs.append(np.abs(jets[1].values[inner] - true[inner]).max())
+        errs.append(np.abs(jets.values[inner] - true[inner]).max())
     # first-order一sided error: halving the step roughly halves the error
     assert errs[1] < 0.65 * errs[0]
 
@@ -193,7 +193,7 @@ def test_sawtooth_second_quotient_scales_inverse_step():
         h2 = steps * dom.spacing
         sched = HSchedule(rows=((h2,), (h2, h2)))
         jets = jet_difference_quotients(u, fr, sched)
-        x = jets[1].values.reshape(dom.shape + (2, 2, 2))
+        x = jets.values.reshape(dom.shape + (2, 2, 2))
         # one step below the fold at x1 = 1/4 the stencil straddles the peak:
         # the first quotients are +1 and -1, so the second quotient is -2/h
         i = int(round((0.25 - h2) / dom.spacing))
@@ -236,3 +236,48 @@ def test_schedule_window_shapes():
     assert len(win) == 3
     assert win[0].rows[1] == (1.0, 0.5)
     assert win[1].rows[0] == (0.25,)
+
+
+def _map_coordinates_shift(values, domain, offset):
+    """The multilinear reference: ``map_coordinates`` at ``i + s`` per node."""
+    from scipy.ndimage import map_coordinates
+    mesh = np.meshgrid(*[np.arange(m, dtype=float) for m in domain.shape], indexing="ij")
+    shift = np.asarray(offset, float) / domain.spacing
+    return map_coordinates(values, [m + s for m, s in zip(mesh, shift)],
+                           order=1, mode="constant", cval=0.0)
+
+
+@pytest.mark.parametrize("mask_kind", ["rect", "disc"])
+@pytest.mark.parametrize("resolution", [128, 100, 50])
+def test_interp_shifted_matches_map_coordinates(mask_kind, resolution):
+    from diffusepde.frames import _interp_shifted
+    dom = (Domain.unit_square if mask_kind == "rect" else Domain.unit_disc)(resolution)
+    rng = np.random.default_rng(resolution)
+    v = GridFunction(dom, rng.standard_normal(dom.shape)).values[..., 0]
+    v[rng.random(v.shape) < 0.05] = -0.0
+    h = dom.spacing
+    for steps in [(1, 0), (0, -3), (2, -5), (16, 0), (-resolution + 1, 2)]:
+        offset = (steps[0] * h, steps[1] * h)
+        got = _interp_shifted(v, dom, offset)
+        assert got.tobytes() == _map_coordinates_shift(v, dom, offset).tobytes(), steps
+    # fractional and oblique offsets, some straddling the lattice edge
+    for steps in [(0.3, 0), (1.7, -2.2), (4 * np.cos(0.37), 4 * np.sin(0.37)),
+                  (-0.999 * resolution, 0.5), (0.3, resolution - 1.5)]:
+        offset = (steps[0] * h, steps[1] * h)
+        got = _interp_shifted(v, dom, offset)
+        want = _map_coordinates_shift(v, dom, offset)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), steps
+        assert ((got == 0) == (want == 0)).all(), steps
+
+
+def test_cli_import_does_not_load_ndimage():
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import diffusepde.cli; "
+            "print('scipy.ndimage' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, str(src)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
