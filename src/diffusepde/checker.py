@@ -336,6 +336,13 @@ def default_phi_family(field, rng=None, radii_factors=(1.0, 2.0, 4.0), where=Non
     return phis
 
 
+def default_margin(schedules, domain):
+    """Default interior margin of :func:`check_dsolution`: the longest reach
+    of a schedule's last row over all windows, plus two lattice steps."""
+    return max(sum(abs(h) for h in sched.rows[-1])
+               for window in schedules for sched in window) + 2 * domain.spacing
+
+
 def check_dsolution(u, F, frame, schedules, R_list=None, Phi_family=None, f=None,
                     project=None, C_disc=50.0, interior_margin=None,
                     R_inf=None, fine_step=None, distance_in_coefficient_units=True):
@@ -384,10 +391,7 @@ def check_dsolution(u, F, frame, schedules, R_list=None, Phi_family=None, f=None
                    for h in row)
     tol = max(C_disc * h_finest, 1e-6 * scale)
 
-    margin = interior_margin
-    if margin is None:
-        margin = max(sum(abs(h) for h in sched.rows[-1])
-                     for window in schedules for sched in window) + 2 * dom.spacing
+    margin = default_margin(schedules, dom) if interior_margin is None else interior_margin
     interior = dom.interior_mask(margin)
     if not interior.any():
         raise ValueError("no interior cells at this margin; refine the grid")

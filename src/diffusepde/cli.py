@@ -19,9 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import grids, measures, reference, solver, tensors
-from .checker import (check_dsolution, infinity_laplace_system, eikonal_system,
-                      tangent_system, tensor_system)
+# ``solver`` loads scipy, which only the solve-side commands need; they import it
+from . import grids, measures, reference, tensors
+from .checker import (check_dsolution, default_margin, infinity_laplace_system,
+                      eikonal_system, tangent_system, tensor_system)
 from .frames import build_frame, schedule_window
 from .grids import Domain, GridFunction, load_grid, save_grid
 from .measures import diffuse_field, save_measure_field
@@ -263,6 +264,10 @@ def cmd_check(args):
         raise ManifestError("window cascade needs at least two refinement "
                             "levels above the lattice spacing; lower "
                             "--levels or raise --base-step")
+    if not dom.interior_mask(default_margin(windows, dom)).any():
+        raise ManifestError("the grid has no interior cells beyond the reach "
+                            "of the windows; refine the grid or lower "
+                            "--base-step or --window")
     kwargs = {} if c_disc is None else {"C_disc": c_disc}
     report = check_dsolution(u, F, frame, windows, R_list=r_list, f=f, **kwargs)
     doc = report.to_json_dict()
@@ -286,6 +291,7 @@ def cmd_check(args):
 
 
 def cmd_solve_linear(args):
+    from . import solver
     out = _outdir(args)
     cfg = effective_config(args, ["decomposition", "f", "eps-seq"])
     if not cfg["decomposition"] or not cfg["f"]:
@@ -320,6 +326,7 @@ def cmd_solve_linear(args):
 
 
 def cmd_solve_nonlinear(args):
+    from . import solver
     out = _outdir(args)
     cfg = effective_config(args, ["decomposition", "f", "eps-seq", "gamma",
                                   "lip-frac", "max-iter", "tol-final"])
@@ -418,6 +425,7 @@ def cmd_reference(args):
 
 
 def cmd_verify_estimate(args):
+    from . import solver
     out = _outdir(args)
     cfg = effective_config(args, ["decomposition", "battery", "resolution",
                                   "eps-list", "tol-est"])

@@ -43,23 +43,86 @@ def fibre_norms(fd):
     return (fd.sigma_u.l2_norm(), fd.pi_Du.l2_norm(), fd.xi_D2u.l2_norm())
 
 
+def _l2(rows, domain):
+    """:meth:`GridFunction.l2_norm` of a field given by its active-cell rows."""
+    return float(np.sqrt(domain.spacing ** domain.dim * np.sum(rows ** 2)))
+
+
+def _on_grid(domain, mask, rows):
+    """The grid function with active-cell rows ``rows``, zero elsewhere."""
+    out = np.zeros(domain.shape + (rows.shape[-1],))
+    out[mask] = rows
+    return GridFunction(domain, out)
+
+
+def lattice_patterns(domain):
+    """Central difference patterns of the lattice restricted to the active
+    cells, so that a stencil entry reaching a masked-out node (whose value is
+    the zero extension) is dropped.  Keyed by axes: ``(a,)`` is the
+    ``(-1, 0, 1)`` pattern along axis ``a``, ``(i, i)`` the ``(1, -2, 1)``
+    pattern along axis ``i``, and ``(i, j)`` for ``i < j`` the product of the
+    ``(-1, 0, 1)`` patterns along both axes."""
+    keep = np.flatnonzero(domain.mask())
+
+    def lattice(axes, values, offsets):
+        """Kronecker product over the lattice axes of the 1-D pattern
+        ``values`` at ``offsets`` along ``axes`` and the identity along the
+        others, restricted to the active cells."""
+        out = sp.identity(1, format="csr")
+        for k, m in enumerate(domain.shape):
+            factor = sp.diags(values, offsets, (m, m)) if k in axes else sp.identity(m)
+            out = sp.kron(out, factor, format="csr")
+        return out[keep][:, keep]
+
+    dims = range(domain.dim)
+    patterns = {(a,): lattice((a,), [-1.0, 1.0], [-1, 1]) for a in dims}
+    patterns.update({(i, j): lattice((i,), [1.0, -2.0, 1.0], [-1, 0, 1]) if i == j
+                     else lattice((i, j), [-1.0, 1.0], [-1, 1])
+                     for i in dims for j in dims if i <= j})
+    return patterns
+
+
+def derivative_maps(domain, N, patterns=None):
+    """Sparse maps ``(G, H)`` from the unknown vector (ordered as in
+    :class:`DiscreteOperator`) to the active-cell rows of
+    :func:`gradient_central` and :func:`hessian_central`:
+    ``G = sum_a kron(D_a / 2h, I_N (x) e_a)``, ``H = sum_{i <= j} kron(D_ij /
+    s_ij, I_N (x) e_ij)`` with ``s_ii = h^2``, ``s_ij = 4 h^2``.  A row keeps
+    its entries by descending column, so that a product adds them in the
+    order of those functions' shift formulas."""
+    patterns = lattice_patterns(domain) if patterns is None else patterns
+    n, h = domain.dim, domain.spacing
+
+    def derivative(order):
+        A = 0
+        for axes, D in patterns.items():
+            if len(axes) == order:
+                e = np.zeros((n,) * order)
+                e[axes] = e[axes[::-1]] = 1.0
+                scale = h**2 if len(set(axes)) < order else (2 * h) ** order
+                A = A + sp.kron(D / scale, np.kron(np.eye(N), e.reshape(-1, 1)), format="csr")
+        A.sort_indices()
+        row = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+        flip = A.indptr[row] + A.indptr[row + 1] - 1 - np.arange(A.nnz)
+        return sp.csr_matrix((A.data[flip], A.indices[flip], A.indptr), shape=A.shape)
+
+    return derivative(1), derivative(2)
+
+
 class DiscreteOperator:
     """Sparse second-order central-difference discretization of the tensor
     contraction with the hessian, zero Dirichlet data on the mask.
 
     Unknowns are ordered by flat (row-major) index of the masked cell, with
     the ``N`` components innermost: unknown ``k * N + alpha`` is component
-    ``alpha`` at the ``k``-th active cell.  Masked-out nodes carry the zero
-    extension, so a stencil entry reaching one is dropped.  The matrix is the
-    Kronecker sum ``sum_{i <= j} D_ij[keep][:, keep] (x) E_ij`` of lattice
-    difference matrices ``D_ij`` restricted to the active cells and ``N x N``
-    blocks of the symmetrized tensor: ``D_ii`` is the ``(1, -2, 1)`` pattern
-    along axis ``i`` with ``E_ii = T[:, i, :, i] / h^2``, and for ``i < j``
-    ``D_ij`` is the product of the ``(-1, 0, 1)`` central patterns along both
-    axes with ``E_ij = 2 T[:, i, :, j] / (4 h^2)``.
+    ``alpha`` at the ``k``-th active cell.  The matrix is the Kronecker sum
+    ``sum_{i <= j} D_ij (x) E_ij`` of the domain's :func:`lattice_patterns`
+    and ``N x N`` blocks of the symmetrized tensor: ``E_ii = T[:, i, :, i] /
+    h^2`` and, for ``i < j``, ``E_ij = 2 T[:, i, :, j] / (4 h^2)``.
+    ``patterns`` are built here when not given.
     """
 
-    def __init__(self, tensor, domain):
+    def __init__(self, tensor, domain, patterns=None):
         if domain.dim != tensor.n:
             raise ValueError("tensor domain dimension does not match the grid")
         self.tensor = tensor
@@ -67,34 +130,19 @@ class DiscreteOperator:
         self.N = tensor.N
         self.mask = domain.mask()
         self.n_cells = int(self.mask.sum())
-        self.matrix = self._assemble()
+        self.matrix = self._assemble(lattice_patterns(domain) if patterns is None else patterns)
         self._lu = None
 
-    def _assemble(self):
-        dom = self.domain
-        h = dom.spacing
+    def _assemble(self, patterns):
+        h = self.domain.spacing
         ent = self.tensor.entries
         # symmetric-in-(i,j) effective coefficients
         eff = 0.5 * (ent + ent.transpose(0, 3, 2, 1))
-        keep = np.flatnonzero(self.mask)
-
-        def lattice(axes, values, offsets):
-            """Kronecker product over the lattice axes of the 1-D pattern
-            ``values`` at ``offsets`` along ``axes`` and the identity along
-            the others, restricted to the active cells."""
-            out = sp.identity(1, format="csr")
-            for k, m in enumerate(dom.shape):
-                factor = sp.diags(values, offsets, (m, m)) if k in axes else sp.identity(m)
-                out = sp.kron(out, factor, format="csr")
-            return out[keep][:, keep]
-
+        dims = range(self.domain.dim)
         size = self.n_cells * self.N
-        terms = [sp.kron(lattice((i,), [1.0, -2.0, 1.0], [-1, 0, 1]),
-                         eff[:, i, :, i] / h**2)
-                 for i in range(dom.dim)]
-        terms += [sp.kron(lattice((i, j), [-1.0, 1.0], [-1, 1]),
-                          2 * eff[:, i, :, j] / (4 * h**2))
-                  for i in range(dom.dim) for j in range(i + 1, dom.dim)]
+        terms = [sp.kron(patterns[(i, i)], eff[:, i, :, i] / h**2) for i in dims]
+        terms += [sp.kron(patterns[(i, j)], 2 * eff[:, i, :, j] / (4 * h**2))
+                  for i in dims for j in dims if i < j]
         return sum(terms, sp.csc_matrix((size, size)))
 
     def factorize(self):
@@ -121,9 +169,11 @@ class DiscreteOperator:
         vals = f.values[self.mask]
         return vals.reshape(-1)
 
-    def solve(self, f, solver_tol=SOLVER_TOL):
+    def solve(self, b, solver_tol=SOLVER_TOL):
+        """Solution vector for the right-hand side vector ``b`` (see
+        :meth:`rhs_vector`), with one step of iterative refinement when the
+        residual exceeds ``solver_tol`` relative to ``b``."""
         lu = self.factorize()
-        b = self.rhs_vector(f)
         x = lu.solve(b)
         if not np.isfinite(x).all():
             raise ArithmeticError("linear solve produced non-finite values "
@@ -138,9 +188,7 @@ class DiscreteOperator:
                 raise ArithmeticError(
                     "discrete residual above the solver tolerance: "
                     f"{np.linalg.norm(resid) / bnorm:.3e}")
-        out = np.zeros(self.domain.shape + (self.N,))
-        out[self.mask] = x.reshape(-1, self.N)
-        return GridFunction(self.domain, out)
+        return x
 
 
 def assemble_and_solve_eps(a_eps, f, domain, solver_tol=SOLVER_TOL):
@@ -148,7 +196,8 @@ def assemble_and_solve_eps(a_eps, f, domain, solver_tol=SOLVER_TOL):
     if f.components != a_eps.N:
         raise ValueError("right-hand side component count mismatch")
     op = DiscreteOperator(a_eps, domain)
-    return op.solve(f, solver_tol=solver_tol)
+    x = op.solve(op.rhs_vector(f), solver_tol=solver_tol)
+    return _on_grid(domain, op.mask, x.reshape(-1, op.N))
 
 
 @dataclass
@@ -157,7 +206,6 @@ class LinearSolveReport:
     cauchy_differences: list
     final_residual: float
     compatibility_defect: float
-    condition_checked: bool = True
 
     def to_json_dict(self):
         return {"eps_sequence": [float(e) for e in self.eps_sequence],
@@ -166,30 +214,68 @@ class LinearSolveReport:
                 "compatibility_defect": float(self.compatibility_defect)}
 
 
-def _project_field(proj, gf):
-    vals = proj.project(gf.values.reshape(gf.domain.shape + proj.ambient_shape))
-    return GridFunction(gf.domain, vals.reshape(gf.values.shape))
+def _fibre_rows(x, maps, data):
+    """Active-cell rows of the projected triple of the unknown vector ``x``."""
+    G, H = maps
+    return tuple(v.reshape(-1, p.ambient_dim) @ p.matrix.T
+                 for v, p in ((x, data.sigma), (G @ x, data.pi), (H @ x, data.xi)))
 
 
-def fibre_projections(u, data, one_sided_boundary=False):
+def fibre_projections(u, data):
     """Project the solution, its central-difference gradient and hessian onto
     the tensor subspaces."""
-    sigma_u = _project_field(data.sigma, u)
-    pi_du = _project_field(data.pi, gradient_central(u))
-    xi_d2u = _project_field(data.xi, hessian_central(u, one_sided_boundary=one_sided_boundary))
-    return FibreData(sigma_u=sigma_u, pi_Du=pi_du, xi_D2u=xi_d2u)
+    mask = u.domain.mask()
+    rows = _fibre_rows(u.values[mask].reshape(-1),
+                       derivative_maps(u.domain, u.components), data)
+    return FibreData(*(_on_grid(u.domain, mask, r) for r in rows))
 
 
 def check_sigma_valued(f, data, tol=1e-8):
     """Relative size of the right-hand-side component outside the admissible
-    value subspace."""
-    defect = f.values - data.sigma.project(f.values)
-    denom = max(float(np.max(np.abs(f.values))), 1e-300)
+    value subspace; ``f`` is a grid function or its value rows."""
+    values = f.values if isinstance(f, GridFunction) else f
+    defect = values - data.sigma.project(values)
+    denom = max(float(np.max(np.abs(values))), 1e-300)
     return float(np.max(np.abs(defect))) / denom
 
 
+def _compatible(f, data, tol):
+    """:func:`check_sigma_valued`, raising ``ValueError`` above ``tol``."""
+    defect = check_sigma_valued(f, data)
+    if defect > tol:
+        raise ValueError(
+            "right-hand side has a component outside the admissible value "
+            f"subspace (relative size {defect:.3e}); the degenerate system is "
+            "incompatible with it")
+    return defect
+
+
+def _operators(dec, domain, eps_sequence, patterns):
+    """The operators of a strictly decreasing epsilon sequence, each assembled
+    when the returned iterator reaches it."""
+    if len(eps_sequence) < 2 or any(e2 >= e1 for e1, e2 in zip(eps_sequence, eps_sequence[1:])):
+        raise ValueError("need a strictly decreasing epsilon sequence")
+    canon = canonicalize_decomposition(dec)
+    return (DiscreteOperator(regularize(canon, eps), domain, patterns) for eps in eps_sequence)
+
+
+def _fibre_limit(solutions, eps_sequence, maps, data, domain):
+    """Projected triples of the regularized solution vectors, extrapolated
+    linearly in epsilon to zero (active-cell rows), and the Cauchy
+    differences between consecutive triples."""
+    triples = [_fibre_rows(x, maps, data) for x in solutions]
+    cauchy = [sum(_l2(ra - rb, domain) for ra, rb in zip(a, b))
+              for a, b in zip(triples, triples[1:])]
+    if len(cauchy) >= 2 and cauchy[-1] > 2.0 * cauchy[0] + 1e-12:
+        raise ArithmeticError("epsilon refinement is not settling; "
+                              f"differences {cauchy}")
+    e1, e2 = eps_sequence[-2], eps_sequence[-1]
+    w = e2 / (e1 - e2)
+    return tuple(b + (b - a) * w for a, b in zip(triples[-2], triples[-1])), cauchy
+
+
 def solve_linear(dec, f, eps_sequence, domain=None, solver_tol=SOLVER_TOL,
-                 compat_tol=1e-8, operators=None, subspaces=None):
+                 compat_tol=1e-8, subspaces=None):
     """Vanishing-regularization solve of the factored linear system.
 
     Solves the strictly rank-one positive regularization for each epsilon,
@@ -200,51 +286,18 @@ def solve_linear(dec, f, eps_sequence, domain=None, solver_tol=SOLVER_TOL,
     """
     domain = f.domain if domain is None else domain
     eps_sequence = list(eps_sequence)
-    if len(eps_sequence) < 2 or any(e2 >= e1 for e1, e2 in zip(eps_sequence, eps_sequence[1:])):
-        raise ValueError("need a strictly decreasing epsilon sequence")
     data = ranges_and_subspaces(dec, cross_check=False) if subspaces is None else subspaces
-    defect = check_sigma_valued(f, data)
-    if defect > compat_tol:
-        raise ValueError(
-            "right-hand side has a component outside the admissible value "
-            f"subspace (relative size {defect:.3e}); the degenerate system is "
-            "incompatible with it")
-
-    canon = canonicalize_decomposition(dec)
-    triples = []
-    for k, eps in enumerate(eps_sequence):
-        if operators is not None and eps in operators:
-            op = operators[eps]
-        else:
-            a_eps = regularize(canon, eps)
-            op = DiscreteOperator(a_eps, domain)
-            if operators is not None:
-                operators[eps] = op
-        u_eps = op.solve(f, solver_tol=solver_tol)
-        triples.append(fibre_projections(u_eps, data))
-
-    cauchy = []
-    for a, b in zip(triples, triples[1:]):
-        cauchy.append((a.sigma_u - b.sigma_u).l2_norm()
-                      + (a.pi_Du - b.pi_Du).l2_norm()
-                      + (a.xi_D2u - b.xi_D2u).l2_norm())
-    if len(cauchy) >= 2 and cauchy[-1] > 2.0 * cauchy[0] + 1e-12:
-        raise ArithmeticError("epsilon refinement is not settling; "
-                              f"differences {cauchy}")
-
-    e1, e2 = eps_sequence[-2], eps_sequence[-1]
-    w = e2 / (e1 - e2)
-
-    def extrapolate(a, b):
-        return GridFunction(a.domain, b.values + (b.values - a.values) * w)
-
-    fd = FibreData(
-        sigma_u=extrapolate(triples[-2].sigma_u, triples[-1].sigma_u),
-        pi_Du=extrapolate(triples[-2].pi_Du, triples[-1].pi_Du),
-        xi_D2u=extrapolate(triples[-2].xi_D2u, triples[-1].xi_D2u),
-    )
-    tensor = reconstruct(dec)
-    resid = _tensor_hessian_residual(tensor, fd.xi_D2u, f)
+    defect = _compatible(f, data, compat_tol)
+    patterns = lattice_patterns(domain)
+    mask = domain.mask()
+    rhs = f.values[mask].reshape(-1)
+    # one factorization alive at a time, and none once the maps are built
+    solutions = [op.solve(rhs, solver_tol=solver_tol)
+                 for op in _operators(dec, domain, eps_sequence, patterns)]
+    rows, cauchy = _fibre_limit(solutions, eps_sequence,
+                                derivative_maps(domain, dec.N, patterns), data, domain)
+    fd = FibreData(*(_on_grid(domain, mask, r) for r in rows))
+    resid = _tensor_hessian_residual(reconstruct(dec), fd.xi_D2u, f)
     report = LinearSolveReport(eps_sequence=eps_sequence, cauchy_differences=cauchy,
                                final_residual=resid, compatibility_defect=defect)
     return fd, report
@@ -279,8 +332,7 @@ def verify_hessian_estimate(dec, u, eps, tol_est=0.05, one_sided_boundary=False,
     N, n = dec.N, dec.n
     X = hess.values.reshape(dom.shape + (N, n, n))
 
-    xi_part = _project_field(data.xi, hess)
-    lhs = xi_part.l2_norm()
+    lhs = GridFunction(dom, data.xi.project(X).reshape(hess.values.shape)).l2_norm()
     Av = np.einsum("aibj,...bij->...a", a_eps.entries, X)
     rhs_field = GridFunction(dom, Av)
     rhs = rhs_field.l2_norm() / data.nu
@@ -445,28 +497,28 @@ def campanato_solve(F, cert, f, eps_sequence, domain=None, max_iter=40,
         raise ValueError("right-hand side not valued in the admissible subspace")
 
     dom = domain
-    a_vals = cert.A_of_x.values
-    x_flat = dom.node_coords().reshape(-1, dom.dim)
-    a_flat = a_vals.reshape(-1, 1)
-    f_norm = max(f.l2_norm(), 1e-300)
+    eps_sequence = list(eps_sequence)
+    patterns = lattice_patterns(dom)
+    ops = list(_operators(dec, dom, eps_sequence, patterns))
+    maps = derivative_maps(dom, dec.N, patterns)
+    # A(x), the node coordinates and f on the active cells, read once
+    mask = dom.mask()
+    a_rows = cert.A_of_x.values[mask]
+    x_rows = dom.node_coords()[mask]
+    f_rows = f.values[mask]
+    f_norm = max(_l2(f_rows, dom), 1e-300)
 
-    operators = {}
-    b = GridFunction(dom, a_vals * f.values)
+    b = a_rows * f_rows
     log = IterationLog(increments=[], ratios=[], residuals=[])
     bad_streak = 0
-    fd = None
     for k in range(max_iter):
-        fd, _ = solve_linear(dec, b, eps_sequence, domain=dom,
-                             solver_tol=solver_tol, operators=operators,
-                             subspaces=data)
-        FX = F.evaluate(x_flat, a_flat,
-                        fd.xi_D2u.values.reshape(-1, fd.xi_D2u.components))
-        FX = FX.reshape(dom.shape + (dec.N,))
-        resid_field = GridFunction(dom, FX - f.values)
-        resid = resid_field.l2_norm() / f_norm
-        update = GridFunction(dom, a_vals * resid_field.values)
-        b_next = b - update
-        inc = update.l2_norm()
+        _compatible(b, data, 1e-8)
+        solutions = [op.solve(b.reshape(-1), solver_tol=solver_tol) for op in ops]
+        rows, _ = _fibre_limit(solutions, eps_sequence, maps, data, dom)
+        resid_rows = F.evaluate(x_rows, a_rows, rows[2]) - f_rows
+        resid = _l2(resid_rows, dom) / f_norm
+        update = a_rows * resid_rows
+        inc = _l2(update, dom)
         log.increments.append(inc)
         log.residuals.append(resid)
         if len(log.increments) >= 2 and log.increments[-2] > 0:
@@ -480,7 +532,7 @@ def campanato_solve(F, cert, f, eps_sequence, domain=None, max_iter=40,
                         "ratios >= 1); the nearness certificate looks violated")
             else:
                 bad_streak = 0
-        b = b_next
+        b = b - update
         if inc <= tol * f_norm:
             break
     else:
@@ -492,7 +544,7 @@ def campanato_solve(F, cert, f, eps_sequence, domain=None, max_iter=40,
         raise ArithmeticError(
             f"converged iteration but final residual {final_resid:.3e} "
             f"exceeds {tol_final:.1e}")
-    return fd, log
+    return FibreData(*(_on_grid(dom, mask, r) for r in rows)), log
 
 
 def poincare_check(u, directions, tol_factor=1.0):

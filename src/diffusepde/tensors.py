@@ -540,11 +540,12 @@ def _search_minimum(dec, sigma_g, t_g, rng, n_starts, n_samples):
             tasks.append((all_sigma, inter))
 
     for sg, tg in tasks:
-        for _ in range(max(1, n_starts // max(len(tasks), 1))):
-            p = rng.standard_normal(sg.shape[1])
-            q = rng.standard_normal(tg.shape[1])
-            val = _projected_gradient(dec, sg, tg, p, q)
-            best = min(best, val)
+        # each start draws its p, then its q, from the stream
+        starts = rng.standard_normal((max(1, n_starts // len(tasks)),
+                                      sg.shape[1] + tg.shape[1]))
+        vals = _projected_gradient(dec, sg, tg, starts[:, :sg.shape[1]],
+                                   starts[:, sg.shape[1]:])
+        best = min(best, float(vals.min()))
         k = max(1, n_samples // max(len(tasks), 1))
         ps = rng.standard_normal((k, sg.shape[1]))
         qs = rng.standard_normal((k, tg.shape[1]))
@@ -561,30 +562,23 @@ def _search_minimum(dec, sigma_g, t_g, rng, n_starts, n_samples):
 
 
 def _projected_gradient(dec, sg, tg, p, q, iters=200, lr=0.2):
-    p = p / np.linalg.norm(p)
-    q = q / np.linalg.norm(q)
+    """Rank-one energy after projected-gradient descent on the unit spheres,
+    from each start: the rows of ``p`` (value coordinates in ``sg``) and
+    ``q`` (domain coordinates in ``tg``)."""
     Bp = [sg.T @ b @ sg for b in dec.B_factors]
     Ap = [tg.T @ a @ tg for a in dec.A_factors]
-    for _ in range(iters):
-        f = 0.0
-        gp = np.zeros_like(p)
-        gq = np.zeros_like(q)
-        for bb, aa in zip(Bp, Ap):
-            x = p @ bb @ p
-            y = q @ aa @ q
-            f += x * y
-            gp += 2 * (bb @ p) * y
-            gq += 2 * (aa @ q) * x
-        gp -= (gp @ p) * p
-        gq -= (gq @ q) * q
-        p = p - lr * gp
-        q = q - lr * gq
-        p /= np.linalg.norm(p)
-        q /= np.linalg.norm(q)
-    f = 0.0
-    for bb, aa in zip(Bp, Ap):
-        f += (p @ bb @ p) * (q @ aa @ q)
-    return float(f)
+    for step in range(iters + 1):
+        p = p / np.linalg.norm(p, axis=1, keepdims=True)
+        q = q / np.linalg.norm(q, axis=1, keepdims=True)
+        bp, aq = [p @ bb.T for bb in Bp], [q @ aa.T for aa in Ap]
+        x = [np.sum(v * p, axis=1) for v in bp]
+        y = [np.sum(v * q, axis=1) for v in aq]
+        if step == iters:
+            return sum(xg * yg for xg, yg in zip(x, y))
+        gp = sum(2 * v * yg[:, None] for v, yg in zip(bp, y))
+        gq = sum(2 * v * xg[:, None] for v, xg in zip(aq, x))
+        p = p - lr * (gp - np.sum(gp * p, axis=1, keepdims=True) * p)
+        q = q - lr * (gq - np.sum(gq * q, axis=1, keepdims=True) * q)
 
 
 def regularize(dec, eps):

@@ -306,6 +306,21 @@ def test_check_rejects_bad_numeric_flag(tmp_path, capsys, flag, value, message):
     assert not (out / "check_report.json").exists()
 
 
+def test_check_on_a_grid_too_small_for_its_windows_exits_two(tmp_path, capsys,
+                                                             monkeypatch):
+    """The default windows reach past every cell of a 32^2 grid: a parse
+    error before any check runs, and no report."""
+    from diffusepde import cli
+    monkeypatch.setattr(cli, "check_dsolution",
+                        lambda *args, **kwargs: pytest.fail("the check ran"))
+    out = tmp_path / "run"
+    code = main(["check", "--grid", str(_sine_grid(tmp_path, 32)), "--system",
+                 "eikonal-tangent", "--out", str(out)])
+    assert code == 2
+    assert "no interior cells" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--max-iter", "0"), ("--max-iter", "-3"), ("--tol-final", "0"),
     ("--tol-final", "nan"), ("--tol-final", "-0.001"), ("--gamma", "nan"),

@@ -6,13 +6,13 @@ import scipy.sparse.linalg as spla
 
 from diffusepde.checker import CoefficientSystem, check_dsolution, tensor_system
 from diffusepde.frames import build_frame, schedule_window
-from diffusepde.grids import Domain, GridFunction
+from diffusepde.grids import Domain, GridFunction, gradient_central, hessian_central
 from diffusepde.solver import (DiscreteOperator, EllipticityCertificate,
                                assemble_and_solve_eps,
                                boundary_ring_norm, campanato_solve,
                                check_degenerate_ellipticity, check_sigma_valued,
-                               fibre_norms, make_nonlinearity, poincare_check,
-                               solve_linear, verify_hessian_estimate)
+                               derivative_maps, fibre_norms, make_nonlinearity,
+                               poincare_check, solve_linear, verify_hessian_estimate)
 from diffusepde.tensors import (Decomposition, Tensor4, canonicalize_decomposition,
                                 random_decomposition, ranges_and_subspaces,
                                 reconstruct, regularize)
@@ -119,13 +119,12 @@ def test_eps_stability_of_fibre_norms():
                         (np.diag([1.0, 0.0]), np.diag([1.0, 0.0])))
     data = ranges_and_subspaces(dec)
     f = sinsin(dom, (1.0, -0.5))
-    from diffusepde.solver import DiscreteOperator, fibre_projections
+    from diffusepde.solver import fibre_projections
     from diffusepde.tensors import canonicalize_decomposition
     canon = canonicalize_decomposition(dec)
     bound = (dom.diameter() ** 2 + dom.diameter() + 1) / data.nu * f.l2_norm()
     for eps in (1e-1, 1e-2, 1e-3, 1e-4):
-        op = DiscreteOperator(regularize(canon, eps), dom)
-        u_eps = op.solve(f)
+        u_eps = assemble_and_solve_eps(regularize(canon, eps), f, dom)
         norms = fibre_norms(fibre_projections(u_eps, data))
         assert sum(norms) <= bound
 
@@ -283,6 +282,47 @@ def test_campanato_contraction_ratios():
                               max_iter=40, tol_final=1e-6)
     assert max(log.ratios) <= cert.kappa + 0.1
     assert log.residuals[-1] <= 1e-6
+    # the loop's bookkeeping must not move the iterates: pinned count and norms
+    assert len(log.increments) == 32
+    assert fibre_norms(fd) == pytest.approx(
+        (0.041901721189968426, 0.12727467145654217, 0.4133625665158658),
+        rel=1e-11, abs=0.0)
+
+
+def test_eps_refinement_that_does_not_settle_is_rejected():
+    """From eps = 9.99e-4 to 1e-6 the projected solution moves a thousand
+    times as far as from 1e-3 to 9.99e-4: no extrapolation, neither from the
+    linear solve nor from a step of the fixed-point iteration."""
+    dom = Domain.unit_square(32)
+    dec = Decomposition((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
+                        (np.diag([1.0, 0.0]), np.diag([1.0, 0.0])))
+    f = sinsin(dom, (1.0, 0.5))
+    eps = [1e-3, 9.99e-4, 1e-6]
+    with pytest.raises(ArithmeticError, match="epsilon refinement is not settling"):
+        solve_linear(dec, f, eps)
+    F, cert = make_nonlinearity(dec, GridFunction(dom, np.ones(dom.shape + (1,))),
+                                gamma=0.1)
+    with pytest.raises(ArithmeticError, match="epsilon refinement is not settling"):
+        campanato_solve(F, cert, f, eps)
+
+
+@pytest.mark.parametrize("domain", [
+    Domain.unit_square(12),
+    Domain.unit_disc(16),
+    Domain.interval(0, 1, 20),
+    Domain(shape=(6, 7, 5), spacing=0.2, origin=(0.0, 0.0, 0.0)),
+], ids=["rect", "disc", "interval", "box"])
+def test_derivative_maps_match_shift_differences(domain, rng):
+    """``G x`` and ``H x`` are the active-cell rows of the central gradient
+    and hessian of the same two-component map, whose zero extension enters
+    at the cells next to masked-out nodes."""
+    u = GridFunction(domain, rng.standard_normal(domain.shape + (2,)))
+    mask = domain.mask()
+    G, H = derivative_maps(domain, 2)
+    x = u.values[mask].reshape(-1)
+    for got, want in ((G @ x, gradient_central(u)), (H @ x, hessian_central(u))):
+        want = want.values[mask].reshape(-1)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_poincare_closed_form_and_battery(rng):
@@ -454,8 +494,8 @@ def test_solve_matches_colamd_ordering(tensor, domain, rng):
     to rounding; the unknown order is the same."""
     op = DiscreteOperator(tensor, domain)
     f = GridFunction(domain, rng.standard_normal(domain.shape + (op.N,)))
-    u = op.solve(f).values[op.mask]
-    ref = spla.splu(op.matrix).solve(op.rhs_vector(f)).reshape(u.shape)
+    u = op.solve(op.rhs_vector(f))
+    ref = spla.splu(op.matrix).solve(op.rhs_vector(f))
     assert np.max(np.abs(u - ref)) <= 1e-11 * np.max(np.abs(ref))
 
 

@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffusepde.tensors import (Decomposition, SubspaceProjector, Tensor4,
+                                _search_minimum, _subspace_intersection,
                                 canonicalize_decomposition, ellipticity_constant,
                                 normalize_decomposition, random_decomposition,
-                                ranges_and_subspaces, reconstruct, regularize,
-                                spectral_factor, subspace_H,
+                                range_basis, ranges_and_subspaces, reconstruct,
+                                regularize, spectral_factor, subspace_H,
                                 validate_decomposition)
 
 
@@ -211,6 +212,70 @@ def test_ellipticity_bound_battery(rng):
                                    int(rng.integers(1, 4)), normalized=False)
         nu, bound = ellipticity_constant(dec, n_starts=8, n_samples=2000)
         assert 0 < nu <= bound + 1e-8
+
+
+def _scalar_projected_gradient(dec, sg, tg, p, q, iters=200, lr=0.2):
+    p = p / np.linalg.norm(p)
+    q = q / np.linalg.norm(q)
+    Bp = [sg.T @ b @ sg for b in dec.B_factors]
+    Ap = [tg.T @ a @ tg for a in dec.A_factors]
+    for _ in range(iters):
+        gp = np.zeros_like(p)
+        gq = np.zeros_like(q)
+        for bb, aa in zip(Bp, Ap):
+            x = p @ bb @ p
+            y = q @ aa @ q
+            gp += 2 * (bb @ p) * y
+            gq += 2 * (aa @ q) * x
+        gp -= (gp @ p) * p
+        gq -= (gq @ q) * q
+        p = p - lr * gp
+        q = q - lr * gq
+        p /= np.linalg.norm(p)
+        q /= np.linalg.norm(q)
+    return float(sum((p @ bb @ p) * (q @ aa @ q) for bb, aa in zip(Bp, Ap)))
+
+
+def _scalar_search_minimum(dec, sigma_g, t_g, rng, n_starts, n_samples):
+    """Reference multistart: one projected-gradient run per start, each
+    drawing its ``p`` and then its ``q``, then the dense sampling."""
+    tasks = [(sg, tg) for sg, tg in zip(sigma_g, t_g) if sg.shape[1] and tg.shape[1]]
+    active_t = [tg for tg in t_g if tg.shape[1]]
+    if len(active_t) > 1:
+        inter = _subspace_intersection(active_t, dec.n)
+        if inter.shape[1]:
+            tasks.append((np.hstack([sg for sg in sigma_g if sg.shape[1]]), inter))
+    best = np.inf
+    for sg, tg in tasks:
+        for _ in range(max(1, n_starts // len(tasks))):
+            p = rng.standard_normal(sg.shape[1])
+            q = rng.standard_normal(tg.shape[1])
+            best = min(best, _scalar_projected_gradient(dec, sg, tg, p, q))
+        k = max(1, n_samples // len(tasks))
+        etas = rng.standard_normal((k, sg.shape[1])) @ sg.T
+        avecs = rng.standard_normal((k, tg.shape[1])) @ tg.T
+        etas /= np.linalg.norm(etas, axis=1, keepdims=True)
+        avecs /= np.linalg.norm(avecs, axis=1, keepdims=True)
+        vals = sum(np.einsum("ka,ab,kb->k", etas, b, etas)
+                   * np.einsum("ki,ij,kj->k", avecs, a, avecs)
+                   for b, a in zip(dec.B_factors, dec.A_factors))
+        best = min(best, float(vals.min()))
+    return best
+
+
+def test_batched_multistart_matches_per_start_search():
+    """All starts of a task run as one batch: the same minimum up to
+    rounding, and the same random stream consumed."""
+    for seed in range(8):
+        for N, n in ((2, 2), (3, 2), (2, 3)):
+            dec = random_decomposition(np.random.default_rng(seed), N, n)
+            sigma_g = [range_basis(b) for b in dec.B_factors]
+            t_g = [range_basis(a) for a in dec.A_factors]
+            rng, ref_rng = np.random.default_rng(seed + 100), np.random.default_rng(seed + 100)
+            got = _search_minimum(dec, sigma_g, t_g, rng, 8, 500)
+            want = _scalar_search_minimum(dec, sigma_g, t_g, ref_rng, 8, 500)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_decomposable_tensor_nonnegative(rng):
