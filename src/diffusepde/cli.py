@@ -367,7 +367,7 @@ def cmd_solve_nonlinear(args):
         "kappa": cert.kappa,
         "certificate": {"B": cert.B, "C": cert.C},
         "final_residual": log.residuals[-1],
-        "max_ratio": max(log.ratios) if log.ratios else None,
+        "max_ratio": log.max_ratio(),
         "eps_sequence": eps_seq,
         "tol_final": tol_final,
         "grid": {"shape": list(dom.shape), "spacing": dom.spacing,

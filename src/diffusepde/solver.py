@@ -13,10 +13,12 @@ contraction factor comes from the nearness constants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from .grids import GridFunction, gradient_central, hessian_central
 from .tensors import (Decomposition, canonicalize_decomposition,
@@ -109,6 +111,78 @@ def derivative_maps(domain, N, patterns=None):
     return derivative(1), derivative(2)
 
 
+def _kron_sum(patterns, blocks):
+    """``sum D_axes (x) E_axes`` over the ``blocks`` (in their order), ``D``
+    the lattice pattern of the same axes; CSC."""
+    size = next(iter(patterns.values())).shape[0] * next(iter(blocks.values())).shape[0]
+    return sum((sp.kron(patterns[axes], E) for axes, E in blocks.items()),
+               sp.csc_matrix((size, size)))
+
+
+def _component_split(blocks):
+    """An orthonormal component basis ``Q`` (``None`` for the identity), the
+    blocks rotated into it, and the groups of components they still couple.
+
+    Blocks that are already diagonal keep the identity.  Otherwise ``Q`` is
+    the eigenbasis of a fixed generic combination of the blocks, kept only
+    when it diagonalizes every block to 1e-13 of the largest entry, as it
+    does when the tensor's B factors commute; the dropped off-diagonal
+    rounding is left to the solve's residual check."""
+    def off_diagonal(E):
+        return np.abs(E - np.diag(np.diag(E))).max()
+
+    Q = None
+    if any(off_diagonal(E) for E in blocks.values()):
+        weights = np.random.default_rng(0).standard_normal(len(blocks))
+        comb = sum(w * E for w, E in zip(weights, blocks.values()))
+        V = np.linalg.eigh(comb + comb.T)[1]
+        rotated = {axes: V.T @ E @ V for axes, E in blocks.items()}
+        tol = 1e-13 * max(np.abs(E).max() for E in blocks.values())
+        if all(off_diagonal(R) <= tol for R in rotated.values()):
+            Q, blocks = V, {axes: np.diag(np.diag(R)) for axes, R in rotated.items()}
+    count, labels = connected_components(sum(E != 0 for E in blocks.values()),
+                                         directed=False)
+    return Q, blocks, [np.flatnonzero(labels == g) for g in range(count)]
+
+
+class SplitLU:
+    """LU factors of an operator that is block-diagonal over groups of
+    components in the orthonormal basis ``Q`` (``None`` for the identity).
+
+    ``factors`` pairs each distinct SuperLU factor with the component groups
+    that share it.  A solve rotates the right-hand side's cell rows into the
+    basis, solves the groups of each factor as one multi-column right-hand
+    side and rotates back.  ``L.nnz`` and ``U.nnz`` are summed over the
+    distinct factors."""
+
+    def __init__(self, Q, factors):
+        self.Q = Q
+        self.factors = factors
+        self.N = sum(len(g) for _, groups in factors for g in groups)
+
+    def solve(self, b, trans="N"):
+        rows = b.reshape(-1, self.N)
+        if self.Q is not None:
+            rows = rows @ self.Q
+        out = np.empty_like(rows)
+        for lu, groups in self.factors:
+            cols = lu.solve(np.stack([rows[:, g].reshape(-1) for g in groups], axis=1),
+                            trans=trans)
+            for g, col in zip(groups, cols.T):
+                out[:, g] = col.reshape(-1, len(g))
+        if self.Q is not None:
+            out = out @ self.Q.T
+        return out.reshape(-1)
+
+    @property
+    def L(self):
+        return SimpleNamespace(nnz=sum(lu.L.nnz for lu, _ in self.factors))
+
+    @property
+    def U(self):
+        return SimpleNamespace(nnz=sum(lu.U.nnz for lu, _ in self.factors))
+
+
 class DiscreteOperator:
     """Sparse second-order central-difference discretization of the tensor
     contraction with the hessian, zero Dirichlet data on the mask.
@@ -130,7 +204,8 @@ class DiscreteOperator:
         self.N = tensor.N
         self.mask = domain.mask()
         self.n_cells = int(self.mask.sum())
-        self.matrix = self._assemble(lattice_patterns(domain) if patterns is None else patterns)
+        self._patterns = lattice_patterns(domain) if patterns is None else patterns
+        self.matrix = self._assemble(self._patterns)
         self._lu = None
 
     def _assemble(self, patterns):
@@ -139,21 +214,34 @@ class DiscreteOperator:
         # symmetric-in-(i,j) effective coefficients
         eff = 0.5 * (ent + ent.transpose(0, 3, 2, 1))
         dims = range(self.domain.dim)
-        size = self.n_cells * self.N
-        terms = [sp.kron(patterns[(i, i)], eff[:, i, :, i] / h**2) for i in dims]
-        terms += [sp.kron(patterns[(i, j)], 2 * eff[:, i, :, j] / (4 * h**2))
-                  for i in dims for j in dims if i < j]
-        return sum(terms, sp.csc_matrix((size, size)))
+        self._blocks = {(i, i): eff[:, i, :, i] / h**2 for i in dims}
+        self._blocks.update({(i, j): 2 * eff[:, i, :, j] / (4 * h**2)
+                             for i in dims for j in dims if i < j})
+        return _kron_sum(patterns, self._blocks)
 
     def factorize(self):
+        """:class:`SplitLU` factors, one per distinct group of decoupled
+        components (:func:`_component_split`); a tensor that does not split is
+        one group, whose operator is :attr:`matrix` itself."""
         if self._lu is None:
-            try:
-                # symmetric to rounding: minimum degree on A + A^T, diagonal pivots
-                self._lu = spla.splu(self.matrix, permc_spec="MMD_AT_PLUS_A",
-                                     options={"SymmetricMode": True})
-            except RuntimeError as exc:
-                raise ArithmeticError(
-                    f"discrete operator numerically singular: {exc}") from exc
+            Q, blocks, groups = _component_split(self._blocks)
+            shared = {}
+            for g in groups:
+                sub = {axes: E[np.ix_(g, g)] for axes, E in blocks.items()}
+                key = tuple(E.tobytes() for E in sub.values())
+                shared.setdefault(key, (sub, []))[1].append(g)
+            factors = []
+            for sub, members in shared.values():
+                matrix = self.matrix if len(groups) == 1 else _kron_sum(self._patterns, sub)
+                try:
+                    # symmetric to rounding: minimum degree on A + A^T, diagonal pivots
+                    lu = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A",
+                                   options={"SymmetricMode": True})
+                except RuntimeError as exc:
+                    raise ArithmeticError(
+                        f"discrete operator numerically singular: {exc}") from exc
+                factors.append((lu, members))
+            self._lu = SplitLU(Q, factors)
         return self._lu
 
     def condition_estimate(self):
@@ -230,7 +318,7 @@ def fibre_projections(u, data):
     return FibreData(*(_on_grid(u.domain, mask, r) for r in rows))
 
 
-def check_sigma_valued(f, data, tol=1e-8):
+def check_sigma_valued(f, data):
     """Relative size of the right-hand-side component outside the admissible
     value subspace; ``f`` is a grid function or its value rows."""
     values = f.values if isinstance(f, GridFunction) else f
@@ -250,13 +338,12 @@ def _compatible(f, data, tol):
     return defect
 
 
-def _operators(dec, domain, eps_sequence, patterns):
-    """The operators of a strictly decreasing epsilon sequence, each assembled
-    when the returned iterator reaches it."""
+def _regularized(dec, eps_sequence):
+    """The regularized tensors of a strictly decreasing epsilon sequence."""
     if len(eps_sequence) < 2 or any(e2 >= e1 for e1, e2 in zip(eps_sequence, eps_sequence[1:])):
         raise ValueError("need a strictly decreasing epsilon sequence")
     canon = canonicalize_decomposition(dec)
-    return (DiscreteOperator(regularize(canon, eps), domain, patterns) for eps in eps_sequence)
+    return [regularize(canon, eps) for eps in eps_sequence]
 
 
 def _fibre_limit(solutions, eps_sequence, maps, data, domain):
@@ -291,9 +378,10 @@ def solve_linear(dec, f, eps_sequence, domain=None, solver_tol=SOLVER_TOL,
     patterns = lattice_patterns(domain)
     mask = domain.mask()
     rhs = f.values[mask].reshape(-1)
-    # one factorization alive at a time, and none once the maps are built
-    solutions = [op.solve(rhs, solver_tol=solver_tol)
-                 for op in _operators(dec, domain, eps_sequence, patterns)]
+    # one operator alive at a time, freed before the next is assembled, and
+    # none once the maps are built
+    solutions = [DiscreteOperator(a_eps, domain, patterns).solve(rhs, solver_tol=solver_tol)
+                 for a_eps in _regularized(dec, eps_sequence)]
     rows, cauchy = _fibre_limit(solutions, eps_sequence,
                                 derivative_maps(domain, dec.N, patterns), data, domain)
     fd = FibreData(*(_on_grid(domain, mask, r) for r in rows))
@@ -469,6 +557,13 @@ class IterationLog:
     increments: list
     ratios: list
     residuals: list
+    stop: float = 0.0   # the iteration stops at an increment this small
+
+    def max_ratio(self):
+        """Largest ratio whose earlier increment exceeds ``1e3 * stop``, or
+        ``None``: the ratios of increments near the stop are rounding."""
+        return max((r for r, inc in zip(self.ratios, self.increments)
+                    if inc > 1e3 * self.stop), default=None)
 
     def to_rows(self):
         rows = []
@@ -492,14 +587,11 @@ def campanato_solve(F, cert, f, eps_sequence, domain=None, max_iter=40,
     domain = f.domain if domain is None else domain
     dec = cert.dec
     data = ranges_and_subspaces(dec, cross_check=False)
-    defect = check_sigma_valued(f, data)
-    if defect > 1e-8:
-        raise ValueError("right-hand side not valued in the admissible subspace")
-
+    _compatible(f, data, 1e-8)
     dom = domain
     eps_sequence = list(eps_sequence)
     patterns = lattice_patterns(dom)
-    ops = list(_operators(dec, dom, eps_sequence, patterns))
+    ops = [DiscreteOperator(a_eps, dom, patterns) for a_eps in _regularized(dec, eps_sequence)]
     maps = derivative_maps(dom, dec.N, patterns)
     # A(x), the node coordinates and f on the active cells, read once
     mask = dom.mask()
@@ -509,7 +601,7 @@ def campanato_solve(F, cert, f, eps_sequence, domain=None, max_iter=40,
     f_norm = max(_l2(f_rows, dom), 1e-300)
 
     b = a_rows * f_rows
-    log = IterationLog(increments=[], ratios=[], residuals=[])
+    log = IterationLog(increments=[], ratios=[], residuals=[], stop=tol * f_norm)
     bad_streak = 0
     for k in range(max_iter):
         _compatible(b, data, 1e-8)
@@ -533,7 +625,7 @@ def campanato_solve(F, cert, f, eps_sequence, domain=None, max_iter=40,
             else:
                 bad_streak = 0
         b = b - update
-        if inc <= tol * f_norm:
+        if inc <= log.stop:
             break
     else:
         if log.residuals[-1] > tol_final:
