@@ -43,7 +43,8 @@ class CoefficientSystem:
 
     A jet-linear system is given by ``jet_linearization(x, uval)`` alone,
     returning per-row ``(L, c)`` of shapes ``(rows, M, D)`` and ``(rows,
-    M)`` with ``F = L X + c``; ``evaluate`` is derived from it.  It enables
+    M)`` with ``F = L X + c``, or one ``(1, M, D)``, ``(1, M)`` pair for
+    constant coefficients; ``evaluate`` is derived from it.  It enables
     exact zero-set distances and the trivial cut-off selection.  Other
     systems may supply ``zero_set_oracle(x, uval, R)`` returning
     representative points (``(cells, k, D)``) of the zero set inside the
@@ -93,7 +94,7 @@ def tensor_system(tensor):
     Lmat = np.einsum("aibj->abij", L).reshape(N, N * n * n)
 
     def jet_linearization(x, uval):
-        return np.broadcast_to(Lmat, (len(x),) + Lmat.shape), np.zeros((len(x), N))
+        return Lmat[None], np.zeros((1, N))
 
     return CoefficientSystem(order=2, n=n, N=N, M=N,
                              jet_linearization=jet_linearization,
@@ -227,11 +228,13 @@ def cutoff(U, F, u, R, uval=None, f=None):
 
 def _linearize(F, x, uval):
     """Per-row ``(L, c, pinv(L))`` with ``F = L X + c``; ``None`` unless the
-    system is jet-linear."""
+    system is jet-linear.  A linearization shared by every row takes one
+    ``pinv`` and is broadcast to the rows."""
     if not F.linear_in_jet:
         return None
     L, c = F.jet_linearization(x, uval)
-    return L, c, np.linalg.pinv(L)
+    return tuple(np.broadcast_to(a, (len(x),) + a.shape[1:])
+                 for a in (L, c, np.linalg.pinv(L)))
 
 
 def _cut(vals, over, F, R, x, uv, fv, lin):
@@ -443,12 +446,9 @@ def check_dsolution(u, F, frame, schedules, R_list=None, Phi_family=None, f=None
         atom_res = (coefficients(field_lvl.points.reshape(
             x_flat.shape[0], field_lvl.n_atoms, F.jet_dim))
             - f_flat[:, None]).reshape(-1, F.M)
-        pairing = 0.0
-        for phi in phi_family:
-            paired = pair(field_lvl, phi, lambda x, X: atom_res)
-            pairing = max(pairing, float(np.max(
-                np.linalg.norm(paired.values[interior], axis=-1))))
-        residuals["pairing"].append(pairing)
+        paired = pair(field_lvl, phi_family, lambda x, X: atom_res)
+        blocks = paired.values[interior].reshape(-1, len(phi_family), F.M)
+        residuals["pairing"].append(float(np.max(np.linalg.norm(blocks, axis=-1))))
 
         sup_res, int_res, sup_field = _finite_atom_residuals(
             field_lvl, atom_res, interior)

@@ -303,5 +303,7 @@ def load_grid(path):
         raw = fh.read(count * 8)
         if len(raw) != count * 8:
             raise ValueError("truncated grid file")
+        if fh.read(1):
+            raise ValueError("trailing bytes after the grid body")
         values = np.frombuffer(raw, dtype="<f8").reshape(dom.shape + (header["components"],))
     return GridFunction(dom, values.copy())

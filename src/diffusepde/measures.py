@@ -263,42 +263,42 @@ def diffuse_jet_field(u, frame, windows, R_inf):
             for q, win in enumerate(windows, start=1)]
 
 
-def pair(field, phi, weight_fn, weight_bounded=False):
-    """Duality pairing per cell: ``sum_k w_k phi(X_k) weight_fn(x, X_k)``.
+def pair(field, phis, weight_fn, weight_bounded=False):
+    """Duality pairings per cell of every witness ``phi_j`` in the sequence
+    ``phis``: ``sum_k w_k phi_j(X_k) weight_fn(x, X_k)``.
 
-    ``weight_fn(x, X)`` is called once, on one row per (cell, atom): cells in
-    row-major lattice order, atoms innermost, so row ``c * n_atoms + k``
-    holds atom ``k`` of flat cell ``c``.  It returns one value (or one row
-    of ``M`` components) per row.
+    ``weight_fn(x, X)`` is called once for the whole family, on one row per
+    (cell, atom): cells in row-major lattice order, atoms innermost, so row
+    ``c * n_atoms + k`` holds atom ``k`` of flat cell ``c``.  It returns one
+    value (or one row of ``M`` components) per row.  With ``J = len(phis)``
+    the result has ``J * M`` components, witness-major: its values reshaped
+    to ``dom.shape + (J, M)`` hold one block per cell, row ``j`` for ``phi_j``.
 
-    The atom at infinity contributes ``w * phi.value_at_infinity`` per
-    component without evaluating ``weight_fn`` (zero when ``phi`` is
-    compactly supported).  A non-compactly-supported ``phi`` together with
-    an unbounded weight function is rejected.
+    The atom at infinity contributes ``w * phi_j.value_at_infinity`` per
+    component; its weight row (taken at a zeroed payload) is discarded.  A
+    non-compactly-supported witness together with an unbounded weight
+    function is rejected.
     """
-    if not phi.compactly_supported and not weight_bounded:
+    if not weight_bounded and not all(phi.compactly_supported for phi in phis):
         raise ValueError("test function must be compactly supported unless the "
                          "weight function is declared bounded")
     dom = field.domain
-    x = dom.node_coords()
     k = field.n_atoms
     flat_pts = field.points.reshape(-1, field.space_dim)
-    phi_vals = phi(flat_pts).reshape(dom.shape + (k,))
-    phi_vals = np.where(field.infinite, 0.0, phi_vals)
-
-    x_rep = np.repeat(x.reshape(-1, dom.dim), k, axis=0)
-    w_vals = np.asarray(weight_fn(x_rep, flat_pts), float)
-    if w_vals.ndim == 1:
-        w_vals = w_vals[:, None]
-    M = w_vals.shape[-1]
-    w_vals = w_vals.reshape(dom.shape + (k, M))
+    x_rep = np.repeat(dom.node_coords().reshape(-1, dom.dim), k, axis=0)
+    w_vals = np.asarray(weight_fn(x_rep, flat_pts), float).reshape(dom.shape + (k, -1))
     w_vals = np.where(field.infinite[..., None], 0.0, w_vals)
 
-    out = np.einsum("...k,...k,...km->...m", field.weights, phi_vals, w_vals)
-    if phi.value_at_infinity != 0.0:
-        inf_mass = field.infinity_mass()
-        out = out + phi.value_at_infinity * inf_mass[..., None]
-    return GridFunction(dom, out)
+    out = np.zeros(dom.shape + (len(phis), w_vals.shape[-1]))
+    for j, phi in enumerate(phis):
+        wphi = np.where(field.infinite, 0.0,
+                        field.weights * phi(flat_pts).reshape(field.infinite.shape))
+        # (w phi) r, summed over the atoms in order
+        for a in range(k):
+            out[..., j, :] += wphi[..., a, None] * w_vals[..., a, :]
+        if phi.value_at_infinity != 0.0:
+            out[..., j, :] += phi.value_at_infinity * field.infinity_mass()[..., None]
+    return GridFunction(dom, out.reshape(dom.shape + (-1,)))
 
 
 def pair_product(fields, phi_list, weight_fn):
@@ -430,9 +430,15 @@ def load_measure_field(path):
         raw = fh.read(size)
         if len(raw) != size:
             raise ValueError(f"truncated measure file: {path}")
+        if fh.read(1):
+            raise ValueError(f"trailing bytes after the measure body: {path}")
     rec = np.frombuffer(raw, dtype="<f8").reshape(cells, 1 + k * (2 + D))
+    if not (rec[:, 0] == k).all():
+        raise ValueError(f"per-cell atom count differs from the header's {k}: {path}")
     body = rec[:, 1:].reshape(cells, k, 2 + D)
-    infinite = body[..., 0] > 0.5
+    if not np.isin(body[..., 0], (0.0, 1.0)).all():
+        raise ValueError(f"infinity flag other than 0 or 1: {path}")
+    infinite = body[..., 0] == 1.0
     points = body[..., 1:1 + D]
     weights = body[..., -1]
     return YoungMeasureField(dom, tuple(header["space_shape"]),

@@ -1,20 +1,29 @@
 """The benchmark's tracer binds to the package's functions by name.
 
 ``perfbench/tracing.py`` wraps functions and methods of every module on the
-benchmark's call paths; a renamed or removed one makes ``instrument`` raise.
-This test catches that in milliseconds, without running a workload.
+benchmark's call paths; a renamed or removed one makes ``instrument`` raise,
+and one the package stops calling through its bound name reads zero.  These
+tests catch both in well under a second, without running a workload.
 """
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
-def test_tracer_binds_and_restores():
+@pytest.fixture
+def tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_binds_and_restores(tracing):
     from diffusepde import solver
 
     original = solver.DiscreteOperator._assemble
@@ -25,3 +34,33 @@ def test_tracer_binds_and_restores():
     finally:
         tracer.restore()
     assert solver.DiscreteOperator._assemble is original
+
+
+def test_traced_check_pairs_once_per_level(tracing):
+    from diffusepde import checker
+    from diffusepde.frames import build_frame, schedule_window
+    from diffusepde.grids import Domain, GridFunction
+    from diffusepde.tensors import Tensor4
+
+    dom = Domain.unit_square(32)
+    x = dom.node_coords()
+    base = np.sin(np.pi * x[..., 0]) * np.sin(np.pi * x[..., 1])
+    u = GridFunction(dom, base[..., None] * [1.0, 0.0])
+    f = GridFunction(dom, -2 * np.pi**2 * base[..., None] * [1.0, 0.0])
+    levels = 2
+    windows = [schedule_window(4 * dom.spacing / 2**lvl, 2, ratio=0.5, order=2)
+               for lvl in range(levels)]
+    F = checker.tensor_system(Tensor4.laplacian(2, 2))
+    frame = build_frame("standard", N=2, n=2)
+
+    tracer = tracing.Tracer()
+    try:
+        tracing.instrument(tracer)
+        tracer.run_op(0, "check", lambda: checker.check_dsolution(
+            u, F, frame, windows, R_list=[10.0, 50.0], f=f))
+    finally:
+        tracer.restore()
+    assert tracing.span_defects(tracer.spans, 0) == []
+    metrics = tracing.layer_metrics(tracer, [0], [])
+    assert metrics["measures.pair_calls"] == levels
+    assert metrics["measures.pair_s"] > 0.0

@@ -173,6 +173,17 @@ def test_truncated_grid_exits_two(tmp_path, capsys):
     assert "truncated grid file" in err and str(path) in err
 
 
+def test_grid_with_trailing_bytes_exits_two(tmp_path, capsys):
+    dom = Domain.unit_square(32)
+    path = tmp_path / "u.grid"
+    save_grid(path, GridFunction.from_callable(dom, lambda x: np.sin(x)))
+    path.write_bytes(path.read_bytes() + bytes(800))
+    code = main(["diffuse", "--grid", str(path), "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "trailing bytes" in err and str(path) in err
+
+
 def test_verify_estimate_battery(tmp_path):
     out = tmp_path / "run"
     code = main(["verify-estimate", "--battery", "1", "--resolution", "32",

@@ -102,6 +102,16 @@ def test_roundtrip_bit_exact_property(tmp_path_factory, nx, ny, d, spacing, seed
     assert back.domain.spacing == dom.spacing
 
 
+@pytest.mark.parametrize("extra", [1, 8, 800])
+def test_load_rejects_trailing_bytes(tmp_path, extra):
+    dom = Domain.unit_square(6)
+    path = tmp_path / "f.grid"
+    save_grid(path, GridFunction(dom, np.ones(dom.shape + (2,))))
+    path.write_bytes(path.read_bytes() + b"\0" * extra)
+    with pytest.raises(ValueError, match="trailing bytes"):
+        load_grid(path)
+
+
 def test_load_rejects_other_files(tmp_path):
     p = tmp_path / "bogus.grid"
     p.write_bytes(b'{"format": "something-else"}\n')

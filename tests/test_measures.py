@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffusepde.frames import HSchedule, build_frame, difference_quotient_1
+from diffusepde.checker import check_dsolution, tensor_system
+from diffusepde.frames import (HSchedule, build_frame, difference_quotient_1,
+                               schedule_window)
 from diffusepde.grids import Domain, GridFunction
-from diffusepde.measures import (AtomicMeasure, TestFunction,
+from diffusepde.measures import (AtomicMeasure, TestFunction, YoungMeasureField,
                                  barycenter_field, barycenter_off_infinity,
                                  bump, chordal_distance, constant_one,
                                  diffuse_field, diffuse_jet_field, dirac_field,
@@ -14,6 +16,7 @@ from diffusepde.measures import (AtomicMeasure, TestFunction,
                                  save_measure_field, translate,
                                  translate_field)
 from diffusepde.reference import fat_cantor_indicator, infinity_witness_cells, oscillation_example
+from diffusepde.tensors import Tensor4
 
 
 def atom(points, weights, infinite):
@@ -139,7 +142,7 @@ def test_pair_single_atom_recovers_coefficient():
     def weight(x, X):
         return (x[:, 0] + x[:, 1])[:, None]
 
-    out = pair(field, phi, weight)
+    out = pair(field, [phi], weight)
     x = dom.node_coords()
     mask = dom.mask()
     assert np.allclose(out.values[mask, 0], (x[..., 0] + x[..., 1])[mask])
@@ -151,7 +154,7 @@ def test_pair_infinity_mass_with_compact_phi_vanishes():
     v = GridFunction(dom, np.where(dom.mask()[..., None], vals, 0.0))
     field = dirac_field(v, R_inf=1.0)
     phi = bump(np.zeros(1), radius=5.0)
-    out = pair(field, phi, lambda x, X: np.ones((x.shape[0], 1)))
+    out = pair(field, [phi], lambda x, X: np.ones((x.shape[0], 1)))
     assert np.allclose(out.values[dom.mask()], 0.0)
 
 
@@ -168,7 +171,7 @@ def test_pair_strong_residual_reduction():
     def weight(x, X):
         return (X[:, 0] - 2.0)[:, None] + 1.0  # residual of D_1 u = 2 plus one
 
-    out = pair(field, phi, weight)
+    out = pair(field, [phi], weight)
     inner = dom.interior_mask(2 * h)
     assert np.allclose(out.values[inner, 0], 1.0, atol=1e-9)
 
@@ -177,8 +180,8 @@ def test_pair_rejects_unbounded_weight_with_noncompact_phi():
     dom = Domain.unit_square(4)
     field = dirac_field(GridFunction(dom, np.zeros(dom.shape + (1,))), 1.0)
     with pytest.raises(ValueError):
-        pair(field, constant_one(), lambda x, X: X)
-    pair(field, constant_one(), lambda x, X: np.ones((x.shape[0], 1)),
+        pair(field, [constant_one()], lambda x, X: X)
+    pair(field, [constant_one()], lambda x, X: np.ones((x.shape[0], 1)),
          weight_bounded=True)
 
 
@@ -197,8 +200,102 @@ def test_pair_infinity_convention():
         assert X.shape[0] == 0 or np.all(X == 0.0)
         return np.ones((x.shape[0], 1))
 
-    out = pair(field, constant_one(), safe_weight, weight_bounded=True)
+    out = pair(field, [constant_one()], safe_weight, weight_bounded=True)
     assert np.allclose(out.values[dom.mask()], 1.0)
+
+
+def _pair_one_witness(field, phi, weight_fn):
+    """Reference: the pairing of a single witness, one witness per call."""
+    dom = field.domain
+    x = dom.node_coords()
+    k = field.n_atoms
+    flat_pts = field.points.reshape(-1, field.space_dim)
+    phi_vals = phi(flat_pts).reshape(dom.shape + (k,))
+    phi_vals = np.where(field.infinite, 0.0, phi_vals)
+    x_rep = np.repeat(x.reshape(-1, dom.dim), k, axis=0)
+    w_vals = np.asarray(weight_fn(x_rep, flat_pts), float)
+    M = w_vals.shape[-1]
+    w_vals = w_vals.reshape(dom.shape + (k, M))
+    w_vals = np.where(field.infinite[..., None], 0.0, w_vals)
+    out = np.einsum("...k,...k,...km->...m", field.weights, phi_vals, w_vals)
+    if phi.value_at_infinity != 0.0:
+        out = out + phi.value_at_infinity * field.infinity_mass()[..., None]
+    return GridFunction(dom, out)
+
+
+def _sine_field(res=24, R_inf=3.0):
+    """A first-order field with three atoms of weight 1/3 per cell (an inexact
+    weight, so the order of the products shows), some of them at infinity."""
+    dom = Domain.unit_square(res)
+    u = GridFunction.from_callable(
+        dom, lambda x: np.stack([np.sin(3 * x[..., 0]) * x[..., 1],
+                                 np.cos(2 * x[..., 1])], axis=-1))
+    fr = build_frame("standard", N=2, n=2)
+    h = dom.spacing
+    return diffuse_field(u, fr, 1, [HSchedule.first_order(s * h) for s in (1, 2, 4)],
+                         R_inf=R_inf)
+
+
+def test_family_pairing_matches_per_witness_pairing_bit_for_bit():
+    field = _sine_field()
+    assert field.infinite[field.domain.mask()].any()
+    assert (~field.infinite[field.domain.mask()]).any()
+    dom = field.domain
+    phis = [bump(np.zeros(4), r) for r in (0.5, 1.0, 4.0)]
+    phis += [bump(np.array([1.0, 0.0, 0.0, -1.0]), 2.0), constant_one()]
+    rows = field.points.reshape(-1, 4)
+    x_rep = np.repeat(dom.node_coords().reshape(-1, 2), field.n_atoms, axis=0)
+    weight_rows = np.stack([rows[:, 0] * rows[:, 3] - 0.3, np.sin(rows[:, 1]),
+                            x_rep[:, 0] + rows[:, 2]], axis=-1)
+
+    def weight(x, X):
+        return weight_rows
+
+    out = pair(field, phis, weight, weight_bounded=True)
+    assert out.components == len(phis) * 3
+    blocks = out.values.reshape(dom.shape + (len(phis), 3))
+    for j, phi in enumerate(phis):
+        ref = _pair_one_witness(field, phi, weight)
+        assert blocks[..., j, :].tobytes() == ref.values.tobytes()
+
+
+def test_mixed_family_pairing_obeys_the_infinity_convention():
+    # per cell: one finite atom at 0.5 of weight 1/4, and 3/4 of the mass at
+    # infinity; the compact witness ignores the mass at infinity, the
+    # constant one counts it at its value at infinity
+    dom = Domain.unit_square(6)
+    pts = np.zeros(dom.shape + (2, 1))
+    pts[..., 0, 0] = 0.5
+    weights = np.broadcast_to([0.25, 0.75], dom.shape + (2,))
+    infinite = np.broadcast_to([False, True], dom.shape + (2,))
+    field = YoungMeasureField(dom, (1,), pts, weights, infinite, R_inf=10.0)
+    phis = [bump(np.zeros(1), 2.0), constant_one()]
+
+    def weight(x, X):
+        X = X.reshape(dom.shape + (2, 1))
+        assert np.all(X[..., 1, :] == 0.0)  # atoms at infinity carry zeros
+        return np.full((x.shape[0], 1), 2.0)
+
+    with pytest.raises(ValueError, match="compactly supported"):
+        pair(field, phis, weight)
+    out = pair(field, phis, weight, weight_bounded=True)
+    mask = dom.mask()
+    assert np.allclose(out.values[mask, 0], 0.25 * (1 - 0.0625) ** 2 * 2.0)
+    assert np.allclose(out.values[mask, 1], 0.25 * 2.0 + 0.75)
+
+
+def test_check_rejects_a_witness_family_that_is_not_compactly_supported():
+    dom = Domain.unit_square(32)
+    u = GridFunction.from_callable(
+        dom, lambda x: (np.sin(np.pi * x[..., 0]) * np.sin(np.pi * x[..., 1]))[..., None]
+        * [1.0, 0.0])
+    h = dom.spacing
+    windows = [schedule_window(4 * h / 2**lvl, 2, ratio=0.5, order=2) for lvl in range(2)]
+    family = [bump(np.zeros(8), 1.0), constant_one()]
+    with pytest.raises(ValueError, match="compactly supported"):
+        check_dsolution(u, tensor_system(Tensor4.laplacian(2, 2)),
+                        build_frame("standard", N=2, n=2), windows,
+                        R_list=[10.0], Phi_family=family)
 
 
 def test_pair_product_fibre_structure():
@@ -319,14 +416,14 @@ def test_convergence_principle_for_pairings():
         vals = np.stack([np.full(dom.shape, 1.0 + 1.0 / m),
                          np.zeros(dom.shape)], axis=-1)
         field_m = dirac_field(GridFunction(dom, vals), R_inf=1e6)
-        out = pair(field_m, phi, coeff_m(m))
+        out = pair(field_m, [phi], coeff_m(m))
         assert np.abs(out.values).max() < 1e-12
     limit_field = dirac_field(target, R_inf=1e6)
 
     def weight_inf(x, X):
         return (X[:, 0] - 1.0)[:, None]
 
-    out = pair(limit_field, phi, weight_inf)
+    out = pair(limit_field, [phi], weight_inf)
     assert np.abs(out.values).max() < 1e-12
 
 
@@ -366,6 +463,82 @@ def test_truncated_measure_file_rejected(tmp_path):
     save_measure_field(path, field)
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(ValueError, match="truncated measure file"):
+        load_measure_field(path)
+
+
+def _random_measure_field(seed, shape, k, space_shape, p_inf):
+    rng = np.random.default_rng(seed)
+    dom = Domain(shape=shape, spacing=0.25, origin=(-0.5, 1.0))
+    infinite = rng.random(shape + (k,)) < p_inf
+    points = rng.standard_normal(shape + (k, int(np.prod(space_shape))))
+    points[infinite] = 0.0
+    weights = rng.uniform(0.1, 1.0, shape + (k,))
+    weights /= weights.sum(axis=-1, keepdims=True)
+    return YoungMeasureField(dom, space_shape, points, weights, infinite,
+                             R_inf=float(rng.uniform(1.0, 100.0)))
+
+
+measure_fields = st.builds(
+    _random_measure_field, st.integers(0, 2**31 - 1),
+    st.tuples(st.integers(3, 6), st.integers(3, 6)), st.integers(1, 4),
+    st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple),
+    st.sampled_from([0.0, 0.3, 1.0]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(measure_fields)
+def test_measure_file_roundtrip_bit_exact(tmp_path_factory, field):
+    path = tmp_path_factory.mktemp("measures") / "measure.bin"
+    save_measure_field(path, field)
+    back = load_measure_field(path)
+    assert back.domain == field.domain
+    assert back.space_shape == field.space_shape
+    assert back.R_inf == field.R_inf
+    assert back.points.tobytes() == field.points.tobytes()
+    assert back.weights.tobytes() == field.weights.tobytes()
+    assert back.infinite.tobytes() == field.infinite.tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(measure_fields, st.data())
+def test_measure_file_cut_short_or_extended_is_rejected(tmp_path_factory, field, data):
+    path = tmp_path_factory.mktemp("measures") / "measure.bin"
+    save_measure_field(path, field)
+    raw = path.read_bytes()
+    if data.draw(st.booleans(), label="truncate"):
+        cut = data.draw(st.integers(0, len(raw) - 1), label="kept bytes")
+        path.write_bytes(raw[:cut])
+    else:
+        extra = data.draw(st.binary(min_size=1, max_size=200), label="appended")
+        path.write_bytes(raw + extra)
+    with pytest.raises(ValueError):
+        load_measure_field(path)
+
+
+def _measure_file_records(tmp_path):
+    """A small saved field and its raw header and float64 records."""
+    field = _random_measure_field(3, (4, 5), 2, (2,), 0.3)
+    path = tmp_path / "measure.bin"
+    save_measure_field(path, field)
+    raw = path.read_bytes()
+    head = raw.index(b"\n") + 1
+    rec = np.frombuffer(raw[head:], dtype="<f8").reshape(20, 1 + 2 * 4).copy()
+    return path, raw[:head], rec
+
+
+def test_measure_file_atom_count_must_match_the_header(tmp_path):
+    path, header, rec = _measure_file_records(tmp_path)
+    rec[7, 0] = 3.0
+    path.write_bytes(header + rec.astype("<f8").tobytes())
+    with pytest.raises(ValueError, match="atom count"):
+        load_measure_field(path)
+
+
+def test_measure_file_infinity_flag_must_be_zero_or_one(tmp_path):
+    path, header, rec = _measure_file_records(tmp_path)
+    rec[11, 1] = 0.75  # flag of the first atom of cell 11
+    path.write_bytes(header + rec.astype("<f8").tobytes())
+    with pytest.raises(ValueError, match="infinity flag"):
         load_measure_field(path)
 
 
