@@ -7,7 +7,7 @@ import argparse
 import numpy as np
 
 from diffusepde.grids import Domain, GridFunction
-from diffusepde.solver import campanato_solve, make_nonlinearity
+from diffusepde.solver import campanato_solve, fibre_norms, make_nonlinearity
 from diffusepde.tensors import Decomposition, ranges_and_subspaces
 
 
@@ -42,7 +42,7 @@ def main():
     for row in log.to_rows():
         print(f"{row['iteration']},{row['increment']!r},{row['ratio']!r},"
               f"{row['residual']!r}")
-    norms = fd.norms()
+    norms = fibre_norms(fd)
     print(f"\nfibre norms: values {norms[0]:.4e}, gradient {norms[1]:.4e}, "
           f"hessian {norms[2]:.4e}")
 

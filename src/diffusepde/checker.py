@@ -101,7 +101,7 @@ def tensor_system(tensor):
                              name="linear-tensor")
 
 
-def infinity_laplace_system(n, rank_tol=1e-9):
+def infinity_laplace_system(n):
     """Second-order coefficients of the vectorial supremal-energy system.
 
     For a gradient value ``P`` the coefficient tensor reads
@@ -114,7 +114,7 @@ def infinity_laplace_system(n, rank_tol=1e-9):
         cells = uval.shape[0]
         Pm = uval.reshape(cells, n, n)
         u, s, vt = np.linalg.svd(Pm)
-        keep = s > rank_tol * np.maximum(s[:, :1], 1e-300)
+        keep = s > 1e-9 * np.maximum(s[:, :1], 1e-300)
         proj_range = np.einsum("cak,ck,cbk->cab", u, keep.astype(float), u)
         proj_perp = np.eye(n)[None] - proj_range
         p2 = np.einsum("cai,cai->c", Pm, Pm)
@@ -154,7 +154,7 @@ def eikonal_system(n, N, speed):
     return sys
 
 
-def tangent_system(base, F_x=None, F_X=None, fd_step=None):
+def tangent_system(base, F_x=None, F_X=None):
     """Differentiated system of a first-order base system.
 
     The new system has order two and ``M * n`` equations indexed ``(mu, i)``:
@@ -171,7 +171,7 @@ def tangent_system(base, F_x=None, F_X=None, fd_step=None):
     F_X_eff = F_X or getattr(base, "jet_gradient", None)
     fd_fallback = F_X_eff is None
     if fd_fallback:
-        step = fd_step or 1e-6
+        step = 1e-6
 
         def F_X_eff(x, uval, P):
             cells, D = P.shape
@@ -312,10 +312,10 @@ class CheckReport:
         }
 
 
-def default_phi_family(field, rng=None, radii_factors=(1.0, 2.0, 4.0), where=None):
+def default_phi_family(field, where=None):
     """Compactly supported witnesses near the finite atoms plus one at the origin.
 
-    Bumps sit at the centroid of the finite atoms with radii at multiples of
+    Bumps sit at the centroid of the finite atoms with radii 1, 2 and 4 times
     a robust (median) atom spread, so they discriminate the bulk cluster
     while escaping outliers fall outside every support.
     """
@@ -329,12 +329,12 @@ def default_phi_family(field, rng=None, radii_factors=(1.0, 2.0, 4.0), where=Non
         centroid = finite_pts.mean(axis=0)
         spread = float(np.median(np.linalg.norm(finite_pts - centroid, axis=1)))
         base = max(spread, 1e-3 * max(np.linalg.norm(centroid), 1.0), 1e-6)
-        for f in radii_factors:
+        for f in (1.0, 2.0, 4.0):
             phis.append(bump(centroid, f * base))
         origin_radius = max(np.linalg.norm(centroid) + base, base)
     else:
         origin_radius = 1.0
-    for f in radii_factors:
+    for f in (1.0, 2.0, 4.0):
         phis.append(bump(np.zeros(D), f * origin_radius))
     return phis
 
@@ -347,8 +347,7 @@ def default_margin(schedules, domain):
 
 
 def check_dsolution(u, F, frame, schedules, R_list=None, Phi_family=None, f=None,
-                    project=None, C_disc=50.0, interior_margin=None,
-                    R_inf=None, fine_step=None, distance_in_coefficient_units=True):
+                    project=None, C_disc=50.0):
     """Run every characterization of the solution property on one candidate map.
 
     ``schedules`` is a list of windows (each a list of step schedules), coarse
@@ -361,11 +360,15 @@ def check_dsolution(u, F, frame, schedules, R_list=None, Phi_family=None, f=None
     if not 0 <= C_disc < np.inf:
         raise ValueError(f"C_disc must be finite and nonnegative, got {C_disc}")
     dom = u.domain
+    if (u.components, dom.dim) != (F.N, F.n):
+        raise ValueError("candidate map does not match the system")
     if f is None:
         f = GridFunction(dom, np.zeros(dom.shape + (F.M,)))
+    if f.domain != dom:
+        raise ValueError("right-hand side lies on another lattice or mask than the map")
     if f.components != F.M:
         raise ValueError("right-hand side does not match the system")
-    fine = fine_step or min(abs(h) for row in schedules[-1][-1].rows for h in row)
+    fine = min(abs(h) for row in schedules[-1][-1].rows for h in row)
     uval = F.u_source(u, frame, fine)
 
     x_flat = dom.node_coords().reshape(-1, dom.dim)
@@ -394,18 +397,16 @@ def check_dsolution(u, F, frame, schedules, R_list=None, Phi_family=None, f=None
                    for h in row)
     tol = max(C_disc * h_finest, 1e-6 * scale)
 
-    margin = default_margin(schedules, dom) if interior_margin is None else interior_margin
+    margin = default_margin(schedules, dom)
     interior = dom.interior_mask(margin)
     if not interior.any():
         raise ValueError("no interior cells at this margin; refine the grid")
 
     # quotient grids by truncated schedule, shared by the cut-off and every level
-    jets = {}
-    if R_inf is None:
-        first = HSchedule(rows=schedules[0][0].rows[:F.order])
-        jets[first] = jet_difference_quotients(u, frame, first)
-        R_inf = 1e6 * max(float(np.max(np.linalg.norm(jets[first].values[mask],
-                                                      axis=-1))), 1.0)
+    first = HSchedule(rows=schedules[0][0].rows[:F.order])
+    jets = {first: jet_difference_quotients(u, frame, first)}
+    R_inf = 1e6 * max(float(np.max(np.linalg.norm(jets[first].values[mask],
+                                                  axis=-1))), 1.0)
 
     oracle_ok = F.linear_in_jet or F.zero_set_oracle is not None
     skipped = [] if oracle_ok else ["cutoff", "distance"]
@@ -474,8 +475,7 @@ def check_dsolution(u, F, frame, schedules, R_list=None, Phi_family=None, f=None
                 res = coefficients(cut[:, None])[:, 0] - f_flat
                 cut_res = max(cut_res, float(np.max(
                     np.linalg.norm(res, axis=1)[inner])))
-                dist = _distance_residual(cut, res, F, x_flat, uval_flat, f_flat,
-                                          R, lin, lip, distance_in_coefficient_units)
+                dist = _distance_residual(cut, res, F, x_flat, uval_flat, R, lin, lip)
                 dist_res = max(dist_res, float(np.max(dist[inner])))
             if feasible == 0:
                 raise ValueError(
@@ -529,10 +529,9 @@ def _finite_atom_residuals(field_lvl, atom_res, interior):
     return float(sup_cell[interior].max()), float(int_cell[interior].max()), field
 
 
-def _distance_residual(vals, res, F, x_flat, uval_flat, f_flat, R, lin, lip,
-                       coefficient_units):
-    """Per-cell distance from cut-off jets ``vals`` to the zero set, optionally
-    rescaled to coefficient units by a per-cell operator-norm estimate.
+def _distance_residual(vals, res, F, x_flat, uval_flat, R, lin, lip):
+    """Per-cell distance from cut-off jets ``vals`` to the zero set, rescaled
+    to coefficient units by a per-cell operator-norm estimate.
 
     ``res`` holds the coefficient residuals ``F - f`` at ``vals``; ``lin``
     and ``lip`` are the shared linearization and its per-cell norm (``None``
@@ -545,7 +544,7 @@ def _distance_residual(vals, res, F, x_flat, uval_flat, f_flat, R, lin, lip,
         dist = np.min(np.linalg.norm(vals[:, None, :] - pts, axis=2), axis=1)
         # local slope estimate of the coefficients near the ball
         lip = np.linalg.norm(res, axis=1) / np.maximum(dist, 1e-30)
-    return dist * lip if coefficient_units else dist
+    return dist * lip
 
 
 def _non_increasing(seq, slack=0.1):

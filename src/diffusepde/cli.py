@@ -245,7 +245,18 @@ def cmd_check(args):
     u = _load_input(load_grid, cfg["grid"], "--grid")
     dom = u.domain
     F = _build_system(cfg, u)
+    if (u.components, dom.dim) != (F.N, F.n):
+        flag = "--tensor" if cfg["system"] == "linear-tensor" else "--system"
+        raise ManifestError(f"{flag}: the {F.name} system takes maps of {F.N} components "
+                            f"on {F.n}-D grids; --grid holds {u.components} components "
+                            f"on a {dom.dim}-D grid")
     f = _load_input(load_grid, cfg["f"], "--f") if cfg["f"] else None
+    if f is not None and f.domain != dom:
+        raise ManifestError(f"--f lies on another lattice or mask than --grid: "
+                            f"{f.domain} against {dom}")
+    if f is not None and f.components != F.M:
+        raise ManifestError(f"--f has {f.components} components; the {F.name} system "
+                            f"has {F.M} equations")
     levels = _number(cfg, "levels", 3, int)
     base = _number(cfg, "base-step", 16 * dom.spacing, float, (0, np.inf))
     count = _number(cfg, "window", 3, int, (0, np.inf))

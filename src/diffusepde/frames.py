@@ -291,8 +291,6 @@ def difference_quotient_1(u, frame, h):
 
     Components laid out row-major as ``(value index, domain index)``.
     """
-    if abs(h) < u.domain.spacing * (1 - 1e-12):
-        raise ValueError("step below lattice spacing")
     return jet_difference_quotients(u, frame, HSchedule.first_order(h))
 
 

@@ -223,28 +223,10 @@ def gradient_central(gf):
     return GridFunction(dom, vals)
 
 
-def second_difference(v, axis_i, axis_j, h, one_sided_mask=None):
-    """Second difference of a scalar array: central stencils, zero extension.
-
-    With ``one_sided_mask`` given, nodes flagged there use second-order
-    one-sided stencils along the pure directions (mixed terms stay central).
-    """
+def second_difference(v, axis_i, axis_j, h):
+    """Second difference of a scalar array: central stencils, zero extension."""
     if axis_i == axis_j:
-        out = (shift_array(v, axis_i, 1) - 2 * v + shift_array(v, axis_i, -1)) / h**2
-        if one_sided_mask is not None and one_sided_mask.any():
-            fwd = (2 * v - 5 * shift_array(v, axis_i, 1) + 4 * shift_array(v, axis_i, 2)
-                   - shift_array(v, axis_i, 3)) / h**2
-            bwd = (2 * v - 5 * shift_array(v, axis_i, -1) + 4 * shift_array(v, axis_i, -2)
-                   - shift_array(v, axis_i, -3)) / h**2
-            # prefer the side with more in-mask support: pick forward on the
-            # low-index side, backward on the high-index side
-            idx = np.arange(v.shape[axis_i])
-            shape = [1] * v.ndim
-            shape[axis_i] = -1
-            low = idx.reshape(shape) < v.shape[axis_i] // 2
-            one_sided = np.where(low, fwd, bwd)
-            out = np.where(one_sided_mask, one_sided, out)
-        return out
+        return (shift_array(v, axis_i, 1) - 2 * v + shift_array(v, axis_i, -1)) / h**2
     pp = shift_array(shift_array(v, axis_i, 1), axis_j, 1)
     pm = shift_array(shift_array(v, axis_i, 1), axis_j, -1)
     mp = shift_array(shift_array(v, axis_i, -1), axis_j, 1)
@@ -252,22 +234,17 @@ def second_difference(v, axis_i, axis_j, h, one_sided_mask=None):
     return (pp - pm - mp + mm) / (4 * h**2)
 
 
-def hessian_central(gf, one_sided_boundary=False):
-    """Discrete hessian field with ``d * dim * dim`` components, ``(c, i, j)`` row-major.
-
-    ``one_sided_boundary=True`` switches pure second differences to one-sided
-    stencils on the boundary ring, avoiding the zero-extension bias there.
-    """
+def hessian_central(gf):
+    """Discrete hessian field with ``d * dim * dim`` components, ``(c, i, j)`` row-major."""
     dom = gf.domain
     h = dom.spacing
-    ring = dom.boundary_ring() if one_sided_boundary else None
     d = gf.components
     vals = np.zeros(dom.shape + (d, dom.dim, dom.dim))
     for c in range(d):
         v = gf.values[..., c]
         for i in range(dom.dim):
             for j in range(i, dom.dim):
-                der = second_difference(v, i, j, h, one_sided_mask=ring if i == j else None)
+                der = second_difference(v, i, j, h)
                 vals[..., c, i, j] = der
                 vals[..., c, j, i] = der
     return GridFunction(dom, vals.reshape(dom.shape + (d * dom.dim**2,)))

@@ -219,12 +219,12 @@ def dirac_field(v, R_inf):
     return YoungMeasureField(dom, (v.components,), pts, w, inf, R_inf)
 
 
-def default_cutoff(u, frame, spacing_factor=1e6):
-    """Default infinity cutoff: a large multiple of the coarsest-step quotient range."""
-    coarse = difference_quotient_1(u, frame, max(4 * u.domain.spacing, u.domain.spacing))
+def default_cutoff(u, frame):
+    """Default infinity cutoff: 1e6 times the range of the four-step quotient."""
+    coarse = difference_quotient_1(u, frame, 4 * u.domain.spacing)
     scale = float(np.max(np.linalg.norm(
         coarse.values.reshape(-1, coarse.components), axis=1)))
-    return spacing_factor * max(scale, 1.0)
+    return 1e6 * max(scale, 1.0)
 
 
 def diffuse_field(u, frame, order, schedules, R_inf, jets=None):

@@ -12,7 +12,7 @@ contraction factor comes from the nearness constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -35,9 +35,6 @@ class FibreData:
     sigma_u: GridFunction
     pi_Du: GridFunction
     xi_D2u: GridFunction
-
-    def norms(self):
-        return fibre_norms(self)
 
 
 def fibre_norms(fd):
@@ -257,10 +254,10 @@ class DiscreteOperator:
         vals = f.values[self.mask]
         return vals.reshape(-1)
 
-    def solve(self, b, solver_tol=SOLVER_TOL):
+    def solve(self, b):
         """Solution vector for the right-hand side vector ``b`` (see
         :meth:`rhs_vector`), with one step of iterative refinement when the
-        residual exceeds ``solver_tol`` relative to ``b``."""
+        residual exceeds ``SOLVER_TOL`` relative to ``b``."""
         lu = self.factorize()
         x = lu.solve(b)
         if not np.isfinite(x).all():
@@ -268,23 +265,23 @@ class DiscreteOperator:
                                   f"(condition estimate {self.condition_estimate():.2e})")
         resid = self.matrix @ x - b
         bnorm = np.linalg.norm(b)
-        if bnorm > 0 and np.linalg.norm(resid) > solver_tol * bnorm:
+        if bnorm > 0 and np.linalg.norm(resid) > SOLVER_TOL * bnorm:
             # one step of iterative refinement before giving up
             x = x + lu.solve(-resid)
             resid = self.matrix @ x - b
-            if np.linalg.norm(resid) > solver_tol * bnorm:
+            if np.linalg.norm(resid) > SOLVER_TOL * bnorm:
                 raise ArithmeticError(
                     "discrete residual above the solver tolerance: "
                     f"{np.linalg.norm(resid) / bnorm:.3e}")
         return x
 
 
-def assemble_and_solve_eps(a_eps, f, domain, solver_tol=SOLVER_TOL):
+def assemble_and_solve_eps(a_eps, f, domain):
     """Solve the coupled second-order system for one regularized tensor."""
     if f.components != a_eps.N:
         raise ValueError("right-hand side component count mismatch")
     op = DiscreteOperator(a_eps, domain)
-    x = op.solve(op.rhs_vector(f), solver_tol=solver_tol)
+    x = op.solve(op.rhs_vector(f))
     return _on_grid(domain, op.mask, x.reshape(-1, op.N))
 
 
@@ -361,8 +358,7 @@ def _fibre_limit(solutions, eps_sequence, maps, data, domain):
     return tuple(b + (b - a) * w for a, b in zip(triples[-2], triples[-1])), cauchy
 
 
-def solve_linear(dec, f, eps_sequence, domain=None, solver_tol=SOLVER_TOL,
-                 compat_tol=1e-8, subspaces=None):
+def solve_linear(dec, f, eps_sequence, domain=None):
     """Vanishing-regularization solve of the factored linear system.
 
     Solves the strictly rank-one positive regularization for each epsilon,
@@ -373,14 +369,14 @@ def solve_linear(dec, f, eps_sequence, domain=None, solver_tol=SOLVER_TOL,
     """
     domain = f.domain if domain is None else domain
     eps_sequence = list(eps_sequence)
-    data = ranges_and_subspaces(dec, cross_check=False) if subspaces is None else subspaces
-    defect = _compatible(f, data, compat_tol)
+    data = ranges_and_subspaces(dec, cross_check=False)
+    defect = _compatible(f, data, 1e-8)
     patterns = lattice_patterns(domain)
     mask = domain.mask()
     rhs = f.values[mask].reshape(-1)
     # one operator alive at a time, freed before the next is assembled, and
     # none once the maps are built
-    solutions = [DiscreteOperator(a_eps, domain, patterns).solve(rhs, solver_tol=solver_tol)
+    solutions = [DiscreteOperator(a_eps, domain, patterns).solve(rhs)
                  for a_eps in _regularized(dec, eps_sequence)]
     rows, cauchy = _fibre_limit(solutions, eps_sequence,
                                 derivative_maps(domain, dec.N, patterns), data, domain)
@@ -402,8 +398,7 @@ def _tensor_hessian_residual(tensor, xi_d2u, f):
     return resid.l2_norm(where=interior) / denom
 
 
-def verify_hessian_estimate(dec, u, eps, tol_est=0.05, one_sided_boundary=False,
-                            subspaces=None):
+def verify_hessian_estimate(dec, u, eps, tol_est=0.05, subspaces=None):
     """Check the degenerate hessian bound on one boundary-vanishing map.
 
     Both sides use the same central-difference hessian; the factored tensor
@@ -416,7 +411,7 @@ def verify_hessian_estimate(dec, u, eps, tol_est=0.05, one_sided_boundary=False,
     data = ranges_and_subspaces(dec, cross_check=False) if subspaces is None else subspaces
     canon = canonicalize_decomposition(dec)
     a_eps = regularize(canon, eps)
-    hess = hessian_central(u, one_sided_boundary=one_sided_boundary)
+    hess = hessian_central(u)
     N, n = dec.N, dec.n
     X = hess.values.reshape(dom.shape + (N, n, n))
 
@@ -451,7 +446,6 @@ class EllipticityCertificate:
     A_of_x: GridFunction
     B: float
     C: float
-    margin_stats: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.B < 0 or self.C < 0 or self.B + self.C >= 1:
@@ -507,17 +501,16 @@ def make_nonlinearity(dec, A_of_x, gamma, g=None, lipschitz_g=0.0, subspaces=Non
     return system, cert
 
 
-def check_degenerate_ellipticity(F, cert, sample_count=200, rng=None, tol=1e-9,
-                                 subspaces=None):
+def check_degenerate_ellipticity(F, cert, sample_count=200):
     """Sample the nearness inequality and the value-subspace constraint.
 
     Draws cells and tensor pairs, evaluates the increment defect and compares
     it against the certified bound; reports the worst margin (negative means
     a violation) and the largest component outside the value subspace.
     """
-    rng = np.random.default_rng(0) if rng is None else rng
+    rng = np.random.default_rng(0)
     dec = cert.dec
-    data = ranges_and_subspaces(dec, cross_check=False) if subspaces is None else subspaces
+    data = ranges_and_subspaces(dec, cross_check=False)
     tensor = reconstruct(dec)
     N, n = dec.N, dec.n
     dom = cert.A_of_x.domain
@@ -540,7 +533,7 @@ def check_degenerate_ellipticity(F, cert, sample_count=200, rng=None, tol=1e-9,
     lhs = np.linalg.norm(AZ - a_rows * FZ, axis=1)
     rhs = (cert.B * data.nu * np.linalg.norm(xiZ, axis=1)
            + cert.C * np.linalg.norm(AZ, axis=1))
-    margins = rhs + tol - lhs
+    margins = rhs + 1e-9 - lhs
     sigma_defect = np.max(np.abs(FX - data.sigma.project(FX)))
     violations = int(np.sum(margins < 0))
     return {
@@ -575,7 +568,7 @@ class IterationLog:
 
 
 def campanato_solve(F, cert, f, eps_sequence, domain=None, max_iter=40,
-                    tol=1e-10, tol_final=1e-6, solver_tol=SOLVER_TOL):
+                    tol=1e-10, tol_final=1e-6):
     """Fixed-point solve of a certified nonlinear system.
 
     Iterates ``b <- b - A(x) (F(x, G2(u_b)) - f)`` where ``u_b`` solves the
@@ -605,7 +598,7 @@ def campanato_solve(F, cert, f, eps_sequence, domain=None, max_iter=40,
     bad_streak = 0
     for k in range(max_iter):
         _compatible(b, data, 1e-8)
-        solutions = [op.solve(b.reshape(-1), solver_tol=solver_tol) for op in ops]
+        solutions = [op.solve(b.reshape(-1)) for op in ops]
         rows, _ = _fibre_limit(solutions, eps_sequence, maps, data, dom)
         resid_rows = F.evaluate(x_rows, a_rows, rows[2]) - f_rows
         resid = _l2(resid_rows, dom) / f_norm
@@ -639,7 +632,7 @@ def campanato_solve(F, cert, f, eps_sequence, domain=None, max_iter=40,
     return FibreData(*(_on_grid(dom, mask, r) for r in rows)), log
 
 
-def poincare_check(u, directions, tol_factor=1.0):
+def poincare_check(u, directions):
     """Directional Poincare comparison for boundary-vanishing grid functions.
 
     For each pair ``(eta, a)`` checks that the norm of the projected values is
@@ -661,7 +654,7 @@ def poincare_check(u, directions, tol_factor=1.0):
         dproj = GridFunction(dom, np.einsum("...cd,c,d->...", g, eta, a)[..., None])
         lhs = proj.l2_norm()
         rhs = diam * dproj.l2_norm()
-        tol_disc = tol_factor * h * max(dproj.l2_norm(), 1.0)
+        tol_disc = h * max(dproj.l2_norm(), 1.0)
         results.append({"eta": eta.tolist(), "a": a.tolist(),
                         "lhs": float(lhs), "rhs": float(rhs),
                         "tol_disc": float(tol_disc),

@@ -498,8 +498,7 @@ def _ellipticity_constant(dec, sigma_g, t_g):
     return float(nu), float(bound)
 
 
-def ellipticity_constant(dec, rng=None, n_starts=64, n_samples=100_000,
-                         tol_min=1e-8):
+def ellipticity_constant(dec, rng=None, n_starts=64, n_samples=100_000):
     """Minimum of the rank-one quadratic form over unit directions inside the
     tensor range, with the product upper bound of the normalized factors.
 
@@ -513,13 +512,13 @@ def ellipticity_constant(dec, rng=None, n_starts=64, n_samples=100_000,
 
     rng = np.random.default_rng(0) if rng is None else rng
     best = _search_minimum(dec, data_sig, data_t, rng, n_starts, n_samples)
-    if best < nu - max(tol_min, 1e-9 * nu):
+    if best < nu - max(1e-8, 1e-9 * nu):
         raise ArithmeticError(
             f"search found rank-one energy {best:.6e} below candidate {nu:.6e}")
     nu = min(nu, best) if best > 0 else nu
     if nu <= 0:
         raise ValueError("rank-one energy is not positive on the range")
-    if nu > bound + max(tol_min, 1e-9 * bound):
+    if nu > bound + max(1e-8, 1e-9 * bound):
         raise ArithmeticError(
             f"ellipticity constant {nu:.6e} exceeds product bound {bound:.6e}")
     return float(nu), float(bound)

@@ -392,6 +392,24 @@ def test_check_rejects_bad_discretization_constant(C_disc):
                         f=f, C_disc=C_disc)
 
 
+@pytest.mark.parametrize("case, match", [
+    ("three-component tensor", "candidate map does not match the system"),
+    ("data on a disc", "another lattice or mask"),
+    ("data of another shape", "another lattice or mask"),
+    ("three-component data", "right-hand side does not match the system")])
+def test_check_rejects_a_mismatched_system_or_data(case, match):
+    dom, u, f = manufactured_laplace(res=16)
+    F = tensor_system(Tensor4.laplacian(3 if case == "three-component tensor" else 2, 2))
+    if case == "data on a disc":
+        f = GridFunction(Domain.unit_disc(16), f.values)
+    elif case == "data of another shape":
+        f = GridFunction(Domain.unit_square(12), np.zeros((13, 13, 2)))
+    elif case == "three-component data":
+        f = GridFunction(dom, np.zeros(dom.shape + (3,)))
+    with pytest.raises(ValueError, match=match):
+        check_dsolution(u, F, build_frame("standard", N=2, n=2), default_windows(dom), f=f)
+
+
 def test_check_computes_each_jet_once(monkeypatch):
     """Overlapping windows share their schedules: one quotient per distinct
     schedule per check, the default cut-off's included."""

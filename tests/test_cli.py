@@ -332,6 +332,41 @@ def test_check_on_a_grid_too_small_for_its_windows_exits_two(tmp_path, capsys,
     assert not any(out.iterdir())
 
 
+def _sines_on(dom, components):
+    return GridFunction.from_callable(dom, lambda x: np.sin(x[..., [0, 1, 0][:components]]))
+
+
+@pytest.mark.parametrize("case, flag", [
+    ("f of another shape", "--f"),
+    ("f with a component per axis too many", "--f"),
+    ("f on a disc against a square", "--f"),
+    ("tensor of three components", "--tensor"),
+    ("infinity-laplace on a three-component map", "--system")])
+def test_check_on_a_mismatched_system_map_or_data_exits_two(tmp_path, capsys, case, flag):
+    """Each mismatch is a parse error naming its flag, raised before any
+    measure field is built; none reaches the check."""
+    square = Domain.unit_square(48)
+    u = _sines_on(square, 3 if "three-component map" in case else 2)
+    f = {"f of another shape": _sines_on(Domain.unit_square(40), 2),
+         "f with a component per axis too many": _sines_on(square, 3),
+         "f on a disc against a square": _sines_on(Domain.unit_disc(48), 2)}.get(case)
+    u_path, f_path, dec_path = tmp_path / "u.grid", tmp_path / "f.grid", tmp_path / "dec.json"
+    save_grid(u_path, u)
+    argv = ["check", "--grid", str(u_path), "--base-step", str(8 * square.spacing),
+            "--out", str(tmp_path / "run")]
+    if case == "tensor of three components":
+        random_decomposition(np.random.default_rng(3), 3, 2).save(dec_path)
+        argv += ["--system", "linear-tensor", "--tensor", str(dec_path)]
+    else:
+        argv += ["--system", "infinity-laplace"]
+    if f is not None:
+        save_grid(f_path, f)
+        argv += ["--f", str(f_path)]
+    assert main(argv) == 2
+    assert f"error: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "check_report.json").exists()
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--max-iter", "0"), ("--max-iter", "-3"), ("--tol-final", "0"),
     ("--tol-final", "nan"), ("--tol-final", "-0.001"), ("--gamma", "nan"),

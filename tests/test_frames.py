@@ -121,6 +121,15 @@ def test_quotient_exact_on_linear_map():
     assert np.abs(q.values[inner] - m.reshape(-1)).max() < 1e-10
 
 
+@pytest.mark.parametrize("h", [0.5, -0.5, 0.999])
+def test_quotient_step_below_the_spacing_raises(h):
+    dom = Domain.unit_square(16)
+    u = GridFunction.from_callable(dom, lambda x: x)
+    fr = build_frame("standard", N=2, n=2)
+    with pytest.raises(ValueError, match="below the lattice spacing"):
+        difference_quotient_1(u, fr, h * dom.spacing)
+
+
 def test_quotient_of_absolute_value():
     dom = Domain.interval(-1.0, 1.0, 64)
     u = GridFunction.from_callable(dom, lambda x: np.abs(x[..., 0])[..., None])
