@@ -78,13 +78,13 @@ class CheckFailure(Exception):
     pass
 
 
-def effective_config(args, keys):
+def effective_config(args):
+    """The subcommand's flags as given on the command line, else in the
+    manifest, else ``None``; with the seed and the output directory."""
+    manifest = load_manifest(args.manifest) if args.manifest else {}
     cfg = {}
-    manifest = {}
-    if getattr(args, "manifest", None):
-        manifest = load_manifest(args.manifest)
-    for key in keys:
-        flag = getattr(args, key.replace("-", "_"), None)
+    for key in COMMANDS[args.command][2]:
+        flag = getattr(args, key.replace("-", "_"))
         cfg[key] = flag if flag is not None else manifest.get(key)
     cfg["seed"] = args.seed
     cfg["out"] = str(args.out)
@@ -131,24 +131,46 @@ def _eps_sequence(cfg):
     return eps
 
 
-def _outdir(args):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _report(out, name, doc, cfg):
-    doc = dict(doc)
-    doc["config"] = cfg
-    write_json(out / name, doc)
-    return doc
+    write_json(out / name, {**doc, "config": cfg})
+
+
+def _grid_block(dom):
+    """A report's ``grid`` entry: the lattice and mask of ``dom``."""
+    return {"shape": list(dom.shape), "spacing": dom.spacing, "mask": dom.mask_kind,
+            "origin": list(dom.origin)}
+
+
+FIBRES = ("sigma_u", "pi_Du", "xi_D2u")
+
+
+def _save_fibres(out, fd):
+    for name in FIBRES:
+        save_grid(out / f"{name}.grid", getattr(fd, name))
+
+
+def _data_grid(cfg, system, n, M, grid=None):
+    """The ``--f`` grid, or ``None`` when unset.  It is a parse error unless
+    it lies on an ``n``-D lattice (on ``grid``'s lattice and mask when
+    given) and has the ``M`` components of ``system``'s equations."""
+    if not cfg["f"]:
+        return None
+    f = _load_input(load_grid, cfg["f"], "--f")
+    if grid is not None and f.domain != grid:
+        raise ManifestError(f"--f lies on another lattice or mask than --grid: "
+                            f"{f.domain} against {grid}")
+    if f.domain.dim != n:
+        raise ManifestError(f"--f lies on a {f.domain.dim}-D grid; {system} is posed "
+                            f"on {n}-D grids")
+    if f.components != M:
+        raise ManifestError(f"--f has {f.components} components; {system} has {M} "
+                            f"equations")
+    return f
 
 
 # subcommands ---------------------------------------------------------------
 
-def cmd_analyze_tensor(args):
-    out = _outdir(args)
-    cfg = effective_config(args, ["decomposition", "eps"])
+def _cmd_analyze_tensor(cfg, out):
     if not cfg["decomposition"]:
         raise ManifestError("analyze-tensor needs a decomposition file")
     dec = _load_input(Decomposition.load, cfg["decomposition"], "--decomposition")
@@ -161,7 +183,7 @@ def cmd_analyze_tensor(args):
     if validation.passed:
         data = tensors.ranges_and_subspaces(dec)
         nu, bound = tensors.ellipticity_constant(dec,
-                                                 rng=np.random.default_rng(args.seed))
+                                                 rng=np.random.default_rng(cfg["seed"]))
         doc.update({
             "nu": nu, "nu_bound": bound,
             "dims": {"sigma": data.sigma.dim, "pi": data.pi.dim, "xi": data.xi.dim},
@@ -173,7 +195,7 @@ def cmd_analyze_tensor(args):
             canon = tensors.canonicalize_decomposition(dec)
             a_eps = tensors.regularize(canon, eps)
             # 10 000 unit rank-one directions eta (x) a, drawn row by row
-            draws = np.random.default_rng(args.seed).standard_normal((10_000, dec.N + dec.n))
+            draws = np.random.default_rng(cfg["seed"]).standard_normal((10_000, dec.N + dec.n))
             eta, a = draws[:, :dec.N], draws[:, dec.N:]
             eta /= np.linalg.norm(eta, axis=1, keepdims=True)
             a /= np.linalg.norm(a, axis=1, keepdims=True)
@@ -184,13 +206,9 @@ def cmd_analyze_tensor(args):
     _report(out, "analyze_tensor_report.json", doc, cfg)
     if not validation.passed:
         raise CheckFailure("decomposition invalid: " + ", ".join(validation.failures()))
-    return doc
 
 
-def cmd_diffuse(args):
-    out = _outdir(args)
-    cfg = effective_config(args, ["grid", "order", "base-step", "window",
-                                  "ratio", "r-inf"])
+def _cmd_diffuse(cfg, out):
     if not cfg["grid"]:
         raise ManifestError("diffuse needs a grid file")
     u = _load_input(load_grid, cfg["grid"], "--grid")
@@ -212,11 +230,9 @@ def cmd_diffuse(args):
         "schedules": [s.rows for s in window],
         "infinity_mass": {"max": float(inf_mass[mask].max()),
                           "mean": float(inf_mass[mask].mean())},
-        "grid": {"shape": list(dom.shape), "spacing": dom.spacing,
-                 "mask": dom.mask_kind},
+        "grid": _grid_block(dom),
     }
     _report(out, "diffuse_report.json", doc, cfg)
-    return doc
 
 
 def _build_system(cfg, u):
@@ -235,11 +251,7 @@ def _build_system(cfg, u):
     raise ManifestError(f"unknown system {name!r}")
 
 
-def cmd_check(args):
-    out = _outdir(args)
-    cfg = effective_config(args, ["grid", "system", "tensor", "f", "levels",
-                                  "base-step", "ratio", "window", "r-list",
-                                  "speed", "c-disc"])
+def _cmd_check(cfg, out):
     if not cfg["grid"] or not cfg["system"]:
         raise ManifestError("check needs a grid file and a system name")
     u = _load_input(load_grid, cfg["grid"], "--grid")
@@ -250,13 +262,7 @@ def cmd_check(args):
         raise ManifestError(f"{flag}: the {F.name} system takes maps of {F.N} components "
                             f"on {F.n}-D grids; --grid holds {u.components} components "
                             f"on a {dom.dim}-D grid")
-    f = _load_input(load_grid, cfg["f"], "--f") if cfg["f"] else None
-    if f is not None and f.domain != dom:
-        raise ManifestError(f"--f lies on another lattice or mask than --grid: "
-                            f"{f.domain} against {dom}")
-    if f is not None and f.components != F.M:
-        raise ManifestError(f"--f has {f.components} components; the {F.name} system "
-                            f"has {F.M} equations")
+    f = _data_grid(cfg, f"the {F.name} system", F.n, F.M, grid=dom)
     levels = _number(cfg, "levels", 3, int)
     base = _number(cfg, "base-step", 16 * dom.spacing, float, (0, np.inf))
     count = _number(cfg, "window", 3, int, (0, np.inf))
@@ -283,8 +289,7 @@ def cmd_check(args):
     report = check_dsolution(u, F, frame, windows, R_list=r_list, f=f, **kwargs)
     doc = report.to_json_dict()
     doc["windows"] = [[s.rows for s in w] for w in windows]
-    doc["grid"] = {"shape": list(dom.shape), "spacing": dom.spacing,
-                   "mask": dom.mask_kind, "origin": list(dom.origin)}
+    doc["grid"] = _grid_block(dom)
     if report.residual_field is not None:
         save_grid(out / "residual_support.grid", report.residual_field)
     _report(out, "check_report.json", doc, cfg)
@@ -298,17 +303,14 @@ def cmd_check(args):
     if not report.passed:
         failing = [k for k, v in report.verdicts.items() if not v]
         raise CheckFailure("characterizations failing: " + ", ".join(failing))
-    return doc
 
 
-def cmd_solve_linear(args):
+def _cmd_solve_linear(cfg, out):
     from . import solver
-    out = _outdir(args)
-    cfg = effective_config(args, ["decomposition", "f", "eps-seq"])
     if not cfg["decomposition"] or not cfg["f"]:
         raise ManifestError("solve-linear needs a decomposition and a data grid")
     dec = _load_input(Decomposition.load, cfg["decomposition"], "--decomposition")
-    f = _load_input(load_grid, cfg["f"], "--f")
+    f = _data_grid(cfg, "the --decomposition tensor", dec.n, dec.N)
     eps_seq = _eps_sequence(cfg)
     try:
         fd, rep = solver.solve_linear(dec, f, eps_seq)
@@ -316,35 +318,24 @@ def cmd_solve_linear(args):
         doc = {"accepted": False, "reason": str(exc)}
         _report(out, "solve_report.json", doc, cfg)
         raise CheckFailure(str(exc)) from exc
-    save_grid(out / "sigma_u.grid", fd.sigma_u)
-    save_grid(out / "pi_Du.grid", fd.pi_Du)
-    save_grid(out / "xi_D2u.grid", fd.xi_D2u)
-    norms = solver.fibre_norms(fd)
+    _save_fibres(out, fd)
     doc = rep.to_json_dict()
     doc.update({"accepted": True,
-                "fibre_norms": {"sigma_u": norms[0], "pi_Du": norms[1],
-                                "xi_D2u": norms[2]},
-                "grid": {"shape": list(f.domain.shape),
-                         "spacing": f.domain.spacing,
-                         "mask": f.domain.mask_kind,
-                         "origin": list(f.domain.origin)},
+                "fibre_norms": dict(zip(FIBRES, solver.fibre_norms(fd))),
+                "grid": _grid_block(f.domain),
                 "solver_tol": solver.SOLVER_TOL})
     _report(out, "solve_report.json", doc, cfg)
     rows = [{"eps": float(e), "cauchy_difference": float(c)}
             for e, c in zip(eps_seq[1:], rep.cauchy_differences)]
     write_csv(out / "eps_convergence.csv", ["eps", "cauchy_difference"], rows)
-    return doc
 
 
-def cmd_solve_nonlinear(args):
+def _cmd_solve_nonlinear(cfg, out):
     from . import solver
-    out = _outdir(args)
-    cfg = effective_config(args, ["decomposition", "f", "eps-seq", "gamma",
-                                  "lip-frac", "max-iter", "tol-final"])
     if not cfg["decomposition"] or not cfg["f"]:
         raise ManifestError("solve-nonlinear needs a decomposition and a data grid")
     dec = _load_input(Decomposition.load, cfg["decomposition"], "--decomposition")
-    f = _load_input(load_grid, cfg["f"], "--f")
+    f = _data_grid(cfg, "the --decomposition tensor", dec.n, dec.N)
     dom = f.domain
     eps_seq = _eps_sequence(cfg)
     gamma = _number(cfg, "gamma", 0.2)
@@ -368,9 +359,7 @@ def cmd_solve_nonlinear(args):
                                        lipschitz_g=lip, subspaces=data)
     fd, log = solver.campanato_solve(F, cert, f, eps_seq, max_iter=max_iter,
                                      tol_final=tol_final)
-    save_grid(out / "sigma_u.grid", fd.sigma_u)
-    save_grid(out / "pi_Du.grid", fd.pi_Du)
-    save_grid(out / "xi_D2u.grid", fd.xi_D2u)
+    _save_fibres(out, fd)
     write_csv(out / "iteration_log.csv", ["iteration", "increment", "ratio",
                                           "residual"], log.to_rows())
     doc = {
@@ -381,17 +370,12 @@ def cmd_solve_nonlinear(args):
         "max_ratio": log.max_ratio(),
         "eps_sequence": eps_seq,
         "tol_final": tol_final,
-        "grid": {"shape": list(dom.shape), "spacing": dom.spacing,
-                 "mask": dom.mask_kind, "origin": list(dom.origin)},
+        "grid": _grid_block(dom),
     }
     _report(out, "nonlinear_report.json", doc, cfg)
-    return doc
 
 
-def cmd_reference(args):
-    out = _outdir(args)
-    cfg = effective_config(args, ["case", "resolution", "m", "k", "depth",
-                                  "mu", "check"])
+def _cmd_reference(cfg, out):
     if not cfg["case"]:
         raise ManifestError("reference needs a case name")
     params = {name: _number(cfg, name.lower(), None, kind, (0, np.inf)) for name, kind
@@ -407,7 +391,7 @@ def cmd_reference(args):
            "expected": {k: v for k, v in case.expected.items()
                         if not isinstance(v, np.ndarray)}}
     doc["expected"].pop("fold_mask", None)
-
+    settled = True
     if cfg["check"] and case.name == "sawtooth":
         u = case.grids["map"]
         dom = u.domain
@@ -425,22 +409,16 @@ def cmd_reference(args):
                 for lvl, v in enumerate(rep.residuals["pairing"])]
         write_csv(out / "residual_table.csv",
                   ["level", "h_level", "pairing_residual"], rows)
-        _report(out, "reference_report.json", doc, cfg)
-        M = case.params["M"]
-        if not (rep.trends["pairing"]
-                and rep.residuals["pairing"][-1] <= 1e-3 * M**3):
-            raise CheckFailure("sawtooth pairing residual did not settle")
-        return doc
+        settled = (rep.trends["pairing"]
+                   and rep.residuals["pairing"][-1] <= 1e-3 * case.params["M"]**3)
     _report(out, "reference_report.json", doc, cfg)
-    return doc
+    if not settled:
+        raise CheckFailure("sawtooth pairing residual did not settle")
 
 
-def cmd_verify_estimate(args):
+def _cmd_verify_estimate(cfg, out):
     from . import solver
-    out = _outdir(args)
-    cfg = effective_config(args, ["decomposition", "battery", "resolution",
-                                  "eps-list", "tol-est"])
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(cfg["seed"])
     res = _number(cfg, "resolution", 64, int, (0, np.inf))
     eps_list = _numbers(cfg, "eps-list", [0.0, 0.1, 1.0], (0, np.inf), closed=True)
     tol_est = _number(cfg, "tol-est", 0.05, float, (0, np.inf), closed=True)
@@ -485,17 +463,32 @@ def cmd_verify_estimate(args):
     _report(out, "estimate_report.json", doc, cfg)
     if not all_pass:
         raise CheckFailure("hessian estimate battery has failures")
-    return doc
 
 
+# name: (handler, help, {flag: argparse type}).  The flags are also the
+# manifest's fields and the keys of the report's ``config``; ``bool`` marks
+# a switch, which reads ``None`` unless it is given.
 COMMANDS = {
-    "analyze-tensor": cmd_analyze_tensor,
-    "diffuse": cmd_diffuse,
-    "check": cmd_check,
-    "solve-linear": cmd_solve_linear,
-    "solve-nonlinear": cmd_solve_nonlinear,
-    "reference": cmd_reference,
-    "verify-estimate": cmd_verify_estimate,
+    "analyze-tensor": (_cmd_analyze_tensor, "validate a factored tensor and report its "
+                       "subspaces and constants", {"decomposition": str, "eps": float}),
+    "diffuse": (_cmd_diffuse, "build an empirical quotient measure field",
+                {"grid": str, "order": int, "base-step": float, "window": int,
+                 "ratio": float, "r-inf": float}),
+    "check": (_cmd_check, "run the solution characterizations",
+              {"grid": str, "system": str, "tensor": str, "f": str, "levels": int,
+               "base-step": float, "ratio": float, "window": int, "r-list": str,
+               "speed": float, "c-disc": float}),
+    "solve-linear": (_cmd_solve_linear, "vanishing-regularization linear solve",
+                     {"decomposition": str, "f": str, "eps-seq": str}),
+    "solve-nonlinear": (_cmd_solve_nonlinear, "certified nearness fixed-point solve",
+                        {"decomposition": str, "f": str, "eps-seq": str, "gamma": float,
+                         "lip-frac": float, "max-iter": int, "tol-final": float}),
+    "reference": (_cmd_reference, "build a reference case",
+                  {"case": str, "resolution": int, "m": float, "k": int, "depth": int,
+                   "mu": float, "check": bool}),
+    "verify-estimate": (_cmd_verify_estimate, "hessian estimate battery",
+                        {"decomposition": str, "battery": int, "resolution": int,
+                         "eps-list": str, "tol-est": float}),
 }
 
 
@@ -505,74 +498,16 @@ def build_parser():
         description="Measure-valued solution machinery for fully nonlinear "
                     "PDE systems")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (_, text, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
         p.add_argument("--manifest", help="JSON manifest; flags override its fields")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("analyze-tensor", help="validate a factored tensor and "
-                                              "report its subspaces and constants")
-    common(p)
-    p.add_argument("--decomposition")
-    p.add_argument("--eps", type=float)
-
-    p = sub.add_parser("diffuse", help="build an empirical quotient measure field")
-    common(p)
-    p.add_argument("--grid")
-    p.add_argument("--order", type=int)
-    p.add_argument("--base-step", type=float)
-    p.add_argument("--window", type=int)
-    p.add_argument("--ratio", type=float)
-    p.add_argument("--r-inf", type=float)
-
-    p = sub.add_parser("check", help="run the solution characterizations")
-    common(p)
-    p.add_argument("--grid")
-    p.add_argument("--system")
-    p.add_argument("--tensor")
-    p.add_argument("--f")
-    p.add_argument("--levels", type=int)
-    p.add_argument("--base-step", type=float)
-    p.add_argument("--ratio", type=float)
-    p.add_argument("--window", type=int)
-    p.add_argument("--r-list")
-    p.add_argument("--speed", type=float)
-    p.add_argument("--c-disc", type=float)
-
-    p = sub.add_parser("solve-linear", help="vanishing-regularization linear solve")
-    common(p)
-    p.add_argument("--decomposition")
-    p.add_argument("--f")
-    p.add_argument("--eps-seq")
-
-    p = sub.add_parser("solve-nonlinear", help="certified nearness fixed-point solve")
-    common(p)
-    p.add_argument("--decomposition")
-    p.add_argument("--f")
-    p.add_argument("--eps-seq")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--lip-frac", type=float)
-    p.add_argument("--max-iter", type=int)
-    p.add_argument("--tol-final", type=float)
-
-    p = sub.add_parser("reference", help="build a reference case")
-    common(p)
-    p.add_argument("--case")
-    p.add_argument("--resolution", type=int)
-    p.add_argument("--m", type=float)
-    p.add_argument("--k", type=int)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--check", action="store_true", default=None)
-
-    p = sub.add_parser("verify-estimate", help="hessian estimate battery")
-    common(p)
-    p.add_argument("--decomposition")
-    p.add_argument("--battery", type=int)
-    p.add_argument("--resolution", type=int)
-    p.add_argument("--eps-list")
-    p.add_argument("--tol-est", type=float)
+        for flag, kind in flags.items():
+            if kind is bool:
+                p.add_argument(f"--{flag}", action="store_true", default=None)
+            else:
+                p.add_argument(f"--{flag}", type=kind)
     return parser
 
 
@@ -583,7 +518,9 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        COMMANDS[args.command](args)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        COMMANDS[args.command][0](effective_config(args), out)
         return EXIT_OK
     except ManifestError as exc:
         print(f"error: {exc}", file=sys.stderr)

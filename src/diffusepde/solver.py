@@ -335,6 +335,14 @@ def _compatible(f, data, tol):
     return defect
 
 
+def _check_shape(dec, f, domain):
+    """Reject data ``f`` whose component count or lattice dimension is not
+    the factored system's."""
+    if (f.components, domain.dim) != (dec.N, dec.n):
+        raise ValueError(f"right-hand side has {f.components} components on a "
+                         f"{domain.dim}-D grid; the system takes {dec.N} on {dec.n}-D grids")
+
+
 def _regularized(dec, eps_sequence):
     """The regularized tensors of a strictly decreasing epsilon sequence."""
     if len(eps_sequence) < 2 or any(e2 >= e1 for e1, e2 in zip(eps_sequence, eps_sequence[1:])):
@@ -368,6 +376,7 @@ def solve_linear(dec, f, eps_sequence, domain=None):
     failure, and is rejected.
     """
     domain = f.domain if domain is None else domain
+    _check_shape(dec, f, domain)
     eps_sequence = list(eps_sequence)
     data = ranges_and_subspaces(dec, cross_check=False)
     defect = _compatible(f, data, 1e-8)
@@ -579,6 +588,7 @@ def campanato_solve(F, cert, f, eps_sequence, domain=None, max_iter=40,
     """
     domain = f.domain if domain is None else domain
     dec = cert.dec
+    _check_shape(dec, f, domain)
     data = ranges_and_subspaces(dec, cross_check=False)
     _compatible(f, data, 1e-8)
     dom = domain

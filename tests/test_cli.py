@@ -367,6 +367,27 @@ def test_check_on_a_mismatched_system_map_or_data_exits_two(tmp_path, capsys, ca
     assert not (tmp_path / "run" / "check_report.json").exists()
 
 
+@pytest.mark.parametrize("case", ["three components", "a 1-D grid"])
+@pytest.mark.parametrize("command, report", [("solve-linear", "solve_report.json"),
+                                             ("solve-nonlinear", "nonlinear_report.json")])
+def test_solve_with_data_of_another_shape_exits_two(tmp_path, capsys, command, report, case):
+    """A data grid whose component count or dimension the 2 x 2 decomposition
+    cannot take is a parse error naming ``--f``, raised before any solve."""
+    write_diag_dec(tmp_path / "dec.json")
+    if case == "three components":
+        f = _sines_on(Domain.unit_square(16), 3)
+    else:
+        f = GridFunction.from_callable(Domain.interval(0.0, 1.0, 16),
+                                       lambda x: np.sin(np.pi * x[..., [0, 0]]))
+    save_grid(tmp_path / "f.grid", f)
+    out = tmp_path / "run"
+    code = main([command, "--decomposition", str(tmp_path / "dec.json"),
+                 "--f", str(tmp_path / "f.grid"), "--out", str(out)])
+    assert code == 2
+    assert "error: --f" in capsys.readouterr().err
+    assert not (out / report).exists()
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--max-iter", "0"), ("--max-iter", "-3"), ("--tol-final", "0"),
     ("--tol-final", "nan"), ("--tol-final", "-0.001"), ("--gamma", "nan"),
@@ -493,3 +514,14 @@ def test_explicit_zero_is_not_replaced_by_the_default(tmp_path):
     main(["verify-estimate", "--battery", "1", "--resolution", "16", "--eps-list",
           "0.5", "--tol-est", "0", "--out", str(out)])
     assert json.loads((out / "estimate_report.json").read_text())["tol_est"] == 0.0
+
+
+def test_check_report_keys_match_the_schema(tmp_path):
+    from importlib.resources import files
+    schema = json.loads(files("diffusepde").joinpath("schemas/formats.json").read_text())
+    out = tmp_path / "run"
+    assert main(["check", "--grid", str(_sine_grid(tmp_path, 32)), "--system",
+                 "eikonal-tangent", "--base-step", "0.125", "--window", "2", "--levels", "2",
+                 "--out", str(out)]) in (0, 1)
+    doc = json.loads((out / "check_report.json").read_text())
+    assert sorted(doc) == sorted(schema["check_report"]["keys"])

@@ -81,6 +81,49 @@ def test_solve_linear_rejects_incompatible_data():
     assert check_sigma_valued(bad, ranges_and_subspaces(dec)) > 0.5
 
 
+@pytest.mark.parametrize("case", ["three components", "a 1-D grid"])
+def test_solves_reject_data_of_another_shape_before_assembly(monkeypatch, case):
+    """Both solves reject data whose component count or lattice dimension is
+    not the decomposition's before they assemble any operator."""
+    import diffusepde.solver as solver
+    dom = Domain.unit_square(8)
+    dec = Decomposition((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
+                        (np.diag([1.0, 0.0]), np.diag([1.0, 0.0])))
+    F, cert = make_nonlinearity(dec, GridFunction(dom, np.ones(dom.shape + (1,))),
+                                gamma=0.1)
+    if case == "three components":
+        f = sinsin(dom, (1.0, 0.5, 0.25))
+    else:
+        line = Domain.interval(0.0, 1.0, 8)
+        f = GridFunction(line, np.ones(line.shape + (2,)))
+
+    def assembled(*args, **kwargs):
+        raise AssertionError("an operator was assembled")
+
+    monkeypatch.setattr(solver, "DiscreteOperator", assembled)
+    with pytest.raises(ValueError, match="right-hand side has"):
+        solve_linear(dec, f, [1e-1, 1e-2])
+    with pytest.raises(ValueError, match="right-hand side has"):
+        campanato_solve(F, cert, f, [1e-1, 1e-2])
+
+
+def test_solve_linear_scales_exactly_with_its_data():
+    """Doubling the data doubles every fibre component and every Cauchy
+    difference bit for bit, since scaling by a power of two is exact, and
+    leaves the relative residual as it is."""
+    dom = Domain.unit_square(32)
+    dec = random_decomposition(np.random.default_rng(7), 2, 2)
+    x = dom.node_coords()
+    f = GridFunction(dom, np.stack([np.sin(np.pi * x[..., 0]) * np.sin(2 * np.pi * x[..., 1]),
+                                    x[..., 0] * (1 - x[..., 0]) * x[..., 1]], axis=-1))
+    fd1, rep1 = solve_linear(dec, f, [1e-1, 1e-2, 1e-3])
+    fd2, rep2 = solve_linear(dec, f * 2.0, [1e-1, 1e-2, 1e-3])
+    for a, b in zip((fd1.sigma_u, fd1.pi_Du, fd1.xi_D2u), (fd2.sigma_u, fd2.pi_Du, fd2.xi_D2u)):
+        assert np.array_equal(b.values, 2 * a.values)
+    assert rep2.cauchy_differences == [2 * c for c in rep1.cauchy_differences]
+    assert rep2.final_residual == rep1.final_residual
+
+
 def test_degenerate_disc_solve_matches_explicit_solution():
     from diffusepde.reference import disc_explicit_solution
     res = 64
