@@ -45,7 +45,7 @@ def disc_table(resolutions, eps_seq):
                          ("x2", lambda x1, x2: x2)):
             f = GridFunction.from_callable(
                 dom, lambda x: fc(x[..., 0], x[..., 1])[..., None])
-            fd, rep = solve_linear(dec, f, eps_seq, domain=dom)
+            fd, rep = solve_linear(dec, f, eps_seq)
             ref = disc_explicit_solution(
                 lambda x1, x2: float(fc(np.asarray(x1), np.asarray(x2))),
                 res).grids["solution"]

@@ -483,7 +483,7 @@ def check_dsolution(u, F, frame, schedules, R_list=None, Phi_family=None, f=None
                     f"raise the R values (details: {infeasible_R.get(level)})")
             residuals["cutoff"].append(cut_res)
             residuals["distance"].append(dist_res)
-        levels.append(h_finest_of(window))
+        levels.append(min(abs(h) for sched in window for row in sched.rows for h in row))
 
     verdicts = {name: residuals[name][-1] <= tol for name in names}
     trends = {name: _non_increasing(residuals[name]) for name in names}
@@ -513,10 +513,6 @@ def check_dsolution_battery(u, F, frame, batteries, **kwargs):
             verdicts[char] = verdicts.get(char, True) and rep.verdicts[char]
     return {"reports": reports, "worst": worst, "verdicts": verdicts,
             "passed": all(verdicts.values())}
-
-
-def h_finest_of(window):
-    return min(abs(h) for sched in window for row in sched.rows for h in row)
 
 
 def _finite_atom_residuals(field_lvl, atom_res, interior):

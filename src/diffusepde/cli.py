@@ -54,11 +54,21 @@ def write_csv(path, header, rows):
 
 
 def load_manifest(path):
+    """The manifest's fields.  An unreadable manifest, one that is not a JSON
+    object, or one with a field that no subcommand declares is a parse error;
+    a field of another subcommand is ignored, so one manifest can serve several."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            manifest = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ManifestError(f"manifest {path} is not a JSON object")
+    unknown = sorted(set(manifest).difference(*(flags for _, _, flags in COMMANDS.values())))
+    if unknown:
+        raise ManifestError(f"manifest {path}: no subcommand has the field(s) "
+                            + ", ".join(map(repr, unknown)))
+    return manifest
 
 
 class ManifestError(Exception):
@@ -378,6 +388,8 @@ def _cmd_solve_nonlinear(cfg, out):
 def _cmd_reference(cfg, out):
     if not cfg["case"]:
         raise ManifestError("reference needs a case name")
+    if cfg["check"] and cfg["case"] != "sawtooth":
+        raise ManifestError(f"--check: only the sawtooth case has a check, not {cfg['case']!r}")
     params = {name: _number(cfg, name.lower(), None, kind, (0, np.inf)) for name, kind
               in [("resolution", int), ("M", float), ("k", int), ("depth", int), ("mu", float)]}
     try:
@@ -392,7 +404,7 @@ def _cmd_reference(cfg, out):
                         if not isinstance(v, np.ndarray)}}
     doc["expected"].pop("fold_mask", None)
     settled = True
-    if cfg["check"] and case.name == "sawtooth":
+    if cfg["check"]:
         u = case.grids["map"]
         dom = u.domain
         h = dom.spacing

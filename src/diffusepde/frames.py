@@ -280,12 +280,6 @@ def _interp_shifted(values, domain, offset):
     return out + 0.0
 
 
-def directional_quotient(values, domain, direction, h):
-    """``(v(x + h a) - v(x)) / h`` on the lattice, zero extension off the mask."""
-    shifted = _interp_shifted(values, domain, h * np.asarray(direction, float))
-    return (shifted - values) / h
-
-
 def difference_quotient_1(u, frame, h):
     """First-order quotient tensor field, standard coordinates, d = N * n.
 
@@ -299,50 +293,31 @@ def jet_difference_quotients(u, frame, sched):
     symmetric tensor.
 
     The output is a GridFunction with ``N * n^p`` components in standard
-    coordinates, symmetrized over the domain indices.
+    coordinates, symmetrized over the domain indices.  Each value direction
+    ``alpha`` is one pass: its quotients along the domain-frame vectors, their
+    rotation into standard domain coordinates, then the symmetrization.
     """
     dom = u.domain
     sched.validate_for(dom)
     N, n, p = frame.N, frame.n, sched.order
     if u.components != N or dom.dim != n:
         raise ValueError("frame does not match the grid function")
-    raw = np.zeros(dom.shape + (N,) + (n,) * p)
+    g = dom.dim  # the grid axes come first
+    out = np.zeros(dom.shape + (N,) + (n,) * p)
     for alpha in range(N):
+        r = frame.E_domain[alpha]  # rows are frame vectors
         # iterate quotients over all index tuples, reusing prefixes
         stack = {(): u.values @ frame.E_range[alpha]}
         for h in sched.rows[-1]:
-            stack = {prefix + (i,): directional_quotient(
-                         vals, dom, frame.E_domain[alpha, i], h)
+            stack = {prefix + (i,): (_interp_shifted(vals, dom, h * r[i]) - vals) / h
                      for prefix, vals in stack.items() for i in range(n)}
-        for idx, vals in stack.items():
-            raw[(Ellipsis, alpha) + idx] = vals
-    assembled = _assemble_symmetric(raw, frame, p)
-    return GridFunction(dom, assembled.reshape(dom.shape + (N * n**p,)))
-
-
-def _mode_multiply(t, m, mode):
-    """Contract axis ``mode`` of ``t`` with the first axis of matrix ``m``."""
-    moved = np.moveaxis(t, mode, -1)
-    return np.moveaxis(moved @ m, -1, mode)
-
-
-def _assemble_symmetric(raw, frame, q):
-    """Rotate per-value-direction quotient arrays to standard coordinates and
-    symmetrize over the domain slots."""
-    N, n = frame.N, frame.n
-    grid_ndim = raw.ndim - 1 - q
-    grid_shape = raw.shape[:grid_ndim]
-    out = np.zeros(grid_shape + (N,) + (n,) * q)
-    for alpha in range(N):
-        block = raw[(Ellipsis, alpha) + (slice(None),) * q]
-        r = frame.E_domain[alpha]  # rows are frame vectors
-        for mode in range(q):
-            block = _mode_multiply(block, r, grid_ndim + mode)
+        # the index tuples are in row-major order, so they stack into the block
+        block = np.stack(list(stack.values()), axis=-1).reshape(dom.shape + (n,) * p)
+        for mode in range(g, g + p):
+            block = np.moveaxis(np.moveaxis(block, mode, -1) @ r, -1, mode)
         sym = np.zeros_like(block)
-        base_axes = list(range(grid_ndim))
-        for perm in itertools.permutations(range(q)):
-            sym += block.transpose(base_axes + [grid_ndim + p for p in perm])
-        sym /= float(np.prod(range(1, q + 1)))
-        contrib = np.tensordot(sym, frame.E_range[alpha], axes=0)
-        out += np.moveaxis(contrib, -1, grid_ndim)
-    return out
+        for perm in itertools.permutations(range(g, g + p)):
+            sym += block.transpose(tuple(range(g)) + perm)
+        sym /= float(np.prod(range(1, p + 1)))
+        out += np.moveaxis(np.tensordot(sym, frame.E_range[alpha], axes=0), -1, g)
+    return GridFunction(dom, out.reshape(dom.shape + (N * n**p,)))

@@ -65,13 +65,8 @@ class Domain:
     def mask(self):
         """Boolean array of active (in-domain) nodes."""
         if self.mask_kind == "rect":
-            m = np.ones(self.shape, dtype=bool)
-            for k in range(self.dim):
-                sl = [slice(None)] * self.dim
-                sl[k] = 0
-                m[tuple(sl)] = False
-                sl[k] = -1
-                m[tuple(sl)] = False
+            m = np.zeros(self.shape, dtype=bool)
+            m[(slice(1, -1),) * self.dim] = True
             return m
         center = np.array(self.origin) + 0.5 * np.array(self.extent)
         radius = 0.5 * min(self.extent)
@@ -176,9 +171,6 @@ class GridFunction:
             raise ValueError("component count mismatch")
         return GridFunction(domain, vals)
 
-    def zeros_like(self, components):
-        return GridFunction(self.domain, np.zeros(self.domain.shape + (components,)))
-
     def l2_norm(self, where=None):
         """Cell-volume-weighted discrete L2 norm over the mask (or ``where``)."""
         sel = self.domain.mask() if where is None else where
@@ -269,13 +261,44 @@ def save_grid(path, gf):
         fh.write(np.ascontiguousarray(gf.values, dtype="<f8").tobytes())
 
 
+def _count(v):
+    return type(v) is int and v > 0
+
+
+def _number(v):
+    return type(v) in (int, float)
+
+
+def _list_of(valid):
+    return lambda v: type(v) is list and len(v) > 0 and all(map(valid, v))
+
+
+# key -> test of its value, for the header fields of grid and measure files
+HEADER_FIELDS = {"dims": _list_of(_count), "spacing": _number,
+                 "origin": _list_of(_number), "mask": lambda v: type(v) is str,
+                 "components": _count, "atoms": _count, "space_shape": _list_of(_count),
+                 "R_inf": _number}
+
+
+def read_header(fh, fmt, keys):
+    """The JSON header line of a file of format ``fmt``, and the lattice it
+    declares.  A header that is not a JSON object of that format, or that
+    lacks a lattice field or one of ``keys`` or holds a value of another
+    type, raises ``ValueError``."""
+    header = json.loads(fh.readline().decode("ascii"))
+    if not isinstance(header, dict) or header.get("format") != fmt:
+        raise ValueError(f"not a {fmt} file: {fh.name}")
+    for key in ("dims", "spacing", "origin", "mask") + keys:
+        if key not in header or not HEADER_FIELDS[key](header[key]):
+            raise ValueError(f"header field {key!r} is missing or of the wrong type "
+                             f"({header.get(key)!r}): {fh.name}")
+    return Domain(shape=tuple(header["dims"]), spacing=header["spacing"],
+                  origin=tuple(header["origin"]), mask_kind=header["mask"]), header
+
+
 def load_grid(path):
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("ascii"))
-        if header.get("format") != GRID_FORMAT:
-            raise ValueError(f"not a grid file: {path}")
-        dom = Domain(shape=tuple(header["dims"]), spacing=header["spacing"],
-                     origin=tuple(header["origin"]), mask_kind=header["mask"])
+        dom, header = read_header(fh, GRID_FORMAT, ("components",))
         count = dom.n_nodes * header["components"]
         raw = fh.read(count * 8)
         if len(raw) != count * 8:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .frames import HSchedule, difference_quotient_1, jet_difference_quotients
-from .grids import GridFunction
+from .grids import GridFunction, read_header
 
 WEIGHT_TOL = 1e-12
 
@@ -415,15 +415,9 @@ def save_measure_field(path, field):
 
 
 def load_measure_field(path):
-    import json
-    from .grids import Domain
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("ascii"))
-        if header.get("format") != MEASURE_FORMAT:
-            raise ValueError("not a measure file")
-        dom = Domain(shape=tuple(header["dims"]), spacing=header["spacing"],
-                     origin=tuple(header["origin"]), mask_kind=header["mask"])
-        k = int(header["atoms"])
+        dom, header = read_header(fh, MEASURE_FORMAT, ("atoms", "space_shape", "R_inf"))
+        k = header["atoms"]
         D = int(np.prod(header["space_shape"]))
         cells = dom.n_nodes
         size = cells * (1 + k * (2 + D)) * 8

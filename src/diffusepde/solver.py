@@ -335,12 +335,12 @@ def _compatible(f, data, tol):
     return defect
 
 
-def _check_shape(dec, f, domain):
+def _check_shape(dec, f):
     """Reject data ``f`` whose component count or lattice dimension is not
     the factored system's."""
-    if (f.components, domain.dim) != (dec.N, dec.n):
+    if (f.components, f.domain.dim) != (dec.N, dec.n):
         raise ValueError(f"right-hand side has {f.components} components on a "
-                         f"{domain.dim}-D grid; the system takes {dec.N} on {dec.n}-D grids")
+                         f"{f.domain.dim}-D grid; the system takes {dec.N} on {dec.n}-D grids")
 
 
 def _regularized(dec, eps_sequence):
@@ -366,7 +366,7 @@ def _fibre_limit(solutions, eps_sequence, maps, data, domain):
     return tuple(b + (b - a) * w for a, b in zip(triples[-2], triples[-1])), cauchy
 
 
-def solve_linear(dec, f, eps_sequence, domain=None):
+def solve_linear(dec, f, eps_sequence):
     """Vanishing-regularization solve of the factored linear system.
 
     Solves the strictly rank-one positive regularization for each epsilon,
@@ -375,8 +375,8 @@ def solve_linear(dec, f, eps_sequence, domain=None):
     subspace; a mismatch is a structural incompatibility, not a numerical
     failure, and is rejected.
     """
-    domain = f.domain if domain is None else domain
-    _check_shape(dec, f, domain)
+    domain = f.domain
+    _check_shape(dec, f)
     eps_sequence = list(eps_sequence)
     data = ranges_and_subspaces(dec, cross_check=False)
     defect = _compatible(f, data, 1e-8)
@@ -576,8 +576,7 @@ class IterationLog:
         return rows
 
 
-def campanato_solve(F, cert, f, eps_sequence, domain=None, max_iter=40,
-                    tol=1e-10, tol_final=1e-6):
+def campanato_solve(F, cert, f, eps_sequence, max_iter=40, tol=1e-10, tol_final=1e-6):
     """Fixed-point solve of a certified nonlinear system.
 
     Iterates ``b <- b - A(x) (F(x, G2(u_b)) - f)`` where ``u_b`` solves the
@@ -586,12 +585,11 @@ def campanato_solve(F, cert, f, eps_sequence, domain=None, max_iter=40,
     update is small relative to the data; three consecutive non-contractive
     steps abort with a certificate-violation error.
     """
-    domain = f.domain if domain is None else domain
     dec = cert.dec
-    _check_shape(dec, f, domain)
+    _check_shape(dec, f)
     data = ranges_and_subspaces(dec, cross_check=False)
     _compatible(f, data, 1e-8)
-    dom = domain
+    dom = f.domain
     eps_sequence = list(eps_sequence)
     patterns = lattice_patterns(dom)
     ops = [DiscreteOperator(a_eps, dom, patterns) for a_eps in _regularized(dec, eps_sequence)]

@@ -132,16 +132,13 @@ class Decomposition:
         A = tuple(np.asarray(a, dtype=float) for a in self.A_factors)
         if len(B) != len(A) or not B:
             raise ValueError("need equally many B and A factors")
-        N = B[0].shape[0]
-        n = A[0].shape[0]
-        if len(B) != N:
-            raise ValueError("expected exactly N factor pairs")
-        for b in B:
-            if b.shape != (N, N):
-                raise ValueError("B factor shape mismatch")
-        for a in A:
-            if a.shape != (n, n):
-                raise ValueError("A factor shape mismatch")
+        N, n = len(B), A[0].shape[0] if A[0].ndim else 0
+        if any(b.shape != (N, N) for b in B):
+            raise ValueError("expected N factor pairs with N x N B factors")
+        if any(a.shape != (n, n) for a in A):
+            raise ValueError("A factor shape mismatch")
+        if not all(np.isfinite(m).all() for m in B + A):
+            raise ValueError("factors must be finite")
         object.__setattr__(self, "B_factors", B)
         object.__setattr__(self, "A_factors", A)
 
@@ -160,10 +157,15 @@ class Decomposition:
 
     @staticmethod
     def from_json_dict(doc):
-        if doc.get("format") != DECOMPOSITION_FORMAT:
+        if not isinstance(doc, dict) or doc.get("format") != DECOMPOSITION_FORMAT:
             raise ValueError("not a decomposition document")
-        return Decomposition(tuple(np.array(b, float) for b in doc["B_factors"]),
-                             tuple(np.array(a, float) for a in doc["A_factors"]))
+        if not all(type(doc.get(key)) is list for key in ("B_factors", "A_factors")):
+            raise ValueError("a decomposition document needs the lists B_factors and A_factors")
+        try:
+            return Decomposition(tuple(np.array(b, float) for b in doc["B_factors"]),
+                                 tuple(np.array(a, float) for a in doc["A_factors"]))
+        except TypeError as exc:  # a factor entry that is not a number, say an object
+            raise ValueError(f"decomposition factor entries must be numbers: {exc}") from exc
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -249,19 +251,11 @@ def validate_decomposition(dec, tol=TOL_PSD):
 
 
 def _subspace_intersection(bases, dim):
-    """Orthonormal basis of the intersection of subspaces given by bases (columns)."""
-    rows = []
-    for b in bases:
-        rows.append(np.eye(dim) - b @ b.T)
-    stacked = np.vstack(rows) if rows else np.zeros((0, dim))
-    if stacked.size == 0:
-        return np.eye(dim)
-    u, s, vt = np.linalg.svd(stacked)
-    tol = max(s[0], 1.0) * 1e-10 if s.size else 0.0
-    null_dim = int(np.sum(s <= tol)) + dim - len(s) if len(s) < dim else int(np.sum(s <= tol))
-    if null_dim == 0:
-        return np.zeros((dim, 0))
-    return vt[-null_dim:].T
+    """Orthonormal basis (columns) of the intersection of a nonempty family of
+    subspaces given by bases (columns)."""
+    s, vt = np.linalg.svd(np.vstack([np.eye(dim) - b @ b.T for b in bases]))[1:]
+    null_dim = int(np.sum(s <= max(s[0], 1.0) * 1e-10))
+    return vt[dim - null_dim:].T
 
 
 def normalize_decomposition(dec):
@@ -315,11 +309,12 @@ def spectral_factor(a, eps=0.0):
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     w, v = eigh_deterministic(a)
-    scale = max(np.max(np.abs(w)) if w.size else 0.0, 1.0)
-    if w.size and w[0] < -TOL_PSD * scale:
+    top = np.max(np.abs(w), initial=0.0)
+    if w.size and w[0] < -TOL_PSD * max(top, 1.0):
         raise ValueError(f"matrix not positive semidefinite (min eigenvalue {w[0]:.3e})")
     w = np.clip(w, 0.0, None)
-    pos = np.nonzero(w > TOL_RANK * scale)[0]
+    # positive as ``range_basis`` counts it: relative to the largest eigenvalue
+    pos = np.nonzero(w > TOL_RANK * max(top, 1e-300))[0]
     i0 = int(pos[0]) if pos.size else None
     theta = np.diag(np.sqrt(w + eps))
     return SpectralData(O=v, Lambda=w, i0=i0, eps=eps, Theta=theta, Gamma=v @ theta)

@@ -128,7 +128,7 @@ def test_criterion_5_degenerate_disc_solve_matches_explicit_oracle():
                       ("linear", lambda x1, x2: x2)):
         f = GridFunction.from_callable(
             dom, lambda x: fc(x[..., 0], x[..., 1])[..., None])
-        fd, _ = solve_linear(dec, f, [1e-1, 1e-2, 1e-3, 1e-4], domain=dom)
+        fd, _ = solve_linear(dec, f, [1e-1, 1e-2, 1e-3, 1e-4])
         ref = disc_explicit_solution(
             lambda x1, x2: float(fc(np.asarray(x1), np.asarray(x2))), res
         ).grids["solution"]
@@ -374,7 +374,7 @@ def test_criterion_12_boundary_trace_decay():
         dom = Domain.unit_disc(res)
         f = GridFunction.from_callable(
             dom, lambda x: np.ones(x.shape[:-1])[..., None])
-        fd, _ = solve_linear(dec, f, [1e-1, 1e-2, 1e-3, 1e-4], domain=dom)
+        fd, _ = solve_linear(dec, f, [1e-1, 1e-2, 1e-3, 1e-4])
         norms.append(boundary_ring_norm(fd.sigma_u))
         hs.append(dom.spacing)
     rates = [np.log(norms[i] / norms[i + 1]) / np.log(hs[i] / hs[i + 1])

@@ -525,3 +525,71 @@ def test_check_report_keys_match_the_schema(tmp_path):
                  "--out", str(out)]) in (0, 1)
     doc = json.loads((out / "check_report.json").read_text())
     assert sorted(doc) == sorted(schema["check_report"]["keys"])
+
+
+def _grid_with_header(path, edit):
+    """An 8^2 one-component grid file whose JSON header is rewritten by ``edit``."""
+    dom = Domain.unit_square(8)
+    save_grid(path, GridFunction(dom, np.ones(dom.shape + (1,))))
+    head, body = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(json.dumps(edit(json.loads(head))).encode("ascii") + b"\n" + body)
+
+
+def _dec_with_doc(path, edit):
+    """A one-component decomposition file whose JSON document is rewritten by ``edit``."""
+    doc = Decomposition((np.eye(1),), (np.eye(2),)).to_json_dict()
+    path.write_text(json.dumps(edit(doc)))
+
+
+def _without(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+def _with(key, value):
+    return lambda doc: {**doc, key: value}
+
+
+@pytest.mark.parametrize("command, flag, write, edit", [
+    ("diffuse", "--grid", _grid_with_header, _without("components")),
+    ("diffuse", "--grid", _grid_with_header, _without("origin")),
+    ("diffuse", "--grid", _grid_with_header, _with("spacing", "abc")),
+    ("diffuse", "--grid", _grid_with_header, _with("dims", [9.0, 9.0])),
+    ("diffuse", "--grid", _grid_with_header, _with("components", 1.0)),
+    ("diffuse", "--grid", _grid_with_header, lambda doc: [doc]),
+    ("analyze-tensor", "--decomposition", _dec_with_doc, _without("A_factors")),
+    ("analyze-tensor", "--decomposition", _dec_with_doc, lambda doc: [doc]),
+    ("analyze-tensor", "--decomposition", _dec_with_doc,
+     _with("A_factors", [[[1.0, 0.0], [0.0, float("nan")]]])),
+    ("analyze-tensor", "--decomposition", _dec_with_doc,
+     _with("A_factors", [[[{}, 0.0], [0.0, 1.0]]])),
+], ids=["no-components", "no-origin", "text-spacing", "float-dims", "float-components",
+        "list-header", "no-A-factors", "list-document", "nan-factor", "object-entry"])
+def test_malformed_input_file_exits_two(tmp_path, capsys, command, flag, write, edit):
+    path = tmp_path / "input"
+    write(path, edit)
+    code = main([command, flag, str(path), "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert f"cannot read {flag} file" in capsys.readouterr().err
+
+
+def test_manifest_field_no_subcommand_declares_exits_two(tmp_path, capsys):
+    dec_path = tmp_path / "dec.json"
+    write_diag_dec(dec_path)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"decomposition": str(dec_path), "eps_seq": "0.5,0.4"}))
+    code = main(["analyze-tensor", "--manifest", str(manifest), "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert "'eps_seq'" in capsys.readouterr().err
+    # a field another subcommand declares is left to that subcommand
+    manifest.write_text(json.dumps({"decomposition": str(dec_path), "eps-seq": "0.5,0.4"}))
+    assert main(["analyze-tensor", "--manifest", str(manifest),
+                 "--out", str(tmp_path / "run")]) == 0
+
+
+def test_reference_check_on_a_case_without_one_exits_two(tmp_path, capsys):
+    out = tmp_path / "run"
+    code = main(["reference", "--case", "disc-explicit", "--resolution", "16", "--check",
+                 "--out", str(out)])
+    assert code == 2
+    assert "--check" in capsys.readouterr().err
+    assert not (out / "reference_report.json").exists()

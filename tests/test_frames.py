@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -11,6 +12,7 @@ from diffusepde.frames import (Frame, HSchedule, build_frame,
                                schedule_window, symmetrized_outer)
 from diffusepde.grids import Domain, GridFunction
 from diffusepde.reference import fat_cantor_indicator, sawtooth_map
+from diffusepde.tensors import random_decomposition
 
 
 def rotation(theta):
@@ -278,6 +280,40 @@ def test_interp_shifted_matches_map_coordinates(mask_kind, resolution):
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), steps
         assert ((got == 0) == (want == 0)).all(), steps
 
+
+
+def _pinned_case(case):
+    """The map and frame of a pinned jet: an adapted frame on a 24-cell disc
+    lattice, or the standard frame on an 11^3 lattice."""
+    if case == "adapted":
+        dom = Domain.unit_disc(24)
+        frame = build_frame("from_decomposition",
+                            dec=random_decomposition(np.random.default_rng(7), 2, 2))
+    else:
+        dom = Domain(shape=(11, 11, 11), spacing=0.1, origin=(0.0, 0.0, 0.0))
+        frame = build_frame("standard", N=2, n=3)
+    u = GridFunction(dom, np.random.default_rng(3).standard_normal(dom.shape + (2,)))
+    return u, frame
+
+
+@pytest.mark.parametrize("case, steps, digest", [
+    ("adapted", (1.5,),
+     "68b297ba0cdc2c7f422e01c04415e251b9fda23a7b1032650943f3a2178c8d54"),
+    ("adapted", (1.5, 2.25),
+     "df0f21d202fde734d0d03918f527f85b60dc74ff8295b1508f2606ec35449f68"),
+    ("adapted", (2.25, 1.5, -1.5),
+     "5245cc9b23d2f2d00a282d073f6ba974aeb99b3798bbe4c014b3ef4dfcecae77"),
+    ("standard-3d", (1.5, 2.25),
+     "963d7411f22081490659fb4e5e435cdf359a2150ce09438e1f2c5868d0ec8c1d"),
+], ids=["adapted-order1", "adapted-order2", "adapted-order3", "standard-3d-order2"])
+def test_jets_are_pinned(case, steps, digest):
+    """Jets through the rotation and interpolation branches, bit for bit:
+    sha256 of the values as float64."""
+    u, frame = _pinned_case(case)
+    h = u.domain.spacing
+    rows = tuple(tuple(s * h for s in steps[:q]) for q in range(1, len(steps) + 1))
+    jet = jet_difference_quotients(u, frame, HSchedule(rows=rows))
+    assert hashlib.sha256(np.asarray(jet.values, np.float64).tobytes()).hexdigest() == digest
 
 def test_cli_import_does_not_load_ndimage():
     import subprocess

@@ -130,7 +130,7 @@ def test_degenerate_disc_solve_matches_explicit_solution():
     dom = Domain.unit_disc(res)
     dec = Decomposition((np.array([[1.0]]),), (np.diag([0.0, 1.0]),))
     f = GridFunction.from_callable(dom, lambda x: np.ones(x.shape[:-1])[..., None])
-    fd, _ = solve_linear(dec, f, [1e-1, 1e-2, 1e-3, 1e-4], domain=dom)
+    fd, _ = solve_linear(dec, f, [1e-1, 1e-2, 1e-3, 1e-4])
     ref = disc_explicit_solution(lambda x1, x2: 1.0, res).grids["solution"]
     assert (fd.sigma_u - ref).l2_norm() <= 0.05 * ref.l2_norm()
 
@@ -491,7 +491,7 @@ def test_boundary_ring_norm_decays_on_disc():
     for res in (32, 64):
         dom = Domain.unit_disc(res)
         f = GridFunction.from_callable(dom, lambda x: np.ones(x.shape[:-1])[..., None])
-        fd, _ = solve_linear(dec, f, [1e-1, 1e-2, 1e-3], domain=dom)
+        fd, _ = solve_linear(dec, f, [1e-1, 1e-2, 1e-3])
         norms.append(boundary_ring_norm(fd.sigma_u))
     assert norms[1] < norms[0]
 

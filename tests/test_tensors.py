@@ -126,6 +126,19 @@ def test_subspace_H_examples():
     assert subspace_H(np.zeros((2, 2))).dim == 0
 
 
+@pytest.mark.parametrize("a, dim", [
+    (np.diag([0.0, 1.0]), 1), (np.eye(3), 6), (np.zeros((2, 2)), 0),
+    (np.diag([1.0, 0.0]), 1), (np.diag([1e8, 5.0]), 3),
+], ids=["diag01", "eye3", "zero", "diag10", "diag-spread"])
+def test_subspace_H_is_scale_invariant(a, dim):
+    """Scaling a PSD matrix by 1e-12 keeps its hessian subspace: an
+    eigenvalue counts as positive relative to the largest one, as in
+    ``range_basis``, not relative to 1."""
+    small = subspace_H(1e-12 * a)
+    assert subspace_H(a).dim == small.dim == dim
+    assert small.distance(subspace_H(a)) <= 1e-12
+
+
 def test_subspace_H_agreement_battery(rng):
     for _ in range(30):
         n = int(rng.integers(2, 6))
