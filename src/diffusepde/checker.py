@@ -378,16 +378,16 @@ def check_dsolution(u, F, frame, schedules, R_list=None, Phi_family=None, f=None
     # per-cell linearization (and its pinv), shared by every level and radius
     lin = _linearize(F, x_flat, uval_flat)
 
-    def coefficients(X):
-        """``F`` at jets ``X`` of shape ``(cells, k, D)``, ``k`` per cell."""
+    def coefficients(X, x, uv, lin):
+        """``F`` at jets ``X`` of shape ``(cells, k, D)``, ``k`` per cell, on
+        the cells of the rows of ``x``, ``uv`` and ``lin``."""
         if lin is not None:
             return np.einsum("cmd,ckd->ckm", lin[0], X) + lin[1][:, None]
         k = X.shape[1]
-        return F.evaluate(np.repeat(x_flat, k, axis=0),
-                          np.repeat(uval_flat, k, axis=0),
+        return F.evaluate(np.repeat(x, k, axis=0), np.repeat(uv, k, axis=0),
                           X.reshape(-1, F.jet_dim)).reshape(X.shape[:2] + (F.M,))
 
-    zeros = coefficients(np.zeros((x_flat.shape[0], 1, F.jet_dim)))
+    zeros = coefficients(np.zeros((x_flat.shape[0], 1, F.jet_dim)), x_flat, uval_flat, lin)
     mask = dom.mask()
     scale = float(np.median(np.abs(f.values[mask])) +
                   np.median(np.abs(zeros.reshape(dom.shape + (F.M,))[mask])))
@@ -438,45 +438,58 @@ def check_dsolution(u, F, frame, schedules, R_list=None, Phi_family=None, f=None
         s = max(s, 1.0)
         R_list = [2.0 * s, 8.0 * s]
 
-    lip = None if lin is None else np.linalg.norm(lin[0], axis=(1, 2))
+    # every verdict reads the interior cells alone: their rows, sliced once
     inner = interior.reshape(-1)
+    x_in, uval_in, f_in = x_flat[inner], uval_flat[inner], f_flat[inner]
+    lin_in = None if lin is None else tuple(a[inner] for a in lin)
+    lip = None if lin is None else np.linalg.norm(lin_in[0], axis=(1, 2))
 
     for level, (window, field_lvl) in enumerate(zip(schedules, fields)):
+        pts = field_lvl.points.reshape(len(x_flat), field_lvl.n_atoms, F.jet_dim)
         # one residual per (cell, atom) row, cells row-major and atoms
-        # innermost, shared by every witness and by support and integral
-        atom_res = (coefficients(field_lvl.points.reshape(
-            x_flat.shape[0], field_lvl.n_atoms, F.jet_dim))
-            - f_flat[:, None]).reshape(-1, F.M)
-        paired = pair(field_lvl, phi_family, lambda x, X: atom_res)
+        # innermost, shared by every witness and by support and integral; the
+        # finest level's support field covers every cell
+        finest = level == len(fields) - 1
+        rows = slice(None) if finest else inner
+        if finest:
+            atom_res = coefficients(pts, x_flat, uval_flat, lin) - f_flat[:, None]
+        else:
+            atom_res = coefficients(pts[inner], x_in, uval_in, lin_in) - f_in[:, None]
+        at_inf = field_lvl.infinite.reshape(pts.shape[:2])[rows]
+        weights = field_lvl.weights.reshape(pts.shape[:2])[rows]
+        atom_norm = np.where(at_inf, 0.0, np.linalg.norm(atom_res, axis=-1))
+        sup_cell = atom_norm.max(axis=-1)
+        int_cell = np.sum(np.where(at_inf, 0.0, weights) * atom_norm, axis=-1)
+        if finest:
+            sup_field = GridFunction(dom, sup_cell.reshape(dom.shape + (1,)))
+            atom_res, sup_cell, int_cell = atom_res[inner], sup_cell[inner], int_cell[inner]
+        paired = pair(field_lvl, phi_family, lambda x, X: atom_res.reshape(-1, F.M),
+                      where=interior)
         blocks = paired.values[interior].reshape(-1, len(phi_family), F.M)
         residuals["pairing"].append(float(np.max(np.linalg.norm(blocks, axis=-1))))
-
-        sup_res, int_res, sup_field = _finite_atom_residuals(
-            field_lvl, atom_res, interior)
-        residuals["support"].append(sup_res)
-        residuals["integral"].append(int_res)
+        residuals["support"].append(float(sup_cell.max()))
+        residuals["integral"].append(float(int_cell.max()))
 
         if oracle_ok:
             # the finest schedule's jets are the level's last atoms; a jet
-            # at infinity lies outside every cut-off ball
-            jets = field_lvl.points[..., -1, :].reshape(-1, F.jet_dim)
-            at_inf = field_lvl.infinite[..., -1].reshape(-1)
+            # at infinity lies outside every cut-off ball.  Feasibility is
+            # read on every cell, the residuals on the interior ones.
+            jets = pts[:, -1]
             norms = np.linalg.norm(jets, axis=1)
             cut_res, dist_res = 0.0, 0.0
             feasible = 0
             for R in R_list:
                 try:
-                    cut = _cut(jets, at_inf | (norms > R), F, R, x_flat, uval_flat,
-                               f_flat, lin)
+                    cut = _cut(jets, field_lvl.infinite[..., -1].reshape(-1) | (norms > R),
+                               F, R, x_flat, uval_flat, f_flat, lin)[inner]
                 except ValueError as exc:
                     infeasible_R.setdefault(level, []).append((float(R), str(exc)))
                     continue
                 feasible += 1
-                res = coefficients(cut[:, None])[:, 0] - f_flat
-                cut_res = max(cut_res, float(np.max(
-                    np.linalg.norm(res, axis=1)[inner])))
-                dist = _distance_residual(cut, res, F, x_flat, uval_flat, R, lin, lip)
-                dist_res = max(dist_res, float(np.max(dist[inner])))
+                res = coefficients(cut[:, None], x_in, uval_in, lin_in)[:, 0] - f_in
+                cut_res = max(cut_res, float(np.max(np.linalg.norm(res, axis=1))))
+                dist = _distance_residual(cut, res, F, x_in, uval_in, R, lin_in, lip)
+                dist_res = max(dist_res, float(np.max(dist)))
             if feasible == 0:
                 raise ValueError(
                     "no cut-off radius admits a zero inside its ball; "
@@ -513,16 +526,6 @@ def check_dsolution_battery(u, F, frame, batteries, **kwargs):
             verdicts[char] = verdicts.get(char, True) and rep.verdicts[char]
     return {"reports": reports, "worst": worst, "verdicts": verdicts,
             "passed": all(verdicts.values())}
-
-
-def _finite_atom_residuals(field_lvl, atom_res, interior):
-    dom = field_lvl.domain
-    res = np.linalg.norm(atom_res, axis=1).reshape(field_lvl.infinite.shape)
-    res = np.where(field_lvl.infinite, 0.0, res)
-    sup_cell = res.max(axis=-1)
-    int_cell = np.sum(np.where(field_lvl.infinite, 0.0, field_lvl.weights) * res, axis=-1)
-    field = GridFunction(dom, sup_cell[..., None])
-    return float(sup_cell[interior].max()), float(int_cell[interior].max()), field
 
 
 def _distance_residual(vals, res, F, x_flat, uval_flat, R, lin, lip):

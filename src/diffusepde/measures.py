@@ -108,7 +108,8 @@ class TestFunction:
 
     ``finite_part`` must be vectorized over ``(..., D)`` payload arrays.  A
     compactly supported function (finite ``support_radius``) vanishes at
-    infinity by construction.
+    infinity by construction.  A radial function also gives ``profile``, its
+    value as a function of the squared distance to ``center``.
     """
 
     __test__ = False  # not a pytest collection target
@@ -117,6 +118,7 @@ class TestFunction:
     value_at_infinity: float = 0.0
     support_radius: float | None = None
     center: np.ndarray | None = None
+    profile: callable | None = None
 
     def __post_init__(self):
         if self.support_radius is not None and self.value_at_infinity != 0.0:
@@ -134,12 +136,11 @@ def bump(center, radius, height=1.0):
     """Quartic bump of unit height supported on a ball: ``h (1 - |x-c|^2/r^2)^2``."""
     center = np.asarray(center, float)
 
-    def finite_part(x):
-        d2 = np.sum((x - center) ** 2, axis=-1) / radius**2
-        return height * np.clip(1.0 - d2, 0.0, None) ** 2
+    def profile(d2):
+        return height * np.clip(1.0 - d2 / radius**2, 0.0, None) ** 2
 
-    return TestFunction(finite_part=finite_part, support_radius=radius,
-                        center=center)
+    return TestFunction(finite_part=lambda x: profile(np.sum((x - center) ** 2, axis=-1)),
+                        support_radius=radius, center=center, profile=profile)
 
 
 def constant_one():
@@ -263,16 +264,19 @@ def diffuse_jet_field(u, frame, windows, R_inf):
             for q, win in enumerate(windows, start=1)]
 
 
-def pair(field, phis, weight_fn, weight_bounded=False):
+def pair(field, phis, weight_fn, weight_bounded=False, where=None):
     """Duality pairings per cell of every witness ``phi_j`` in the sequence
-    ``phis``: ``sum_k w_k phi_j(X_k) weight_fn(x, X_k)``.
+    ``phis``: ``sum_k w_k phi_j(X_k) weight_fn(x, X_k)``, on the cells of the
+    grid mask ``where`` (every cell by default); other cells read zero.
 
     ``weight_fn(x, X)`` is called once for the whole family, on one row per
-    (cell, atom): cells in row-major lattice order, atoms innermost, so row
-    ``c * n_atoms + k`` holds atom ``k`` of flat cell ``c``.  It returns one
-    value (or one row of ``M`` components) per row.  With ``J = len(phis)``
-    the result has ``J * M`` components, witness-major: its values reshaped
-    to ``dom.shape + (J, M)`` hold one block per cell, row ``j`` for ``phi_j``.
+    (cell, atom) of those cells: cells in row-major lattice order, atoms
+    innermost, so row ``c * n_atoms + k`` holds atom ``k`` of the ``c``-th
+    such cell.  It returns one value (or one row of ``M`` components) per
+    row.  With ``J = len(phis)`` the result has ``J * M`` components,
+    witness-major: its values reshaped to ``dom.shape + (J, M)`` hold one
+    block per cell, row ``j`` for ``phi_j``.  Radial witnesses sharing a
+    center share one squared distance per row.
 
     The atom at infinity contributes ``w * phi_j.value_at_infinity`` per
     component; its weight row (taken at a zeroed payload) is discarded.  A
@@ -283,22 +287,31 @@ def pair(field, phis, weight_fn, weight_bounded=False):
         raise ValueError("test function must be compactly supported unless the "
                          "weight function is declared bounded")
     dom = field.domain
-    k = field.n_atoms
-    flat_pts = field.points.reshape(-1, field.space_dim)
-    x_rep = np.repeat(dom.node_coords().reshape(-1, dom.dim), k, axis=0)
-    w_vals = np.asarray(weight_fn(x_rep, flat_pts), float).reshape(dom.shape + (k, -1))
-    w_vals = np.where(field.infinite[..., None], 0.0, w_vals)
+    cells = np.ones(dom.shape, bool) if where is None else where
+    infinite, weights = field.infinite[cells], field.weights[cells]
+    flat_pts = field.points[cells].reshape(-1, field.space_dim)
+    x_rep = np.repeat(dom.node_coords()[cells], field.n_atoms, axis=0)
+    w_vals = np.asarray(weight_fn(x_rep, flat_pts), float).reshape(infinite.shape + (-1,))
+    w_vals = np.where(infinite[..., None], 0.0, w_vals)
 
-    out = np.zeros(dom.shape + (len(phis), w_vals.shape[-1]))
+    centers = {phi.center.tobytes(): phi.center for phi in phis if phi.profile is not None}
+    d2 = {key: np.sum((flat_pts - c) ** 2, axis=-1) for key, c in centers.items()}
+    phi_vals = np.stack([phi(flat_pts) if phi.profile is None
+                         else phi.profile(d2[phi.center.tobytes()]) for phi in phis])
+    # (w phi) r per (cell, witness), summed over the atoms in order
+    wphi = np.where(infinite[:, None], 0.0,
+                    weights[:, None] * phi_vals.reshape((len(phis),) + infinite.shape)
+                    .transpose(1, 0, 2))
+    out = np.zeros(infinite.shape[:1] + (len(phis), w_vals.shape[-1]))
+    for a in range(field.n_atoms):
+        out += wphi[..., a, None] * w_vals[:, None, a, :]
+    inf_mass = np.sum(weights * infinite, axis=-1)
     for j, phi in enumerate(phis):
-        wphi = np.where(field.infinite, 0.0,
-                        field.weights * phi(flat_pts).reshape(field.infinite.shape))
-        # (w phi) r, summed over the atoms in order
-        for a in range(k):
-            out[..., j, :] += wphi[..., a, None] * w_vals[..., a, :]
         if phi.value_at_infinity != 0.0:
-            out[..., j, :] += phi.value_at_infinity * field.infinity_mass()[..., None]
-    return GridFunction(dom, out.reshape(dom.shape + (-1,)))
+            out[:, j] += phi.value_at_infinity * inf_mass[:, None]
+    full = np.zeros(dom.shape + out.shape[1:])
+    full[cells] = out
+    return GridFunction(dom, full.reshape(dom.shape + (-1,)))
 
 
 def pair_product(fields, phi_list, weight_fn):

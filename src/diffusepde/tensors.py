@@ -161,6 +161,9 @@ class Decomposition:
             raise ValueError("not a decomposition document")
         if not all(type(doc.get(key)) is list for key in ("B_factors", "A_factors")):
             raise ValueError("a decomposition document needs the lists B_factors and A_factors")
+        if any(type(e) is bool for m in doc["B_factors"] + doc["A_factors"]
+               for e in np.ravel(np.array(m, dtype=object))):
+            raise ValueError("decomposition factor entries must be numbers, not booleans")
         try:
             return Decomposition(tuple(np.array(b, float) for b in doc["B_factors"]),
                                  tuple(np.array(a, float) for a in doc["A_factors"]))

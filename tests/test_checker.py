@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -221,6 +224,26 @@ def test_cutoff_eikonal_projects_to_sphere():
     assert np.linalg.norm(out.values[4, 4]) == pytest.approx(speed)
     with pytest.raises(ValueError):
         cutoff(U, F, u, R=1.0)  # ball misses the zero set
+
+
+def test_cutoff_feasibility_reads_cells_outside_the_interior():
+    """A zero set that misses the R-ball only at cells within the margin
+    still makes R infeasible, and a check with no feasible R still raises."""
+    dom = Domain.unit_square(32)
+    values = np.zeros(dom.shape + (2,))
+    values[3, 16, 0] = 1.0  # a spike near the edge: jets beyond R = 1 around it
+    u = GridFunction(dom, values)
+    F = tensor_system(Tensor4.laplacian(2, 2))
+    frame = build_frame("standard", N=2, n=2)
+    windows = default_windows(dom, levels=2, base_factor=4)
+    interior = dom.interior_mask(check_dsolution(
+        u, F, frame, windows, R_list=[1.0]).metadata["interior_margin"])
+    # data whose zeros have norm 1e3 / sqrt(2) on the cells within the margin
+    f = GridFunction(dom, np.where(interior[..., None], 0.0, [1e3, 1e3]))
+    rep = check_dsolution(u, F, frame, windows, R_list=[1.0, 1e6], f=f)
+    assert [R for R, _ in rep.metadata["infeasible_R"]["1"]] == [1.0]
+    with pytest.raises(ValueError, match="no cut-off radius admits a zero"):
+        check_dsolution(u, F, frame, windows, R_list=[1.0], f=f)
 
 
 # full checker ---------------------------------------------------------------
@@ -448,3 +471,91 @@ def test_rotated_domain_frame_gives_the_same_verdicts():
         assert verdicts[0] == verdicts[1]
         assert len(verdicts[0]) == 5
         assert all(v == expect for v in verdicts[0].values()), verdicts
+
+
+def _pinned_check(case):
+    """One check off the benchmark's jet-linear path, serialized: the report's
+    JSON document followed by the finest-level residual field as float64."""
+    from diffusepde.checker import CoefficientSystem, check_dsolution_battery
+    from diffusepde.frames import schedule_battery
+    from diffusepde.solver import make_nonlinearity
+    from diffusepde.tensors import Decomposition, ranges_and_subspaces, reconstruct
+
+    if case == "eikonal":
+        # a cone of slope 1.5 with its apex inside the disc: R = 1 misses the
+        # zero set |P| = 1.5 wherever a jet overflows
+        dom = Domain.unit_disc(32)
+        u = GridFunction.from_callable(
+            dom, lambda x: 1.5 * np.hypot(x[..., 0] - 0.2, x[..., 1] + 0.1)[..., None])
+        windows = default_windows(dom, levels=2, base_factor=4, order=1)
+        reports = [check_dsolution(u, eikonal_system(2, 1, 1.5),
+                                   build_frame("standard", N=1, n=2), windows,
+                                   R_list=[1.0, 1.8, 4.0])]
+    elif case == "tangent-fd":
+        base = CoefficientSystem(
+            order=1, n=2, N=1, M=1, name="quadratic",
+            evaluate=lambda x, uval, X: (X[:, :1] ** 2 + X[:, 1:] - 1.0))
+        dom = Domain.unit_square(32)
+        u = GridFunction.from_callable(
+            dom, lambda x: (np.sin(2 * x[..., 0]) + x[..., 1] ** 2)[..., None])
+        reports = [check_dsolution(u, tangent_system(base),
+                                   build_frame("standard", N=1, n=2),
+                                   default_windows(dom, levels=2, base_factor=4),
+                                   R_list=[10.0, 100.0])]
+    elif case == "nonlinearity":
+        dom = Domain.unit_disc(32)
+        dec = Decomposition((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
+                            (np.diag([1.0, 0.0]), np.diag([1.0, 0.0])))
+        a_of_x = GridFunction.from_callable(
+            dom, lambda x: (2.0 + np.sin(3 * x[..., 0]) * np.cos(2 * x[..., 1]))[..., None])
+        F, _ = make_nonlinearity(dec, a_of_x, gamma=0.2)
+        u = GridFunction.from_callable(
+            dom, lambda x: np.stack([np.sin(x[..., 0]) * x[..., 1],
+                                     np.cos(2 * x[..., 1])], axis=-1))
+        reports = [check_dsolution(u, F, build_frame("from_decomposition", dec=dec),
+                                   default_windows(dom, levels=2, base_factor=4),
+                                   R_list=[10.0])]
+    elif case == "projected":
+        dom = Domain.unit_square(32)
+        dec = Decomposition((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
+                            (np.diag([1.0, 0.0]), np.diag([1.0, 0.0])))
+        u = GridFunction.from_callable(
+            dom, lambda x: np.stack([np.sin(np.pi * x[..., 0]) * x[..., 1] ** 2,
+                                     x[..., 0] * np.cos(x[..., 1])], axis=-1))
+        reports = [check_dsolution(u, tensor_system(reconstruct(dec)),
+                                   build_frame("from_decomposition", dec=dec),
+                                   default_windows(dom, levels=2, base_factor=4),
+                                   R_list=[10.0, 1e3],
+                                   project=ranges_and_subspaces(dec).xi)]
+    else:
+        dom, u, f = manufactured_laplace(res=32)
+        h = dom.spacing
+        batteries = schedule_battery(4 * h, levels=2, count=2, order=2, spacing=h,
+                                     rng=np.random.default_rng(5))
+        out = check_dsolution_battery(u, tensor_system(Tensor4.laplacian(2, 2)),
+                                      build_frame("standard", N=2, n=2), batteries,
+                                      f=f, R_list=[50.0])
+        reports = [out["reports"][name] for name in sorted(out["reports"])]
+    return b"".join(json.dumps(rep.to_json_dict(), sort_keys=True).encode()
+                    + np.asarray(rep.residual_field.values, np.float64).tobytes()
+                    for rep in reports)
+
+
+@pytest.mark.parametrize("case, digest", [
+    ("eikonal",
+     "36e44102c0b6ba8a7821aec15dfd4c03fba533f6b3923c0e1356d4c4b90c7f0a"),
+    ("tangent-fd",
+     "407c3609fb519368b3a7b00e23448e7cd63fe770a6bd5b628b4c86213707c268"),
+    ("nonlinearity",
+     "3d6da29bf631b7355d6f0f54d7550d94af1a2daf5b4ee7f27fae4b21fbc30fac"),
+    ("projected",
+     "9c3aa193fd85cf5c1c03380751e19c5b5eea10fe2484109b0415a60d181ffb61"),
+    ("battery",
+     "76d98fd9a59fcc0ee9777c6569f9e5152c4731717ebf73161fc6718f6c62b142"),
+], ids=["eikonal", "tangent-fd", "nonlinearity", "projected", "battery"])
+def test_check_reports_are_pinned(case, digest):
+    """Whole reports of checks the benchmark does not run, bit for bit: the
+    zero-set oracle's cut-off and distance, the finite-difference tangent,
+    the row-wise evaluation of the certified nonlinearity, a projected check
+    and a battery; sha256 of the serialized reports."""
+    assert hashlib.sha256(_pinned_check(case)).hexdigest() == digest

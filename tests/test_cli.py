@@ -562,8 +562,11 @@ def _with(key, value):
      _with("A_factors", [[[1.0, 0.0], [0.0, float("nan")]]])),
     ("analyze-tensor", "--decomposition", _dec_with_doc,
      _with("A_factors", [[[{}, 0.0], [0.0, 1.0]]])),
+    ("analyze-tensor", "--decomposition", _dec_with_doc,
+     _with("A_factors", [[[True, 0.0], [0.0, 1.0]]])),
 ], ids=["no-components", "no-origin", "text-spacing", "float-dims", "float-components",
-        "list-header", "no-A-factors", "list-document", "nan-factor", "object-entry"])
+        "list-header", "no-A-factors", "list-document", "nan-factor", "object-entry",
+        "bool-entry"])
 def test_malformed_input_file_exits_two(tmp_path, capsys, command, flag, write, edit):
     path = tmp_path / "input"
     write(path, edit)

@@ -259,6 +259,32 @@ def test_family_pairing_matches_per_witness_pairing_bit_for_bit():
         assert blocks[..., j, :].tobytes() == ref.values.tobytes()
 
 
+def test_pairing_on_a_mask_matches_the_full_pairing_bit_for_bit():
+    """``where`` restricts the weight rows to the masked cells, in row-major
+    order with atoms innermost, and zeroes every other cell."""
+    field = _sine_field()
+    dom = field.domain
+    where = dom.interior_mask(3 * dom.spacing)
+    where[5:9, 10:12] = False
+    assert field.infinite[where].any() and (~field.infinite[where]).any()
+    phis = [bump(np.zeros(4), r) for r in (0.5, 1.0, 4.0)]
+    phis += [bump(np.array([1.0, 0.0, 0.0, -1.0]), 2.0), constant_one()]
+    seen = []
+
+    def weight(x, X):
+        seen.append((x, X))
+        return np.stack([X[:, 0] * X[:, 3] - 0.3, np.sin(X[:, 1]), x[:, 0] + X[:, 2]],
+                        axis=-1)
+
+    full = pair(field, phis, weight, weight_bounded=True)
+    masked = pair(field, phis, weight, weight_bounded=True, where=where)
+    k = field.n_atoms
+    assert np.array_equal(seen[1][0], np.repeat(dom.node_coords()[where], k, axis=0))
+    assert np.array_equal(seen[1][1], field.points[where].reshape(-1, 4))
+    assert masked.values[where].tobytes() == full.values[where].tobytes()
+    assert (masked.values[~where] == 0.0).all()
+
+
 def test_mixed_family_pairing_obeys_the_infinity_convention():
     # per cell: one finite atom at 0.5 of weight 1/4, and 3/4 of the mass at
     # infinity; the compact witness ignores the mass at infinity, the
