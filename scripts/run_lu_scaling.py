@@ -1,12 +1,17 @@
 #!/usr/bin/env python3
-"""LU scaling of the solver's operator: factor time and L+U nonzeros of the
-regularized operator factored whole (one coupled LU, minimum degree on
-A + A^T) against the solver's split factorization (one LU per distinct
-decoupled component group), for the coupled and the diagonal tensor of the
-benchmark's ``solve`` workload at seed 7.
+"""Factorization scaling of the solver's operator: factor time and L+U
+nonzeros of the regularized operator factored whole (one coupled LU,
+minimum degree on A + A^T) against the solver's split factorization (one
+factor per distinct decoupled component group), for the coupled random
+tensor and the diagonal tensor of the benchmark's ``solve`` workload at
+seed 7 and the scalar Laplacian, on the ``--dim``-dimensional unit box.
 
-Run as ``PYTHONPATH=src python scripts/run_lu_scaling.py --resolution 128``.
-Times are the best of ``--repeat`` factorizations, in one thread.
+Each row names its path: ``lu`` (SuperLU factors), ``spectral`` (sine
+transform factors, which hold no L or U) or ``lu+spectral``.
+
+Run as ``PYTHONPATH=src python scripts/run_lu_scaling.py --resolution 128``
+(or ``--dim 3 --resolution 24``).  Times are the best of ``--repeat``
+factorizations, in one thread.
 """
 
 import argparse
@@ -16,17 +21,20 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from diffusepde.grids import Domain
-from diffusepde.solver import DiscreteOperator, lattice_patterns
+from diffusepde.solver import DiscreteOperator, SineFactor, lattice_patterns
 from diffusepde.tensors import (Decomposition, canonicalize_decomposition,
                                 random_decomposition, regularize)
 
 
-def tensors(seed):
-    """The coupled random decomposition drawn first from ``seed`` and the
-    diagonal decomposition of acceptance criterion 6."""
-    return {"coupled": random_decomposition(np.random.default_rng(seed), 2, 2),
+def tensors(seed, dim):
+    """The coupled random decomposition drawn first from ``seed``, the
+    diagonal decomposition of acceptance criterion 6 (each component's
+    second derivative along the first axis) and the scalar Laplacian."""
+    first = np.diag([1.0] + [0.0] * (dim - 1))
+    return {"coupled": random_decomposition(np.random.default_rng(seed), 2, dim),
             "diagonal": Decomposition((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
-                                      (np.diag([1.0, 0.0]), np.diag([1.0, 0.0])))}
+                                      (first, first)),
+            "laplacian": Decomposition((np.eye(1),), (np.eye(dim),))}
 
 
 def best(setup, factor, repeat):
@@ -45,15 +53,17 @@ def best(setup, factor, repeat):
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--resolution", type=int, default=128)
+    ap.add_argument("--dim", type=int, default=2)
     ap.add_argument("--eps", type=float, default=1e-3)
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--repeat", type=int, default=3)
     args = ap.parse_args()
 
-    dom = Domain.unit_square(args.resolution)
+    dom = Domain(shape=(args.resolution + 1,) * args.dim, spacing=1.0 / args.resolution,
+                 origin=(0.0,) * args.dim)
     patterns = lattice_patterns(dom)
-    print("tensor,factorization,unknowns,factors,factor_s,lu_nnz")
-    for name, dec in tensors(args.seed).items():
+    print("tensor,factorization,path,unknowns,factors,factor_s,lu_nnz")
+    for name, dec in tensors(args.seed, args.dim).items():
         tensor = regularize(canonicalize_decomposition(dec), args.eps)
         op = DiscreteOperator(tensor, dom, patterns)
         whole_s, whole = best(lambda: op.matrix,
@@ -64,9 +74,11 @@ def main():
         del whole
         split_s, split = best(lambda: DiscreteOperator(tensor, dom, patterns),
                               DiscreteOperator.factorize, args.repeat)
+        path = "+".join(sorted({"spectral" if isinstance(f, SineFactor) else "lu"
+                                for f, _ in split.factors}))
         size = op.matrix.shape[0]
-        print(f"{name},whole,{size},1,{whole_s:.3f},{whole_nnz}")
-        print(f"{name},split,{size},{len(split.factors)},{split_s:.3f},"
+        print(f"{name},whole,lu,{size},1,{whole_s:.3f},{whole_nnz}")
+        print(f"{name},split,{path},{size},{len(split.factors)},{split_s:.3f},"
               f"{split.L.nnz + split.U.nnz}")
 
 

@@ -315,6 +315,17 @@ def _cmd_check(cfg, out):
         raise CheckFailure("characterizations failing: " + ", ".join(failing))
 
 
+def _solve_or_reject(out, name, cfg, solve):
+    """``solve()``; when it rejects the data (``ValueError``) or fails a
+    numerical guard (``ArithmeticError``), writes the report ``name`` with
+    ``accepted: false`` and the reason, and fails the check."""
+    try:
+        return solve()
+    except (ValueError, ArithmeticError) as exc:
+        _report(out, name, {"accepted": False, "reason": str(exc)}, cfg)
+        raise CheckFailure(str(exc)) from exc
+
+
 def _cmd_solve_linear(cfg, out):
     from . import solver
     if not cfg["decomposition"] or not cfg["f"]:
@@ -322,12 +333,8 @@ def _cmd_solve_linear(cfg, out):
     dec = _load_input(Decomposition.load, cfg["decomposition"], "--decomposition")
     f = _data_grid(cfg, "the --decomposition tensor", dec.n, dec.N)
     eps_seq = _eps_sequence(cfg)
-    try:
-        fd, rep = solver.solve_linear(dec, f, eps_seq)
-    except ValueError as exc:
-        doc = {"accepted": False, "reason": str(exc)}
-        _report(out, "solve_report.json", doc, cfg)
-        raise CheckFailure(str(exc)) from exc
+    fd, rep = _solve_or_reject(out, "solve_report.json", cfg,
+                               lambda: solver.solve_linear(dec, f, eps_seq))
     _save_fibres(out, fd)
     doc = rep.to_json_dict()
     doc.update({"accepted": True,
@@ -367,8 +374,10 @@ def _cmd_solve_nonlinear(cfg, out):
 
     F, cert = solver.make_nonlinearity(dec, a_of_x, gamma=gamma, g=g,
                                        lipschitz_g=lip, subspaces=data)
-    fd, log = solver.campanato_solve(F, cert, f, eps_seq, max_iter=max_iter,
-                                     tol_final=tol_final)
+    fd, log = _solve_or_reject(out, "nonlinear_report.json", cfg,
+                               lambda: solver.campanato_solve(F, cert, f, eps_seq,
+                                                              max_iter=max_iter,
+                                                              tol_final=tol_final))
     _save_fibres(out, fd)
     write_csv(out / "iteration_log.csv", ["iteration", "increment", "ratio",
                                           "residual"], log.to_rows())

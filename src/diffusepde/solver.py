@@ -142,15 +142,49 @@ def _component_split(blocks):
     return Q, blocks, [np.flatnonzero(labels == g) for g in range(count)]
 
 
+class SineFactor:
+    """Inverse of ``sum_i e_i D_ii`` on the open box of interior shape
+    ``shape``, ``D_ii`` the ``(1, -2, 1)`` pattern along axis ``i`` and
+    ``e_i`` scalars.  The orthonormal DST-I diagonalizes every pattern
+    (eigenvalues ``-4 sin^2(pi k / (2 (m + 1)))``, ``k = 1..m``), so a solve
+    is a transform over the lattice axes, a division by the mode eigenvalues
+    and the transform back (fast diagonalization).  It holds no triangular
+    factors: ``L.nnz`` and ``U.nnz`` read 0."""
+
+    L = U = SimpleNamespace(nnz=0)
+
+    def __init__(self, shape, coefficients):
+        self.shape = tuple(shape)
+        modes = np.zeros(self.shape)
+        for axis, (m, e) in enumerate(zip(self.shape, coefficients)):
+            k = np.arange(1, m + 1).reshape((-1,) + (1,) * (len(self.shape) - axis - 1))
+            modes = modes - 4 * e * np.sin(np.pi * k / (2 * (m + 1))) ** 2
+        if (modes == 0).any():
+            raise ArithmeticError("discrete operator numerically singular: "
+                                  "a mode eigenvalue is zero")
+        self.eigenvalues = modes
+
+    def solve(self, b, trans="N"):
+        """``trans`` is ``"N"``, ``"T"`` or ``"H"``, as for SuperLU; the
+        operator is real and symmetric, so all three solve the same system."""
+        if trans not in ("N", "T", "H"):
+            raise ValueError(f"trans must be 'N', 'T' or 'H', not {trans!r}")
+        from scipy.fft import dstn
+        axes = tuple(range(len(self.shape)))
+        modes = dstn(b.reshape(self.shape + (-1,)), type=1, norm="ortho", axes=axes)
+        modes /= self.eigenvalues[..., None]
+        return dstn(modes, type=1, norm="ortho", axes=axes).reshape(b.shape)
+
+
 class SplitLU:
-    """LU factors of an operator that is block-diagonal over groups of
+    """Factors of an operator that is block-diagonal over groups of
     components in the orthonormal basis ``Q`` (``None`` for the identity).
 
-    ``factors`` pairs each distinct SuperLU factor with the component groups
-    that share it.  A solve rotates the right-hand side's cell rows into the
-    basis, solves the groups of each factor as one multi-column right-hand
-    side and rotates back.  ``L.nnz`` and ``U.nnz`` are summed over the
-    distinct factors."""
+    ``factors`` pairs each distinct factor (a SuperLU factor or a
+    :class:`SineFactor`) with the component groups that share it.  A solve
+    rotates the right-hand side's cell rows into the basis, solves the
+    groups of each factor as one multi-column right-hand side and rotates
+    back.  ``L.nnz`` and ``U.nnz`` are summed over the distinct factors."""
 
     def __init__(self, Q, factors):
         self.Q = Q
@@ -219,7 +253,10 @@ class DiscreteOperator:
     def factorize(self):
         """:class:`SplitLU` factors, one per distinct group of decoupled
         components (:func:`_component_split`); a tensor that does not split is
-        one group, whose operator is :attr:`matrix` itself."""
+        one group, whose operator is :attr:`matrix` itself.  On the open box
+        (``mask_kind == "rect"``) a factor whose groups are single components
+        with zero mixed blocks is a :class:`SineFactor`; every other factor
+        is a SuperLU factor."""
         if self._lu is None:
             Q, blocks, groups = _component_split(self._blocks)
             shared = {}
@@ -227,22 +264,28 @@ class DiscreteOperator:
                 sub = {axes: E[np.ix_(g, g)] for axes, E in blocks.items()}
                 key = tuple(E.tobytes() for E in sub.values())
                 shared.setdefault(key, (sub, []))[1].append(g)
+            box = self.domain.mask_kind == "rect"
             factors = []
             for sub, members in shared.values():
-                matrix = self.matrix if len(groups) == 1 else _kron_sum(self._patterns, sub)
-                try:
-                    # symmetric to rounding: minimum degree on A + A^T, diagonal pivots
-                    lu = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A",
-                                   options={"SymmetricMode": True})
-                except RuntimeError as exc:
-                    raise ArithmeticError(
-                        f"discrete operator numerically singular: {exc}") from exc
-                factors.append((lu, members))
+                if box and len(members[0]) == 1 and not any(
+                        E.any() for (i, j), E in sub.items() if i != j):
+                    factor = SineFactor([m - 2 for m in self.domain.shape],
+                                        [sub[i, i].item() for i in range(self.domain.dim)])
+                else:
+                    matrix = self.matrix if len(groups) == 1 else _kron_sum(self._patterns, sub)
+                    try:
+                        # symmetric to rounding: minimum degree on A + A^T, diagonal pivots
+                        factor = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A",
+                                           options={"SymmetricMode": True})
+                    except RuntimeError as exc:
+                        raise ArithmeticError(
+                            f"discrete operator numerically singular: {exc}") from exc
+                factors.append((factor, members))
             self._lu = SplitLU(Q, factors)
         return self._lu
 
     def condition_estimate(self):
-        """1-norm condition number estimate from the operator's LU factors;
+        """1-norm condition number estimate from the operator's factors;
         raises ``ArithmeticError`` as :meth:`factorize` does when there are
         none."""
         lu = self.factorize()

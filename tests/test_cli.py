@@ -596,3 +596,36 @@ def test_reference_check_on_a_case_without_one_exits_two(tmp_path, capsys):
     assert code == 2
     assert "--check" in capsys.readouterr().err
     assert not (out / "reference_report.json").exists()
+
+
+@pytest.mark.parametrize("command, dec, eps_seq, report, reason", [
+    ("solve-linear", random_decomposition(np.random.default_rng(7), 2, 2), "1e100,1e99",
+     "solve_report.json", "discrete residual above the solver tolerance"),
+    ("solve-nonlinear", None, "1e300,1e299", "nonlinear_report.json",
+     "iteration is not contracting"),
+    ("solve-nonlinear", Decomposition((np.diag([1.0, 0.0]), np.zeros((2, 2))),
+                                      (np.eye(2), np.zeros((2, 2)))), None,
+     "nonlinear_report.json", "incompatible"),
+], ids=["linear-residual-guard", "nonlinear-contraction-guard", "nonlinear-incompatible"])
+def test_solve_that_fails_a_guard_exits_one(tmp_path, capsys, command, dec, eps_seq,
+                                            report, reason):
+    """A solve whose numerical guard fails, or whose data the system cannot
+    take, writes its report with the reason and exits 1."""
+    dec_path = tmp_path / "dec.json"
+    if dec is None:
+        write_diag_dec(dec_path)
+    else:
+        dec.save(dec_path)
+    dom = Domain.unit_square(16)
+    f = _sines_on(dom, 2)
+    if reason == "incompatible":
+        f = GridFunction(dom, f.values * [0.0, 1.0])
+    f_path = tmp_path / "f.grid"
+    save_grid(f_path, f)
+    out = tmp_path / "run"
+    args = [command, "--decomposition", str(dec_path), "--f", str(f_path), "--out", str(out)]
+    code = main(args + (["--eps-seq", eps_seq] if eps_seq else []))
+    assert code == 1
+    assert reason in capsys.readouterr().err
+    doc = json.loads((out / report).read_text())
+    assert doc["accepted"] is False and reason in doc["reason"]

@@ -16,6 +16,7 @@ ROOT = Path(__file__).resolve().parents[1]
     ("run_fixed_point_experiment.py", ["--resolution", "16"]),
     ("run_convergence_study.py", ["--resolutions", "16,32"]),
     ("run_lu_scaling.py", ["--resolution", "16", "--repeat", "1"]),
+    ("run_lu_scaling.py", ["--dim", "3", "--resolution", "6", "--repeat", "1"]),
 ])
 def test_script_runs(script, args):
     env = dict(os.environ)

@@ -8,7 +8,7 @@ from diffusepde.checker import CoefficientSystem, check_dsolution, tensor_system
 from diffusepde.frames import build_frame, schedule_window
 from diffusepde.grids import Domain, GridFunction, gradient_central, hessian_central
 from diffusepde.solver import (DiscreteOperator, EllipticityCertificate,
-                               IterationLog, assemble_and_solve_eps,
+                               IterationLog, SineFactor, assemble_and_solve_eps,
                                boundary_ring_norm, campanato_solve,
                                check_degenerate_ellipticity, check_sigma_valued,
                                derivative_maps, fibre_norms, make_nonlinearity,
@@ -107,12 +107,17 @@ def test_solves_reject_data_of_another_shape_before_assembly(monkeypatch, case):
         campanato_solve(F, cert, f, [1e-1, 1e-2])
 
 
-def test_solve_linear_scales_exactly_with_its_data():
+@pytest.mark.parametrize("dec", [
+    random_decomposition(np.random.default_rng(7), 2, 2),
+    Decomposition((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
+                  (np.diag([1.0, 0.0]), np.diag([1.0, 0.0]))),
+], ids=["coupled-lu", "diagonal-spectral"])
+def test_solve_linear_scales_exactly_with_its_data(dec):
     """Doubling the data doubles every fibre component and every Cauchy
     difference bit for bit, since scaling by a power of two is exact, and
-    leaves the relative residual as it is."""
+    leaves the relative residual as it is: on the LU path (mixed terms) and
+    on the sine-transform path (the diagonal tensor)."""
     dom = Domain.unit_square(32)
-    dec = random_decomposition(np.random.default_rng(7), 2, 2)
     x = dom.node_coords()
     f = GridFunction(dom, np.stack([np.sin(np.pi * x[..., 0]) * np.sin(2 * np.pi * x[..., 1]),
                                     x[..., 0] * (1 - x[..., 0]) * x[..., 1]], axis=-1))
@@ -416,7 +421,8 @@ def test_solver_output_passes_checker():
 
 
 # Cascades of the same check under the default (COLAMD) column ordering of the
-# operator's LU; the minimum-degree ordering moves them only by rounding.
+# operator's LU; the sine-transform solve, which this diagonal tensor on the
+# open box takes, moves them only by rounding.
 COLAMD_CASCADES = {
     "pairing": ["0x1.e6352e72a9105p-4", "0x1.65bf6e5616e91p-5"],
     "support": ["0x1.a55a1a822b4c3p-3", "0x1.4e45e70e120abp-4"],
@@ -429,8 +435,9 @@ COLAMD_R_INF = "0x1.f78c0341d404dp+21"
 
 def test_projected_linear_check_cascades_are_pinned():
     """Exact residual cascades of the projected check of the solver output
-    (the setting of ``test_solver_output_passes_checker``), and their
-    agreement with the cascades under the COLAMD ordering."""
+    (the setting of ``test_solver_output_passes_checker``, solved by
+    :class:`SineFactor`), and their agreement with the cascades under the
+    COLAMD ordering of an LU."""
     dom = Domain.unit_square(48)
     dec = Decomposition((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
                         (np.diag([1.0, 0.0]), np.diag([1.0, 0.0])))
@@ -446,13 +453,13 @@ def test_projected_linear_check_cascades_are_pinned():
                           build_frame("from_decomposition", dec=dec), windows,
                           R_list=[1e3], f=f, project=data.xi, C_disc=120.0)
     assert {k: [x.hex() for x in v] for k, v in rep.residuals.items()} == {
-        "pairing": ["0x1.e6352e72a91cep-4", "0x1.65bf6e5616f24p-5"],
-        "support": ["0x1.a55a1a822b56dp-3", "0x1.4e45e70e12128p-4"],
-        "integral": ["0x1.263e87049a2f4p-3", "0x1.dc818d772d004p-5"],
-        "cutoff": ["0x1.4e45e70e12128p-4", "0x1.1c774cd235db7p-5"],
-        "distance": ["0x1.d8bbc6098f065p-4", "0x1.924bb2d9a5680p-5"],
+        "pairing": ["0x1.e6352e72a8ed1p-4", "0x1.65bf6e5616659p-5"],
+        "support": ["0x1.a55a1a822b448p-3", "0x1.4e45e70e11cc1p-4"],
+        "integral": ["0x1.263e87049a154p-3", "0x1.dc818d772c4f8p-5"],
+        "cutoff": ["0x1.4e45e70e11cc1p-4", "0x1.1c774cd2350c9p-5"],
+        "distance": ["0x1.d8bbc6098ea2bp-4", "0x1.924bb2d9a4437p-5"],
     }
-    assert rep.R_inf.hex() == "0x1.f78c0341d3f14p+21"
+    assert rep.R_inf.hex() == "0x1.f78c0341d3f5ep+21"
     assert rep.tolerance.hex() == "0x1.4000000000000p+3"
     for k, v in COLAMD_CASCADES.items():
         assert rep.residuals[k] == pytest.approx([float.fromhex(x) for x in v],
@@ -596,6 +603,49 @@ def test_diagonal_tensor_components_share_one_factor(diag_dec, rng):
     b = rng.standard_normal(op.matrix.shape[0])
     ref = _mmd(op.matrix).solve(b)
     assert np.max(np.abs(op.solve(b) - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+
+def _commuting_diagonal_tensor():
+    """B factors projecting onto a rotated orthonormal pair (they commute)
+    and diagonal A factors: no mixed second derivative in the rotated basis."""
+    c, s = np.cos(0.5), np.sin(0.5)
+    q = np.array([[c, -s], [s, c]])
+    dec = Decomposition((np.outer(q[:, 0], q[:, 0]), np.outer(q[:, 1], q[:, 1])),
+                        (np.diag([1.0, 0.3]), np.diag([0.4, 1.0])))
+    return regularize(canonicalize_decomposition(dec), 1e-2)
+
+
+@pytest.mark.parametrize("tensor, domain, spectral", [
+    (regularize(canonicalize_decomposition(
+        Decomposition((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
+                      (np.diag([1.0, 0.0]), np.diag([1.0, 0.0])))), 1e-3),
+     Domain.unit_square(32), True),
+    (Tensor4.laplacian(2, 1), Domain.interval(0, 1, 50), True),
+    (Tensor4.laplacian(2, 2), Domain.unit_square(20), True),
+    (Tensor4.laplacian(1, 3), Domain(shape=(9, 10, 8), spacing=1 / 8,
+                                     origin=(0.0, 0.0, 0.0)), True),
+    (_commuting_diagonal_tensor(), Domain.unit_square(32), True),
+    (Tensor4.laplacian(2, 2), Domain.unit_disc(24), False),
+    (_coupled_eps01(), Domain.unit_square(32), False),
+    (regularize(Decomposition((0.5 * np.diag([1.0, 0.0]), np.full((2, 2), 0.25)),
+                              (np.diag([1.0, 0.5]), np.diag([0.5, 1.0]))), 1e-2),
+     Domain.unit_square(32), False),
+], ids=["diagonal", "laplacian-interval", "laplacian-square", "laplacian-box",
+        "commuting-diagonal", "laplacian-disc", "mixed-terms", "non-commuting"])
+def test_solve_path_follows_the_operator(tensor, domain, spectral, rng):
+    """Single-component groups with no mixed term on the open box are solved
+    by the sine transform; disc masks, mixed terms and coupled groups keep
+    SuperLU.  Either factor solves as the minimum-degree LU of the whole
+    operator does, up to rounding."""
+    op = DiscreteOperator(tensor, domain)
+    lu = op.factorize()
+    assert {isinstance(factor, SineFactor) for factor, _ in lu.factors} == {spectral}
+    if spectral:
+        assert all(f.L.nnz == f.U.nnz == 0 for f, _ in lu.factors)
+        assert lu.L.nnz == lu.U.nnz == 0
+    b = op.rhs_vector(GridFunction(domain, rng.standard_normal(domain.shape + (op.N,))))
+    ref = _mmd(op.matrix).solve(b)
+    assert np.max(np.abs(lu.solve(b) - ref)) <= 1e-11 * np.max(np.abs(ref))
 
 
 def test_zero_tensor_operator_is_singular():
