@@ -205,25 +205,22 @@ def tangent_system(base, F_x=None, F_X=None):
     return sys
 
 
-def cutoff(U, F, u, R, uval=None, f=None):
+def cutoff(U, F, u, R):
     """Radius-R cut-off of a jet-valued grid function.
 
     Cells with in-ball jet values pass through; overflowing cells receive a
-    zero of the residual coefficients (``F = f``) inside the ball.  For
+    zero of the residual coefficients (``F = 0``) inside the ball.  For
     jet-linear systems this is the minimal-norm solution of the affine
-    equation (the origin when the data vanish); otherwise an oracle point.
-    The replacement is verified to be an in-ball zero; cells where the zero
-    set misses the ball raise.
+    equation; otherwise an oracle point.  The replacement is verified to be
+    an in-ball zero; cells where the zero set misses the ball raise.
     """
     dom = U.domain
     vals = U.values.reshape(-1, U.components)
     over = np.linalg.norm(vals, axis=1) > R
     x = dom.node_coords().reshape(-1, dom.dim)
-    state = u if uval is None else uval
-    uv = state.values.reshape(-1, state.components)
-    fv = None if f is None else f.values.reshape(-1, f.components)
+    uv = u.values.reshape(-1, u.components)
     lin = _linearize(F, x, uv) if over.any() else None
-    return GridFunction(dom, _cut(vals, over, F, R, x, uv, fv, lin).reshape(U.values.shape))
+    return GridFunction(dom, _cut(vals, over, F, R, x, uv, None, lin).reshape(U.values.shape))
 
 
 def _linearize(F, x, uval):
@@ -546,5 +543,5 @@ def _distance_residual(vals, res, F, x_flat, uval_flat, R, lin, lip):
     return dist * lip
 
 
-def _non_increasing(seq, slack=0.1):
-    return all(seq[k + 1] <= seq[k] * (1 + slack) + 1e-14 for k in range(len(seq) - 1))
+def _non_increasing(seq):
+    return all(seq[k + 1] <= seq[k] * 1.1 + 1e-14 for k in range(len(seq) - 1))

@@ -355,8 +355,8 @@ def _cmd_solve_nonlinear(cfg, out):
     f = _data_grid(cfg, "the --decomposition tensor", dec.n, dec.N)
     dom = f.domain
     eps_seq = _eps_sequence(cfg)
-    gamma = _number(cfg, "gamma", 0.2)
-    lip_frac = _number(cfg, "lip-frac", 0.3)
+    gamma = _number(cfg, "gamma", 0.2, float, (-1, 1))
+    lip_frac = _number(cfg, "lip-frac", 0.3, float, (0, 1), closed=True)
     max_iter = _number(cfg, "max-iter", 40, int, (0, np.inf))
     tol_final = _number(cfg, "tol-final", 1e-6, float, (0, np.inf))
 
@@ -364,16 +364,22 @@ def _cmd_solve_nonlinear(cfg, out):
     nu = data.nu
     lip = lip_frac * nu
     a_of_x = GridFunction.from_callable(
-        dom, lambda x: (1.0 + 0.25 * np.sin(np.pi * x[..., 0]))[..., None]
-        if dom.dim >= 1 else np.ones(x.shape[:-1])[..., None])
+        dom, lambda x: (1.0 + 0.25 * np.sin(np.pi * x[..., 0]))[..., None])
     N, n = dec.N, dec.n
 
     def g(Y):
         Yt = Y.reshape(-1, N, n, n)
         return lip * np.sin(Yt[:, :, 0, 0])
 
-    F, cert = solver.make_nonlinearity(dec, a_of_x, gamma=gamma, g=g,
-                                       lipschitz_g=lip, subspaces=data)
+    try:
+        F, cert = solver.make_nonlinearity(dec, a_of_x, gamma=gamma, g=g,
+                                           lipschitz_g=lip, subspaces=data)
+    except ValueError as exc:
+        # the certificate needs |gamma| + lip-frac < 1
+        raise ManifestError(
+            f"--gamma must lie in ({lip_frac - 1:g}, {1 - lip_frac:g}) for --lip-frac "
+            f"{lip_frac:g}, or --lip-frac must lie in [0, {1 - abs(gamma):g}) for --gamma "
+            f"{gamma:g}: {exc}") from exc
     fd, log = _solve_or_reject(out, "nonlinear_report.json", cfg,
                                lambda: solver.campanato_solve(F, cert, f, eps_seq,
                                                               max_iter=max_iter,
@@ -447,7 +453,12 @@ def _cmd_verify_estimate(cfg, out):
     x = dom.node_coords()
 
     if cfg["decomposition"]:
-        decs = [_load_input(Decomposition.load, cfg["decomposition"], "--decomposition")]
+        dec = _load_input(Decomposition.load, cfg["decomposition"], "--decomposition")
+        if (dec.N, dec.n) != (2, 2):
+            raise ManifestError(f"--decomposition takes maps of {dec.N} components on "
+                                f"{dec.n}-D grids; the battery's maps have 2 components "
+                                f"on the unit square")
+        decs = [dec]
     else:
         count = _number(cfg, "battery", 5, int, (0, np.inf))
         decs = [tensors.random_decomposition(rng, 2, 2) for _ in range(count)]

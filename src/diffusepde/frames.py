@@ -125,7 +125,7 @@ def gram_schmidt_complete(vectors, dim):
     return out
 
 
-def expand_in_frame(t, frame, order=None):
+def expand_in_frame(t, frame):
     """Coefficients of a tensor in the induced (normalized) frame basis.
 
     Order-1 tensors (N, n) expand over all index pairs; order-p symmetric
@@ -134,7 +134,7 @@ def expand_in_frame(t, frame, order=None):
     """
     t = np.asarray(t, float)
     N, n = frame.N, frame.n
-    p = t.ndim - 1 if order is None else order
+    p = t.ndim - 1
     if t.shape != (N,) + (n,) * p:
         raise ValueError("tensor shape does not match the frame")
     labels, coeffs = [], []
@@ -194,10 +194,9 @@ class HSchedule:
         return HSchedule(rows=((h,),))
 
     @staticmethod
-    def second_order(h1, h2=None):
-        """Second-order jet point; ``h2`` defaults to the separated scale ``h1``."""
-        h2 = h1 if h2 is None else h2
-        return HSchedule(rows=((h1,), (h1, h2)))
+    def second_order(h1):
+        """Second-order jet point with both in-row steps ``h1``."""
+        return HSchedule(rows=((h1,), (h1, h1)))
 
     def scale_separation(self):
         """Largest ratio of a later step to an earlier one within a row."""

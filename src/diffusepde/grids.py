@@ -161,14 +161,12 @@ class GridFunction:
         return self.values.shape[-1]
 
     @staticmethod
-    def from_callable(domain, fn, components=None):
+    def from_callable(domain, fn):
         """Sample ``fn(x)`` (vectorized over points ``(..., dim)``) on the lattice."""
         x = domain.node_coords()
         vals = np.asarray(fn(x), dtype=float)
         if vals.shape == domain.shape:
             vals = vals[..., None]
-        if components is not None and vals.shape[-1] != components:
-            raise ValueError("component count mismatch")
         return GridFunction(domain, vals)
 
     def l2_norm(self, where=None):

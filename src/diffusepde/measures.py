@@ -66,20 +66,16 @@ def barycenter_off_infinity(measure):
     return np.einsum("k,kd->d", w, pts)
 
 
-def translate(measure, a, R_inf=None):
+def translate(measure, a):
     """Shift finite atoms by ``a``; the atom at infinity is left intact.
 
-    With ``R_inf`` given, shifted atoms leaving the cutoff ball are re-clipped
-    to infinity.
+    Shifted atoms stay finite however far they move; :func:`translate_field`
+    is the translation that re-clips atoms leaving the cutoff ball to infinity.
     """
     a = np.asarray(a, float)
     pts = measure.points.copy()
     inf = measure.infinite.copy()
     pts[~inf] += a
-    if R_inf is not None:
-        over = ~inf & (np.linalg.norm(pts, axis=1) > R_inf)
-        inf = inf | over
-        pts[over] = 0.0
     return AtomicMeasure(points=pts, weights=measure.weights.copy(), infinite=inf)
 
 
@@ -132,12 +128,12 @@ class TestFunction:
         return np.asarray(self.finite_part(np.asarray(x, float)), float)
 
 
-def bump(center, radius, height=1.0):
-    """Quartic bump of unit height supported on a ball: ``h (1 - |x-c|^2/r^2)^2``."""
+def bump(center, radius):
+    """Quartic bump of unit height supported on a ball: ``(1 - |x-c|^2/r^2)^2``."""
     center = np.asarray(center, float)
 
     def profile(d2):
-        return height * np.clip(1.0 - d2 / radius**2, 0.0, None) ** 2
+        return np.clip(1.0 - d2 / radius**2, 0.0, None) ** 2
 
     return TestFunction(finite_part=lambda x: profile(np.sum((x - center) ** 2, axis=-1)),
                         support_radius=radius, center=center, profile=profile)

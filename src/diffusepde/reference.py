@@ -56,9 +56,9 @@ def fat_cantor_removed_intervals(depth):
             for j, r in enumerate(rs)]
 
 
-def interval_union_measure(intervals, lo=0.0, hi=1.0):
-    """Length of the union of intervals clipped to [lo, hi]."""
-    clipped = sorted((max(a, lo), min(b, hi)) for a, b in intervals if b > lo and a < hi)
+def interval_union_measure(intervals):
+    """Length of the union of intervals clipped to [0, 1]."""
+    clipped = sorted((max(a, 0.0), min(b, 1.0)) for a, b in intervals if b > 0.0 and a < 1.0)
     total = 0.0
     cur_a, cur_b = None, None
     for a, b in clipped:
@@ -172,14 +172,14 @@ def sawtooth_map(M, k, resolution):
         })
 
 
-def _fold_mask(dom, k, band=0):
+def _fold_mask(dom, k):
     """Nodes on or adjacent to a fold line of the period-1/k profile."""
     half = 1.0 / (2 * k)
     marks = []
     for axis in range(2):
         c = dom.axis_coords(axis)
         steps = np.rint(c / half)
-        on = np.abs(c - steps * half) <= (band + 0.5) * dom.spacing * 1e-9 + band * dom.spacing
+        on = np.abs(c - steps * half) <= 0.5 * dom.spacing * 1e-9
         marks.append(on)
     mx = marks[0][:, None] | marks[1][None, :]
     return mx
@@ -256,16 +256,16 @@ def _second_antiderivative(nodes, fvals):
     return nodes * I0 - I1
 
 
-def oscillation_example(mu, resolution, length=1.0):
-    """The vanishing oscillation family ``sin(mu x) / mu`` on a 1-D grid."""
-    if mu < 2 * np.pi / length:
+def oscillation_example(mu, resolution):
+    """The vanishing oscillation family ``sin(mu x) / mu`` on the unit interval."""
+    if mu < 2 * np.pi:
         raise ValueError("frequency too low for the domain")
-    dom = Domain.interval(0.0, length, resolution)
+    dom = Domain.interval(0.0, 1.0, resolution)
     x = dom.axis_coords(0)
     gf = GridFunction(dom, (np.sin(mu * x) / mu)[:, None])
     return ReferenceCase(
         name="oscillation",
-        params={"mu": mu, "resolution": resolution, "length": length},
+        params={"mu": mu, "resolution": resolution, "length": 1.0},
         grids={"map": gf},
         expected={"quotient_range": (-1.0, 1.0),
                   "checks": ["derivative quotients fill out the unit "

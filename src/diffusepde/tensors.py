@@ -45,23 +45,23 @@ def eigh_deterministic(m):
     return w, v
 
 
-def range_basis(m, rel_tol=TOL_RANK):
+def range_basis(m):
     """Orthonormal basis (columns) of the range of a symmetric matrix."""
     w, v = eigh_deterministic(m)
     scale = np.max(np.abs(w)) if w.size else 0.0
-    keep = np.abs(w) > rel_tol * max(scale, 1e-300)
+    keep = np.abs(w) > TOL_RANK * max(scale, 1e-300)
     return v[:, keep]
 
 
-def smallest_positive_eigenvalue(m, rel_tol=TOL_RANK):
+def smallest_positive_eigenvalue(m):
     """Smallest positive eigenvalue and an orthonormal basis of its eigenspace."""
     w, v = eigh_deterministic(m)
     scale = np.max(np.abs(w)) if w.size else 0.0
-    pos = w > rel_tol * max(scale, 1e-300)
+    pos = w > TOL_RANK * max(scale, 1e-300)
     if not pos.any():
         return None, None
     lam = w[pos][0]
-    close = np.abs(w - lam) <= rel_tol * max(scale, 1.0) + 1e-14 * max(lam, 1.0)
+    close = np.abs(w - lam) <= TOL_RANK * max(scale, 1.0) + 1e-14 * max(lam, 1.0)
     # ties resolved by taking the full eigenspace
     return float(lam), v[:, pos & close]
 
@@ -201,7 +201,7 @@ class ValidationReport:
         return [name for name, (ok, _) in self.checks.items() if not ok]
 
 
-def validate_decomposition(dec, tol=TOL_PSD):
+def validate_decomposition(dec):
     """Check the factor conditions; reports per-condition pass/fail and, on
     success, a witness unit vector common to all minimal positive eigenspaces."""
     checks = {}
@@ -209,12 +209,12 @@ def validate_decomposition(dec, tol=TOL_PSD):
     details = []
     for g, (b, a) in enumerate(zip(dec.B_factors, dec.A_factors)):
         for name, m in (("B", b), ("A", a)):
-            if not np.allclose(m, m.T, atol=tol):
+            if not np.allclose(m, m.T, atol=TOL_PSD):
                 psd_ok = False
                 details.append(f"{name}^{g} not symmetric")
                 continue
             w = np.linalg.eigvalsh(m)
-            if w.size and w[0] < -tol * max(1.0, abs(w[-1])):
+            if w.size and w[0] < -TOL_PSD * max(1.0, abs(w[-1])):
                 psd_ok = False
                 details.append(f"{name}^{g} has eigenvalue {w[0]:.3e}")
     checks["psd"] = (psd_ok, "; ".join(details))
@@ -226,7 +226,7 @@ def validate_decomposition(dec, tol=TOL_PSD):
             # ranges of symmetric PSD factors are orthogonal iff the product vanishes
             prod = dec.B_factors[g] @ dec.B_factors[d]
             scale = max(operator_norm(dec.B_factors[g]) * operator_norm(dec.B_factors[d]), 1e-300)
-            if operator_norm(prod) > 1e3 * tol * scale:
+            if operator_norm(prod) > 1e3 * TOL_PSD * scale:
                 ortho_ok = False
                 details.append(f"ranges of B^{g} and B^{d} overlap")
     checks["range_orthogonality"] = (ortho_ok, "; ".join(details))
@@ -368,10 +368,10 @@ class SubspaceProjector:
         keep = w > 0.5
         return v[:, keep].T
 
-    def contains(self, x, tol=1e-9):
+    def contains(self, x):
         x = np.asarray(x, float)
         r = x - self.project(x)
-        return float(np.linalg.norm(r)) <= tol * max(1.0, float(np.linalg.norm(x)))
+        return float(np.linalg.norm(r)) <= 1e-9 * max(1.0, float(np.linalg.norm(x)))
 
     def distance(self, other):
         return operator_norm(self.matrix - other.matrix)
@@ -383,9 +383,6 @@ class EllipticityData:
     pi: SubspaceProjector      # gradient directions in R^{Nn}
     xi: SubspaceProjector      # hessian directions in R_s^{Nn^2}
     nu: float
-    nu_bound: float
-    sigma_gamma: tuple         # per-factor value subspaces
-    t_gamma: tuple             # per-factor domain subspaces
 
 
 def subspace_H(a, tol=TOL_LIN):
@@ -468,9 +465,8 @@ def ranges_and_subspaces(dec, cross_check=True):
         if pi.distance(pi_direct) > 1e-8:
             raise ArithmeticError("gradient subspace disagrees with the tensor range")
 
-    nu, nu_bound = _ellipticity_constant(dec, sigma_g, t_g)
-    return EllipticityData(sigma=sigma, pi=pi, xi=xi, nu=nu, nu_bound=nu_bound,
-                           sigma_gamma=tuple(sigma_g), t_gamma=tuple(t_g))
+    nu = min(_per_factor_minima(dec, sigma_g, t_g))
+    return EllipticityData(sigma=sigma, pi=pi, xi=xi, nu=float(nu))
 
 
 def _per_factor_minima(dec, sigma_g, t_g):
@@ -481,19 +477,9 @@ def _per_factor_minima(dec, sigma_g, t_g):
         lam_b, _ = smallest_positive_eigenvalue(b)
         lam_a, _ = smallest_positive_eigenvalue(a)
         cands.append(lam_b * lam_a)
-    return cands
-
-
-def _ellipticity_constant(dec, sigma_g, t_g):
-    cands = _per_factor_minima(dec, sigma_g, t_g)
     if not cands:
         raise ValueError("tensor has trivial range; no rank-one directions")
-    nu = min(cands)
-    norm = normalize_decomposition(dec)
-    bound = min(_per_factor_minima(norm,
-                                   [range_basis(b) for b in norm.B_factors],
-                                   [range_basis(a) for a in norm.A_factors]))
-    return float(nu), float(bound)
+    return cands
 
 
 def ellipticity_constant(dec, rng=None, n_starts=64, n_samples=100_000):
@@ -506,7 +492,11 @@ def ellipticity_constant(dec, rng=None, n_starts=64, n_samples=100_000):
     """
     data_sig = [range_basis(b) for b in dec.B_factors]
     data_t = [range_basis(a) for a in dec.A_factors]
-    nu, bound = _ellipticity_constant(dec, data_sig, data_t)
+    nu = float(min(_per_factor_minima(dec, data_sig, data_t)))
+    norm = normalize_decomposition(dec)
+    bound = float(min(_per_factor_minima(norm,
+                                         [range_basis(b) for b in norm.B_factors],
+                                         [range_basis(a) for a in norm.A_factors])))
 
     rng = np.random.default_rng(0) if rng is None else rng
     best = _search_minimum(dec, data_sig, data_t, rng, n_starts, n_samples)
@@ -558,24 +548,24 @@ def _search_minimum(dec, sigma_g, t_g, rng, n_starts, n_samples):
     return best
 
 
-def _projected_gradient(dec, sg, tg, p, q, iters=200, lr=0.2):
+def _projected_gradient(dec, sg, tg, p, q):
     """Rank-one energy after projected-gradient descent on the unit spheres,
     from each start: the rows of ``p`` (value coordinates in ``sg``) and
     ``q`` (domain coordinates in ``tg``)."""
     Bp = [sg.T @ b @ sg for b in dec.B_factors]
     Ap = [tg.T @ a @ tg for a in dec.A_factors]
-    for step in range(iters + 1):
+    for step in range(201):
         p = p / np.linalg.norm(p, axis=1, keepdims=True)
         q = q / np.linalg.norm(q, axis=1, keepdims=True)
         bp, aq = [p @ bb.T for bb in Bp], [q @ aa.T for aa in Ap]
         x = [np.sum(v * p, axis=1) for v in bp]
         y = [np.sum(v * q, axis=1) for v in aq]
-        if step == iters:
+        if step == 200:
             return sum(xg * yg for xg, yg in zip(x, y))
         gp = sum(2 * v * yg[:, None] for v, yg in zip(bp, y))
         gq = sum(2 * v * xg[:, None] for v, xg in zip(aq, x))
-        p = p - lr * (gp - np.sum(gp * p, axis=1, keepdims=True) * p)
-        q = q - lr * (gq - np.sum(gq * q, axis=1, keepdims=True) * q)
+        p = p - 0.2 * (gp - np.sum(gp * p, axis=1, keepdims=True) * p)
+        q = q - 0.2 * (gq - np.sum(gq * q, axis=1, keepdims=True) * q)
 
 
 def regularize(dec, eps):
@@ -602,7 +592,7 @@ def regularize(dec, eps):
     return Tensor4(N, n, e)
 
 
-def random_decomposition(rng, N, n, normalized=True, max_rank=None):
+def random_decomposition(rng, N, n, normalized=True):
     """Random valid factor family: orthogonal B-ranges carved from a random
     orthogonal matrix, A factors sharing one minimal-eigenvalue direction.
 
@@ -637,7 +627,7 @@ def random_decomposition(rng, N, n, normalized=True, max_rank=None):
         Bs.append((u * w) @ u.T)
         lam = 1.0 if normalized else rng.uniform(0.5, 2.0)
         a = lam * np.outer(abar, abar)
-        extra = rng.integers(0, n) if max_rank is None else rng.integers(0, max_rank)
+        extra = rng.integers(0, n)
         if extra and n > 1:
             idx = rng.permutation(n - 1)[:extra]
             for i in idx:

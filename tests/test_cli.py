@@ -196,6 +196,21 @@ def test_verify_estimate_battery(tmp_path):
     assert len(lines) == 1 + 20 * 2
 
 
+@pytest.mark.parametrize("N, n", [(1, 2), (3, 2), (2, 3)])
+def test_verify_estimate_on_a_decomposition_of_another_shape_exits_two(tmp_path, capsys,
+                                                                        N, n):
+    """The battery's maps have 2 components on the unit square; a decomposition
+    of another shape is a parse error naming ``--decomposition``."""
+    dec_path = tmp_path / "dec.json"
+    random_decomposition(np.random.default_rng(0), N, n).save(dec_path)
+    out = tmp_path / "run"
+    code = main(["verify-estimate", "--decomposition", str(dec_path), "--resolution", "8",
+                 "--out", str(out)])
+    assert code == 2
+    assert "error: --decomposition" in capsys.readouterr().err
+    assert not (out / "estimate_battery.csv").exists()
+
+
 def test_diffuse_writes_measure(tmp_path):
     dom = Domain.unit_square(16)
     u = GridFunction.from_callable(dom, lambda x: np.sin(x))
@@ -391,7 +406,8 @@ def test_solve_with_data_of_another_shape_exits_two(tmp_path, capsys, command, r
 @pytest.mark.parametrize("flag, value", [
     ("--max-iter", "0"), ("--max-iter", "-3"), ("--tol-final", "0"),
     ("--tol-final", "nan"), ("--tol-final", "-0.001"), ("--gamma", "nan"),
-    ("--lip-frac", "inf")])
+    ("--lip-frac", "inf"), ("--gamma", "0.9"), ("--lip-frac", "0.9"), ("--gamma", "-5"),
+    ("--lip-frac", "-0.5")])
 def test_solve_nonlinear_rejects_bad_numeric_flag(tmp_path, capsys, flag, value):
     dec_path = tmp_path / "dec.json"
     write_diag_dec(dec_path)
