@@ -178,6 +178,30 @@ def _data_grid(cfg, system, n, M, grid=None):
     return f
 
 
+def _valid_decomposition(cfg):
+    """The ``--decomposition`` file.  It is a parse error unless it meets
+    every factor condition of ``tensors.validate_decomposition``."""
+    dec = _load_input(Decomposition.load, cfg["decomposition"], "--decomposition")
+    failed = tensors.validate_decomposition(dec).failures()
+    if failed:
+        raise ManifestError("--decomposition fails the factor condition(s) "
+                            + ", ".join(failed))
+    return dec
+
+
+def _windows(base, count, ratio, order, levels, spacing):
+    """The window cascade of a check: at level ``lvl`` the window of
+    ``count`` steps from ``base / 2**lvl``, less its steps below the lattice
+    ``spacing``; a level left empty is dropped."""
+    windows = []
+    for lvl in range(levels):
+        win = [s for s in schedule_window(base / 2**lvl, count, ratio=ratio, order=order)
+               if min(abs(h) for row in s.rows for h in row) >= spacing]
+        if win:
+            windows.append(win)
+    return windows
+
+
 # subcommands ---------------------------------------------------------------
 
 def _cmd_analyze_tensor(cfg, out):
@@ -247,6 +271,9 @@ def _cmd_diffuse(cfg, out):
 
 def _build_system(cfg, u):
     name = cfg["system"]
+    for flag, reader in (("tensor", "linear-tensor"), ("speed", "eikonal-tangent")):
+        if cfg[flag] is not None and name != reader:
+            raise ManifestError(f"--{flag}: only the {reader} system reads it, not {name!r}")
     if name == "infinity-laplace":
         return infinity_laplace_system(u.domain.dim)
     if name == "linear-tensor":
@@ -280,13 +307,7 @@ def _cmd_check(cfg, out):
     r_list = _numbers(cfg, "r-list", None, (0, np.inf))
     c_disc = _number(cfg, "c-disc", None, float, (0, np.inf), closed=True)
     frame = build_frame("standard", N=u.components, n=dom.dim)
-    windows = []
-    for lvl in range(levels):
-        win = [s for s in schedule_window(base / 2**lvl, count, ratio=ratio,
-                                          order=F.order)
-               if min(abs(h) for row in s.rows for h in row) >= dom.spacing]
-        if win:
-            windows.append(win)
+    windows = _windows(base, count, ratio, F.order, levels, dom.spacing)
     if len(windows) < 2:
         raise ManifestError("window cascade needs at least two refinement "
                             "levels above the lattice spacing; lower "
@@ -330,7 +351,7 @@ def _cmd_solve_linear(cfg, out):
     from . import solver
     if not cfg["decomposition"] or not cfg["f"]:
         raise ManifestError("solve-linear needs a decomposition and a data grid")
-    dec = _load_input(Decomposition.load, cfg["decomposition"], "--decomposition")
+    dec = _valid_decomposition(cfg)
     f = _data_grid(cfg, "the --decomposition tensor", dec.n, dec.N)
     eps_seq = _eps_sequence(cfg)
     fd, rep = _solve_or_reject(out, "solve_report.json", cfg,
@@ -351,7 +372,7 @@ def _cmd_solve_nonlinear(cfg, out):
     from . import solver
     if not cfg["decomposition"] or not cfg["f"]:
         raise ManifestError("solve-nonlinear needs a decomposition and a data grid")
-    dec = _load_input(Decomposition.load, cfg["decomposition"], "--decomposition")
+    dec = _valid_decomposition(cfg)
     f = _data_grid(cfg, "the --decomposition tensor", dec.n, dec.N)
     dom = f.domain
     eps_seq = _eps_sequence(cfg)
@@ -401,32 +422,33 @@ def _cmd_solve_nonlinear(cfg, out):
 
 
 def _cmd_reference(cfg, out):
-    if not cfg["case"]:
+    name = cfg["case"]
+    if not name:
         raise ManifestError("reference needs a case name")
-    if cfg["check"] and cfg["case"] != "sawtooth":
-        raise ManifestError(f"--check: only the sawtooth case has a check, not {cfg['case']!r}")
-    params = {name: _number(cfg, name.lower(), None, kind, (0, np.inf)) for name, kind
+    if name not in reference.CASE_PARAMETERS:
+        raise ManifestError(f"unknown reference case {name!r}")
+    if cfg["check"] and name != "sawtooth":
+        raise ManifestError(f"--check: only the sawtooth case has a check, not {name!r}")
+    params = {param: _number(cfg, param.lower(), None, kind, (0, np.inf)) for param, kind
               in [("resolution", int), ("M", float), ("k", int), ("depth", int), ("mu", float)]}
+    params = {param: v for param, v in params.items() if v is not None}
+    for param in params:
+        if param not in reference.CASE_PARAMETERS[name]:
+            raise ManifestError(f"--{param.lower()}: the {name} case takes no such parameter")
     try:
-        case = reference.build_reference(
-            cfg["case"], **{k: v for k, v in params.items() if v is not None})
+        case = reference.build_reference(name, **params)
     except ValueError as exc:
-        raise ManifestError(f"reference case {cfg['case']!r}: {exc}") from exc
-    for name, gf in case.grids.items():
-        save_grid(out / f"{name}.grid", gf)
-    doc = {"name": case.name, "params": case.params,
-           "expected": {k: v for k, v in case.expected.items()
-                        if not isinstance(v, np.ndarray)}}
-    doc["expected"].pop("fold_mask", None)
+        raise ManifestError(f"reference case {name!r}: {exc}") from exc
+    for grid_name, gf in case.grids.items():
+        save_grid(out / f"{grid_name}.grid", gf)
+    doc = {"name": case.name, "params": case.params, "expected": case.expected}
     settled = True
     if cfg["check"]:
         u = case.grids["map"]
-        dom = u.domain
-        h = dom.spacing
+        h = u.domain.spacing
         frame = build_frame("standard", N=2, n=2)
         F = infinity_laplace_system(2)
-        windows = [schedule_window(16 * h / 2**lvl, 3, ratio=0.5, order=2)
-                   for lvl in range(3)]
+        windows = _windows(16 * h, 3, 0.5, 2, 4, h)
         rep = check_dsolution(u, F, frame, windows, R_list=[10.0, 100.0])
         doc["check"] = {"pairing_residuals": rep.residuals["pairing"],
                         "tolerance": rep.tolerance,
@@ -453,7 +475,7 @@ def _cmd_verify_estimate(cfg, out):
     x = dom.node_coords()
 
     if cfg["decomposition"]:
-        dec = _load_input(Decomposition.load, cfg["decomposition"], "--decomposition")
+        dec = _valid_decomposition(cfg)
         if (dec.N, dec.n) != (2, 2):
             raise ManifestError(f"--decomposition takes maps of {dec.N} components on "
                                 f"{dec.n}-D grids; the battery's maps have 2 components "

@@ -17,8 +17,6 @@ import numpy as np
 from .grids import GridFunction, shift_array
 from .tensors import eigh_deterministic, range_basis
 
-TOL_LIN = 1e-10
-
 
 @dataclass(frozen=True)
 class Frame:

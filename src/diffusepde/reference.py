@@ -157,7 +157,6 @@ def sawtooth_map(M, k, resolution):
                              sawtooth_profile(x[..., 1], k)], axis=-1)
 
     gf = GridFunction.from_callable(dom, fn)
-    fold = _fold_mask(dom, k)
     return ReferenceCase(
         name="sawtooth",
         params={"M": M, "k": k, "resolution": res},
@@ -165,24 +164,10 @@ def sawtooth_map(M, k, resolution):
         expected={
             "gradient_norm_sq": 2 * M**2,
             "abs_determinant": M**2,
-            "fold_mask": fold,
             "checks": ["first-order eikonal identities hold off folds; the "
                        "supremal-energy system residual decreases under "
                        "window refinement"],
         })
-
-
-def _fold_mask(dom, k):
-    """Nodes on or adjacent to a fold line of the period-1/k profile."""
-    half = 1.0 / (2 * k)
-    marks = []
-    for axis in range(2):
-        c = dom.axis_coords(axis)
-        steps = np.rint(c / half)
-        on = np.abs(c - steps * half) <= 0.5 * dom.spacing * 1e-9
-        marks.append(on)
-    mx = marks[0][:, None] | marks[1][None, :]
-    return mx
 
 
 def fold_distance_mask(dom, k, margin):
@@ -272,17 +257,21 @@ def oscillation_example(mu, resolution):
                              "interval as the window widens"]})
 
 
+# case name: the parameters its builder takes, with their defaults
+CASE_PARAMETERS = {
+    "fat-cantor": {"depth": 8, "resolution": 4096},
+    "sawtooth": {"M": 1.0, "k": 4, "resolution": 128},
+    "disc-explicit": {"f": lambda x1, x2: 1.0, "resolution": 128},
+    "oscillation": {"mu": 200.0, "resolution": 65536},
+}
+
+
 def build_reference(name, **params):
-    builders = {
-        "fat-cantor": lambda: fat_cantor_indicator(params.get("depth", 8),
-                                                   params.get("resolution", 4096)),
-        "sawtooth": lambda: sawtooth_map(params.get("M", 1.0), params.get("k", 4),
-                                         params.get("resolution", 128)),
-        "disc-explicit": lambda: disc_explicit_solution(
-            params.get("f", lambda x1, x2: 1.0), params.get("resolution", 128)),
-        "oscillation": lambda: oscillation_example(params.get("mu", 200.0),
-                                                   params.get("resolution", 65536)),
-    }
-    if name not in builders:
+    """The case ``name`` built from ``params`` over its defaults."""
+    if name not in CASE_PARAMETERS:
         raise ValueError(f"unknown reference case {name!r}")
-    return builders[name]()
+    # resolved per call, so a builder rebound on the module is the one called
+    builder = {"fat-cantor": fat_cantor_indicator, "sawtooth": sawtooth_map,
+               "disc-explicit": disc_explicit_solution,
+               "oscillation": oscillation_example}[name]
+    return builder(**{**CASE_PARAMETERS[name], **params})

@@ -45,19 +45,23 @@ def eigh_deterministic(m):
     return w, v
 
 
-def range_basis(m):
-    """Orthonormal basis (columns) of the range of a symmetric matrix."""
+def _spectrum(m):
+    """``eigh_deterministic(m)``, the largest eigenvalue magnitude, and the
+    mask of the eigenvalues that count as positive relative to it."""
     w, v = eigh_deterministic(m)
     scale = np.max(np.abs(w)) if w.size else 0.0
-    keep = np.abs(w) > TOL_RANK * max(scale, 1e-300)
-    return v[:, keep]
+    return w, v, scale, w > TOL_RANK * max(scale, 1e-300)
+
+
+def range_basis(m):
+    """Orthonormal basis (columns) of the range of a symmetric PSD matrix."""
+    _, v, _, pos = _spectrum(m)
+    return v[:, pos]
 
 
 def smallest_positive_eigenvalue(m):
     """Smallest positive eigenvalue and an orthonormal basis of its eigenspace."""
-    w, v = eigh_deterministic(m)
-    scale = np.max(np.abs(w)) if w.size else 0.0
-    pos = w > TOL_RANK * max(scale, 1e-300)
+    w, v, scale, pos = _spectrum(m)
     if not pos.any():
         return None, None
     lam = w[pos][0]
@@ -311,14 +315,11 @@ def spectral_factor(a, eps=0.0):
     a = np.asarray(a, dtype=float)
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    w, v = eigh_deterministic(a)
-    top = np.max(np.abs(w), initial=0.0)
+    w, v, top, pos = _spectrum(a)
     if w.size and w[0] < -TOL_PSD * max(top, 1.0):
         raise ValueError(f"matrix not positive semidefinite (min eigenvalue {w[0]:.3e})")
     w = np.clip(w, 0.0, None)
-    # positive as ``range_basis`` counts it: relative to the largest eigenvalue
-    pos = np.nonzero(w > TOL_RANK * max(top, 1e-300))[0]
-    i0 = int(pos[0]) if pos.size else None
+    i0 = int(np.argmax(pos)) if pos.any() else None
     theta = np.diag(np.sqrt(w + eps))
     return SpectralData(O=v, Lambda=w, i0=i0, eps=eps, Theta=theta, Gamma=v @ theta)
 
@@ -350,11 +351,6 @@ class SubspaceProjector:
         keep = s > max(s[0], 1.0) * 1e-12
         basis = vt[keep]
         return SubspaceProjector(tuple(ambient_shape), basis, basis.T @ basis)
-
-    @staticmethod
-    def full(ambient_shape):
-        D = int(np.prod(ambient_shape))
-        return SubspaceProjector(tuple(ambient_shape), np.eye(D), np.eye(D))
 
     def project(self, x):
         x = np.asarray(x, float)
@@ -434,10 +430,7 @@ def ranges_and_subspaces(dec, cross_check=True):
     against the numerically extracted range of the assembled tensor.
     """
     N, n = dec.N, dec.n
-    sigma_g, t_g = [], []
-    for b, a in zip(dec.B_factors, dec.A_factors):
-        sigma_g.append(range_basis(b))
-        t_g.append(range_basis(a))
+    sigma_g, t_g, nu = _factor_ranges(dec)
 
     pi_vecs, sigma_vecs, xi_vecs = [], [], []
     for sg, tg in zip(sigma_g, t_g):
@@ -465,51 +458,44 @@ def ranges_and_subspaces(dec, cross_check=True):
         if pi.distance(pi_direct) > 1e-8:
             raise ArithmeticError("gradient subspace disagrees with the tensor range")
 
-    nu = min(_per_factor_minima(dec, sigma_g, t_g))
-    return EllipticityData(sigma=sigma, pi=pi, xi=xi, nu=float(nu))
+    return EllipticityData(sigma=sigma, pi=pi, xi=xi, nu=nu)
 
 
-def _per_factor_minima(dec, sigma_g, t_g):
-    cands = []
-    for b, a, sg, tg in zip(dec.B_factors, dec.A_factors, sigma_g, t_g):
-        if sg.shape[1] == 0 or tg.shape[1] == 0:
-            continue
-        lam_b, _ = smallest_positive_eigenvalue(b)
-        lam_a, _ = smallest_positive_eigenvalue(a)
-        cands.append(lam_b * lam_a)
+def _factor_ranges(dec):
+    """Range bases of each factor pair's ``B`` and ``A``, and the least
+    candidate ``lambda_min(B^g) * lambda_min(A^g)`` over the pairs whose
+    ranges are both nontrivial; one spectrum per factor matrix."""
+    sigma_g, t_g, cands = [], [], []
+    for b, a in zip(dec.B_factors, dec.A_factors):
+        (wb, vb, _, pb), (wa, va, _, pa) = _spectrum(b), _spectrum(a)
+        sigma_g.append(vb[:, pb])
+        t_g.append(va[:, pa])
+        if pb.any() and pa.any():
+            cands.append(float(wb[pb][0]) * float(wa[pa][0]))
     if not cands:
         raise ValueError("tensor has trivial range; no rank-one directions")
-    return cands
+    return sigma_g, t_g, min(cands)
 
 
 def ellipticity_constant(dec, rng=None, n_starts=64, n_samples=100_000):
     """Minimum of the rank-one quadratic form over unit directions inside the
-    tensor range, with the product upper bound of the normalized factors.
+    tensor range, with its upper bound: the least per-factor candidate
+    ``lambda_min(B^g) * lambda_min(A^g)``.
 
-    The per-factor eigen-candidates attain the minimum for factored tensors;
-    a multistart projected-gradient search plus dense sampling of admissible
-    rank-one directions cross-checks that no smaller value exists.
+    The candidates attain the minimum for factored tensors; a multistart
+    projected-gradient search plus dense sampling of admissible rank-one
+    directions cross-checks that no smaller value exists.
     """
-    data_sig = [range_basis(b) for b in dec.B_factors]
-    data_t = [range_basis(a) for a in dec.A_factors]
-    nu = float(min(_per_factor_minima(dec, data_sig, data_t)))
-    norm = normalize_decomposition(dec)
-    bound = float(min(_per_factor_minima(norm,
-                                         [range_basis(b) for b in norm.B_factors],
-                                         [range_basis(a) for a in norm.A_factors])))
-
+    data_sig, data_t, bound = _factor_ranges(dec)
     rng = np.random.default_rng(0) if rng is None else rng
     best = _search_minimum(dec, data_sig, data_t, rng, n_starts, n_samples)
-    if best < nu - max(1e-8, 1e-9 * nu):
+    if best < bound - max(1e-8, 1e-9 * bound):
         raise ArithmeticError(
-            f"search found rank-one energy {best:.6e} below candidate {nu:.6e}")
-    nu = min(nu, best) if best > 0 else nu
+            f"search found rank-one energy {best:.6e} below candidate {bound:.6e}")
+    nu = min(bound, best) if best > 0 else bound
     if nu <= 0:
         raise ValueError("rank-one energy is not positive on the range")
-    if nu > bound + max(1e-8, 1e-9 * bound):
-        raise ArithmeticError(
-            f"ellipticity constant {nu:.6e} exceeds product bound {bound:.6e}")
-    return float(nu), float(bound)
+    return float(nu), bound
 
 
 def _search_minimum(dec, sigma_g, t_g, rng, n_starts, n_samples):
@@ -602,15 +588,7 @@ def random_decomposition(rng, N, n, normalized=True):
     q_n = np.linalg.qr(rng.standard_normal((N, N)))[0]
     # split R^N into one chunk per factor (chunks may be empty only if N > 1)
     cuts = sorted(rng.choice(np.arange(1, N), size=N - 1, replace=True)) if N > 1 else []
-    chunks = []
-    start = 0
-    bounds = list(cuts) + [N]
-    prev = 0
-    for b in bounds:
-        chunks.append(q_n[:, prev:b])
-        prev = b
-    while len(chunks) < N:
-        chunks.append(np.zeros((N, 0)))
+    chunks = np.split(q_n, cuts, axis=1)
 
     abar = rng.standard_normal(n)
     abar /= np.linalg.norm(abar)

@@ -6,7 +6,7 @@ import pytest
 from diffusepde.cli import main
 from diffusepde.grids import Domain, GridFunction, save_grid
 from diffusepde.tensors import (Decomposition, canonicalize_decomposition,
-                                random_decomposition, regularize)
+                                random_decomposition, regularize, validate_decomposition)
 
 
 def write_diag_dec(path):
@@ -38,11 +38,21 @@ def test_reference_sawtooth_with_check(tmp_path):
     assert code == 0
     table = (out / "residual_table.csv").read_text().strip().splitlines()
     assert table[0] == "level,h_level,pairing_residual"
-    assert len(table) == 4
+    assert len(table) == 5
     resid = [float(r.split(",")[2]) for r in table[1:]]
     assert resid[-1] <= resid[0]
     doc = json.loads((out / "reference_report.json").read_text())
     assert doc["check"]["decreasing"]
+
+
+def test_reference_sawtooth_check_at_its_defaults_exits_zero(tmp_path):
+    """At k 4 on 128^2 the four-level cascade reaches the lattice step,
+    where the pairing residual settles."""
+    out = tmp_path / "run"
+    assert main(["reference", "--case", "sawtooth", "--check", "--out", str(out)]) == 0
+    doc = json.loads((out / "reference_report.json").read_text())
+    assert len(doc["check"]["pairing_residuals"]) == 4
+    assert doc["check"]["pairing_residuals"][-1] <= 1e-3
 
 
 def test_solve_linear_incompatible_data_exits_one(tmp_path, capsys):
@@ -471,6 +481,57 @@ def test_flag_out_of_range_exits_two(tmp_path, capsys, command, flag, value):
     code = main([command, *args, flag, value, "--out", str(out)])
     assert code == 2
     assert f"{flag} must lie in" in capsys.readouterr().err
+    assert not (out / report).exists()
+
+
+@pytest.mark.parametrize("command, args, flag", [
+    ("reference", ["--case", "oscillation", "--k", "3"], "--k"),
+    ("reference", ["--case", "fat-cantor", "--mu", "300"], "--mu"),
+    ("reference", ["--case", "sawtooth", "--depth", "3"], "--depth"),
+    ("reference", ["--case", "disc-explicit", "--resolution", "16", "--m", "2"], "--m"),
+    ("check", ["--system", "infinity-laplace", "--speed", "3", "--tensor",
+               "/nonexistent.json"], "--tensor"),
+    ("check", ["--system", "eikonal-tangent", "--tensor", "dec.json"], "--tensor"),
+    ("check", ["--system", "infinity-laplace", "--speed", "3"], "--speed"),
+])
+def test_flag_the_case_or_system_does_not_read_exits_two(tmp_path, capsys, command, args,
+                                                         flag):
+    """A flag that the chosen reference case or check system does not read
+    is a parse error naming it, not a setting recorded and ignored."""
+    if command == "check":
+        args = ["--grid", str(_sine_grid(tmp_path, 32)), *args]
+    out = tmp_path / "run"
+    assert main([command, *args, "--out", str(out)]) == 2
+    assert f"error: {flag}" in capsys.readouterr().err
+    assert not (out / f"{command}_report.json").exists()
+
+
+@pytest.mark.parametrize("condition, dec", [
+    ("psd", Decomposition((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
+                          (np.diag([1.0, -0.5]), np.diag([1.0, 0.0])))),
+    ("range_orthogonality", Decomposition((np.diag([1.0, 0.0]), np.full((2, 2), 0.5)),
+                                          (np.diag([1.0, 0.0]), np.diag([1.0, 0.0])))),
+    ("common_eigenvector", Decomposition((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
+                                         (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))),
+])
+@pytest.mark.parametrize("command, report", [("solve-linear", "solve_report.json"),
+                                             ("solve-nonlinear", "nonlinear_report.json"),
+                                             ("verify-estimate", "estimate_report.json")])
+def test_invalid_decomposition_exits_two(tmp_path, capsys, command, report, condition, dec):
+    """A decomposition that fails a factor condition is a parse error naming
+    ``--decomposition`` and the condition, raised before any solve."""
+    assert validate_decomposition(dec).failures() == [condition]
+    dec.save(tmp_path / "dec.json")
+    args = [command, "--decomposition", str(tmp_path / "dec.json")]
+    if command == "verify-estimate":
+        args += ["--resolution", "8"]
+    else:
+        save_grid(tmp_path / "f.grid", _sines_on(Domain.unit_square(16), 2))
+        args += ["--f", str(tmp_path / "f.grid")]
+    out = tmp_path / "run"
+    assert main(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: --decomposition" in err and condition in err
     assert not (out / report).exists()
 
 

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -225,6 +228,30 @@ def test_ellipticity_bound_battery(rng):
                                    int(rng.integers(1, 4)), normalized=False)
         nu, bound = ellipticity_constant(dec, n_starts=8, n_samples=2000)
         assert 0 < nu <= bound + 1e-8
+
+
+@pytest.mark.parametrize("seed", [2, 9, 10, 16, 21, 102])
+def test_nu_never_exceeds_its_bound(seed):
+    """The bound is the least per-factor candidate and ``nu`` the smaller of
+    it and the search's minimum, so ``nu <= bound`` holds to the last bit."""
+    nu, bound = ellipticity_constant(random_decomposition(np.random.default_rng(seed), 2, 2))
+    assert nu <= bound
+
+
+def test_random_decomposition_is_pinned():
+    """Factors and the generator state after each draw, over seeds, shapes
+    and both scalings: the benchmark's inputs come from this generator."""
+    digest = hashlib.sha256()
+    for seed in range(6):
+        for N, n in ((1, 1), (1, 3), (2, 2), (3, 2), (2, 3), (4, 3)):
+            for normalized in (True, False):
+                rng = np.random.default_rng(seed)
+                dec = random_decomposition(rng, N, n, normalized=normalized)
+                for m in dec.B_factors + dec.A_factors:
+                    digest.update(m.tobytes())
+                digest.update(json.dumps(rng.bit_generator.state, sort_keys=True).encode())
+    assert digest.hexdigest() == \
+        "0ce31af5494bcb4fb01e11e261ab32e4466f1ebfc4d3840142dee554b78463a2"
 
 
 def _scalar_projected_gradient(dec, sg, tg, p, q, iters=200, lr=0.2):

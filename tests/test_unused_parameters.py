@@ -112,3 +112,56 @@ def test_every_defaulted_parameter_is_passed_by_some_call():
              if not (callee in any_key or param in keywords[callee]
                      or (position is not None and position < n_pos[callee]))]
     assert unset == []
+
+
+def _module_constants():
+    """(module, name) of each upper-case name a package module assigns at its top level."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            yield from ((path.stem, t.id) for t in targets
+                        if isinstance(t, ast.Name) and t.id.isupper())
+
+
+def _names_read_from(tree, module):
+    """Top-level names of the package module ``module`` that ``tree`` reads:
+    names imported from it and read bare, and attributes read off the module."""
+    imported, aliases = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = (node.module or "").rpartition(".")[2]
+            for alias in node.names:
+                if source == module:
+                    imported[alias.asname or alias.name] = alias.name
+                elif alias.name == module:
+                    aliases.add(alias.asname or module)
+        elif isinstance(node, ast.Import):
+            aliases.update(alias.asname or alias.name for alias in node.names
+                           if alias.name == f"diffusepde.{module}")
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(imported.get(node.id))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            owner = node.value
+            if ((isinstance(owner, ast.Name) and owner.id in aliases)
+                    or (isinstance(owner, ast.Attribute) and owner.attr == module)):
+                read.add(node.attr)
+    return read
+
+
+def test_every_module_constant_is_read():
+    """A module-level constant that neither its module nor an importer reads
+    is a setting that changes nothing."""
+    trees = {path: ast.parse(path.read_text())
+             for d in CALLER_DIRS for path in sorted((ROOT / d).rglob("*.py"))}
+    unread = []
+    for module, name in _module_constants():
+        own = trees[PACKAGE / f"{module}.py"]
+        if any(isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+               and node.id == name for node in ast.walk(own)):
+            continue
+        if not any(name in _names_read_from(tree, module) for tree in trees.values()):
+            unread.append(f"{module}.{name}")
+    assert unread == []
