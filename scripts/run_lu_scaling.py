@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from diffusepde.grids import Domain
-from diffusepde.solver import DiscreteOperator, SineFactor, lattice_patterns
+from diffusepde.solver import DiscreteOperator, SineFactor
 from diffusepde.tensors import (Decomposition, canonicalize_decomposition,
                                 random_decomposition, regularize)
 
@@ -61,18 +61,17 @@ def main():
 
     dom = Domain(shape=(args.resolution + 1,) * args.dim, spacing=1.0 / args.resolution,
                  origin=(0.0,) * args.dim)
-    patterns = lattice_patterns(dom)
     print("tensor,factorization,path,unknowns,factors,factor_s,lu_nnz")
     for name, dec in tensors(args.seed, args.dim).items():
         tensor = regularize(canonicalize_decomposition(dec), args.eps)
-        op = DiscreteOperator(tensor, dom, patterns)
+        op = DiscreteOperator(tensor, dom)
         whole_s, whole = best(lambda: op.matrix,
                               lambda A: spla.splu(A, permc_spec="MMD_AT_PLUS_A",
                                                   options={"SymmetricMode": True}),
                               args.repeat)
         whole_nnz = whole.nnz
         del whole
-        split_s, split = best(lambda: DiscreteOperator(tensor, dom, patterns),
+        split_s, split = best(lambda: DiscreteOperator(tensor, dom),
                               DiscreteOperator.factorize, args.repeat)
         path = "+".join(sorted({"spectral" if isinstance(f, SineFactor) else "lu"
                                 for f, _ in split.factors}))

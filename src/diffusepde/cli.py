@@ -23,7 +23,7 @@ import numpy as np
 from . import grids, measures, reference, tensors
 from .checker import (check_dsolution, default_margin, infinity_laplace_system,
                       eikonal_system, tangent_system, tensor_system)
-from .frames import build_frame, schedule_window
+from .frames import build_frame, schedule_window, window_cascade
 from .grids import Domain, GridFunction, load_grid, save_grid
 from .measures import diffuse_field, save_measure_field
 from .tensors import Decomposition, reconstruct
@@ -189,19 +189,6 @@ def _valid_decomposition(cfg):
     return dec
 
 
-def _windows(base, count, ratio, order, levels, spacing):
-    """The window cascade of a check: at level ``lvl`` the window of
-    ``count`` steps from ``base / 2**lvl``, less its steps below the lattice
-    ``spacing``; a level left empty is dropped."""
-    windows = []
-    for lvl in range(levels):
-        win = [s for s in schedule_window(base / 2**lvl, count, ratio=ratio, order=order)
-               if min(abs(h) for row in s.rows for h in row) >= spacing]
-        if win:
-            windows.append(win)
-    return windows
-
-
 # subcommands ---------------------------------------------------------------
 
 def _cmd_analyze_tensor(cfg, out):
@@ -307,7 +294,7 @@ def _cmd_check(cfg, out):
     r_list = _numbers(cfg, "r-list", None, (0, np.inf))
     c_disc = _number(cfg, "c-disc", None, float, (0, np.inf), closed=True)
     frame = build_frame("standard", N=u.components, n=dom.dim)
-    windows = _windows(base, count, ratio, F.order, levels, dom.spacing)
+    windows = window_cascade(base, levels, count, ratio, F.order, dom.spacing)
     if len(windows) < 2:
         raise ManifestError("window cascade needs at least two refinement "
                             "levels above the lattice spacing; lower "
@@ -381,7 +368,7 @@ def _cmd_solve_nonlinear(cfg, out):
     max_iter = _number(cfg, "max-iter", 40, int, (0, np.inf))
     tol_final = _number(cfg, "tol-final", 1e-6, float, (0, np.inf))
 
-    data = tensors.ranges_and_subspaces(dec, cross_check=False)
+    data = tensors.ranges_and_subspaces(dec)
     nu = data.nu
     lip = lip_frac * nu
     a_of_x = GridFunction.from_callable(
@@ -448,7 +435,7 @@ def _cmd_reference(cfg, out):
         h = u.domain.spacing
         frame = build_frame("standard", N=2, n=2)
         F = infinity_laplace_system(2)
-        windows = _windows(16 * h, 3, 0.5, 2, 4, h)
+        windows = window_cascade(16 * h, 4, 3, 0.5, 2, h)
         rep = check_dsolution(u, F, frame, windows, R_list=[10.0, 100.0])
         doc["check"] = {"pairing_residuals": rep.residuals["pairing"],
                         "tolerance": rep.tolerance,
@@ -499,7 +486,7 @@ def _cmd_verify_estimate(cfg, out):
     rows = []
     all_pass = True
     for d, dec in enumerate(decs):
-        subspaces = tensors.ranges_and_subspaces(dec, cross_check=False)
+        subspaces = tensors.ranges_and_subspaces(dec)
         for p in range(20 if not cfg["decomposition"] else 5):
             u = random_trig()
             for eps in eps_list:

@@ -226,22 +226,27 @@ def schedule_window(base_step, count, ratio=0.5, order=1, separation=1.0):
     return out
 
 
+def window_cascade(base_step, levels, count, ratio, order, spacing):
+    """The window cascade of a check: at level ``lvl`` the window of
+    ``count`` steps from ``base_step / 2**lvl``, less its steps below the
+    lattice ``spacing``; a level left empty is dropped."""
+    windows = []
+    for lvl in range(levels):
+        win = [s for s in schedule_window(base_step / 2**lvl, count, ratio=ratio, order=order)
+               if min(abs(h) for row in s.rows for h in row) >= spacing]
+        if win:
+            windows.append(win)
+    return windows
+
+
 def schedule_battery(base_step, levels, count, order, spacing, rng=None):
     """Three families of refining windows: dyadic, geometric ratio 1/3, and
     randomized steps.  Checks run over the whole battery report the worst
     case; all steps stay at or above the lattice spacing.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    families = {}
-    for name, ratio in (("dyadic", 0.5), ("geometric3", 1.0 / 3.0)):
-        fam = []
-        for lvl in range(levels):
-            win = [s for s in schedule_window(base_step * 0.5**lvl, count,
-                                              ratio=ratio, order=order)
-                   if min(abs(h) for row in s.rows for h in row) >= spacing]
-            if win:
-                fam.append(win)
-        families[name] = fam
+    families = {name: window_cascade(base_step, levels, count, ratio, order, spacing)
+                for name, ratio in (("dyadic", 0.5), ("geometric3", 1.0 / 3.0))}
     fam = []
     for lvl in range(levels):
         top = base_step * 0.5**lvl

@@ -1,4 +1,4 @@
-"""Uniform-lattice grid functions on rectangle/disc domains, finite differences, binary IO.
+"""Uniform-lattice grid functions on rectangle/disc domains and their binary IO.
 
 A :class:`GridFunction` is the discrete stand-in for a measurable map
 ``u : R^n >= Omega -> R^d``: values sampled at lattice nodes, extended by
@@ -191,53 +191,6 @@ class GridFunction:
     def _check_compatible(self, other):
         if other.domain != self.domain or other.components != self.components:
             raise ValueError("incompatible grid functions")
-
-
-# finite differences ------------------------------------------------------
-
-def gradient_central(gf):
-    """Central-difference gradient; zero extension supplies out-of-mask values.
-
-    Returns a GridFunction with ``d * dim`` components laid out row-major
-    as ``(component, axis)``.
-    """
-    dom = gf.domain
-    h = dom.spacing
-    pieces = []
-    for c in range(gf.components):
-        v = gf.values[..., c]
-        for k in range(dom.dim):
-            der = (shift_array(v, k, 1) - shift_array(v, k, -1)) / (2 * h)
-            pieces.append(der)
-    vals = np.stack(pieces, axis=-1)
-    return GridFunction(dom, vals)
-
-
-def second_difference(v, axis_i, axis_j, h):
-    """Second difference of a scalar array: central stencils, zero extension."""
-    if axis_i == axis_j:
-        return (shift_array(v, axis_i, 1) - 2 * v + shift_array(v, axis_i, -1)) / h**2
-    pp = shift_array(shift_array(v, axis_i, 1), axis_j, 1)
-    pm = shift_array(shift_array(v, axis_i, 1), axis_j, -1)
-    mp = shift_array(shift_array(v, axis_i, -1), axis_j, 1)
-    mm = shift_array(shift_array(v, axis_i, -1), axis_j, -1)
-    return (pp - pm - mp + mm) / (4 * h**2)
-
-
-def hessian_central(gf):
-    """Discrete hessian field with ``d * dim * dim`` components, ``(c, i, j)`` row-major."""
-    dom = gf.domain
-    h = dom.spacing
-    d = gf.components
-    vals = np.zeros(dom.shape + (d, dom.dim, dom.dim))
-    for c in range(d):
-        v = gf.values[..., c]
-        for i in range(dom.dim):
-            for j in range(i, dom.dim):
-                der = second_difference(v, i, j, h)
-                vals[..., c, i, j] = der
-                vals[..., c, j, i] = der
-    return GridFunction(dom, vals.reshape(dom.shape + (d * dom.dim**2,)))
 
 
 # binary IO ---------------------------------------------------------------

@@ -13,6 +13,7 @@ contraction factor comes from the nearness constants.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,7 +21,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from .grids import GridFunction, gradient_central, hessian_central
+from .grids import GridFunction
 from .tensors import (Decomposition, canonicalize_decomposition,
                       ranges_and_subspaces, reconstruct, regularize)
 
@@ -54,13 +55,15 @@ def _on_grid(domain, mask, rows):
     return GridFunction(domain, out)
 
 
+@lru_cache(maxsize=4)
 def lattice_patterns(domain):
     """Central difference patterns of the lattice restricted to the active
     cells, so that a stencil entry reaching a masked-out node (whose value is
     the zero extension) is dropped.  Keyed by axes: ``(a,)`` is the
     ``(-1, 0, 1)`` pattern along axis ``a``, ``(i, i)`` the ``(1, -2, 1)``
     pattern along axis ``i``, and ``(i, j)`` for ``i < j`` the product of the
-    ``(-1, 0, 1)`` patterns along both axes."""
+    ``(-1, 0, 1)`` patterns along both axes.  Built once per domain; callers
+    must not modify the shared matrices."""
     keep = np.flatnonzero(domain.mask())
 
     def lattice(axes, values, offsets):
@@ -81,15 +84,19 @@ def lattice_patterns(domain):
     return patterns
 
 
-def derivative_maps(domain, N, patterns=None):
-    """Sparse maps ``(G, H)`` from the unknown vector (ordered as in
-    :class:`DiscreteOperator`) to the active-cell rows of
-    :func:`gradient_central` and :func:`hessian_central`:
-    ``G = sum_a kron(D_a / 2h, I_N (x) e_a)``, ``H = sum_{i <= j} kron(D_ij /
-    s_ij, I_N (x) e_ij)`` with ``s_ii = h^2``, ``s_ij = 4 h^2``.  A row keeps
-    its entries by descending column, so that a product adds them in the
-    order of those functions' shift formulas."""
-    patterns = lattice_patterns(domain) if patterns is None else patterns
+@lru_cache(maxsize=4)
+def derivative_maps(domain, N):
+    """Sparse maps ``(G, H)`` from the unknown vector of ``N`` components
+    (ordered as in :class:`DiscreteOperator`) to the active-cell rows of its
+    central gradient and hessian, laid out ``(component, axis)`` and
+    ``(component, i, j)``: ``G = sum_a kron(D_a / 2h, I_N (x) e_a)``, ``H =
+    sum_{i <= j} kron(D_ij / s_ij, I_N (x) e_ij)`` with ``D`` the
+    :func:`lattice_patterns`, ``s_ii = h^2`` and ``s_ij = 4 h^2``.  A row
+    keeps its entries by descending column, so that a product adds them in
+    the order of the shift formulas ``(v[+1] - v[-1]) / 2h``, ``(v[+1] - 2 v
+    + v[-1]) / h^2`` and ``(v[++] - v[+-] - v[-+] + v[--]) / 4h^2``.  Built
+    once per domain and ``N``; callers must not modify the shared maps."""
+    patterns = lattice_patterns(domain)
     n, h = domain.dim, domain.spacing
 
     def derivative(order):
@@ -106,6 +113,28 @@ def derivative_maps(domain, N, patterns=None):
         return sp.csr_matrix((A.data[flip], A.indices[flip], A.indptr), shape=A.shape)
 
     return derivative(1), derivative(2)
+
+
+def _derivative(u, order):
+    """The grid function whose active-cell rows are the derivative map of
+    ``order`` (1 or 2) applied to those of ``u``."""
+    mask = u.domain.mask()
+    rows = u.values[mask]
+    D = derivative_maps(u.domain, u.components)[order - 1]
+    return _on_grid(u.domain, mask, (D @ rows.reshape(-1)).reshape(len(rows), -1))
+
+
+def gradient_central(u):
+    """Central-difference gradient of a grid function, ``d * dim`` components
+    laid out row-major as ``(component, axis)``; the zero extension supplies
+    the values at masked-out nodes."""
+    return _derivative(u, 1)
+
+
+def hessian_central(u):
+    """Central-difference hessian of a grid function, ``d * dim * dim``
+    components laid out row-major as ``(component, i, j)``."""
+    return _derivative(u, 2)
 
 
 def _kron_sum(patterns, blocks):
@@ -224,10 +253,9 @@ class DiscreteOperator:
     ``sum_{i <= j} D_ij (x) E_ij`` of the domain's :func:`lattice_patterns`
     and ``N x N`` blocks of the symmetrized tensor: ``E_ii = T[:, i, :, i] /
     h^2`` and, for ``i < j``, ``E_ij = 2 T[:, i, :, j] / (4 h^2)``.
-    ``patterns`` are built here when not given.
     """
 
-    def __init__(self, tensor, domain, patterns=None):
+    def __init__(self, tensor, domain):
         if domain.dim != tensor.n:
             raise ValueError("tensor domain dimension does not match the grid")
         self.tensor = tensor
@@ -235,11 +263,10 @@ class DiscreteOperator:
         self.N = tensor.N
         self.mask = domain.mask()
         self.n_cells = int(self.mask.sum())
-        self._patterns = lattice_patterns(domain) if patterns is None else patterns
-        self.matrix = self._assemble(self._patterns)
+        self.matrix = self._assemble()
         self._lu = None
 
-    def _assemble(self, patterns):
+    def _assemble(self):
         h = self.domain.spacing
         ent = self.tensor.entries
         # symmetric-in-(i,j) effective coefficients
@@ -248,7 +275,7 @@ class DiscreteOperator:
         self._blocks = {(i, i): eff[:, i, :, i] / h**2 for i in dims}
         self._blocks.update({(i, j): 2 * eff[:, i, :, j] / (4 * h**2)
                              for i in dims for j in dims if i < j})
-        return _kron_sum(patterns, self._blocks)
+        return _kron_sum(lattice_patterns(self.domain), self._blocks)
 
     def factorize(self):
         """:class:`SplitLU` factors, one per distinct group of decoupled
@@ -272,7 +299,8 @@ class DiscreteOperator:
                     factor = SineFactor([m - 2 for m in self.domain.shape],
                                         [sub[i, i].item() for i in range(self.domain.dim)])
                 else:
-                    matrix = self.matrix if len(groups) == 1 else _kron_sum(self._patterns, sub)
+                    matrix = (self.matrix if len(groups) == 1
+                              else _kron_sum(lattice_patterns(self.domain), sub))
                     try:
                         # symmetric to rounding: minimum degree on A + A^T, diagonal pivots
                         factor = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A",
@@ -421,17 +449,16 @@ def solve_linear(dec, f, eps_sequence):
     domain = f.domain
     _check_shape(dec, f)
     eps_sequence = list(eps_sequence)
-    data = ranges_and_subspaces(dec, cross_check=False)
+    data = ranges_and_subspaces(dec)
     defect = _compatible(f, data, 1e-8)
-    patterns = lattice_patterns(domain)
     mask = domain.mask()
     rhs = f.values[mask].reshape(-1)
     # one operator alive at a time, freed before the next is assembled, and
     # none once the maps are built
-    solutions = [DiscreteOperator(a_eps, domain, patterns).solve(rhs)
+    solutions = [DiscreteOperator(a_eps, domain).solve(rhs)
                  for a_eps in _regularized(dec, eps_sequence)]
     rows, cauchy = _fibre_limit(solutions, eps_sequence,
-                                derivative_maps(domain, dec.N, patterns), data, domain)
+                                derivative_maps(domain, dec.N), data, domain)
     fd = FibreData(*(_on_grid(domain, mask, r) for r in rows))
     resid = _tensor_hessian_residual(reconstruct(dec), fd.xi_D2u, f)
     report = LinearSolveReport(eps_sequence=eps_sequence, cauchy_differences=cauchy,
@@ -460,7 +487,7 @@ def verify_hessian_estimate(dec, u, eps, tol_est=0.05, subspaces=None):
     classical convex-domain hessian-vs-trace comparison is reported as well.
     """
     dom = u.domain
-    data = ranges_and_subspaces(dec, cross_check=False) if subspaces is None else subspaces
+    data = ranges_and_subspaces(dec) if subspaces is None else subspaces
     canon = canonicalize_decomposition(dec)
     a_eps = regularize(canon, eps)
     hess = hessian_central(u)
@@ -523,7 +550,7 @@ def make_nonlinearity(dec, A_of_x, gamma, g=None, lipschitz_g=0.0, subspaces=Non
     separately).  The returned evaluator is constant along the complement of
     the hessian subspace by construction.
     """
-    data = ranges_and_subspaces(dec, cross_check=False) if subspaces is None else subspaces
+    data = ranges_and_subspaces(dec) if subspaces is None else subspaces
     nu = data.nu
     if nu * abs(gamma) + lipschitz_g >= nu:
         raise ValueError("parameters violate the nearness requirement "
@@ -562,7 +589,7 @@ def check_degenerate_ellipticity(F, cert, sample_count=200):
     """
     rng = np.random.default_rng(0)
     dec = cert.dec
-    data = ranges_and_subspaces(dec, cross_check=False)
+    data = ranges_and_subspaces(dec)
     tensor = reconstruct(dec)
     N, n = dec.N, dec.n
     dom = cert.A_of_x.domain
@@ -630,13 +657,12 @@ def campanato_solve(F, cert, f, eps_sequence, max_iter=40, tol=1e-10, tol_final=
     """
     dec = cert.dec
     _check_shape(dec, f)
-    data = ranges_and_subspaces(dec, cross_check=False)
+    data = ranges_and_subspaces(dec)
     _compatible(f, data, 1e-8)
     dom = f.domain
     eps_sequence = list(eps_sequence)
-    patterns = lattice_patterns(dom)
-    ops = [DiscreteOperator(a_eps, dom, patterns) for a_eps in _regularized(dec, eps_sequence)]
-    maps = derivative_maps(dom, dec.N, patterns)
+    ops = [DiscreteOperator(a_eps, dom) for a_eps in _regularized(dec, eps_sequence)]
+    maps = derivative_maps(dom, dec.N)
     # A(x), the node coordinates and f on the active cells, read once
     mask = dom.mask()
     a_rows = cert.A_of_x.values[mask]

@@ -423,7 +423,7 @@ def subspace_H(a, tol=TOL_LIN):
     return proj_span
 
 
-def ranges_and_subspaces(dec, cross_check=True):
+def ranges_and_subspaces(dec):
     """Derived subspaces and ellipticity constant of a factored tensor.
 
     The gradient subspace from the per-factor construction is cross-checked
@@ -448,15 +448,11 @@ def ranges_and_subspaces(dec, cross_check=True):
     pi = SubspaceProjector.from_vectors((N, n), pi_vecs)
     xi = SubspaceProjector.from_vectors((N, n, n), xi_vecs)
 
-    if cross_check:
-        tensor = reconstruct(dec)
-        m = tensor.as_matrix()
-        u, s, vt = np.linalg.svd(m)
-        keep = s > TOL_RANK * max(s[0] if s.size else 0.0, 1e-300)
-        pi_direct = SubspaceProjector(
-            (N, n), u[:, keep].T, u[:, keep] @ u[:, keep].T)
-        if pi.distance(pi_direct) > 1e-8:
-            raise ArithmeticError("gradient subspace disagrees with the tensor range")
+    u, s, _ = np.linalg.svd(reconstruct(dec).as_matrix())
+    keep = s > TOL_RANK * max(s[0] if s.size else 0.0, 1e-300)
+    pi_direct = SubspaceProjector((N, n), u[:, keep].T, u[:, keep] @ u[:, keep].T)
+    if pi.distance(pi_direct) > 1e-8:
+        raise ArithmeticError("gradient subspace disagrees with the tensor range")
 
     return EllipticityData(sigma=sigma, pi=pi, xi=xi, nu=nu)
 

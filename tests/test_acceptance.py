@@ -60,7 +60,7 @@ def test_criterion_2_hessian_estimate_battery():
     total = 0
     for _ in range(5):
         dec = random_decomposition(rng, 2, 2)
-        subspaces = ranges_and_subspaces(dec, cross_check=False)
+        subspaces = ranges_and_subspaces(dec)
         for _ in range(20):
             coef = rng.standard_normal((3, 3, 2))
             vals = np.zeros(dom.shape + (2,))

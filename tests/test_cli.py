@@ -127,6 +127,8 @@ def test_solve_nonlinear_cli(tmp_path):
     assert code == 0
     doc = json.loads((out / "nonlinear_report.json").read_text())
     assert doc["final_residual"] <= 1e-6
+    assert isinstance(doc["max_ratio"], (int, float)), \
+        f"no contraction ratio above the stop to compare with kappa: {doc['max_ratio']!r}"
     assert doc["max_ratio"] <= doc["kappa"] + 0.1
     log = (out / "iteration_log.csv").read_text().strip().splitlines()
     assert log[0] == "iteration,increment,ratio,residual"

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffusepde.grids import (Domain, GridFunction, gradient_central,
-                              hessian_central, load_grid, save_grid,
-                              shift_array)
+from diffusepde.grids import Domain, GridFunction, load_grid, save_grid, shift_array
+from diffusepde.solver import gradient_central, hessian_central
 
 
 def test_rect_mask_excludes_outer_ring():

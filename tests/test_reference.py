@@ -3,13 +3,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from diffusepde.grids import Domain, GridFunction, second_difference
+from diffusepde.grids import Domain, GridFunction
 from diffusepde.reference import (build_reference, disc_explicit_solution,
                                   fat_cantor_indicator,
                                   fat_cantor_removed_intervals,
                                   infinity_witness_cells,
                                   interval_union_measure, oscillation_example,
                                   sawtooth_map, stern_brocot_rationals)
+from diffusepde.solver import hessian_central
 
 
 def test_stern_brocot_prefix_is_fixed():
@@ -117,7 +118,7 @@ def test_disc_solution_boundary_and_interior_residual():
     ring = dom.boundary_ring()
     # vanishes toward the rim at quadrature accuracy plus geometric O(h)
     assert np.abs(u.values[ring]).max() < 10 * h
-    d22 = second_difference(u.values[..., 0], 1, 1, h)
+    d22 = hessian_central(u).values[..., 3]  # (component 0, axis 1, axis 1)
     inner = dom.interior_mask(3 * h)
     x = dom.node_coords()
     target = f(x[..., 0], x[..., 1])

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -6,12 +7,13 @@ import scipy.sparse.linalg as spla
 
 from diffusepde.checker import CoefficientSystem, check_dsolution, tensor_system
 from diffusepde.frames import build_frame, schedule_window
-from diffusepde.grids import Domain, GridFunction, gradient_central, hessian_central
+from diffusepde.grids import Domain, GridFunction, shift_array
 from diffusepde.solver import (DiscreteOperator, EllipticityCertificate,
                                IterationLog, SineFactor, assemble_and_solve_eps,
                                boundary_ring_norm, campanato_solve,
                                check_degenerate_ellipticity, check_sigma_valued,
-                               derivative_maps, fibre_norms, make_nonlinearity,
+                               derivative_maps, fibre_norms, gradient_central,
+                               hessian_central, lattice_patterns, make_nonlinearity,
                                poincare_check, solve_linear, verify_hessian_estimate)
 from diffusepde.tensors import (Decomposition, Tensor4, canonicalize_decomposition,
                                 random_decomposition, ranges_and_subspaces,
@@ -354,23 +356,70 @@ def test_eps_refinement_that_does_not_settle_is_rejected():
         campanato_solve(F, cert, f, eps)
 
 
+def shift_gradient(u):
+    """Central-difference gradient by shifts of the zero-extended lattice
+    array, components ``(c, axis)``: ``(v[+1] - v[-1]) / 2h``."""
+    dom, h = u.domain, u.domain.spacing
+    return np.stack([(shift_array(u.values[..., c], k, 1)
+                      - shift_array(u.values[..., c], k, -1)) / (2 * h)
+                     for c in range(u.components) for k in range(dom.dim)], axis=-1)
+
+
+def shift_second_difference(v, i, j, h):
+    """``(v[+1] - 2 v + v[-1]) / h^2`` along axis ``i == j``, else
+    ``(v[++] - v[+-] - v[-+] + v[--]) / 4h^2`` along axes ``i`` and ``j``."""
+    if i == j:
+        return (shift_array(v, i, 1) - 2 * v + shift_array(v, i, -1)) / h**2
+    pp, pm, mp, mm = (shift_array(shift_array(v, i, a), j, b)
+                      for a, b in ((1, 1), (1, -1), (-1, 1), (-1, -1)))
+    return (pp - pm - mp + mm) / (4 * h**2)
+
+
+def shift_hessian(u):
+    """Central-difference hessian by shifts, components ``(c, i, j)``."""
+    dom = u.domain
+    return np.stack([shift_second_difference(u.values[..., c], min(i, j), max(i, j),
+                                             dom.spacing)
+                     for c in range(u.components) for i in range(dom.dim)
+                     for j in range(dom.dim)], axis=-1)
+
+
 @pytest.mark.parametrize("domain", [
     Domain.unit_square(12),
     Domain.unit_disc(16),
     Domain.interval(0, 1, 20),
     Domain(shape=(6, 7, 5), spacing=0.2, origin=(0.0, 0.0, 0.0)),
-], ids=["rect", "disc", "interval", "box"])
+    Domain.unit_square(16),
+    Domain(shape=(6, 7, 5), spacing=0.25, origin=(0.0, 0.0, 0.0)),
+], ids=["rect", "disc", "interval", "box", "rect-dyadic", "box-dyadic"])
 def test_derivative_maps_match_shift_differences(domain, rng):
-    """``G x`` and ``H x`` are the active-cell rows of the central gradient
-    and hessian of the same two-component map, whose zero extension enters
-    at the cells next to masked-out nodes."""
+    """``G x`` and ``H x``, and the grid functions ``gradient_central`` and
+    ``hessian_central`` built from them, are the shift stencils' central
+    gradient and hessian of the same two-component map, whose zero extension
+    enters at the cells next to masked-out nodes.  At a power-of-two spacing
+    they are bit-identical."""
     u = GridFunction(domain, rng.standard_normal(domain.shape + (2,)))
     mask = domain.mask()
     G, H = derivative_maps(domain, 2)
     x = u.values[mask].reshape(-1)
-    for got, want in ((G @ x, gradient_central(u)), (H @ x, hessian_central(u))):
-        want = want.values[mask].reshape(-1)
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    dyadic = math.frexp(domain.spacing)[0] == 0.5
+    for want, got in ((shift_gradient(u), (G @ x, gradient_central(u).values)),
+                      (shift_hessian(u), (H @ x, hessian_central(u).values))):
+        assert not got[1][~mask].any()
+        want = want[mask].reshape(-1)
+        for g in (got[0], got[1][mask].reshape(-1)):
+            if dyadic:
+                assert np.array_equal(g, want)
+            else:
+                assert np.abs(g - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_derivative_maps_are_built_once_per_domain():
+    """An equal domain reads the cached patterns and maps, not new copies."""
+    maps = derivative_maps(Domain.unit_square(12), 2)
+    again = derivative_maps(Domain.unit_square(12), 2)
+    assert all(a is b for a, b in zip(maps, again))
+    assert lattice_patterns(Domain.unit_disc(16)) is lattice_patterns(Domain.unit_disc(16))
 
 
 def test_poincare_closed_form_and_battery(rng):
