@@ -30,7 +30,7 @@ def main():
     F, cert = make_nonlinearity(
         dec, a_of_x, gamma=args.gamma,
         g=lambda Y: lip * np.sin(Y.reshape(-1, 2, 2, 2)[:, :, 0, 0]),
-        lipschitz_g=lip, subspaces=data)
+        lipschitz_g=lip)
     x = dom.node_coords()
     f = GridFunction(dom, np.stack(
         [np.sin(np.pi * x[..., 0]) * np.sin(np.pi * x[..., 1]),

@@ -213,8 +213,10 @@ def _cmd_analyze_tensor(cfg, out):
         })
         eps = _number(cfg, "eps", None, float, (0, np.inf), closed=True)
         if eps is not None:
-            canon = tensors.canonicalize_decomposition(dec)
-            a_eps = tensors.regularize(canon, eps)
+            try:
+                a_eps = tensors.regularize(tensors.canonicalize_decomposition(dec), eps)
+            except ValueError as exc:
+                raise ManifestError(f"--eps: {exc}") from exc
             # 10 000 unit rank-one directions eta (x) a, drawn row by row
             draws = np.random.default_rng(cfg["seed"]).standard_normal((10_000, dec.N + dec.n))
             eta, a = draws[:, :dec.N], draws[:, dec.N:]
@@ -275,6 +277,13 @@ def _build_system(cfg, u):
     raise ManifestError(f"unknown system {name!r}")
 
 
+def _require_interior(dom, windows, remedy):
+    """A parse error ending in ``remedy`` unless a cell of ``dom`` lies beyond ``windows``."""
+    if not dom.interior_mask(default_margin(windows, dom)).any():
+        raise ManifestError("the grid has no interior cells beyond the reach "
+                            f"of the windows; {remedy}")
+
+
 def _cmd_check(cfg, out):
     if not cfg["grid"] or not cfg["system"]:
         raise ManifestError("check needs a grid file and a system name")
@@ -299,10 +308,7 @@ def _cmd_check(cfg, out):
         raise ManifestError("window cascade needs at least two refinement "
                             "levels above the lattice spacing; lower "
                             "--levels or raise --base-step")
-    if not dom.interior_mask(default_margin(windows, dom)).any():
-        raise ManifestError("the grid has no interior cells beyond the reach "
-                            "of the windows; refine the grid or lower "
-                            "--base-step or --window")
+    _require_interior(dom, windows, "refine the grid or lower --base-step or --window")
     kwargs = {} if c_disc is None else {"C_disc": c_disc}
     report = check_dsolution(u, F, frame, windows, R_list=r_list, f=f, **kwargs)
     doc = report.to_json_dict()
@@ -368,9 +374,7 @@ def _cmd_solve_nonlinear(cfg, out):
     max_iter = _number(cfg, "max-iter", 40, int, (0, np.inf))
     tol_final = _number(cfg, "tol-final", 1e-6, float, (0, np.inf))
 
-    data = tensors.ranges_and_subspaces(dec)
-    nu = data.nu
-    lip = lip_frac * nu
+    lip = lip_frac * tensors.ranges_and_subspaces(dec).nu
     a_of_x = GridFunction.from_callable(
         dom, lambda x: (1.0 + 0.25 * np.sin(np.pi * x[..., 0]))[..., None])
     N, n = dec.N, dec.n
@@ -381,7 +385,7 @@ def _cmd_solve_nonlinear(cfg, out):
 
     try:
         F, cert = solver.make_nonlinearity(dec, a_of_x, gamma=gamma, g=g,
-                                           lipschitz_g=lip, subspaces=data)
+                                           lipschitz_g=lip)
     except ValueError as exc:
         # the certificate needs |gamma| + lip-frac < 1
         raise ManifestError(
@@ -436,6 +440,7 @@ def _cmd_reference(cfg, out):
         frame = build_frame("standard", N=2, n=2)
         F = infinity_laplace_system(2)
         windows = window_cascade(16 * h, 4, 3, 0.5, 2, h)
+        _require_interior(u.domain, windows, "raise --resolution")
         rep = check_dsolution(u, F, frame, windows, R_list=[10.0, 100.0])
         doc["check"] = {"pairing_residuals": rep.residuals["pairing"],
                         "tolerance": rep.tolerance,
@@ -455,7 +460,7 @@ def _cmd_reference(cfg, out):
 def _cmd_verify_estimate(cfg, out):
     from . import solver
     rng = np.random.default_rng(cfg["seed"])
-    res = _number(cfg, "resolution", 64, int, (0, np.inf))
+    res = _number(cfg, "resolution", 64, int, (2, np.inf), closed=True)
     eps_list = _numbers(cfg, "eps-list", [0.0, 0.1, 1.0], (0, np.inf), closed=True)
     tol_est = _number(cfg, "tol-est", 0.05, float, (0, np.inf), closed=True)
     dom = Domain.unit_square(res)
@@ -472,34 +477,28 @@ def _cmd_verify_estimate(cfg, out):
         count = _number(cfg, "battery", 5, int, (0, np.inf))
         decs = [tensors.random_decomposition(rng, 2, 2) for _ in range(count)]
 
+    # the products sin(a pi x) sin(b pi y), a, b = 1..3, row-major in (a, b)
+    basis = [np.sin(a * np.pi * x[..., 0]) * np.sin(b * np.pi * x[..., 1])
+             for a in range(1, 4) for b in range(1, 4)]
+
     def random_trig():
-        kmax = 3
-        coef = rng.standard_normal((kmax, kmax, 2))
-        vals = np.zeros(dom.shape + (2,))
-        for a in range(kmax):
-            for b in range(kmax):
-                basis = (np.sin((a + 1) * np.pi * x[..., 0])
-                         * np.sin((b + 1) * np.pi * x[..., 1]))
-                vals += coef[a, b] * basis[..., None]
-        return GridFunction(dom, vals)
+        coef = rng.standard_normal((len(basis), 2))
+        return GridFunction(dom, sum(c * base[..., None] for c, base in zip(coef, basis)))
 
     rows = []
-    all_pass = True
     for d, dec in enumerate(decs):
-        subspaces = tensors.ranges_and_subspaces(dec)
-        for p in range(20 if not cfg["decomposition"] else 5):
-            u = random_trig()
-            for eps in eps_list:
-                rep = solver.verify_hessian_estimate(dec, u, eps,
-                                                     tol_est=tol_est,
-                                                     subspaces=subspaces)
-                rows.append({"dec": d, "poly": p, "eps": float(eps),
-                             "lhs": rep["lhs"], "rhs": rep["rhs"],
-                             "nu": rep["nu"], "passed": rep["passed"]})
-                all_pass &= rep["passed"]
+        maps = (random_trig() for _ in range(20 if not cfg["decomposition"] else 5))
+        try:
+            reps = solver.verify_hessian_estimate(dec, maps, eps_list, tol_est=tol_est)
+        except ValueError as exc:
+            raise ManifestError(f"--eps-list: {exc}") from exc
+        rows += [{"dec": d, "poly": i // len(eps_list), "eps": rep["eps"],
+                  "lhs": rep["lhs"], "rhs": rep["rhs"], "nu": rep["nu"],
+                  "passed": rep["passed"]} for i, rep in enumerate(reps)]
+    all_pass = all(row["passed"] for row in rows)
     write_csv(out / "estimate_battery.csv",
               ["dec", "poly", "eps", "lhs", "rhs", "nu", "passed"], rows)
-    doc = {"cases": len(rows), "all_passed": bool(all_pass),
+    doc = {"cases": len(rows), "all_passed": all_pass,
            "tol_est": tol_est, "resolution": res}
     _report(out, "estimate_report.json", doc, cfg)
     if not all_pass:

@@ -75,9 +75,9 @@ class Domain:
 
     def interior_mask(self, margin):
         """Active nodes farther than ``margin`` (a length) from any masked-out node."""
-        m = self.mask()
-        steps = int(np.ceil(margin / self.spacing))
-        out = m.copy()
+        out = self.mask()
+        # each pass clears the nodes on the array's edge, so none is left after max(shape)
+        steps = int(min(np.ceil(margin / self.spacing), max(self.shape)))
         for _ in range(steps):
             eroded = out.copy()
             for k in range(self.dim):

@@ -477,44 +477,41 @@ def _tensor_hessian_residual(tensor, xi_d2u, f):
     return resid.l2_norm(where=interior) / denom
 
 
-def verify_hessian_estimate(dec, u, eps, tol_est=0.05, subspaces=None):
-    """Check the degenerate hessian bound on one boundary-vanishing map.
+def verify_hessian_estimate(dec, maps, eps_list, tol_est=0.05):
+    """Check the degenerate hessian bound on boundary-vanishing maps; one
+    report per (map, eps), maps outermost.
 
-    Both sides use the same central-difference hessian; the factored tensor
-    is canonicalized (uniform minimal factor eigenvalues, admissible B scale)
-    before regularizing, which leaves the assembled tensor and its rank-one
-    energy unchanged.  When the tensor is the identity contraction the
-    classical convex-domain hessian-vs-trace comparison is reported as well.
+    Both sides use the same central-difference hessian, taken once per map;
+    the factored tensor is canonicalized (uniform minimal factor eigenvalues,
+    admissible B scale) once and regularized once per eps, which leaves the
+    assembled tensor and its rank-one energy unchanged.  When the tensor is
+    the identity contraction the classical convex-domain hessian-vs-trace
+    comparison is reported as well.
     """
-    dom = u.domain
-    data = ranges_and_subspaces(dec) if subspaces is None else subspaces
+    data = ranges_and_subspaces(dec)
     canon = canonicalize_decomposition(dec)
-    a_eps = regularize(canon, eps)
-    hess = hessian_central(u)
+    regularized = [regularize(canon, eps) for eps in eps_list]
     N, n = dec.N, dec.n
-    X = hess.values.reshape(dom.shape + (N, n, n))
-
-    lhs = GridFunction(dom, data.xi.project(X).reshape(hess.values.shape)).l2_norm()
-    Av = np.einsum("aibj,...bij->...a", a_eps.entries, X)
-    rhs_field = GridFunction(dom, Av)
-    rhs = rhs_field.l2_norm() / data.nu
-
-    report = {
-        "lhs": float(lhs),
-        "rhs": float(rhs),
-        "nu": float(data.nu),
-        "eps": float(eps),
-        "passed": bool(lhs <= rhs * (1 + tol_est)),
-        "tol_est": float(tol_est),
-    }
-    identity = reconstruct(dec).entries
     lap = np.einsum("ab,ij->aibj", np.eye(N), np.eye(n))
-    if np.allclose(identity, lap, atol=1e-12):
-        full_hess = hess.l2_norm()
-        trace = GridFunction(dom, np.einsum("...bii->...b", X))
-        report["hessian_norm"] = float(full_hess)
-        report["trace_norm"] = float(trace.l2_norm())
-    return report
+    laplacian = np.allclose(reconstruct(dec).entries, lap, atol=1e-12)
+    reports = []
+    for u in maps:
+        dom = u.domain
+        hess = hessian_central(u)
+        X = hess.values.reshape(dom.shape + (N, n, n))
+        lhs = GridFunction(dom, data.xi.project(X).reshape(hess.values.shape)).l2_norm()
+        norms = {}
+        if laplacian:
+            trace = GridFunction(dom, np.einsum("...bii->...b", X))
+            norms = {"hessian_norm": float(hess.l2_norm()),
+                     "trace_norm": float(trace.l2_norm())}
+        for eps, a_eps in zip(eps_list, regularized):
+            Av = np.einsum("aibj,...bij->...a", a_eps.entries, X)
+            rhs = GridFunction(dom, Av).l2_norm() / data.nu
+            reports.append({"lhs": float(lhs), "rhs": float(rhs), "nu": float(data.nu),
+                            "eps": float(eps), "passed": bool(lhs <= rhs * (1 + tol_est)),
+                            "tol_est": float(tol_est), **norms})
+    return reports
 
 
 @dataclass
@@ -539,7 +536,7 @@ class EllipticityCertificate:
         return self.B + self.C
 
 
-def make_nonlinearity(dec, A_of_x, gamma, g=None, lipschitz_g=0.0, subspaces=None):
+def make_nonlinearity(dec, A_of_x, gamma, g=None, lipschitz_g=0.0):
     """Factory of certified nonlinear systems near a factored linear one.
 
     ``F(x, X) = A(x)^(-1) [(1 + gamma) T : X + P_sigma g(P_xi X)]`` with ``g``
@@ -550,7 +547,7 @@ def make_nonlinearity(dec, A_of_x, gamma, g=None, lipschitz_g=0.0, subspaces=Non
     separately).  The returned evaluator is constant along the complement of
     the hessian subspace by construction.
     """
-    data = ranges_and_subspaces(dec) if subspaces is None else subspaces
+    data = ranges_and_subspaces(dec)
     nu = data.nu
     if nu * abs(gamma) + lipschitz_g >= nu:
         raise ValueError("parameters violate the nearness requirement "

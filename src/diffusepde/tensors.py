@@ -556,7 +556,8 @@ def regularize(dec, eps):
     Adds a zeroth factor pair ``(eps (I - sum B), eps I)`` and shifts each A
     factor by ``eps I``.  Requires the summed B family to have operator norm
     at most one so the added factor stays positive semidefinite; rescale the
-    factors first (:func:`canonicalize_decomposition`) otherwise.
+    factors first (:func:`canonicalize_decomposition`) otherwise.  An eps
+    so large that an entry overflows is a ``ValueError``.
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
@@ -571,6 +572,8 @@ def regularize(dec, eps):
         e += np.einsum("ab,ij->aibj", b, np.asarray(a) + eps * np.eye(n))
     b0 = eps * (np.eye(N) - total)
     e += np.einsum("ab,ij->aibj", b0, eps * np.eye(n))
+    if not np.isfinite(e).all():
+        raise ValueError(f"the regularization with eps={eps:g} overflows")
     return Tensor4(N, n, e)
 
 

@@ -42,7 +42,7 @@ def test_criterion_1_hessian_trace_equality_case():
     dom = Domain.unit_square(128)
     v = sin_product(dom)
     dec = Decomposition((np.eye(1),), (np.eye(2),))
-    rep = verify_hessian_estimate(dec, v, 0.0)
+    rep = verify_hessian_estimate(dec, [v], [0.0])[0]
     gap_h = abs(rep["hessian_norm"] - np.pi**2) / np.pi**2
     gap_t = abs(rep["trace_norm"] - np.pi**2) / np.pi**2
     elapsed = time.monotonic() - t0
@@ -60,7 +60,7 @@ def test_criterion_2_hessian_estimate_battery():
     total = 0
     for _ in range(5):
         dec = random_decomposition(rng, 2, 2)
-        subspaces = ranges_and_subspaces(dec)
+        maps = []
         for _ in range(20):
             coef = rng.standard_normal((3, 3, 2))
             vals = np.zeros(dom.shape + (2,))
@@ -69,12 +69,10 @@ def test_criterion_2_hessian_estimate_battery():
                     base = (np.sin((a + 1) * np.pi * x[..., 0])
                             * np.sin((b + 1) * np.pi * x[..., 1]))
                     vals += coef[a, b] * base[..., None]
-            u = GridFunction(dom, vals)
-            for eps in (0.0, 0.1, 1.0):
-                rep = verify_hessian_estimate(dec, u, eps, tol_est=0.05,
-                                              subspaces=subspaces)
-                total += 1
-                failures += 0 if rep["passed"] else 1
+            maps.append(GridFunction(dom, vals))
+        for rep in verify_hessian_estimate(dec, maps, (0.0, 0.1, 1.0), tol_est=0.05):
+            total += 1
+            failures += 0 if rep["passed"] else 1
     elapsed = time.monotonic() - t0
     criterion(2, "degenerate hessian estimate holds on the 300-case battery",
               failures == 0 and elapsed < 30.0,
@@ -153,7 +151,7 @@ def test_criterion_6_fixed_point_convergence():
     F, cert = make_nonlinearity(
         dec, a_of_x, gamma=0.2,
         g=lambda Y: lip * np.sin(Y.reshape(-1, 2, 2, 2)[:, :, 0, 0]),
-        lipschitz_g=lip, subspaces=data)
+        lipschitz_g=lip)
     x = dom.node_coords()
     f = GridFunction(dom, np.stack(
         [np.sin(np.pi * x[..., 0]) * np.sin(np.pi * x[..., 1]),

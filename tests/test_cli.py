@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -708,3 +709,79 @@ def test_solve_that_fails_a_guard_exits_one(tmp_path, capsys, command, dec, eps_
     assert reason in capsys.readouterr().err
     doc = json.loads((out / report).read_text())
     assert doc["accepted"] is False and reason in doc["reason"]
+
+
+@pytest.mark.parametrize("args, digest", [
+    (["--battery", "2", "--resolution", "32"],
+     "734ed47de9a022f27eca3fd7245a4b8099df7e21f69dddf9aa381493d65aa47a"),
+    (["--decomposition", "diag.json"],
+     "1dc4debeb2bb46f87c58d3d03b5223540b4d7610528ff7a82af7f81f72c77f66"),
+], ids=["battery", "diagonal-tensor"])
+def test_verify_estimate_battery_is_pinned(tmp_path, args, digest):
+    """sha256 of ``estimate_battery.csv`` for a two-tensor battery on 32^2
+    and for the diagonal tensor at the defaults."""
+    write_diag_dec(tmp_path / "diag.json")
+    args = [str(tmp_path / a) if a.endswith(".json") else a for a in args]
+    out = tmp_path / "run"
+    assert main(["verify-estimate", *args, "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "estimate_battery.csv").read_bytes()).hexdigest() == digest
+
+
+def test_verify_estimate_on_a_lattice_without_active_cells_exits_two(tmp_path, capsys):
+    """``--resolution 1`` is a 2x2 lattice of boundary nodes only."""
+    out = tmp_path / "run"
+    code = main(["verify-estimate", "--resolution", "1", "--out", str(out)])
+    assert code == 2
+    assert "--resolution must lie in [2, inf)" in capsys.readouterr().err
+    assert not (out / "estimate_battery.csv").exists()
+
+
+def test_check_with_windows_reaching_past_the_lattice_exits_two(tmp_path, capsys):
+    """A base step of 1e300 reaches past every cell; the interior guard
+    answers without one erosion pass per lattice step of that reach."""
+    out = tmp_path / "run"
+    code = main(["check", "--grid", str(_sine_grid(tmp_path, 32)), "--system",
+                 "infinity-laplace", "--base-step", "1e300", "--out", str(out)])
+    assert code == 2
+    assert "no interior cells" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def test_reference_check_on_a_grid_too_small_for_its_windows_exits_two(tmp_path, capsys):
+    """The sawtooth check's four-level cascade from 16h needs a margin of 34h,
+    more than a 32^2 lattice has."""
+    out = tmp_path / "run"
+    code = main(["reference", "--case", "sawtooth", "--check", "--resolution", "32",
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "no interior cells" in err and "--resolution" in err
+    assert not (out / "reference_report.json").exists()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("analyze-tensor", "--eps", "1e200"),
+    ("verify-estimate", "--eps-list", "1e308"),
+    ("solve-linear", "--eps-seq", "1e308,1"),
+])
+def test_an_eps_whose_regularization_overflows(tmp_path, capsys, command, flag, value):
+    """The regularized tensor's entries overflow: a parse error naming the
+    flag, or for a solve a rejected report giving that reason."""
+    dec_path = tmp_path / "dec.json"
+    random_decomposition(np.random.default_rng(7), 2, 2).save(dec_path)
+    f_path = tmp_path / "f.grid"
+    save_grid(f_path, _sines_on(Domain.unit_square(16), 2))
+    out = tmp_path / "run"
+    args = {"analyze-tensor": ["--decomposition", str(dec_path)],
+            "verify-estimate": ["--battery", "1", "--resolution", "8"],
+            "solve-linear": ["--decomposition", str(dec_path), "--f", str(f_path)]}[command]
+    code = main([command, *args, flag, value, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert "overflows" in err
+    if command == "solve-linear":
+        assert code == 1
+        doc = json.loads((out / "solve_report.json").read_text())
+        assert doc["accepted"] is False and "overflows" in doc["reason"]
+    else:
+        assert code == 2 and f"error: {flag}: " in err
+        assert not any(out.iterdir())

@@ -45,6 +45,26 @@ def test_boundary_ring_and_interior():
     assert (ring | inner).sum() <= dom.mask().sum()
 
 
+@pytest.mark.parametrize("dom", [Domain((13, 9), 0.125, (0.0, 0.0)),
+                                 Domain((15, 15), 0.25, (0.0, 0.0), "disc"),
+                                 Domain((7, 6, 5), 0.5, (0.0, 0.0, 0.0))],
+                         ids=["rect", "disc", "box-3d"])
+def test_interior_mask_erodes_once_per_lattice_step(dom):
+    """``interior_mask(margin)`` is ``ceil(margin / h)`` erosions of the mask
+    by the lattice neighbours, for margins reaching past every node too; a
+    margin of 1e300 spacings returns at once, with no node left."""
+    out = dom.mask()
+    for steps in range(3 * max(dom.shape)):
+        got = dom.interior_mask(steps * dom.spacing)
+        assert np.array_equal(got, out), steps
+        eroded = out.copy()
+        for k in range(dom.dim):
+            eroded &= shift_array(out, k, 1, fill=False) & shift_array(out, k, -1, fill=False)
+        out = eroded
+    assert not out.any()
+    assert not dom.interior_mask(1e300 * dom.spacing).any()
+
+
 def test_gradient_exact_on_linear():
     dom = Domain.unit_square(16)
     u = GridFunction.from_callable(dom, lambda x: (2 * x[..., 0] - 3 * x[..., 1])[..., None])

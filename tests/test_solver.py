@@ -196,7 +196,7 @@ def test_hessian_estimate_trace_comparison_equality_case():
     dom = Domain.unit_square(64)
     dec = Decomposition((np.eye(1),), (np.eye(2),))
     v = sinsin(dom)
-    rep = verify_hessian_estimate(dec, v, 0.0)
+    rep = verify_hessian_estimate(dec, [v], [0.0])[0]
     assert rep["passed"]
     assert rep["hessian_norm"] <= rep["trace_norm"]
     assert rep["trace_norm"] == pytest.approx(np.pi**2, rel=2e-2)
@@ -206,7 +206,7 @@ def test_hessian_estimate_zero_function():
     dom = Domain.unit_square(16)
     dec = Decomposition((np.eye(1),), (np.eye(2),))
     zero = GridFunction(dom, np.zeros(dom.shape + (1,)))
-    rep = verify_hessian_estimate(dec, zero, 0.1)
+    rep = verify_hessian_estimate(dec, [zero], [0.1])[0]
     assert rep["passed"] and rep["lhs"] == 0.0
 
 
@@ -215,6 +215,7 @@ def test_hessian_estimate_random_battery(rng):
     x = dom.node_coords()
     for _ in range(3):
         dec = random_decomposition(rng, 2, 2)
+        maps = []
         for _ in range(4):
             coef = rng.standard_normal((2, 2, 2))
             vals = np.zeros(dom.shape + (2,))
@@ -223,9 +224,31 @@ def test_hessian_estimate_random_battery(rng):
                     base = (np.sin((a + 1) * np.pi * x[..., 0])
                             * np.sin((b + 1) * np.pi * x[..., 1]))
                     vals += coef[a, b] * base[..., None]
-            u = GridFunction(dom, vals)
-            for eps in (0.0, 0.1, 1.0):
-                assert verify_hessian_estimate(dec, u, eps)["passed"]
+            maps.append(GridFunction(dom, vals))
+        reps = verify_hessian_estimate(dec, maps, (0.0, 0.1, 1.0))
+        assert len(reps) == 12 and all(rep["passed"] for rep in reps)
+
+
+def test_hessian_estimate_is_one_pass_per_decomposition(monkeypatch, rng):
+    """One call canonicalizes and works out the subspaces once, regularizes
+    once per eps and differentiates each map once; its reports, maps
+    outermost, equal those of one call per (map, eps), bit for bit."""
+    from diffusepde import solver
+    calls = {}
+    for name in ("ranges_and_subspaces", "canonicalize_decomposition", "regularize",
+                 "hessian_central"):
+        def counted(*args, _orig=getattr(solver, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _orig(*args)
+        monkeypatch.setattr(solver, name, counted)
+    dom = Domain.unit_square(16)
+    maps = [sinsin(dom, eta) for eta in rng.standard_normal((4, 2))]
+    dec, eps_list = random_decomposition(rng, 2, 2), [0.0, 0.1, 1.0]
+    reps = verify_hessian_estimate(dec, maps, eps_list)
+    assert calls == {"ranges_and_subspaces": 1, "canonicalize_decomposition": 1,
+                     "regularize": 3, "hessian_central": 4}
+    assert reps == [verify_hessian_estimate(dec, [u], [eps])[0]
+                    for u in maps for eps in eps_list]
 
 
 def test_check_degenerate_ellipticity_linear_exact():

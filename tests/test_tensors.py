@@ -359,6 +359,16 @@ def test_regularize_eps_zero_matches_reconstruct(diag_dec):
                        reconstruct(diag_dec).entries)
 
 
+@pytest.mark.parametrize("eps", [1e160, 1e308])
+def test_regularize_rejects_an_eps_that_overflows(eps):
+    """Entries of order ``eps**2`` overflow; the regularization raises
+    instead of returning infinite or NaN entries."""
+    canon = canonicalize_decomposition(random_decomposition(np.random.default_rng(7), 2, 2))
+    assert np.isfinite(regularize(canon, 1e150).entries).all()
+    with pytest.raises(ValueError, match="overflows"):
+        regularize(canon, eps)
+
+
 def test_regularize_norm_precondition():
     dec = Decomposition((2 * np.eye(2), np.zeros((2, 2))),
                         (np.eye(2), np.zeros((2, 2))))
