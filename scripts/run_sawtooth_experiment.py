@@ -7,7 +7,7 @@ import argparse
 import numpy as np
 
 from diffusepde.checker import check_dsolution, infinity_laplace_system
-from diffusepde.frames import build_frame, difference_quotient_1, schedule_window
+from diffusepde.frames import build_frame, difference_quotient_1, window_cascade
 from diffusepde.reference import fold_distance_mask, sawtooth_map
 
 
@@ -36,8 +36,8 @@ def main():
     print(f"|det Du| residual (target {M**2}): {np.abs(dets - M**2).max():.3e}")
 
     F = infinity_laplace_system(2)
-    windows = [schedule_window(16 * h / 2**lvl, 3, ratio=0.5, order=2)
-               for lvl in range(args.levels)]
+    # steps below the lattice spacing are dropped, and so is a level left empty
+    windows = window_cascade(16 * h, args.levels, 3, 0.5, 2, h)
     rep = check_dsolution(u, F, fr, windows)
     print("\nlevel,h_level,pairing_residual")
     for lvl, val in enumerate(rep.residuals["pairing"]):

@@ -138,9 +138,7 @@ def eikonal_system(n, N, speed):
     def zero_set_oracle(x, uval, R):
         if R < speed:
             raise ValueError("zero set does not meet the ball")
-        cells = x.shape[0]
-        D = N * n
-        pts = np.zeros((cells, 1, D))
+        pts = np.zeros((x.shape[0], 1, N * n))
         pts[:, 0, 0] = speed
         return pts
 
@@ -150,7 +148,6 @@ def eikonal_system(n, N, speed):
     sys = CoefficientSystem(order=1, n=n, N=N, M=1, evaluate=evaluate,
                             zero_set_oracle=zero_set_oracle, name="eikonal")
     sys.jet_gradient = gradient_entries
-    sys.x_gradient = lambda x, uval, X: np.zeros((x.shape[0], 1, n))
     return sys
 
 
@@ -166,8 +163,7 @@ def tangent_system(base, F_x=None, F_X=None):
     """
     if base.order != 1:
         raise ValueError("tangent construction implemented for first-order systems")
-    F_x = F_x or getattr(base, "x_gradient", None) or (
-        lambda x, uval, P: np.zeros((x.shape[0], base.M, base.n)))
+    F_x = F_x or (lambda x, uval, P: np.zeros((x.shape[0], base.M, base.n)))
     F_X_eff = F_X or getattr(base, "jet_gradient", None)
     fd_fallback = F_X_eff is None
     if fd_fallback:
@@ -212,7 +208,7 @@ def cutoff(U, F, u, R):
     zero of the residual coefficients (``F = 0``) inside the ball.  For
     jet-linear systems this is the minimal-norm solution of the affine
     equation; otherwise an oracle point.  The replacement is verified to be
-    an in-ball zero; cells where the zero set misses the ball raise.
+    an in-ball zero; cells where no such zero exists raise.
     """
     dom = U.domain
     vals = U.values.reshape(-1, U.components)
@@ -220,7 +216,10 @@ def cutoff(U, F, u, R):
     x = dom.node_coords().reshape(-1, dom.dim)
     uv = u.values.reshape(-1, u.components)
     lin = _linearize(F, x, uv) if over.any() else None
-    return GridFunction(dom, _cut(vals, over, F, R, x, uv, None, lin).reshape(U.values.shape))
+    cut, infeasible = _cut(vals, over, F, R, x, uv, None, lin)
+    if infeasible is not None:
+        raise ValueError(infeasible)
+    return GridFunction(dom, cut.reshape(U.values.shape))
 
 
 def _linearize(F, x, uval):
@@ -235,12 +234,15 @@ def _linearize(F, x, uval):
 
 
 def _cut(vals, over, F, R, x, uv, fv, lin):
-    """``vals`` with the ``over`` rows replaced by verified zeros of ``F = f``
-    inside the radius-R ball; rows of ``x``, ``uv``, ``fv`` (``None`` for
-    vanishing data) and ``lin`` (see ``_linearize``) align with ``vals``."""
+    """``(cut, None)``, ``cut`` being ``vals`` with the ``over`` rows replaced
+    by verified zeros of ``F = f`` in the radius-R ball; ``(None, reason)``
+    when the zero set misses the ball, the data lie outside the jet map's
+    range or the oracle raises ``ValueError``.  Any other fault raises.  Rows
+    of ``x``, ``uv``, ``fv`` (``None`` for vanishing data) and ``lin`` (see
+    ``_linearize``) align with ``vals``."""
     out = vals.copy()
     if not over.any():
-        return out
+        return out, None
     x, uv = x[over], uv[over]
     fv = None if fv is None else fv[over]
     if lin is not None:
@@ -249,19 +251,20 @@ def _cut(vals, over, F, R, x, uv, fv, lin):
         sel = np.einsum("cdm,cm->cd", pinv, rhs)
         sel_norm = np.linalg.norm(sel, axis=1)
         if np.max(sel_norm) > R * (1 + 1e-9):
-            raise ValueError(
-                f"zero set misses the radius-{R} ball at "
-                f"{int(np.sum(sel_norm > R))} cells")
+            return None, (f"zero set misses the radius-{R} ball at "
+                          f"{int(np.sum(sel_norm > R))} cells")
         resid = np.einsum("cmd,cd->cm", L, sel) + c - (0.0 if fv is None else fv)
         if np.max(np.abs(resid)) > 1e3 * TOL_ZERO * max(
                 1.0, float(np.max(np.abs(rhs)))):
-            raise ValueError("data not in the range of the jet map; "
-                             "no zero exists")
+            return None, "data not in the range of the jet map; no zero exists"
     elif F.zero_set_oracle is not None:
         if fv is not None and np.max(np.abs(fv)) > TOL_ZERO:
             raise ValueError("oracle systems need the data folded into "
                              "the coefficients")
-        sel = F.zero_set_oracle(x, uv, R)[:, 0, :]
+        try:
+            sel = F.zero_set_oracle(x, uv, R)[:, 0, :]
+        except ValueError as exc:
+            return None, str(exc)
         res = F.evaluate(x, uv, sel)
         if np.max(np.linalg.norm(res, axis=1)) > TOL_ZERO:
             raise ValueError("oracle points are not zeros of the system")
@@ -270,7 +273,11 @@ def _cut(vals, over, F, R, x, uv, fv, lin):
     else:
         raise ValueError("cut-off needs a linear system or a zero-set oracle")
     out[over] = sel
-    return out
+    return out, None
+
+
+class NoFeasibleRadius(ValueError):
+    """No radius of a check's ``R_list`` admits a zero of the system inside its ball."""
 
 
 @dataclass
@@ -319,20 +326,17 @@ def default_phi_family(field, where=None):
     mask = field.domain.mask() if where is None else where
     pts = field.points[mask]
     fin = ~field.infinite[mask]
-    D = field.space_dim
     finite_pts = pts[fin]
     phis = []
     if finite_pts.size:
         centroid = finite_pts.mean(axis=0)
         spread = float(np.median(np.linalg.norm(finite_pts - centroid, axis=1)))
         base = max(spread, 1e-3 * max(np.linalg.norm(centroid), 1.0), 1e-6)
-        for f in (1.0, 2.0, 4.0):
-            phis.append(bump(centroid, f * base))
+        phis += [bump(centroid, f * base) for f in (1.0, 2.0, 4.0)]
         origin_radius = max(np.linalg.norm(centroid) + base, base)
     else:
         origin_radius = 1.0
-    for f in (1.0, 2.0, 4.0):
-        phis.append(bump(np.zeros(D), f * origin_radius))
+    phis += [bump(np.zeros(field.space_dim), f * origin_radius) for f in (1.0, 2.0, 4.0)]
     return phis
 
 
@@ -474,21 +478,19 @@ def check_dsolution(u, F, frame, schedules, R_list=None, Phi_family=None, f=None
             jets = pts[:, -1]
             norms = np.linalg.norm(jets, axis=1)
             cut_res, dist_res = 0.0, 0.0
-            feasible = 0
             for R in R_list:
-                try:
-                    cut = _cut(jets, field_lvl.infinite[..., -1].reshape(-1) | (norms > R),
-                               F, R, x_flat, uval_flat, f_flat, lin)[inner]
-                except ValueError as exc:
-                    infeasible_R.setdefault(level, []).append((float(R), str(exc)))
+                over = field_lvl.infinite[..., -1].reshape(-1) | (norms > R)
+                cut, infeasible = _cut(jets, over, F, R, x_flat, uval_flat, f_flat, lin)
+                if infeasible is not None:
+                    infeasible_R.setdefault(level, []).append((float(R), infeasible))
                     continue
-                feasible += 1
+                cut = cut[inner]
                 res = coefficients(cut[:, None], x_in, uval_in, lin_in)[:, 0] - f_in
                 cut_res = max(cut_res, float(np.max(np.linalg.norm(res, axis=1))))
                 dist = _distance_residual(cut, res, F, x_in, uval_in, R, lin_in, lip)
                 dist_res = max(dist_res, float(np.max(dist)))
-            if feasible == 0:
-                raise ValueError(
+            if len(infeasible_R.get(level, ())) == len(R_list):
+                raise NoFeasibleRadius(
                     "no cut-off radius admits a zero inside its ball; "
                     f"raise the R values (details: {infeasible_R.get(level)})")
             residuals["cutoff"].append(cut_res)

@@ -21,9 +21,9 @@ import numpy as np
 
 # ``solver`` loads scipy, which only the solve-side commands need; they import it
 from . import grids, measures, reference, tensors
-from .checker import (check_dsolution, default_margin, infinity_laplace_system,
-                      eikonal_system, tangent_system, tensor_system)
-from .frames import build_frame, schedule_window, window_cascade
+from .checker import (NoFeasibleRadius, check_dsolution, default_margin,
+                      infinity_laplace_system, eikonal_system, tangent_system, tensor_system)
+from .frames import build_frame, window_cascade
 from .grids import Domain, GridFunction, load_grid, save_grid
 from .measures import diffuse_field, save_measure_field
 from .tensors import Decomposition, reconstruct
@@ -42,15 +42,11 @@ def write_json(path, doc):
 
 def write_csv(path, header, rows):
     """Deterministic CSV: fixed column order, shortest-round-trip floats."""
-    def fmt(v):
-        if isinstance(v, float):
-            return repr(v)
-        return str(v)
-
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(fmt(row[h]) for h in header) + "\n")
+            fh.write(",".join(repr(v) if isinstance(v, float) else str(v)
+                              for v in (row[h] for h in header)) + "\n")
 
 
 def load_manifest(path):
@@ -242,7 +238,11 @@ def _cmd_diffuse(cfg, out):
     ratio = _number(cfg, "ratio", 0.5, float, (0, 1))
     r_inf = _number(cfg, "r-inf", None, float, (0, np.inf))
     frame = build_frame("standard", N=u.components, n=dom.dim)
-    window = schedule_window(base, count, ratio=ratio, order=order)
+    windows = window_cascade(base, 1, count, ratio, order, dom.spacing)
+    if not windows:
+        raise ManifestError("--base-step/--window: every step of the window lies "
+                            f"below the lattice spacing {dom.spacing!r}; raise --base-step")
+    window = windows[0]
     r_inf = measures.default_cutoff(u, frame) if r_inf is None else r_inf
     field = diffuse_field(u, frame, order, window, r_inf)
     save_measure_field(out / "measure.bin", field)
@@ -310,7 +310,10 @@ def _cmd_check(cfg, out):
                             "--levels or raise --base-step")
     _require_interior(dom, windows, "refine the grid or lower --base-step or --window")
     kwargs = {} if c_disc is None else {"C_disc": c_disc}
-    report = check_dsolution(u, F, frame, windows, R_list=r_list, f=f, **kwargs)
+    try:
+        report = check_dsolution(u, F, frame, windows, R_list=r_list, f=f, **kwargs)
+    except NoFeasibleRadius as exc:
+        raise ManifestError(f"--r-list: {exc}") from exc
     doc = report.to_json_dict()
     doc["windows"] = [[s.rows for s in w] for w in windows]
     doc["grid"] = _grid_block(dom)

@@ -48,14 +48,11 @@ class Frame:
     def n(self):
         return self.E_domain.shape[1]
 
-    def induced_basis_element(self, alpha, idx, normalized=True):
-        """``E^alpha (x) sym(e_{i1}, ..., e_{ip})`` for a tuple of domain indices."""
+    def induced_basis_element(self, alpha, idx):
+        """Normalized ``E^alpha (x) sym(e_{i1}, ..., e_{ip})`` for domain indices ``idx``."""
         vecs = [self.E_domain[alpha, i] for i in idx]
-        t = symmetrized_outer(vecs)
-        e = np.tensordot(self.E_range[alpha], t, axes=0)
-        if normalized:
-            e = e / np.linalg.norm(e)
-        return e
+        e = np.tensordot(self.E_range[alpha], symmetrized_outer(vecs), axes=0)
+        return e / np.linalg.norm(e)
 
 
 def symmetrized_outer(vecs):
@@ -138,7 +135,7 @@ def expand_in_frame(t, frame):
     labels, coeffs = [], []
     for alpha in range(N):
         for idx in itertools.combinations_with_replacement(range(n), p):
-            e = frame.induced_basis_element(alpha, idx, normalized=True)
+            e = frame.induced_basis_element(alpha, idx)
             labels.append((alpha,) + idx)
             coeffs.append(float(np.tensordot(e, t, axes=p + 1)))
     return labels, np.array(coeffs)
@@ -149,7 +146,7 @@ def reassemble_from_frame(labels, coeffs, frame):
     p = len(labels[0]) - 1
     out = np.zeros((frame.N,) + (frame.n,) * p)
     for lab, c in zip(labels, coeffs):
-        e = frame.induced_basis_element(lab[0], lab[1:], normalized=True)
+        e = frame.induced_basis_element(lab[0], lab[1:])
         out += c * e
     return out
 

@@ -81,8 +81,8 @@ class Domain:
         for _ in range(steps):
             eroded = out.copy()
             for k in range(self.dim):
-                eroded &= shift_array(out, k, 1, fill=False)
-                eroded &= shift_array(out, k, -1, fill=False)
+                eroded &= shift_array(out, k, 1)
+                eroded &= shift_array(out, k, -1)
             out = eroded
         return out
 
@@ -91,8 +91,8 @@ class Domain:
         m = self.mask()
         ring = np.zeros(self.shape, dtype=bool)
         for k in range(self.dim):
-            ring |= m & ~shift_array(m, k, 1, fill=False)
-            ring |= m & ~shift_array(m, k, -1, fill=False)
+            ring |= m & ~shift_array(m, k, 1)
+            ring |= m & ~shift_array(m, k, -1)
         return ring
 
     def diameter(self):
@@ -120,14 +120,14 @@ class Domain:
                       mask_kind="rect")
 
 
-def shift_array(values, axis, steps, fill=0.0):
-    """Shift along ``axis`` by ``steps`` nodes, filling vacated entries.
+def shift_array(values, axis, steps):
+    """Shift along ``axis`` by ``steps`` nodes, zeroing vacated entries.
 
     ``shift(v, axis, +1)[i] == v[i+1]`` (reads the forward neighbour).
     """
     if steps == 0:
         return values.copy()
-    out = np.full_like(values, fill)
+    out = np.zeros_like(values)
     src = [slice(None)] * values.ndim
     dst = [slice(None)] * values.ndim
     if steps > 0:

@@ -176,11 +176,6 @@ class YoungMeasureField:
     def n_atoms(self):
         return self.points.shape[-2]
 
-    def cell(self, index):
-        return AtomicMeasure(points=self.points[index],
-                             weights=self.weights[index],
-                             infinite=self.infinite[index])
-
     def infinity_mass(self):
         """Grid array of per-cell mass at infinity."""
         return np.sum(self.weights * self.infinite, axis=-1)

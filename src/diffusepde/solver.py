@@ -386,18 +386,17 @@ def fibre_projections(u, data):
     return FibreData(*(_on_grid(u.domain, mask, r) for r in rows))
 
 
-def check_sigma_valued(f, data):
+def check_sigma_valued(values, data):
     """Relative size of the right-hand-side component outside the admissible
-    value subspace; ``f`` is a grid function or its value rows."""
-    values = f.values if isinstance(f, GridFunction) else f
+    value subspace; ``values`` are the right-hand side's value rows."""
     defect = values - data.sigma.project(values)
     denom = max(float(np.max(np.abs(values))), 1e-300)
     return float(np.max(np.abs(defect))) / denom
 
 
-def _compatible(f, data, tol):
+def _compatible(values, data, tol):
     """:func:`check_sigma_valued`, raising ``ValueError`` above ``tol``."""
-    defect = check_sigma_valued(f, data)
+    defect = check_sigma_valued(values, data)
     if defect > tol:
         raise ValueError(
             "right-hand side has a component outside the admissible value "
@@ -450,7 +449,7 @@ def solve_linear(dec, f, eps_sequence):
     _check_shape(dec, f)
     eps_sequence = list(eps_sequence)
     data = ranges_and_subspaces(dec)
-    defect = _compatible(f, data, 1e-8)
+    defect = _compatible(f.values, data, 1e-8)
     mask = domain.mask()
     rhs = f.values[mask].reshape(-1)
     # one operator alive at a time, freed before the next is assembled, and
@@ -486,7 +485,7 @@ def verify_hessian_estimate(dec, maps, eps_list, tol_est=0.05):
     admissible B scale) once and regularized once per eps, which leaves the
     assembled tensor and its rank-one energy unchanged.  When the tensor is
     the identity contraction the classical convex-domain hessian-vs-trace
-    comparison is reported as well.
+    comparison is reported as well; a non-finite side raises ``ValueError``.
     """
     data = ranges_and_subspaces(dec)
     canon = canonicalize_decomposition(dec)
@@ -506,8 +505,12 @@ def verify_hessian_estimate(dec, maps, eps_list, tol_est=0.05):
             norms = {"hessian_norm": float(hess.l2_norm()),
                      "trace_norm": float(trace.l2_norm())}
         for eps, a_eps in zip(eps_list, regularized):
-            Av = np.einsum("aibj,...bij->...a", a_eps.entries, X)
-            rhs = GridFunction(dom, Av).l2_norm() / data.nu
+            with np.errstate(over="ignore"):  # an overflow is rejected below
+                Av = np.einsum("aibj,...bij->...a", a_eps.entries, X)
+                rhs = GridFunction(dom, Av).l2_norm() / data.nu
+            if not np.isfinite([lhs, rhs]).all():
+                raise ValueError(f"the estimate with eps={eps:g} is not finite "
+                                 f"(lhs {lhs:g}, rhs {rhs:g})")
             reports.append({"lhs": float(lhs), "rhs": float(rhs), "nu": float(data.nu),
                             "eps": float(eps), "passed": bool(lhs <= rhs * (1 + tol_est)),
                             "tol_est": float(tol_est), **norms})
@@ -655,7 +658,7 @@ def campanato_solve(F, cert, f, eps_sequence, max_iter=40, tol=1e-10, tol_final=
     dec = cert.dec
     _check_shape(dec, f)
     data = ranges_and_subspaces(dec)
-    _compatible(f, data, 1e-8)
+    _compatible(f.values, data, 1e-8)
     dom = f.domain
     eps_sequence = list(eps_sequence)
     ops = [DiscreteOperator(a_eps, dom) for a_eps in _regularized(dec, eps_sequence)]

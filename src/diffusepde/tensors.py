@@ -305,7 +305,6 @@ class SpectralData:
     O: np.ndarray
     Lambda: np.ndarray
     i0: int | None
-    eps: float
     Theta: np.ndarray
     Gamma: np.ndarray
 
@@ -321,7 +320,7 @@ def spectral_factor(a, eps=0.0):
     w = np.clip(w, 0.0, None)
     i0 = int(np.argmax(pos)) if pos.any() else None
     theta = np.diag(np.sqrt(w + eps))
-    return SpectralData(O=v, Lambda=w, i0=i0, eps=eps, Theta=theta, Gamma=v @ theta)
+    return SpectralData(O=v, Lambda=w, i0=i0, Theta=theta, Gamma=v @ theta)
 
 
 @dataclass(frozen=True)
@@ -381,7 +380,7 @@ class EllipticityData:
     nu: float
 
 
-def subspace_H(a, tol=TOL_LIN):
+def subspace_H(a):
     """Hessian-direction subspace of a single PSD matrix, computed two ways.
 
     The eigenbasis block pattern and the span of symmetrized products of
@@ -412,13 +411,13 @@ def subspace_H(a, tol=TOL_LIN):
     proj_span = SubspaceProjector.from_vectors(ambient, pairs)
 
     dist = proj_block.distance(proj_span)
-    if dist > max(tol, 1e-10):
+    if dist > TOL_LIN:
         raise ArithmeticError(f"hessian-subspace constructions disagree by {dist:.3e}")
 
     # complement must be invisible to the matrix acting on symmetric arguments
     for row in proj_span.complement_basis():
         x = row.reshape(n, n)
-        if abs(np.tensordot(a, 0.5 * (x + x.T))) > 1e3 * tol * max(operator_norm(a), 1.0):
+        if abs(np.tensordot(a, 0.5 * (x + x.T))) > 1e3 * TOL_LIN * max(operator_norm(a), 1.0):
             raise ArithmeticError("complement of hessian subspace not annihilated")
     return proj_span
 

@@ -91,7 +91,7 @@ def test_criterion_3_hessian_subspace_two_constructions_agree():
             w, v = np.linalg.eigh(a)
             w[: rng.integers(1, n)] = 0.0
             a = (v * w) @ v.T
-        subspace_H(a, tol=1e-10)  # raises beyond 1e-10 disagreement
+        subspace_H(a)  # raises beyond 1e-10 disagreement
     elapsed = time.monotonic() - t0
     criterion(3, "block-pattern and product-span subspaces agree to 1e-10 "
                  "on 100 random matrices", elapsed < 5.0,

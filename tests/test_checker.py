@@ -246,6 +246,26 @@ def test_cutoff_feasibility_reads_cells_outside_the_interior():
         check_dsolution(u, F, frame, windows, R_list=[1.0], f=f)
 
 
+def test_check_raises_on_a_faulty_zero_set_oracle():
+    """An oracle whose points are no zeros of the system is a fault, not an
+    infeasible radius: the check raises instead of recording R = 4 in
+    ``infeasible_R`` and passing on R = 1.8 alone."""
+    from diffusepde.checker import CoefficientSystem
+
+    dom = Domain.unit_disc(32)
+    u = GridFunction.from_callable(
+        dom, lambda x: 1.5 * np.hypot(x[..., 0] - 0.2, x[..., 1] + 0.1)[..., None])
+    base = eikonal_system(2, 1, 1.5)
+    faulty = CoefficientSystem(
+        order=1, n=2, N=1, M=1, evaluate=base.evaluate, name="faulty",
+        zero_set_oracle=lambda x, uval, R: (2.0 if R > 3 else 1.0) * base.zero_set_oracle(
+            x, uval, R))
+    windows = default_windows(dom, levels=2, base_factor=4, order=1)
+    with pytest.raises(ValueError, match="oracle points are not zeros of the system"):
+        check_dsolution(u, faulty, build_frame("standard", N=1, n=2), windows,
+                        R_list=[1.8, 4.0])
+
+
 # full checker ---------------------------------------------------------------
 
 def test_manufactured_solution_passes_all_characterizations():

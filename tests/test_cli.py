@@ -785,3 +785,56 @@ def test_an_eps_whose_regularization_overflows(tmp_path, capsys, command, flag, 
     else:
         assert code == 2 and f"error: {flag}: " in err
         assert not any(out.iterdir())
+
+
+def test_diffuse_drops_the_steps_below_the_lattice_spacing(tmp_path):
+    """``--window 10`` from the default 8h keeps the four steps 8h, 4h, 2h, h."""
+    out = tmp_path / "run"
+    code = main(["diffuse", "--grid", str(_sine_grid(tmp_path, 32)), "--window", "10",
+                 "--out", str(out)])
+    assert code == 0
+    h = 1.0 / 32
+    doc = json.loads((out / "diffuse_report.json").read_text())
+    assert doc["schedules"] == [[[8 * h]], [[4 * h]], [[2 * h]], [[h]]]
+
+
+def test_diffuse_with_every_step_below_the_lattice_spacing_exits_two(tmp_path, capsys):
+    out = tmp_path / "run"
+    code = main(["diffuse", "--grid", str(_sine_grid(tmp_path, 32)), "--base-step", "0.001",
+                 "--out", str(out)])
+    assert code == 2
+    assert "error: --base-step/--window: " in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def test_check_with_no_feasible_cut_off_radius_exits_two(tmp_path, capsys):
+    """At R = 1e-9 the zero set of the manufactured data misses every ball."""
+    dom = Domain.unit_square(48)
+    x = dom.node_coords()
+    base = np.sin(np.pi * x[..., 0]) * np.sin(np.pi * x[..., 1])
+    u = GridFunction(dom, np.stack([base, 0 * base], axis=-1))
+    dec_path, u_path, f_path = tmp_path / "dec.json", tmp_path / "u.grid", tmp_path / "f.grid"
+    Decomposition((np.eye(2), np.zeros((2, 2))),
+                  (np.eye(2), np.zeros((2, 2)))).save(dec_path)
+    save_grid(u_path, u)
+    save_grid(f_path, GridFunction(dom, -2 * np.pi**2 * u.values))
+    out = tmp_path / "run"
+    code = main(["check", "--grid", str(u_path), "--system", "linear-tensor",
+                 "--tensor", str(dec_path), "--f", str(f_path),
+                 "--base-step", str(8 * dom.spacing), "--r-list", "1e-9", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: --r-list: no cut-off radius admits a zero" in err
+    assert not (out / "check_report.json").exists()
+
+
+def test_verify_estimate_with_a_non_finite_estimate_exits_two(tmp_path, capsys):
+    """At eps 1e152 the regularized entries stay finite but the right-hand
+    side's norm overflows."""
+    out = tmp_path / "run"
+    code = main(["verify-estimate", "--eps-list", "1e152", "--battery", "1",
+                 "--resolution", "16", "--out", str(out)])
+    assert code == 2
+    assert "error: --eps-list: the estimate with eps=1e+152 is not finite" in (
+        capsys.readouterr().err)
+    assert not any(out.iterdir())

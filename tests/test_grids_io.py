@@ -59,7 +59,7 @@ def test_interior_mask_erodes_once_per_lattice_step(dom):
         assert np.array_equal(got, out), steps
         eroded = out.copy()
         for k in range(dom.dim):
-            eroded &= shift_array(out, k, 1, fill=False) & shift_array(out, k, -1, fill=False)
+            eroded &= shift_array(out, k, 1) & shift_array(out, k, -1)
         out = eroded
     assert not out.any()
     assert not dom.interior_mask(1e300 * dom.spacing).any()

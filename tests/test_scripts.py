@@ -17,6 +17,8 @@ ROOT = Path(__file__).resolve().parents[1]
     ("run_convergence_study.py", ["--resolutions", "16,32"]),
     ("run_lu_scaling.py", ["--resolution", "16", "--repeat", "1"]),
     ("run_lu_scaling.py", ["--dim", "3", "--resolution", "6", "--repeat", "1"]),
+    # the finest levels' windows reach below the lattice step and are cut there
+    ("run_sawtooth_experiment.py", ["--resolution", "96", "--levels", "5"]),
 ])
 def test_script_runs(script, args):
     env = dict(os.environ)

@@ -80,7 +80,7 @@ def test_solve_linear_rejects_incompatible_data():
     bad = sinsin(dom, (0.0, 1.0))  # valued along the dead component
     with pytest.raises(ValueError, match="incompatible"):
         solve_linear(dec, bad, [1e-1, 1e-2])
-    assert check_sigma_valued(bad, ranges_and_subspaces(dec)) > 0.5
+    assert check_sigma_valued(bad.values, ranges_and_subspaces(dec)) > 0.5
 
 
 @pytest.mark.parametrize("case", ["three components", "a 1-D grid"])
