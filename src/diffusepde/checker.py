@@ -215,22 +215,27 @@ def cutoff(U, F, u, R):
     over = np.linalg.norm(vals, axis=1) > R
     x = dom.node_coords().reshape(-1, dom.dim)
     uv = u.values.reshape(-1, u.components)
-    lin = _linearize(F, x, uv) if over.any() else None
+    lin = _linearize(F, x, uv, over) if over.any() else None
     cut, infeasible = _cut(vals, over, F, R, x, uv, None, lin)
     if infeasible is not None:
         raise ValueError(infeasible)
     return GridFunction(dom, cut.reshape(U.values.shape))
 
 
-def _linearize(F, x, uval):
+def _linearize(F, x, uval, rows):
     """Per-row ``(L, c, pinv(L))`` with ``F = L X + c``; ``None`` unless the
-    system is jet-linear.  A linearization shared by every row takes one
-    ``pinv`` and is broadcast to the rows."""
+    system is jet-linear.  ``pinv(L)`` is taken on the rows of the boolean
+    mask ``rows`` alone and reads NaN elsewhere.  A linearization shared by
+    every row takes one ``pinv`` and is broadcast to the rows."""
     if not F.linear_in_jet:
         return None
     L, c = F.jet_linearization(x, uval)
-    return tuple(np.broadcast_to(a, (len(x),) + a.shape[1:])
-                 for a in (L, c, np.linalg.pinv(L)))
+    if len(L) == 1:
+        pinv = np.linalg.pinv(L)
+    else:
+        pinv = np.full((len(L), L.shape[2], L.shape[1]), np.nan)
+        pinv[rows] = np.linalg.pinv(L[rows])
+    return tuple(np.broadcast_to(a, (len(x),) + a.shape[1:]) for a in (L, c, pinv))
 
 
 def _cut(vals, over, F, R, x, uv, fv, lin):
@@ -376,9 +381,6 @@ def check_dsolution(u, F, frame, schedules, R_list=None, Phi_family=None, f=None
     uval_flat = uval.values.reshape(-1, uval.components)
     f_flat = f.values.reshape(-1, F.M)
 
-    # per-cell linearization (and its pinv), shared by every level and radius
-    lin = _linearize(F, x_flat, uval_flat)
-
     def coefficients(X, x, uv, lin):
         """``F`` at jets ``X`` of shape ``(cells, k, D)``, ``k`` per cell, on
         the cells of the rows of ``x``, ``uv`` and ``lin``."""
@@ -388,16 +390,7 @@ def check_dsolution(u, F, frame, schedules, R_list=None, Phi_family=None, f=None
         return F.evaluate(np.repeat(x, k, axis=0), np.repeat(uv, k, axis=0),
                           X.reshape(-1, F.jet_dim)).reshape(X.shape[:2] + (F.M,))
 
-    zeros = coefficients(np.zeros((x_flat.shape[0], 1, F.jet_dim)), x_flat, uval_flat, lin)
     mask = dom.mask()
-    scale = float(np.median(np.abs(f.values[mask])) +
-                  np.median(np.abs(zeros.reshape(dom.shape + (F.M,))[mask])))
-    # tolerance tracks the resolution of the finest level as a whole, i.e.
-    # the coarsest step appearing in its window
-    h_finest = max(abs(h) for sched in schedules[-1] for row in sched.rows
-                   for h in row)
-    tol = max(C_disc * h_finest, 1e-6 * scale)
-
     margin = default_margin(schedules, dom)
     interior = dom.interior_mask(margin)
     if not interior.any():
@@ -425,6 +418,7 @@ def check_dsolution(u, F, frame, schedules, R_list=None, Phi_family=None, f=None
                 lambda X: project.project(X.reshape((-1,) + project.ambient_shape))
                 .reshape(X.shape))
         fields.append(field_lvl)
+    del jets  # the fields hold their own copies of the atoms
 
     # witnesses are fixed once, near where the finest-level mass settles,
     # and reused across every refinement level
@@ -439,8 +433,32 @@ def check_dsolution(u, F, frame, schedules, R_list=None, Phi_family=None, f=None
         s = max(s, 1.0)
         R_list = [2.0 * s, 8.0 * s]
 
-    # every verdict reads the interior cells alone: their rows, sliced once
+    # the rows each (level, R) cut-off replaces: the finest schedule's jets
+    # are the level's last atoms, and a jet at infinity lies outside every
+    # cut-off ball.  Feasibility is read on every cell, the residuals on the
+    # interior ones.
     inner = interior.reshape(-1)
+    overs = []
+    for field_lvl in fields:
+        pts = field_lvl.points.reshape(len(x_flat), field_lvl.n_atoms, F.jet_dim)
+        norms = np.linalg.norm(pts[:, -1], axis=1)
+        overs.append([field_lvl.infinite[..., -1].reshape(-1) | (norms > R)
+                      for R in R_list])
+
+    # per-cell linearization, shared by every level and radius; its pinv on
+    # the rows the cut-offs and distances read
+    lin = _linearize(F, x_flat, uval_flat,
+                     np.logical_or.reduce([inner] + [o for lvl in overs for o in lvl]))
+    zeros = coefficients(np.zeros((x_flat.shape[0], 1, F.jet_dim)), x_flat, uval_flat, lin)
+    scale = float(np.median(np.abs(f.values[mask])) +
+                  np.median(np.abs(zeros.reshape(dom.shape + (F.M,))[mask])))
+    # tolerance tracks the resolution of the finest level as a whole, i.e.
+    # the coarsest step appearing in its window
+    h_finest = max(abs(h) for sched in schedules[-1] for row in sched.rows
+                   for h in row)
+    tol = max(C_disc * h_finest, 1e-6 * scale)
+
+    # every verdict reads the interior cells alone: their rows, sliced once
     x_in, uval_in, f_in = x_flat[inner], uval_flat[inner], f_flat[inner]
     lin_in = None if lin is None else tuple(a[inner] for a in lin)
     lip = None if lin is None else np.linalg.norm(lin_in[0], axis=(1, 2))
@@ -472,15 +490,9 @@ def check_dsolution(u, F, frame, schedules, R_list=None, Phi_family=None, f=None
         residuals["integral"].append(float(int_cell.max()))
 
         if oracle_ok:
-            # the finest schedule's jets are the level's last atoms; a jet
-            # at infinity lies outside every cut-off ball.  Feasibility is
-            # read on every cell, the residuals on the interior ones.
-            jets = pts[:, -1]
-            norms = np.linalg.norm(jets, axis=1)
             cut_res, dist_res = 0.0, 0.0
-            for R in R_list:
-                over = field_lvl.infinite[..., -1].reshape(-1) | (norms > R)
-                cut, infeasible = _cut(jets, over, F, R, x_flat, uval_flat, f_flat, lin)
+            for R, over in zip(R_list, overs[level]):
+                cut, infeasible = _cut(pts[:, -1], over, F, R, x_flat, uval_flat, f_flat, lin)
                 if infeasible is not None:
                     infeasible_R.setdefault(level, []).append((float(R), infeasible))
                     continue

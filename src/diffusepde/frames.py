@@ -32,6 +32,8 @@ class Frame:
             raise ValueError("E_range must be square")
         if ed.ndim != 3 or ed.shape[0] != er.shape[0] or ed.shape[1] != ed.shape[2]:
             raise ValueError("E_domain must be (N, n, n)")
+        if not (np.isfinite(er).all() and np.isfinite(ed).all()):
+            raise ValueError("frame entries must be finite")
         if np.linalg.norm(er @ er.T - np.eye(er.shape[0])) > 1e-8:
             raise ValueError("value frame not orthonormal")
         for a in range(ed.shape[0]):
@@ -295,6 +297,11 @@ def jet_difference_quotients(u, frame, sched):
     coordinates, symmetrized over the domain indices.  Each value direction
     ``alpha`` is one pass: its quotients along the domain-frame vectors, their
     rotation into standard domain coordinates, then the symmetrization.
+
+    Products with a standard frame are skipped: an identity domain frame is
+    not rotated by, and a unit value vector ``e_beta`` adds its pass into
+    component ``beta`` alone.  On finite quotients the skipped products only
+    multiply by 1 and add zeros, so the bits are those of the full products.
     """
     dom = u.domain
     sched.validate_for(dom)
@@ -305,18 +312,24 @@ def jet_difference_quotients(u, frame, sched):
     out = np.zeros(dom.shape + (N,) + (n,) * p)
     for alpha in range(N):
         r = frame.E_domain[alpha]  # rows are frame vectors
+        e = frame.E_range[alpha]
         # iterate quotients over all index tuples, reusing prefixes
-        stack = {(): u.values @ frame.E_range[alpha]}
+        stack = {(): u.values @ e}
         for h in sched.rows[-1]:
             stack = {prefix + (i,): (_interp_shifted(vals, dom, h * r[i]) - vals) / h
                      for prefix, vals in stack.items() for i in range(n)}
         # the index tuples are in row-major order, so they stack into the block
         block = np.stack(list(stack.values()), axis=-1).reshape(dom.shape + (n,) * p)
-        for mode in range(g, g + p):
-            block = np.moveaxis(np.moveaxis(block, mode, -1) @ r, -1, mode)
+        if not np.array_equal(r, np.eye(n)):
+            for mode in range(g, g + p):
+                block = np.moveaxis(np.moveaxis(block, mode, -1) @ r, -1, mode)
         sym = np.zeros_like(block)
         for perm in itertools.permutations(range(g, g + p)):
             sym += block.transpose(tuple(range(g)) + perm)
         sym /= float(np.prod(range(1, p + 1)))
-        out += np.moveaxis(np.tensordot(sym, frame.E_range[alpha], axes=0), -1, g)
+        beta = int(np.argmax(e))
+        if np.array_equal(e, np.eye(N)[beta]):
+            out[(slice(None),) * g + (beta,)] += sym
+        else:
+            out += np.moveaxis(np.tensordot(sym, e, axes=0), -1, g)
     return GridFunction(dom, out.reshape(dom.shape + (N * n**p,)))

@@ -26,6 +26,9 @@ from .tensors import (Decomposition, canonicalize_decomposition,
                       ranges_and_subspaces, reconstruct, regularize)
 
 SOLVER_TOL = 1e-10
+# largest relative right-hand-side component outside the admissible value
+# subspace that a solve accepts
+TOL_COMPATIBLE = 1e-8
 
 
 @dataclass
@@ -394,10 +397,10 @@ def check_sigma_valued(values, data):
     return float(np.max(np.abs(defect))) / denom
 
 
-def _compatible(values, data, tol):
-    """:func:`check_sigma_valued`, raising ``ValueError`` above ``tol``."""
+def _compatible(values, data):
+    """:func:`check_sigma_valued`, raising ``ValueError`` above ``TOL_COMPATIBLE``."""
     defect = check_sigma_valued(values, data)
-    if defect > tol:
+    if defect > TOL_COMPATIBLE:
         raise ValueError(
             "right-hand side has a component outside the admissible value "
             f"subspace (relative size {defect:.3e}); the degenerate system is "
@@ -449,7 +452,7 @@ def solve_linear(dec, f, eps_sequence):
     _check_shape(dec, f)
     eps_sequence = list(eps_sequence)
     data = ranges_and_subspaces(dec)
-    defect = _compatible(f.values, data, 1e-8)
+    defect = _compatible(f.values, data)
     mask = domain.mask()
     rhs = f.values[mask].reshape(-1)
     # one operator alive at a time, freed before the next is assembled, and
@@ -658,7 +661,7 @@ def campanato_solve(F, cert, f, eps_sequence, max_iter=40, tol=1e-10, tol_final=
     dec = cert.dec
     _check_shape(dec, f)
     data = ranges_and_subspaces(dec)
-    _compatible(f.values, data, 1e-8)
+    _compatible(f.values, data)
     dom = f.domain
     eps_sequence = list(eps_sequence)
     ops = [DiscreteOperator(a_eps, dom) for a_eps in _regularized(dec, eps_sequence)]
@@ -674,7 +677,7 @@ def campanato_solve(F, cert, f, eps_sequence, max_iter=40, tol=1e-10, tol_final=
     log = IterationLog(increments=[], ratios=[], residuals=[], stop=tol * f_norm)
     bad_streak = 0
     for k in range(max_iter):
-        _compatible(b, data, 1e-8)
+        _compatible(b, data)
         solutions = [op.solve(b.reshape(-1)) for op in ops]
         rows, _ = _fibre_limit(solutions, eps_sequence, maps, data, dom)
         resid_rows = F.evaluate(x_rows, a_rows, rows[2]) - f_rows

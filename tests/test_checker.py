@@ -426,6 +426,67 @@ def test_sawtooth_check_cascades_are_pinned():
     assert rep.tolerance.hex() == "0x1.9000000000000p+1"
 
 
+def _counted_pinv(monkeypatch):
+    """Record the number of matrices of each ``np.linalg.pinv`` call."""
+    rows, pinv = [], np.linalg.pinv
+
+    def counted(a, *args, **kwargs):
+        rows.append(len(a))
+        return pinv(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "pinv", counted)
+    return rows
+
+
+def test_check_takes_pinv_on_the_rows_it_reads(monkeypatch):
+    """A supremal check takes one ``pinv`` over exactly the interior rows and
+    the rows some (level, R) cut-off replaces, fewer than the cells."""
+    from diffusepde import checker
+    from diffusepde.reference import sawtooth_map
+    u = sawtooth_map(1.0, 2, 64).grids["map"]
+    h = u.domain.spacing
+    windows = [schedule_window(8 * h / 2**lvl, 2, ratio=0.5, order=2)
+               for lvl in range(2)]
+    overs, cut = [], checker._cut
+
+    def recorded(vals, over, *args):
+        overs.append(over.copy())
+        return cut(vals, over, *args)
+
+    monkeypatch.setattr(checker, "_cut", recorded)
+    rows = _counted_pinv(monkeypatch)
+    rep = check_dsolution(u, infinity_laplace_system(2),
+                          build_frame("standard", N=2, n=2), windows,
+                          R_list=[10.0, 100.0])
+    assert len(overs) == 4
+    read = np.logical_or.reduce(
+        [u.domain.interior_mask(rep.metadata["interior_margin"]).reshape(-1)] + overs)
+    assert rows == [int(read.sum())]
+    assert rows[0] < read.size
+    assert all(np.isfinite(v).all() for v in rep.residuals.values())
+
+
+def test_constant_coefficient_check_takes_one_pinv(monkeypatch):
+    dom, u, f = manufactured_laplace(res=32)
+    rows = _counted_pinv(monkeypatch)
+    check_dsolution(u, tensor_system(Tensor4.laplacian(2, 2)),
+                    build_frame("standard", N=2, n=2),
+                    default_windows(dom, levels=2, base_factor=4), R_list=[10.0, 50.0], f=f)
+    assert rows == [1]
+
+
+def test_cutoff_takes_pinv_on_its_over_rows(monkeypatch):
+    dom = Domain.unit_square(8)
+    vals = np.full(dom.shape + (8,), 0.1)
+    vals[4, 4] = vals[2, 5] = 100.0
+    uval = GridFunction(dom, np.random.default_rng(0).standard_normal(dom.shape + (4,)))
+    rows = _counted_pinv(monkeypatch)
+    out = cutoff(GridFunction(dom, vals), infinity_laplace_system(2), uval, R=10.0)
+    assert rows == [2]
+    assert np.isfinite(out.values).all()
+    assert np.linalg.norm(out.values[4, 4]) <= 10.0
+
+
 @pytest.mark.parametrize("C_disc", [np.nan, np.inf, -5.0])
 def test_check_rejects_bad_discretization_constant(C_disc):
     dom, u, f = manufactured_laplace(res=16)

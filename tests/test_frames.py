@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from diffusepde.frames import (Frame, HSchedule, build_frame,
                                difference_quotient_1, expand_in_frame,
                                jet_difference_quotients, reassemble_from_frame,
-                               schedule_window, symmetrized_outer)
+                               schedule_battery, schedule_window,
+                               symmetrized_outer)
 from diffusepde.grids import Domain, GridFunction
 from diffusepde.reference import fat_cantor_indicator, sawtooth_map
 from diffusepde.tensors import random_decomposition
@@ -242,6 +243,33 @@ def test_schedule_validation():
     assert sched.scale_separation() == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("E_range, E_domain", [
+    ([[np.nan, 0.0], [0.0, 1.0]], np.eye(2)),
+    (np.eye(2), [[np.inf, 0.0], [0.0, 1.0]]),
+])
+def test_frame_rejects_nonfinite_entries(E_range, E_domain):
+    with pytest.raises(ValueError, match="finite"):
+        Frame(np.asarray(E_range), np.stack([np.asarray(E_domain)] * 2))
+
+
+@pytest.mark.parametrize("levels, count, order", [(1, 3, 1), (3, 2, 3)])
+def test_schedule_battery_shapes(levels, count, order):
+    """Every family's schedules have the battery's order and steps at or
+    above the spacing; the randomized family has ``levels`` windows of
+    ``count`` schedules, the others at most that many."""
+    h = 0.01
+    families = schedule_battery(0.08, levels, count, order, h)
+    assert sorted(families) == ["dyadic", "geometric3", "randomized"]
+    assert [len(w) for w in families["randomized"]] == [count] * levels
+    for windows in families.values():
+        assert 1 <= len(windows) <= levels
+        for window in windows:
+            assert 1 <= len(window) <= count
+            for sched in window:
+                assert sched.order == order
+                assert min(abs(s) for row in sched.rows for s in row) >= h
+
+
 def test_schedule_window_shapes():
     win = schedule_window(0.5, 3, ratio=0.5, order=2, separation=2.0)
     assert len(win) == 3
@@ -284,16 +312,26 @@ def test_interp_shifted_matches_map_coordinates(mask_kind, resolution):
 
 def _pinned_case(case):
     """The map and frame of a pinned jet: an adapted frame on a 24-cell disc
-    lattice, or the standard frame on an 11^3 lattice."""
+    lattice, the standard frame on an 11^3 lattice or a 20-cell square, or a
+    frame mixing unit and rotated value vectors with identity and rotated
+    domain frames on a 20-cell disc."""
+    rng = np.random.default_rng(3)
     if case == "adapted":
         dom = Domain.unit_disc(24)
         frame = build_frame("from_decomposition",
                             dec=random_decomposition(np.random.default_rng(7), 2, 2))
-    else:
+    elif case == "standard-3d":
         dom = Domain(shape=(11, 11, 11), spacing=0.1, origin=(0.0, 0.0, 0.0))
         frame = build_frame("standard", N=2, n=3)
-    u = GridFunction(dom, np.random.default_rng(3).standard_normal(dom.shape + (2,)))
-    return u, frame
+    elif case == "standard-2d":
+        dom, rng = Domain.unit_square(20), np.random.default_rng(4)
+        frame = build_frame("standard", N=2, n=2)
+    else:
+        dom, rng = Domain.unit_disc(20), np.random.default_rng(4)
+        c, s = np.cos(0.6), np.sin(0.6)
+        frame = Frame(np.array([[0.0, 0.0, 1.0], [c, s, 0.0], [-s, c, 0.0]]),
+                      np.stack([rotation(0.37).T, np.eye(2), rotation(-1.1).T]))
+    return GridFunction(dom, rng.standard_normal(dom.shape + (frame.N,))), frame
 
 
 @pytest.mark.parametrize("case, steps, digest", [
@@ -305,9 +343,24 @@ def _pinned_case(case):
      "5245cc9b23d2f2d00a282d073f6ba974aeb99b3798bbe4c014b3ef4dfcecae77"),
     ("standard-3d", (1.5, 2.25),
      "963d7411f22081490659fb4e5e435cdf359a2150ce09438e1f2c5868d0ec8c1d"),
-], ids=["adapted-order1", "adapted-order2", "adapted-order3", "standard-3d-order2"])
+    ("standard-2d", (2.0,),
+     "5025d1da0feb643a524afee2fb152d8c07d61017dbf2c088a00e6e8d56e9b2ab"),
+    ("standard-2d", (2.0, 3.0),
+     "aa7ad242f16a610dd854564f4dd1b784defe294cfcd9488d9de8fb29652768fa"),
+    ("standard-2d", (3.0, 1.0, -2.0),
+     "6a01a3b1c0b88d9997cdd018748a2490832b351d98a7419af15578d3bb8e4ea5"),
+    ("mixed", (1.5,),
+     "188d429ae20f6a7762642bedbf9aa33accba33af234c92354b3c259507145215"),
+    ("mixed", (1.5, 2.25),
+     "12600adfce254c64519ba476dbba665b5c0c8e8bd2ad1a4ee21579e0afcb60f3"),
+    ("mixed", (2.25, 1.5, -1.5),
+     "d8a2ed25b688708521279ac397928f2102528e5fcea19268b0983db05303ef42"),
+], ids=["adapted-order1", "adapted-order2", "adapted-order3", "standard-3d-order2",
+        "standard-2d-order1", "standard-2d-order2", "standard-2d-order3",
+        "mixed-order1", "mixed-order2", "mixed-order3"])
 def test_jets_are_pinned(case, steps, digest):
-    """Jets through the rotation and interpolation branches, bit for bit:
+    """Jets through the rotation and interpolation branches, and through the
+    skipped products of standard value and domain vectors, bit for bit:
     sha256 of the values as float64."""
     u, frame = _pinned_case(case)
     h = u.domain.spacing

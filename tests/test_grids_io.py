@@ -30,6 +30,12 @@ def test_domain_diameter_rect():
     assert dom.diameter() == pytest.approx(np.sqrt(2.0))
 
 
+def test_interval_spans_its_endpoints():
+    dom = Domain.interval(-1.0, 3.0, 8)
+    assert dom.spacing == 0.5
+    assert np.array_equal(dom.node_coords()[:, 0], np.linspace(-1.0, 3.0, 9))
+
+
 def test_shift_array_reads_forward_neighbour():
     v = np.arange(5, dtype=float)
     assert np.array_equal(shift_array(v, 0, 1), [1, 2, 3, 4, 0])

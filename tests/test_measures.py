@@ -343,6 +343,20 @@ def test_pair_product_fibre_structure():
     assert (out.values[inner, 0] > 0.5).all()
 
 
+def test_diffuse_jet_field_clips_each_order_at_R_inf():
+    """The cut-off applies to each order's field on its own: the gradient
+    (3, 0) of a linear map lies beyond R_inf = 2, its zero hessian inside."""
+    dom = Domain.unit_square(8)
+    u = GridFunction.from_callable(dom, lambda x: (3.0 * x[..., 0])[..., None])
+    h = dom.spacing
+    first, second = diffuse_jet_field(u, build_frame("standard", N=1, n=2),
+                                      [[HSchedule.first_order(h)],
+                                       [HSchedule.second_order(h)]], R_inf=2.0)
+    inner = dom.interior_mask(4 * h)
+    assert first.infinite[inner].all()
+    assert not second.infinite[inner].any()
+
+
 def test_is_concentrated_dirac_vs_itself():
     dom = Domain.unit_square(8)
     v = GridFunction.from_callable(dom, lambda x: x)

@@ -1,10 +1,12 @@
 """Every parameter of a package function is read by its body, every
 parameter with a default is passed by some call, and some call passes it a
-value other than its default; every function, class and method of the
-package is loaded by some code other than its own definition.
+value other than its default; no required parameter is passed one literal
+by every call; every function, class and method of the package is loaded by
+some code other than its own definition.
 
 A parameter no body reads, one no caller sets, one every caller sets to its
-default, and a member nothing loads are options that change nothing.
+default or to one literal, and a member nothing loads are options that
+change nothing.
 Module-level functions and the methods of module-level classes are checked;
 ``self`` and ``cls`` are exempt, and so are functions nested in a function
 body, since callbacks follow the signature of the protocol they are handed
@@ -68,8 +70,9 @@ def _is_static(fn):
                for d in fn.decorator_list)
 
 
-def _defaulted_parameters(fn, bound):
-    """(name, position, default) of each parameter with a default.
+def _parameters(fn, bound):
+    """(name, position, default) of each parameter a call writes; the
+    default is ``None`` for a required parameter.
 
     The position counts the arguments a call writes, so it skips the bound
     ``self``/``cls``; it is ``None`` for a keyword-only parameter.
@@ -77,21 +80,26 @@ def _defaulted_parameters(fn, bound):
     args = fn.args
     positional = args.posonlyargs + args.args
     skip = int(bound)
-    first = len(positional) - len(args.defaults)
-    yield from ((a.arg, i - skip, args.defaults[i - first])
-                for i, a in enumerate(positional) if i >= first)
-    yield from ((a.arg, None, d) for a, d in zip(args.kwonlyargs, args.kw_defaults)
-                if d is not None)
+    defaults = [None] * (len(positional) - len(args.defaults)) + args.defaults
+    yield from ((a.arg, i - skip, d) for i, (a, d) in enumerate(zip(positional, defaults))
+                if i >= skip)
+    yield from ((a.arg, None, d) for a, d in zip(args.kwonlyargs, args.kw_defaults))
 
 
-def _package_defaults():
+def _package_parameters():
     for path, tree in _package_trees().items():
         for qualname, fn in _checked_functions(tree):
             cls = qualname.rpartition(".")[0]
             callee = cls if fn.name == "__init__" else fn.name
             bound = bool(cls) and not _is_static(fn)
-            for param in _defaulted_parameters(fn, bound):
+            for param in _parameters(fn, bound):
                 yield path, qualname, callee, param
+
+
+def _package_defaults():
+    return ((path, qualname, callee, param)
+            for path, qualname, callee, param in _package_parameters()
+            if param[2] is not None)
 
 
 def _calls():
@@ -336,3 +344,22 @@ def test_every_package_member_is_loaded():
         if outside <= 0:
             unloaded.append(label)
     assert unloaded == []
+
+
+def test_no_required_parameter_is_passed_only_one_value():
+    """A required parameter that every call passes the same literal, or
+    package constant, is a constant in disguise too.  A call that passes it
+    any other expression, or none (another callee of the same name), counts
+    as another value."""
+    params = defaultdict(list)
+    for path, qualname, callee, (param, position, default) in _package_parameters():
+        if default is None:
+            params[callee].append((f"{path.name}: {qualname}({param})", param, position))
+    values = defaultdict(list)
+    for path, call, name in _calls():
+        for label, param, position in params.get(name, ()):
+            arg = _passed(call, param, position)
+            values[label].append(UNKNOWN if arg is None or arg is call else _value(arg, path))
+    fixed = [label for label, passed in values.items()
+             if all(v is not UNKNOWN and v == passed[0] for v in passed)]
+    assert sorted(fixed) == []
