@@ -242,18 +242,26 @@ def _cut(vals, over, F, R, x, uv, fv, lin):
     """``(cut, None)``, ``cut`` being ``vals`` with the ``over`` rows replaced
     by verified zeros of ``F = f`` in the radius-R ball; ``(None, reason)``
     when the zero set misses the ball, the data lie outside the jet map's
-    range or the oracle raises ``ValueError``.  Any other fault raises.  Rows
-    of ``x``, ``uv``, ``fv`` (``None`` for vanishing data) and ``lin`` (see
-    ``_linearize``) align with ``vals``."""
+    range or the oracle raises ``ValueError``.  Any other fault raises, a
+    non-finite selection among them.  Rows of ``x``, ``uv``, ``fv`` (``None``
+    for vanishing data) and ``lin`` (see ``_linearize``) align with ``vals``."""
     out = vals.copy()
     if not over.any():
         return out, None
     x, uv = x[over], uv[over]
     fv = None if fv is None else fv[over]
+
+    def finite(sel):
+        bad = np.flatnonzero(over)[~np.isfinite(sel).all(axis=1)]
+        if bad.size:
+            raise ValueError(f"cut-off selection is not finite at {bad.size} "
+                             f"row(s), first {bad[:5].tolist()}")
+        return sel
+
     if lin is not None:
         L, c, pinv = (a[over] for a in lin)
         rhs = -c if fv is None else fv - c
-        sel = np.einsum("cdm,cm->cd", pinv, rhs)
+        sel = finite(np.einsum("cdm,cm->cd", pinv, rhs))
         sel_norm = np.linalg.norm(sel, axis=1)
         if np.max(sel_norm) > R * (1 + 1e-9):
             return None, (f"zero set misses the radius-{R} ball at "
@@ -270,6 +278,7 @@ def _cut(vals, over, F, R, x, uv, fv, lin):
             sel = F.zero_set_oracle(x, uv, R)[:, 0, :]
         except ValueError as exc:
             return None, str(exc)
+        finite(sel)
         res = F.evaluate(x, uv, sel)
         if np.max(np.linalg.norm(res, axis=1)) > TOL_ZERO:
             raise ValueError("oracle points are not zeros of the system")

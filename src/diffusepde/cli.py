@@ -233,7 +233,9 @@ def _cmd_diffuse(cfg, out):
     u = _load_input(load_grid, cfg["grid"], "--grid")
     dom = u.domain
     order = _number(cfg, "order", 1, int, (0, np.inf))
-    base = _number(cfg, "base-step", 8 * dom.spacing, float, (0, np.inf))
+    # a step of more lattice spacings than a float holds shifts by no integer
+    base = _number(cfg, "base-step", 8 * dom.spacing, float,
+                   (0, np.finfo(float).max * dom.spacing))
     count = _number(cfg, "window", 4, int, (0, np.inf))
     ratio = _number(cfg, "ratio", 0.5, float, (0, 1))
     r_inf = _number(cfg, "r-inf", None, float, (0, np.inf))
@@ -243,8 +245,11 @@ def _cmd_diffuse(cfg, out):
         raise ManifestError("--base-step/--window: every step of the window lies "
                             f"below the lattice spacing {dom.spacing!r}; raise --base-step")
     window = windows[0]
-    r_inf = measures.default_cutoff(u, frame) if r_inf is None else r_inf
-    field = diffuse_field(u, frame, order, window, r_inf)
+    try:
+        r_inf = measures.default_cutoff(u, frame) if r_inf is None else r_inf
+        field = diffuse_field(u, frame, order, window, r_inf)
+    except OverflowError as exc:
+        raise ManifestError(f"--grid: {exc}") from exc
     save_measure_field(out / "measure.bin", field)
     mask = dom.mask()
     inf_mass = field.infinity_mass()
@@ -314,6 +319,8 @@ def _cmd_check(cfg, out):
         report = check_dsolution(u, F, frame, windows, R_list=r_list, f=f, **kwargs)
     except NoFeasibleRadius as exc:
         raise ManifestError(f"--r-list: {exc}") from exc
+    except OverflowError as exc:
+        raise ManifestError(f"--grid: {exc}") from exc
     doc = report.to_json_dict()
     doc["windows"] = [[s.rows for s in w] for w in windows]
     doc["grid"] = _grid_block(dom)

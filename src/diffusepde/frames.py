@@ -231,10 +231,12 @@ def window_cascade(base_step, levels, count, ratio, order, spacing):
     lattice ``spacing``; a level left empty is dropped."""
     windows = []
     for lvl in range(levels):
-        win = [s for s in schedule_window(base_step / 2**lvl, count, ratio=ratio, order=order)
-               if min(abs(h) for row in s.rows for h in row) >= spacing]
-        if win:
-            windows.append(win)
+        top = base_step / 2**lvl
+        # steps fall with k: keep the leading ones, so no step below the
+        # spacing is built (one that underflows to zero could not be)
+        kept = sum(top * ratio**k >= spacing for k in range(count))
+        if kept:
+            windows.append(schedule_window(top, kept, ratio=ratio, order=order))
     return windows
 
 
@@ -270,7 +272,8 @@ def _interp_shifted(values, domain, offset):
     out = values
     for axis, s in enumerate(np.asarray(offset, float) / domain.spacing):
         if s == np.round(s):
-            out = shift_array(out, axis, int(s))
+            if s:  # the closing ``+ 0.0`` copies
+                out = shift_array(out, axis, int(s))
             continue
         m = out.shape[axis]
         c = np.arange(m) + s
@@ -332,4 +335,8 @@ def jet_difference_quotients(u, frame, sched):
             out[(slice(None),) * g + (beta,)] += sym
         else:
             out += np.moveaxis(np.tensordot(sym, e, axes=0), -1, g)
-    return GridFunction(dom, out.reshape(dom.shape + (N * n**p,)))
+    try:
+        return GridFunction(dom, out.reshape(dom.shape + (N * n**p,)))
+    except ValueError as exc:  # ``u`` is finite, so its quotients overflowed
+        raise OverflowError(f"difference quotients of step {sched.rows[-1][0]!r} overflow; "
+                            "the map's values are too large for the step") from exc

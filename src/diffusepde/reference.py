@@ -149,6 +149,8 @@ def sawtooth_map(M, k, resolution):
     """
     if M <= 0 or k < 1:
         raise ValueError("need M > 0 and k >= 1")
+    if not np.isfinite(2.0 * M * M):
+        raise ValueError(f"M = {M!r} is too large: the gradient norm 2 M^2 overflows")
     res = int(np.ceil(resolution / (2 * k)) * 2 * k)
     dom = Domain.unit_square(res)
 

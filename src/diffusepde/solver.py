@@ -13,7 +13,7 @@ contraction factor comes from the nearness constants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -266,24 +266,40 @@ class DiscreteOperator:
         self.N = tensor.N
         self.mask = domain.mask()
         self.n_cells = int(self.mask.sum())
-        self.matrix = self._assemble()
-        self._lu = None
-
-    def _assemble(self):
-        h = self.domain.spacing
-        ent = self.tensor.entries
+        h = domain.spacing
         # symmetric-in-(i,j) effective coefficients
-        eff = 0.5 * (ent + ent.transpose(0, 3, 2, 1))
-        dims = range(self.domain.dim)
+        eff = 0.5 * (tensor.entries + tensor.entries.transpose(0, 3, 2, 1))
+        dims = range(domain.dim)
         self._blocks = {(i, i): eff[:, i, :, i] / h**2 for i in dims}
         self._blocks.update({(i, j): 2 * eff[:, i, :, j] / (4 * h**2)
                              for i in dims for j in dims if i < j})
+        self._lu = None
+
+    @cached_property
+    def matrix(self):
+        """The assembled CSC matrix, built on first read; factors and solves
+        do without it."""
+        return self._assemble()
+
+    def _assemble(self):
         return _kron_sum(lattice_patterns(self.domain), self._blocks)
+
+    def _apply(self, x):
+        """The operator applied to the unknown vector ``x`` without assembling
+        it: ``sum D_axes X E_axes^T`` over the nonzero blocks, ``X`` the cell
+        rows of ``x``."""
+        patterns = lattice_patterns(self.domain)
+        X = x.reshape(-1, self.N)
+        y = np.zeros_like(X)
+        for axes, E in self._blocks.items():
+            if E.any():
+                y += (patterns[axes] @ X) @ E.T
+        return y.reshape(-1)
 
     def factorize(self):
         """:class:`SplitLU` factors, one per distinct group of decoupled
         components (:func:`_component_split`); a tensor that does not split is
-        one group, whose operator is :attr:`matrix` itself.  On the open box
+        one group, whose operator equals :attr:`matrix`.  On the open box
         (``mask_kind == "rect"``) a factor whose groups are single components
         with zero mixed blocks is a :class:`SineFactor`; every other factor
         is a SuperLU factor."""
@@ -302,8 +318,7 @@ class DiscreteOperator:
                     factor = SineFactor([m - 2 for m in self.domain.shape],
                                         [sub[i, i].item() for i in range(self.domain.dim)])
                 else:
-                    matrix = (self.matrix if len(groups) == 1
-                              else _kron_sum(lattice_patterns(self.domain), sub))
+                    matrix = _kron_sum(lattice_patterns(self.domain), sub)
                     try:
                         # symmetric to rounding: minimum degree on A + A^T, diagonal pivots
                         factor = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A",
@@ -337,12 +352,12 @@ class DiscreteOperator:
         if not np.isfinite(x).all():
             raise ArithmeticError("linear solve produced non-finite values "
                                   f"(condition estimate {self.condition_estimate():.2e})")
-        resid = self.matrix @ x - b
+        resid = self._apply(x) - b
         bnorm = np.linalg.norm(b)
         if bnorm > 0 and np.linalg.norm(resid) > SOLVER_TOL * bnorm:
             # one step of iterative refinement before giving up
             x = x + lu.solve(-resid)
-            resid = self.matrix @ x - b
+            resid = self._apply(x) - b
             if np.linalg.norm(resid) > SOLVER_TOL * bnorm:
                 raise ArithmeticError(
                     "discrete residual above the solver tolerance: "
@@ -376,8 +391,19 @@ class LinearSolveReport:
 def _fibre_rows(x, maps, data):
     """Active-cell rows of the projected triple of the unknown vector ``x``."""
     G, H = maps
-    return tuple(v.reshape(-1, p.ambient_dim) @ p.matrix.T
+    return tuple(_project(v, p)
                  for v, p in ((x, data.sigma), (G @ x, data.pi), (H @ x, data.xi)))
+
+
+def _project(v, p):
+    """Active-cell rows of the projection ``p`` of the flat field ``v``."""
+    return v.reshape(-1, p.ambient_dim) @ p.matrix.T
+
+
+def _extrapolate(a, b, eps_sequence):
+    """Rows ``a`` and ``b`` at the last two epsilons, extrapolated to zero."""
+    e1, e2 = eps_sequence[-2], eps_sequence[-1]
+    return b + (b - a) * (e2 / (e1 - e2))
 
 
 def fibre_projections(u, data):
@@ -434,9 +460,8 @@ def _fibre_limit(solutions, eps_sequence, maps, data, domain):
     if len(cauchy) >= 2 and cauchy[-1] > 2.0 * cauchy[0] + 1e-12:
         raise ArithmeticError("epsilon refinement is not settling; "
                               f"differences {cauchy}")
-    e1, e2 = eps_sequence[-2], eps_sequence[-1]
-    w = e2 / (e1 - e2)
-    return tuple(b + (b - a) * w for a, b in zip(triples[-2], triples[-1])), cauchy
+    return tuple(_extrapolate(a, b, eps_sequence)
+                 for a, b in zip(triples[-2], triples[-1])), cauchy
 
 
 def solve_linear(dec, f, eps_sequence):
@@ -455,12 +480,13 @@ def solve_linear(dec, f, eps_sequence):
     defect = _compatible(f.values, data)
     mask = domain.mask()
     rhs = f.values[mask].reshape(-1)
-    # one operator alive at a time, freed before the next is assembled, and
-    # none once the maps are built
+    # built first, the process-cached maps lie below the factors' memory,
+    # which the heap can then return once it is freed
+    maps = derivative_maps(domain, dec.N)
+    # one operator alive at a time, freed before the next is assembled
     solutions = [DiscreteOperator(a_eps, domain).solve(rhs)
                  for a_eps in _regularized(dec, eps_sequence)]
-    rows, cauchy = _fibre_limit(solutions, eps_sequence,
-                                derivative_maps(domain, dec.N), data, domain)
+    rows, cauchy = _fibre_limit(solutions, eps_sequence, maps, data, domain)
     fd = FibreData(*(_on_grid(domain, mask, r) for r in rows))
     resid = _tensor_hessian_residual(reconstruct(dec), fd.xi_D2u, f)
     report = LinearSolveReport(eps_sequence=eps_sequence, cauchy_differences=cauchy,
@@ -657,6 +683,10 @@ def campanato_solve(F, cert, f, eps_sequence, max_iter=40, tol=1e-10, tol_final=
     update a contraction with factor ``kappa = B + C``.  Stops when the
     update is small relative to the data; three consecutive non-contractive
     steps abort with a certificate-violation error.
+
+    An iteration solves only the two finest epsilons, whose hessian rows it
+    extrapolates; the returned triple and the epsilon-settling guard of
+    :func:`_fibre_limit` read every epsilon's solution to the last iterate.
     """
     dec = cert.dec
     _check_shape(dec, f)
@@ -678,9 +708,8 @@ def campanato_solve(F, cert, f, eps_sequence, max_iter=40, tol=1e-10, tol_final=
     bad_streak = 0
     for k in range(max_iter):
         _compatible(b, data)
-        solutions = [op.solve(b.reshape(-1)) for op in ops]
-        rows, _ = _fibre_limit(solutions, eps_sequence, maps, data, dom)
-        resid_rows = F.evaluate(x_rows, a_rows, rows[2]) - f_rows
+        xi = [_project(maps[1] @ op.solve(b.reshape(-1)), data.xi) for op in ops[-2:]]
+        resid_rows = F.evaluate(x_rows, a_rows, _extrapolate(*xi, eps_sequence)) - f_rows
         resid = _l2(resid_rows, dom) / f_norm
         update = a_rows * resid_rows
         inc = _l2(update, dom)
@@ -697,13 +726,15 @@ def campanato_solve(F, cert, f, eps_sequence, max_iter=40, tol=1e-10, tol_final=
                         "ratios >= 1); the nearness certificate looks violated")
             else:
                 bad_streak = 0
-        b = b - update
+        last, b = b, b - update
         if inc <= log.stop:
             break
-    else:
-        if log.residuals[-1] > tol_final:
-            raise ArithmeticError(f"no convergence within {max_iter} iterations "
-                                  f"(last residual {log.residuals[-1]:.3e})")
+    # finest first, each operator freed once solved: at most two factors alive
+    solutions = [ops.pop().solve(last.reshape(-1)) for _ in eps_sequence][::-1]
+    rows, _ = _fibre_limit(solutions, eps_sequence, maps, data, dom)
+    if inc > log.stop and log.residuals[-1] > tol_final:
+        raise ArithmeticError(f"no convergence within {max_iter} iterations "
+                              f"(last residual {log.residuals[-1]:.3e})")
     final_resid = log.residuals[-1]
     if final_resid > tol_final:
         raise ArithmeticError(

@@ -640,3 +640,20 @@ def test_check_reports_are_pinned(case, digest):
     the row-wise evaluation of the certified nonlinearity, a projected check
     and a battery; sha256 of the serialized reports."""
     assert hashlib.sha256(_pinned_check(case)).hexdigest() == digest
+
+
+def test_cut_raises_on_a_non_finite_selection():
+    """A NaN ``pinv`` row would select a NaN jet, which the radius and range
+    tests both let through; ``_cut`` names the row instead."""
+    from diffusepde import checker
+    F = tensor_system(Tensor4.laplacian(2, 2))
+    x, uv = np.zeros((5, 2)), np.zeros((5, 2))
+    L, c = F.jet_linearization(x, uv)
+    L, c = (np.broadcast_to(a, (5,) + a.shape[1:]) for a in (L, c))
+    pinv = np.linalg.pinv(L)
+    pinv[3] = np.nan
+    over = np.zeros(5, bool)
+    over[[1, 3]] = True
+    vals = np.full((5, 8), 100.0)
+    with pytest.raises(ValueError, match=r"not finite at 1 row\(s\), first \[3\]"):
+        checker._cut(vals, over, F, 10.0, x, uv, None, (L, c, pinv))

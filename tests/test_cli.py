@@ -838,3 +838,96 @@ def test_verify_estimate_with_a_non_finite_estimate_exits_two(tmp_path, capsys):
     assert "error: --eps-list: the estimate with eps=1e+152 is not finite" in (
         capsys.readouterr().err)
     assert not any(out.iterdir())
+
+
+def _checkerboard_grid(tmp_path):
+    """A finite 32^2 map of +-1.5e308 values, whose quotients overflow."""
+    dom = Domain.unit_square(32)
+    sign = np.where(np.indices(dom.shape).sum(axis=0) % 2 == 0, 1.0, -1.0)
+    path = tmp_path / "big.grid"
+    save_grid(path, GridFunction(dom, 1.5e308 * np.stack([sign, sign], axis=-1)))
+    return path
+
+
+@pytest.mark.parametrize("args, message", [
+    (["diffuse", "--grid", "u", "--base-step", "1e308"], "--base-step must lie in"),
+    # the steps that underflow are dropped with those below the spacing, and
+    # the default windows then leave no interior cell of the 32^2 grid
+    (["check", "--grid", "u", "--system", "infinity-laplace", "--ratio", "1e-308"],
+     "lower --base-step or --window"),
+    (["reference", "--case", "sawtooth", "--m", "1e308"], "M = 1e+308 is too large"),
+    (["diffuse", "--grid", "big"], "--grid: difference quotients of step"),
+    (["check", "--grid", "big", "--system", "infinity-laplace", "--base-step", "0.125",
+      "--levels", "2", "--window", "2"], "--grid: difference quotients of step"),
+], ids=["diffuse-base-step", "check-ratio", "reference-m", "diffuse-overflow",
+        "check-overflow"])
+def test_input_whose_derived_quantities_overflow_or_vanish_exits_two(tmp_path, capsys,
+                                                                     args, message):
+    files = {"u": _sine_grid(tmp_path, 32), "big": _checkerboard_grid(tmp_path)}
+    args = [str(files.get(a, a)) for a in args]
+    out = tmp_path / "run"
+    assert main([*args, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def test_check_with_a_ratio_whose_steps_underflow_runs(tmp_path):
+    """Steps that underflow to zero lie below the spacing and are dropped:
+    from 4h the windows hold one schedule each, of step 4h, 2h and h."""
+    out = tmp_path / "run"
+    code = main(["check", "--grid", str(_sine_grid(tmp_path, 32)), "--system",
+                 "infinity-laplace", "--base-step", "0.125", "--ratio", "1e-308",
+                 "--out", str(out)])
+    assert code in (0, 1)
+    h = 1.0 / 32
+    doc = json.loads((out / "check_report.json").read_text())
+    assert doc["windows"] == [[[[s], [s, s]]] for s in (4 * h, 2 * h, h)]
+
+
+def _pinned_solve_digests(tmp_path, command):
+    """sha256 of every output of a 32^2 ``command`` run on the benchmark's
+    kind of input: the reports without their ``config`` (it names the
+    run's paths), the CSV tables and the three fibre grids."""
+    dom = Domain.unit_square(32)
+    x = dom.node_coords()
+    dec_path, f_path = tmp_path / "dec.json", tmp_path / "f.grid"
+    if command == "solve-linear":
+        random_decomposition(np.random.default_rng(7), 2, 2).save(dec_path)
+        f = sum(np.sin(p * np.pi * x[..., 0])[..., None] * np.sin(q * np.pi * x[..., 1])[..., None]
+                * [1.0 / (p * q), (-1.0) ** q / (p + q)] for p in (1, 2, 3) for q in (1, 2))
+    else:
+        write_diag_dec(dec_path)
+        f = np.stack([0.8 * np.sin(np.pi * x[..., 0]) * np.sin(np.pi * x[..., 1]),
+                      1.2 * np.sin(2 * np.pi * x[..., 0]) * np.sin(np.pi * x[..., 1])], axis=-1)
+    save_grid(f_path, GridFunction(dom, f))
+    out = tmp_path / "run"
+    assert main([command, "--decomposition", str(dec_path), "--f", str(f_path),
+                 "--out", str(out)]) == 0
+    digests = {}
+    for path in sorted(out.iterdir()):
+        data = path.read_bytes()
+        if path.suffix == ".json":
+            doc = json.loads(data)
+            del doc["config"]
+            data = json.dumps(doc, sort_keys=True).encode()
+        digests[path.name] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+@pytest.mark.parametrize("command, digests", [
+    ("solve-linear", {
+        "eps_convergence.csv": "28747eb0c1ef5231a4f819d150c118d8723e99d2c91dd4c6c72827a91e40ff15",
+        "pi_Du.grid": "db0c38f97038a39feefad361f7f45ef6da15061379cf3ec93d546ad7153d17b9",
+        "sigma_u.grid": "e3966872766e812f8f937af4e4cdda4bb89af794d3f466348336f4c87143a657",
+        "solve_report.json": "6fa5a7e03d2533d80a476cf9f9f48ff367f67ca9dd2ab2c6326305ec191824ad",
+        "xi_D2u.grid": "56a475a260418840498613b500117b81648716ca4bf076cad25e7cbee757084b"}),
+    ("solve-nonlinear", {
+        "iteration_log.csv": "6e3adff2cec68b3efebbac2526928a3cb5958608827f6847df41ebaadd5db0fe",
+        "nonlinear_report.json": "416ebab3dcabd0ad5ad57430f45c9216c5fef0cc0864301c3480260964f04733",
+        "pi_Du.grid": "6dc92c3c55d327f27cbeafe1ddd937b1862564b633d024c4891c588f971dce69",
+        "sigma_u.grid": "c073e04d78d42eb3ab3a67dd307184481d17b26f286c2ca3dfb955b249f50a95",
+        "xi_D2u.grid": "8b18a8c80b3b63360c53afe08451072d34e636ef18a431d4c9c8417db65aa3c6"}),
+])
+def test_solve_outputs_are_pinned(tmp_path, command, digests):
+    """The solves' outputs, bit for bit, at the default epsilon sequence."""
+    assert _pinned_solve_digests(tmp_path, command) == digests

@@ -768,3 +768,50 @@ def test_campanato_aborts_when_not_contracting():
     cert = EllipticityCertificate(dec=dec, A_of_x=a_of_x, B=0.0, C=0.2)
     with pytest.raises(ArithmeticError, match="not contracting"):
         campanato_solve(F, cert, sinsin(dom, (1.0, 0.5)), [1e-1, 1e-2], max_iter=20)
+
+
+def test_campanato_solves_the_coarser_epsilons_once(monkeypatch, diag_dec):
+    """The loop reads only the extrapolation from the two finest epsilons:
+    their operators take one solve per iteration and one for the returned
+    triple, the others one solve each."""
+    created, solves = [], {}
+    init, solve = DiscreteOperator.__init__, DiscreteOperator.solve
+
+    def counted_init(self, *args):
+        init(self, *args)
+        created.append(self)
+
+    def counted_solve(self, b):
+        solves[id(self)] = solves.get(id(self), 0) + 1
+        return solve(self, b)
+
+    monkeypatch.setattr(DiscreteOperator, "__init__", counted_init)
+    monkeypatch.setattr(DiscreteOperator, "solve", counted_solve)
+    dom = Domain.unit_square(16)
+    F, cert = make_nonlinearity(diag_dec, GridFunction(dom, np.ones(dom.shape + (1,))),
+                                gamma=0.2)
+    _, log = campanato_solve(F, cert, sinsin(dom, (1.0, -0.5)), [1e-1, 1e-2, 1e-3, 1e-4])
+    n = len(log.increments)
+    assert n > 2
+    assert [solves[id(op)] for op in created] == [1, 1, n + 1, n + 1]
+
+
+@pytest.mark.parametrize("tensor", [
+    _coupled_eps01(),
+    regularize(canonicalize_decomposition(
+        Decomposition((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
+                      (np.diag([1.0, 0.0]), np.diag([1.0, 0.0])))), 1e-3),
+], ids=["lu", "spectral"])
+def test_split_operator_solves_without_its_matrix(tensor, monkeypatch, rng):
+    """A tensor that splits into groups is factored group by group and its
+    residual is applied block by block: the whole matrix is never built.
+    Built afterwards, it gives the same residual up to rounding."""
+    dom = Domain.unit_square(32)
+    op = DiscreteOperator(tensor, dom)
+    monkeypatch.setattr(DiscreteOperator, "_assemble",
+                        lambda self: pytest.fail("the matrix was assembled"))
+    b = op.rhs_vector(GridFunction(dom, rng.standard_normal(dom.shape + (2,))))
+    x = op.solve(b)
+    assert sum(len(groups) for _, groups in op.factorize().factors) == 2
+    monkeypatch.undo()
+    assert np.max(np.abs(op._apply(x) - op.matrix @ x)) <= 1e-12 * np.max(np.abs(b))
