@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Record paired benchmark runs of two checkouts into ``BENCH_<pr>.json``.
+"""Record paired benchmark runs of a parent commit and this checkout into ``BENCH_<pr>.json``.
 
-For each pair and workload, runs ``perfbench/run.py`` untraced once in the
-parent checkout and once in the changed one, as separate processes, and
+For each pair and each workload of ``BENCHMARK.json``, runs ``perfbench/run.py``
+untraced, for the benchmark's ``run_seconds``, once in an export of the
+parent commit and once in this checkout, as separate processes, and
 alternates which of the two runs first from pair to pair.  Each record keeps
 the run's last JSON line (``correct``, ``attempted``, ``failed`` and the
 end-to-end metrics), its per-command fastest samples, and the load average
@@ -10,21 +11,24 @@ and machine-speed probe before and after the run; the summary gives, per
 workload and metric, both sides' medians and quartiles and the number of
 pairs in which the change reads lower.
 
-Run from the repository root, with a copy of the parent commit elsewhere:
+Run from the repository root:
 
-    python3 scripts/bench_record.py --pr 22 --parent ../parent --pairs 5 \\
-        --seconds 20 --parent-label f76ecf7 --change-label f76ecf7+22
+    python3 scripts/bench_record.py --pr 22 --parent HEAD~1 --pairs 5
 
-Only the two checkouts' own ``.perfbench_work/`` directories are written,
-besides the output file.
+The parent is exported with ``git archive`` into a temporary directory
+(``TMPDIR`` chooses where) that is removed afterwards; the output names the
+parent commit and ``git describe --dirty`` of this checkout.
 """
 
 import argparse
+import io
 import json
 import re
 import statistics
 import subprocess
 import sys
+import tarfile
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -54,6 +58,11 @@ def parse_run_output(text):
                           probe_before_s=float(probe["probe_before"]),
                           probe_after_s=float(probe["probe_after"]))
     return record
+
+
+def _git(*args):
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
+                          check=True).stdout
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -99,35 +108,34 @@ def summarize(runs):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--pr", required=True, help="the number in BENCH_<pr>.json")
-    ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
-    ap.add_argument("--change", type=Path, default=ROOT, help="checkout of the change")
-    ap.add_argument("--workloads", default="check,solve")
+    ap.add_argument("--parent", required=True, help="git revision of the parent commit")
     ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--pairs", type=int, default=5)
-    ap.add_argument("--parent-label", default="parent")
-    ap.add_argument("--change-label", default="change")
-    ap.add_argument("--out", type=Path, default=None,
-                    help="output file (default BENCH_<pr>.json in the change checkout)")
     args = ap.parse_args(argv)
-    checkouts = {"parent": args.parent, "change": args.change}
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
+    workloads = [w["name"] for w in bench["workloads"]]
+    commits = {"parent": _git("rev-parse", args.parent).decode().strip(),
+               "change": _git("describe", "--always", "--dirty").decode().strip()}
     runs = []
-    for pair in range(args.pairs):
-        for workload in args.workloads.split(","):
-            order = SIDES if pair % 2 == 0 else SIDES[::-1]
-            for side in order:
-                record = run_once(checkouts[side], workload, args.seed, args.seconds)
-                runs.append({"pair": pair, "workload": workload, "side": side, **record})
-                print(f"pair {pair} {workload} {side}: job_best_s "
-                      f"{record['metrics']['job_best_s']:.4f}, peak_rss_mb "
-                      f"{record['metrics']['peak_rss_mb']:.1f}", flush=True)
-    doc = {"pr": args.pr, "labels": {"parent": args.parent_label, "change": args.change_label},
-           "seed": args.seed, "seconds": args.seconds,
+    with tempfile.TemporaryDirectory() as parent:
+        with tarfile.open(fileobj=io.BytesIO(_git("archive", commits["parent"]))) as tar:
+            tar.extractall(parent, filter="data")
+        checkouts = {"parent": parent, "change": ROOT}
+        for pair in range(args.pairs):
+            for workload in workloads:
+                order = SIDES if pair % 2 == 0 else SIDES[::-1]
+                for side in order:
+                    record = run_once(checkouts[side], workload, args.seed, seconds)
+                    runs.append({"pair": pair, "workload": workload, "side": side, **record})
+                    print(f"pair {pair} {workload} {side}: job_best_s "
+                          f"{record['metrics']['job_best_s']:.4f}, peak_rss_mb "
+                          f"{record['metrics']['peak_rss_mb']:.1f}", flush=True)
+    doc = {"pr": args.pr, "commits": commits, "seed": args.seed, "seconds": seconds,
            "env": runs[0].get("env") if runs else None,
            "summary": summarize(runs),
            "runs": [{k: v for k, v in r.items() if k != "env"} for r in runs]}
-    out = args.out or args.change / f"BENCH_{args.pr}.json"
-    with open(out, "w") as fh:
+    with open(ROOT / f"BENCH_{args.pr}.json", "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
     return 0

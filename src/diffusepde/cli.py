@@ -23,7 +23,7 @@ import numpy as np
 from . import grids, measures, reference, tensors
 from .checker import (NoFeasibleRadius, check_dsolution, default_margin,
                       infinity_laplace_system, eikonal_system, tangent_system, tensor_system)
-from .frames import build_frame, window_cascade
+from .frames import QuotientOverflow, build_frame, window_cascade
 from .grids import Domain, GridFunction, load_grid, save_grid
 from .measures import diffuse_field, save_measure_field
 from .tensors import Decomposition, reconstruct
@@ -248,7 +248,7 @@ def _cmd_diffuse(cfg, out):
     try:
         r_inf = measures.default_cutoff(u, frame) if r_inf is None else r_inf
         field = diffuse_field(u, frame, order, window, r_inf)
-    except OverflowError as exc:
+    except QuotientOverflow as exc:
         raise ManifestError(f"--grid: {exc}") from exc
     save_measure_field(out / "measure.bin", field)
     mask = dom.mask()
@@ -319,7 +319,7 @@ def _cmd_check(cfg, out):
         report = check_dsolution(u, F, frame, windows, R_list=r_list, f=f, **kwargs)
     except NoFeasibleRadius as exc:
         raise ManifestError(f"--r-list: {exc}") from exc
-    except OverflowError as exc:
+    except QuotientOverflow as exc:
         raise ManifestError(f"--grid: {exc}") from exc
     doc = report.to_json_dict()
     doc["windows"] = [[s.rows for s in w] for w in windows]

@@ -292,6 +292,10 @@ def difference_quotient_1(u, frame, h):
     return jet_difference_quotients(u, frame, HSchedule.first_order(h))
 
 
+class QuotientOverflow(OverflowError):
+    """The difference quotients of a finite map overflow at the schedule's step."""
+
+
 def jet_difference_quotients(u, frame, sched):
     """Order-p iterated quotient along the schedule's last row, assembled as a
     symmetric tensor.
@@ -338,5 +342,5 @@ def jet_difference_quotients(u, frame, sched):
     try:
         return GridFunction(dom, out.reshape(dom.shape + (N * n**p,)))
     except ValueError as exc:  # ``u`` is finite, so its quotients overflowed
-        raise OverflowError(f"difference quotients of step {sched.rows[-1][0]!r} overflow; "
+        raise QuotientOverflow(f"difference quotients of step {sched.rows[-1][0]!r} overflow; "
                             "the map's values are too large for the step") from exc

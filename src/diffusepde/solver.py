@@ -277,8 +277,7 @@ class DiscreteOperator:
 
     @cached_property
     def matrix(self):
-        """The assembled CSC matrix, built on first read; factors and solves
-        do without it."""
+        """The assembled CSC matrix, built on first read."""
         return self._assemble()
 
     def _assemble(self):
@@ -391,13 +390,8 @@ class LinearSolveReport:
 def _fibre_rows(x, maps, data):
     """Active-cell rows of the projected triple of the unknown vector ``x``."""
     G, H = maps
-    return tuple(_project(v, p)
+    return tuple(v.reshape(-1, p.ambient_dim) @ p.matrix.T
                  for v, p in ((x, data.sigma), (G @ x, data.pi), (H @ x, data.xi)))
-
-
-def _project(v, p):
-    """Active-cell rows of the projection ``p`` of the flat field ``v``."""
-    return v.reshape(-1, p.ambient_dim) @ p.matrix.T
 
 
 def _extrapolate(a, b, eps_sequence):
@@ -685,8 +679,8 @@ def campanato_solve(F, cert, f, eps_sequence, max_iter=40, tol=1e-10, tol_final=
     steps abort with a certificate-violation error.
 
     An iteration solves only the two finest epsilons, whose hessian rows it
-    extrapolates; the returned triple and the epsilon-settling guard of
-    :func:`_fibre_limit` read every epsilon's solution to the last iterate.
+    extrapolates; the returned triple and :func:`_fibre_limit`'s settling
+    guard read every epsilon's solution to the last iterate.
     """
     dec = cert.dec
     _check_shape(dec, f)
@@ -708,7 +702,9 @@ def campanato_solve(F, cert, f, eps_sequence, max_iter=40, tol=1e-10, tol_final=
     bad_streak = 0
     for k in range(max_iter):
         _compatible(b, data)
-        xi = [_project(maps[1] @ op.solve(b.reshape(-1)), data.xi) for op in ops[-2:]]
+        fine = [op.solve(b.reshape(-1)) for op in ops[-2:]]
+        xi = [(maps[1] @ x).reshape(-1, data.xi.ambient_dim) @ data.xi.matrix.T
+              for x in fine]
         resid_rows = F.evaluate(x_rows, a_rows, _extrapolate(*xi, eps_sequence)) - f_rows
         resid = _l2(resid_rows, dom) / f_norm
         update = a_rows * resid_rows
@@ -729,8 +725,9 @@ def campanato_solve(F, cert, f, eps_sequence, max_iter=40, tol=1e-10, tol_final=
         last, b = b, b - update
         if inc <= log.stop:
             break
-    # finest first, each operator freed once solved: at most two factors alive
-    solutions = [ops.pop().solve(last.reshape(-1)) for _ in eps_sequence][::-1]
+    # the last iteration solved the two finest on ``last``; free their factors
+    del ops[-2:]
+    solutions = [op.solve(last.reshape(-1)) for op in ops] + fine
     rows, _ = _fibre_limit(solutions, eps_sequence, maps, data, dom)
     if inc > log.stop and log.residuals[-1] > tol_final:
         raise ArithmeticError(f"no convergence within {max_iter} iterations "

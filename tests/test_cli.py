@@ -871,6 +871,27 @@ def test_input_whose_derived_quantities_overflow_or_vanish_exits_two(tmp_path, c
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("args, target", [
+    (["diffuse", "--grid", "u"], "diffuse_field"),
+    (["check", "--grid", "u", "--system", "infinity-laplace", "--base-step", "0.125",
+      "--levels", "2", "--window", "2"], "check_dsolution"),
+], ids=["diffuse", "check"])
+def test_overflow_elsewhere_than_the_quotients_is_internal(tmp_path, capsys, monkeypatch,
+                                                          args, target):
+    """Only an overflow of the map's difference quotients is blamed on
+    ``--grid``; any other overflow stays an internal error."""
+    from diffusepde import cli
+
+    def overflow(*args, **kwargs):
+        raise OverflowError("(34, 'Numerical result out of range')")
+
+    monkeypatch.setattr(cli, target, overflow)
+    args = [str(_sine_grid(tmp_path, 32)) if a == "u" else a for a in args]
+    assert main([*args, "--out", str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err
+    assert "internal error: OverflowError" in err and "--grid" not in err
+
+
 def test_check_with_a_ratio_whose_steps_underflow_runs(tmp_path):
     """Steps that underflow to zero lie below the spacing and are dropped:
     from 4h the windows hold one schedule each, of step 4h, 2h and h."""
