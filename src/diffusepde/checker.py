@@ -18,13 +18,14 @@ All residuals decrease under schedule refinement for true solutions.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .frames import HSchedule, difference_quotient_1, jet_difference_quotients
 from .grids import GridFunction
-from .measures import bump, diffuse_field, pair
+from .measures import bump, diffuse_field, pair, witness_values
 
 TOL_ZERO = 1e-8
 
@@ -330,17 +331,21 @@ class CheckReport:
         }
 
 
-def default_phi_family(field, where=None):
-    """Compactly supported witnesses near the finite atoms plus one at the origin.
+def default_phi_family(field):
+    """The :func:`witness_family` of the finite atoms on ``field``'s masked
+    cells, cells row-major and atoms innermost."""
+    mask = field.domain.mask()
+    return witness_family(field.points[mask][~field.infinite[mask]])
+
+
+def witness_family(finite_pts):
+    """Compactly supported witnesses near the finite atoms ``finite_pts``
+    (``(rows, D)``) plus one at the origin.
 
     Bumps sit at the centroid of the finite atoms with radii 1, 2 and 4 times
     a robust (median) atom spread, so they discriminate the bulk cluster
     while escaping outliers fall outside every support.
     """
-    mask = field.domain.mask() if where is None else where
-    pts = field.points[mask]
-    fin = ~field.infinite[mask]
-    finite_pts = pts[fin]
     phis = []
     if finite_pts.size:
         centroid = finite_pts.mean(axis=0)
@@ -350,7 +355,7 @@ def default_phi_family(field, where=None):
         origin_radius = max(np.linalg.norm(centroid) + base, base)
     else:
         origin_radius = 1.0
-    phis += [bump(np.zeros(field.space_dim), f * origin_radius) for f in (1.0, 2.0, 4.0)]
+    phis += [bump(np.zeros(finite_pts.shape[-1]), f * origin_radius) for f in (1.0, 2.0, 4.0)]
     return phis
 
 
@@ -405,11 +410,24 @@ def check_dsolution(u, F, frame, schedules, R_list=None, Phi_family=None, f=None
     if not interior.any():
         raise ValueError("no interior cells at this margin; refine the grid")
 
-    # quotient grids by truncated schedule, shared by the cut-off and every level
-    first = HSchedule(rows=schedules[0][0].rows[:F.order])
+    # the cascade's distinct jets, truncated to the system's order, in order
+    # of first use: level l mixes the jets picks[l], each with weight 1/k
+    index = {}
+    picks = [[index.setdefault(HSchedule(rows=s.rows[:F.order]), len(index))
+              for s in window] for window in schedules]
+    first = next(iter(index))
     jets = {first: jet_difference_quotients(u, frame, first)}
     R_inf = 1e6 * max(float(np.max(np.linalg.norm(jets[first].values[mask],
                                                   axis=-1))), 1.0)
+    # one field holds each distinct jet once, clipped at R_inf (and projected)
+    cascade = diffuse_field(u, frame, F.order, list(index), R_inf, jets)
+    del jets
+    if project is not None:
+        cascade = cascade.map_payloads(
+            lambda X: project.project(X.reshape((-1,) + project.ambient_shape))
+            .reshape(X.shape))
+    pts = cascade.points.reshape(len(x_flat), len(index), F.jet_dim)
+    at_inf = cascade.infinite.reshape(pts.shape[:2])
 
     oracle_ok = F.linear_in_jet or F.zero_set_oracle is not None
     skipped = [] if oracle_ok else ["cutoff", "distance"]
@@ -419,45 +437,34 @@ def check_dsolution(u, F, frame, schedules, R_list=None, Phi_family=None, f=None
     levels = []
     infeasible_R = {}
 
-    fields = []
-    for window in schedules:
-        field_lvl = diffuse_field(u, frame, F.order, window, R_inf, jets)
-        if project is not None:
-            field_lvl = field_lvl.map_payloads(
-                lambda X: project.project(X.reshape((-1,) + project.ambient_shape))
-                .reshape(X.shape))
-        fields.append(field_lvl)
-    del jets  # the fields hold their own copies of the atoms
-
-    # witnesses are fixed once, near where the finest-level mass settles,
-    # and reused across every refinement level
+    # witnesses and radii are fixed once, near where the finest level's
+    # finite interior atoms settle (cells row-major, atoms innermost), and
+    # reused across every refinement level
+    inner = interior.reshape(-1)
     phi_family = Phi_family
+    if Phi_family is None or R_list is None:
+        finest = np.ix_(np.flatnonzero(inner), picks[-1])
+        settled = pts[finest][~at_inf[finest]]
     if phi_family is None:
-        phi_family = default_phi_family(fields[-1], where=interior)
-
+        phi_family = witness_family(settled)
     if R_list is None:
         # radii comfortably containing the settled finite mass
-        fin = ~fields[-1].infinite & interior[..., None]
-        s = float(np.linalg.norm(fields[-1].points[fin], axis=-1).max()) if fin.any() else 1.0
+        s = float(np.linalg.norm(settled, axis=-1).max()) if settled.size else 1.0
         s = max(s, 1.0)
         R_list = [2.0 * s, 8.0 * s]
 
-    # the rows each (level, R) cut-off replaces: the finest schedule's jets
-    # are the level's last atoms, and a jet at infinity lies outside every
-    # cut-off ball.  Feasibility is read on every cell, the residuals on the
-    # interior ones.
-    inner = interior.reshape(-1)
-    overs = []
-    for field_lvl in fields:
-        pts = field_lvl.points.reshape(len(x_flat), field_lvl.n_atoms, F.jet_dim)
-        norms = np.linalg.norm(pts[:, -1], axis=1)
-        overs.append([field_lvl.infinite[..., -1].reshape(-1) | (norms > R)
-                      for R in R_list])
+    # the rows each (last jet, R) cut-off replaces: a jet at infinity lies
+    # outside every cut-off ball.  Feasibility is read on every cell, the
+    # residuals on the interior ones.
+    overs = {}
+    for j in dict.fromkeys(pick[-1] for pick in picks):
+        norm = np.linalg.norm(pts[:, j], axis=1)
+        overs[j] = [at_inf[:, j] | (norm > R) for R in R_list]
 
     # per-cell linearization, shared by every level and radius; its pinv on
     # the rows the cut-offs and distances read
     lin = _linearize(F, x_flat, uval_flat,
-                     np.logical_or.reduce([inner] + [o for lvl in overs for o in lvl]))
+                     np.logical_or.reduce([inner] + [o for os in overs.values() for o in os]))
     zeros = coefficients(np.zeros((x_flat.shape[0], 1, F.jet_dim)), x_flat, uval_flat, lin)
     scale = float(np.median(np.abs(f.values[mask])) +
                   np.median(np.abs(zeros.reshape(dom.shape + (F.M,))[mask])))
@@ -472,44 +479,56 @@ def check_dsolution(u, F, frame, schedules, R_list=None, Phi_family=None, f=None
     lin_in = None if lin is None else tuple(a[inner] for a in lin)
     lip = None if lin is None else np.linalg.norm(lin_in[0], axis=(1, 2))
 
-    for level, (window, field_lvl) in enumerate(zip(schedules, fields)):
-        pts = field_lvl.points.reshape(len(x_flat), field_lvl.n_atoms, F.jet_dim)
-        # one residual per (cell, atom) row, cells row-major and atoms
-        # innermost, shared by every witness and by support and integral; the
-        # finest level's support field covers every cell
-        finest = level == len(fields) - 1
-        rows = slice(None) if finest else inner
-        if finest:
-            atom_res = coefficients(pts, x_flat, uval_flat, lin) - f_flat[:, None]
+    # each jet once: the norms of its residual rows (every cell for the
+    # finest window's jets, which make the support field, the interior for
+    # the others) and its pairing atom on the interior, which every witness
+    # evaluates once
+    full_norms, norms, atoms = {}, [], []
+    for j in range(len(index)):
+        X = pts[inner, j]
+        if j in picks[-1]:
+            res = coefficients(pts[:, j, None], x_flat, uval_flat, lin)[:, 0] - f_flat
+            full_norms[j] = np.where(at_inf[:, j], 0.0, np.linalg.norm(res, axis=-1))
+            res, norm = res[inner], full_norms[j][inner]
         else:
-            atom_res = coefficients(pts[inner], x_in, uval_in, lin_in) - f_in[:, None]
-        at_inf = field_lvl.infinite.reshape(pts.shape[:2])[rows]
-        weights = field_lvl.weights.reshape(pts.shape[:2])[rows]
-        atom_norm = np.where(at_inf, 0.0, np.linalg.norm(atom_res, axis=-1))
-        sup_cell = atom_norm.max(axis=-1)
-        int_cell = np.sum(np.where(at_inf, 0.0, weights) * atom_norm, axis=-1)
-        if finest:
-            sup_field = GridFunction(dom, sup_cell.reshape(dom.shape + (1,)))
-            atom_res, sup_cell, int_cell = atom_res[inner], sup_cell[inner], int_cell[inner]
-        paired = pair(field_lvl, phi_family, lambda x, X: atom_res.reshape(-1, F.M),
-                      where=interior)
-        blocks = paired.values[interior].reshape(-1, len(phi_family), F.M)
-        residuals["pairing"].append(float(np.max(np.linalg.norm(blocks, axis=-1))))
-        residuals["support"].append(float(sup_cell.max()))
+            res = coefficients(X[:, None], x_in, uval_in, lin_in)[:, 0] - f_in
+            norm = np.where(at_inf[inner, j], 0.0, np.linalg.norm(res, axis=-1))
+        norms.append(norm)
+        atoms.append((at_inf[inner, j], witness_values(phi_family, X), res))
+
+    @functools.cache
+    def cut_residuals(j, r):
+        """The largest interior residual and distance of jet ``j`` cut off
+        at radius ``R_list[r]``, or the reason that radius is infeasible."""
+        R = R_list[r]
+        cut, infeasible = _cut(pts[:, j], overs[j][r], F, R, x_flat, uval_flat, f_flat, lin)
+        if infeasible is not None:
+            return infeasible
+        cut = cut[inner]
+        res = coefficients(cut[:, None], x_in, uval_in, lin_in)[:, 0] - f_in
+        dist = _distance_residual(cut, res, F, x_in, uval_in, R, lin_in, lip)
+        return float(np.max(np.linalg.norm(res, axis=1))), float(np.max(dist))
+
+    for level, (window, pick) in enumerate(zip(schedules, picks)):
+        # a level combines its window's per-jet rows in window order
+        k = len(pick)
+        paired = pair([(1.0 / k,) + atoms[j] for j in pick], phi_family)
+        at_inf_lvl = np.stack([atoms[j][0] for j in pick], axis=-1)
+        atom_norm = np.stack([norms[j] for j in pick], axis=-1)
+        int_cell = np.sum(np.where(at_inf_lvl, 0.0, 1.0 / k) * atom_norm, axis=-1)
+        residuals["pairing"].append(float(np.max(np.linalg.norm(paired, axis=-1))))
+        residuals["support"].append(float(atom_norm.max()))
         residuals["integral"].append(float(int_cell.max()))
 
         if oracle_ok:
             cut_res, dist_res = 0.0, 0.0
-            for R, over in zip(R_list, overs[level]):
-                cut, infeasible = _cut(pts[:, -1], over, F, R, x_flat, uval_flat, f_flat, lin)
-                if infeasible is not None:
-                    infeasible_R.setdefault(level, []).append((float(R), infeasible))
+            for r, R in enumerate(R_list):
+                outcome = cut_residuals(pick[-1], r)
+                if isinstance(outcome, str):
+                    infeasible_R.setdefault(level, []).append((float(R), outcome))
                     continue
-                cut = cut[inner]
-                res = coefficients(cut[:, None], x_in, uval_in, lin_in)[:, 0] - f_in
-                cut_res = max(cut_res, float(np.max(np.linalg.norm(res, axis=1))))
-                dist = _distance_residual(cut, res, F, x_in, uval_in, R, lin_in, lip)
-                dist_res = max(dist_res, float(np.max(dist)))
+                cut_res = max(cut_res, outcome[0])
+                dist_res = max(dist_res, outcome[1])
             if len(infeasible_R.get(level, ())) == len(R_list):
                 raise NoFeasibleRadius(
                     "no cut-off radius admits a zero inside its ball; "
@@ -517,6 +536,9 @@ def check_dsolution(u, F, frame, schedules, R_list=None, Phi_family=None, f=None
             residuals["cutoff"].append(cut_res)
             residuals["distance"].append(dist_res)
         levels.append(min(abs(h) for sched in window for row in sched.rows for h in row))
+
+    sup_cell = np.stack([full_norms[j] for j in picks[-1]], axis=-1).max(axis=-1)
+    sup_field = GridFunction(dom, sup_cell.reshape(dom.shape + (1,)))
 
     verdicts = {name: residuals[name][-1] <= tol for name in names}
     trends = {name: _non_increasing(residuals[name]) for name in names}

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -439,7 +440,10 @@ def _cmd_reference(cfg, out):
     try:
         case = reference.build_reference(name, **params)
     except ValueError as exc:
-        raise ManifestError(f"reference case {name!r}: {exc}") from exc
+        # blame the flag of each parameter the builder's message names
+        flags = "".join(f"--{param.lower()}: " for param in params
+                        if re.search(rf"\b{param}\b", str(exc)))
+        raise ManifestError(f"{flags}reference case {name!r}: {exc}") from exc
     for grid_name, gf in case.grids.items():
         save_grid(out / f"{grid_name}.grid", gf)
     doc = {"name": case.name, "params": case.params, "expected": case.expected}

@@ -322,9 +322,11 @@ def jet_difference_quotients(u, frame, sched):
         e = frame.E_range[alpha]
         # iterate quotients over all index tuples, reusing prefixes
         stack = {(): u.values @ e}
-        for h in sched.rows[-1]:
-            stack = {prefix + (i,): (_interp_shifted(vals, dom, h * r[i]) - vals) / h
-                     for prefix, vals in stack.items() for i in range(n)}
+        # a quotient that overflows raises QuotientOverflow below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for h in sched.rows[-1]:
+                stack = {prefix + (i,): (_interp_shifted(vals, dom, h * r[i]) - vals) / h
+                         for prefix, vals in stack.items() for i in range(n)}
         # the index tuples are in row-major order, so they stack into the block
         block = np.stack(list(stack.values()), axis=-1).reshape(dom.shape + (n,) * p)
         if not np.array_equal(r, np.eye(n)):

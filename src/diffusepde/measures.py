@@ -255,7 +255,17 @@ def diffuse_jet_field(u, frame, windows, R_inf):
             for q, win in enumerate(windows, start=1)]
 
 
-def pair(field, phis, weight_fn, weight_bounded=False, where=None):
+def witness_values(phis, points):
+    """Values ``(J, rows)`` of the witnesses ``phis`` at the payload rows
+    ``points`` ``(rows, D)``.  Radial witnesses sharing a center share one
+    squared distance per row."""
+    centers = {phi.center.tobytes(): phi.center for phi in phis if phi.profile is not None}
+    d2 = {key: np.sum((points - c) ** 2, axis=-1) for key, c in centers.items()}
+    return np.stack([phi(points) if phi.profile is None
+                     else phi.profile(d2[phi.center.tobytes()]) for phi in phis])
+
+
+def pair(field, phis, weight_fn=None, weight_bounded=False, where=None):
     """Duality pairings per cell of every witness ``phi_j`` in the sequence
     ``phis``: ``sum_k w_k phi_j(X_k) weight_fn(x, X_k)``, on the cells of the
     grid mask ``where`` (every cell by default); other cells read zero.
@@ -266,8 +276,16 @@ def pair(field, phis, weight_fn, weight_bounded=False, where=None):
     such cell.  It returns one value (or one row of ``M`` components) per
     row.  With ``J = len(phis)`` the result has ``J * M`` components,
     witness-major: its values reshaped to ``dom.shape + (J, M)`` hold one
-    block per cell, row ``j`` for ``phi_j``.  Radial witnesses sharing a
-    center share one squared distance per row.
+    block per cell, row ``j`` for ``phi_j``.
+
+    ``field`` may instead be a mixture, one measure per row: a sequence of
+    atoms ``(w, infinite, phi_values, weight_rows)``, each with its weight (a
+    scalar or one per row), its infinity flags ``(rows,)``, its
+    ``witness_values(phis, points)`` and its weight-function rows ``(rows,
+    M)``, so an atom that several mixtures share (a check's overlapping
+    windows) is evaluated once.  The result is then the ``(rows, J, M)``
+    array of blocks; ``weight_fn`` and ``where`` are not read.  Both forms
+    sum ``(w phi_j) weight`` over the atoms in order.
 
     The atom at infinity contributes ``w * phi_j.value_at_infinity`` per
     component; its weight row (taken at a zeroed payload) is discarded.  A
@@ -277,29 +295,29 @@ def pair(field, phis, weight_fn, weight_bounded=False, where=None):
     if not weight_bounded and not all(phi.compactly_supported for phi in phis):
         raise ValueError("test function must be compactly supported unless the "
                          "weight function is declared bounded")
-    dom = field.domain
-    cells = np.ones(dom.shape, bool) if where is None else where
-    infinite, weights = field.infinite[cells], field.weights[cells]
-    flat_pts = field.points[cells].reshape(-1, field.space_dim)
-    x_rep = np.repeat(dom.node_coords()[cells], field.n_atoms, axis=0)
-    w_vals = np.asarray(weight_fn(x_rep, flat_pts), float).reshape(infinite.shape + (-1,))
-    w_vals = np.where(infinite[..., None], 0.0, w_vals)
-
-    centers = {phi.center.tobytes(): phi.center for phi in phis if phi.profile is not None}
-    d2 = {key: np.sum((flat_pts - c) ** 2, axis=-1) for key, c in centers.items()}
-    phi_vals = np.stack([phi(flat_pts) if phi.profile is None
-                         else phi.profile(d2[phi.center.tobytes()]) for phi in phis])
-    # (w phi) r per (cell, witness), summed over the atoms in order
-    wphi = np.where(infinite[:, None], 0.0,
-                    weights[:, None] * phi_vals.reshape((len(phis),) + infinite.shape)
-                    .transpose(1, 0, 2))
-    out = np.zeros(infinite.shape[:1] + (len(phis), w_vals.shape[-1]))
-    for a in range(field.n_atoms):
-        out += wphi[..., a, None] * w_vals[:, None, a, :]
-    inf_mass = np.sum(weights * infinite, axis=-1)
+    atoms = field
+    if isinstance(field, YoungMeasureField):
+        dom = field.domain
+        cells = np.ones(dom.shape, bool) if where is None else where
+        infinite, weights = field.infinite[cells], field.weights[cells]
+        flat_pts = field.points[cells].reshape(-1, field.space_dim)
+        x_rep = np.repeat(dom.node_coords()[cells], field.n_atoms, axis=0)
+        w_vals = np.asarray(weight_fn(x_rep, flat_pts), float).reshape(infinite.shape + (-1,))
+        phi_vals = witness_values(phis, flat_pts).reshape((len(phis),) + infinite.shape)
+        atoms = [(weights[:, a], infinite[:, a], phi_vals[..., a], w_vals[:, a])
+                 for a in range(field.n_atoms)]
+    out = np.zeros((len(atoms[0][1]), len(phis), atoms[0][3].shape[-1]))
+    inf_mass = 0.0
+    for w, infinite, phi_vals, w_vals in atoms:
+        w = np.reshape(w, (-1, 1))
+        wphi = np.where(infinite[:, None], 0.0, w * phi_vals.T)
+        out += wphi[..., None] * np.where(infinite[:, None], 0.0, w_vals)[:, None, :]
+        inf_mass = inf_mass + w[:, 0] * infinite
     for j, phi in enumerate(phis):
         if phi.value_at_infinity != 0.0:
             out[:, j] += phi.value_at_infinity * inf_mass[:, None]
+    if atoms is field:
+        return out
     full = np.zeros(dom.shape + out.shape[1:])
     full[cells] = out
     return GridFunction(dom, full.reshape(dom.shape + (-1,)))

@@ -657,3 +657,50 @@ def test_cut_raises_on_a_non_finite_selection():
     vals = np.full((5, 8), 100.0)
     with pytest.raises(ValueError, match=r"not finite at 1 row\(s\), first \[3\]"):
         checker._cut(vals, over, F, 10.0, x, uv, None, (L, c, pinv))
+
+
+def test_a_check_evaluates_each_distinct_jet_once(monkeypatch):
+    """Four overlapping windows (11 passes over 5 distinct jets, the last
+    two levels ending on the same jet): each jet is clipped, evaluated by
+    the witnesses and turned into residual rows once, and each (last jet,
+    R) reaches the cut-off selection once."""
+    from diffusepde import checker, measures
+    from diffusepde.frames import difference_quotient_1
+    from diffusepde.reference import sawtooth_map
+
+    u = sawtooth_map(1.0, 2, 32).grids["map"]
+    dom = u.domain
+    h = dom.spacing
+    jets = [HSchedule.second_order(s * h) for s in (5, 4, 3, 2, 1)]
+    windows = [jets[0:3], jets[1:4], jets[2:5], jets[3:5]]
+    fr = build_frame("standard", N=2, n=2)
+    clipped, witnessed, cuts = [], [], []
+
+    def counted(calls, fn, record):
+        def wrapper(*args):
+            calls.append(record(*args))
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(measures, "_clip_to_infinity", counted(
+        clipped, measures._clip_to_infinity, lambda pts, R: pts.shape[-2]))
+    monkeypatch.setattr(checker, "witness_values", counted(
+        witnessed, checker.witness_values, lambda phis, pts: len(pts)))
+    monkeypatch.setattr(checker, "_cut", counted(
+        cuts, checker._cut, lambda vals, over, F, R, *rest: (vals.tobytes(), R)))
+    check_dsolution(u, infinity_laplace_system(2), fr, windows, R_list=[10.0, 100.0])
+    interior = int(dom.interior_mask(checker.default_margin(windows, dom)).sum())
+    assert clipped == [5]
+    assert witnessed == [interior] * 5
+    assert len(cuts) == 3 * 2 and len(set(cuts)) == len(cuts)
+
+    # the same system given by its evaluation: one residual row per cell
+    # for the zero jet and the finest window's two jets, one per interior
+    # cell for the three others
+    F = infinity_laplace_system(2)
+    rows = []
+    evaluated = checker.CoefficientSystem(
+        order=2, n=2, N=2, M=2, u_source=difference_quotient_1,
+        evaluate=counted(rows, F.evaluate, lambda x, uval, X: len(X)))
+    check_dsolution(u, evaluated, fr, windows, R_list=[10.0, 100.0])
+    assert sum(rows) == 3 * dom.n_nodes + 3 * interior

@@ -952,3 +952,72 @@ def _pinned_solve_digests(tmp_path, command):
 def test_solve_outputs_are_pinned(tmp_path, command, digests):
     """The solves' outputs, bit for bit, at the default epsilon sequence."""
     assert _pinned_solve_digests(tmp_path, command) == digests
+
+
+@pytest.mark.parametrize("args", [
+    ["diffuse", "--grid", "big"],
+    ["check", "--grid", "big", "--system", "infinity-laplace", "--base-step", "0.125",
+     "--levels", "2", "--window", "2"],
+], ids=["diffuse-overflow", "check-overflow"])
+def test_an_overflowing_quotient_exits_two_without_a_warning(tmp_path, args):
+    """The quotients of the +-1.5e308 checkerboard overflow: the command
+    exits 2 naming ``--grid``, and numpy prints no floating-point warning."""
+    import warnings
+
+    args = [str(_checkerboard_grid(tmp_path)) if a == "big" else a for a in args]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*args, "--out", str(tmp_path / "run")]) == 2
+    assert [str(w.message) for w in caught] == []
+
+
+SWEPT_VALUES = ["nan", "inf", "-inf", "0", "-0", "-1", "1e308", "1e-308", "1e30", "3.5"]
+LIST_FLAGS = {"eps-seq", "r-list", "eps-list"}
+FILE_FLAGS = ("--grid", "--f", "--tensor", "--decomposition")
+
+
+@pytest.mark.parametrize("resolution", [16, 32])
+def test_every_numeric_flag_exits_zero_one_or_two(tmp_path, capsys, resolution):
+    """Every numeric flag of ``cli.COMMANDS``, set to each value of
+    ``SWEPT_VALUES`` in one base invocation per command (two for ``check``):
+    no run is an internal error, and each parse error names the flag or an
+    input file's flag."""
+    from diffusepde.cli import COMMANDS
+
+    dom = Domain.unit_square(resolution)
+    x = dom.node_coords()
+    base = np.sin(np.pi * x[..., 0]) * np.sin(np.pi * x[..., 1])
+    u, f, dec = tmp_path / "u.grid", tmp_path / "f.grid", tmp_path / "dec.json"
+    save_grid(u, GridFunction(dom, base[..., None] * [1.0, 0.5]))
+    save_grid(f, GridFunction(dom, -2 * np.pi**2 * base[..., None] * [1.0, 0.5]))
+    write_diag_dec(dec)
+    u, f, dec = str(u), str(f), str(dec)
+    windows = ["--base-step", repr(2 / resolution), "--levels", "2", "--window", "2"]
+    bases = [["analyze-tensor", "--decomposition", dec],
+             ["diffuse", "--grid", u],
+             ["check", "--grid", u, "--system", "infinity-laplace", *windows],
+             ["check", "--grid", u, "--system", "linear-tensor", "--tensor", dec,
+              "--f", f, *windows],
+             ["solve-linear", "--decomposition", dec, "--f", f],
+             ["solve-nonlinear", "--decomposition", dec, "--f", f],
+             ["reference", "--case", "sawtooth", "--resolution", str(resolution)],
+             ["verify-estimate", "--battery", "1", "--resolution", str(resolution)]]
+    faults, runs = [], 0
+    for argv in bases:
+        for flag, kind in COMMANDS[argv[0]][2].items():
+            if kind not in (int, float) and flag not in LIST_FLAGS:
+                continue
+            for value in SWEPT_VALUES:
+                args = list(argv)
+                if f"--{flag}" in args:
+                    args[args.index(f"--{flag}") + 1] = value
+                else:
+                    args += [f"--{flag}", value]
+                code = main([*args, "--out", str(tmp_path / "run")])
+                err = capsys.readouterr().err
+                runs += 1
+                names = [f"--{flag}"] + [a for a in args if a in FILE_FLAGS]
+                if code not in (0, 1, 2) or (code == 2 and not any(n in err for n in names)):
+                    faults.append((args, code, err.strip().splitlines()[-1:]))
+    assert runs == 350
+    assert faults == []
