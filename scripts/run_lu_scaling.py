@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
-"""Factorization scaling of the solver's operator: factor time and L+U
-nonzeros of the regularized operator factored whole (one coupled LU,
-minimum degree on A + A^T) against the solver's split factorization (one
-factor per distinct decoupled component group), for the coupled random
-tensor and the diagonal tensor of the benchmark's ``solve`` workload at
-seed 7 and the scalar Laplacian, on the ``--dim``-dimensional unit box.
+"""Factorization scaling of the solver's operator: factor time and stored
+factor entries of the regularized operator factored whole (the reference:
+one coupled SuperLU LU, minimum degree on A + A^T) against the solver's
+split factorization (one factor per distinct decoupled component group),
+for the coupled random tensor and the diagonal tensor of the benchmark's
+``solve`` workload at seed 7 and the scalar Laplacian, on the
+``--dim``-dimensional unit box.
 
-Each row names its path: ``lu`` (SuperLU factors), ``spectral`` (sine
-transform factors, which hold no L or U) or ``lu+spectral``.
+Each row names its path: ``lu`` (the SuperLU reference), ``band`` (band
+Cholesky factors), ``spectral`` (sine transform factors, which store no
+entries) or ``band+spectral``.  ``entries`` counts the L+U nonzeros of an
+``lu`` row and the stored band entries of a ``band`` factor.
 
 Run as ``PYTHONPATH=src python scripts/run_lu_scaling.py --resolution 128``
 (or ``--dim 3 --resolution 24``).  Times are the best of ``--repeat``
@@ -61,7 +64,7 @@ def main():
 
     dom = Domain(shape=(args.resolution + 1,) * args.dim, spacing=1.0 / args.resolution,
                  origin=(0.0,) * args.dim)
-    print("tensor,factorization,path,unknowns,factors,factor_s,lu_nnz")
+    print("tensor,factorization,path,unknowns,factors,factor_s,entries")
     for name, dec in tensors(args.seed, args.dim).items():
         tensor = regularize(canonicalize_decomposition(dec), args.eps)
         op = DiscreteOperator(tensor, dom)
@@ -73,7 +76,7 @@ def main():
         del whole
         split_s, split = best(lambda: DiscreteOperator(tensor, dom),
                               DiscreteOperator.factorize, args.repeat)
-        path = "+".join(sorted({"spectral" if isinstance(f, SineFactor) else "lu"
+        path = "+".join(sorted({"spectral" if isinstance(f, SineFactor) else "band"
                                 for f, _ in split.factors}))
         size = op.matrix.shape[0]
         print(f"{name},whole,lu,{size},1,{whole_s:.3f},{whole_nnz}")

@@ -191,6 +191,7 @@ def _valid_decomposition(cfg):
 def _cmd_analyze_tensor(cfg, out):
     if not cfg["decomposition"]:
         raise ManifestError("analyze-tensor needs a decomposition file")
+    eps = _number(cfg, "eps", None, float, (0, np.inf), closed=True)
     dec = _load_input(Decomposition.load, cfg["decomposition"], "--decomposition")
     validation = tensors.validate_decomposition(dec)
     doc = {
@@ -208,7 +209,6 @@ def _cmd_analyze_tensor(cfg, out):
             "witness_vector": (validation.common_vector.tolist()
                                if validation.common_vector is not None else None),
         })
-        eps = _number(cfg, "eps", None, float, (0, np.inf), closed=True)
         if eps is not None:
             try:
                 a_eps = tensors.regularize(tensors.canonicalize_decomposition(dec), eps)
@@ -341,11 +341,15 @@ def _cmd_check(cfg, out):
 
 
 def _solve_or_reject(out, name, cfg, solve):
-    """``solve()``; when it rejects the data (``ValueError``) or fails a
+    """``solve()``; data so large that the solve overflows are a parse error
+    of ``--f``.  When it rejects the data (``ValueError``) or fails a
     numerical guard (``ArithmeticError``), writes the report ``name`` with
     ``accepted: false`` and the reason, and fails the check."""
+    from .solver import DataOverflow
     try:
         return solve()
+    except DataOverflow as exc:
+        raise ManifestError(f"--f: {exc}") from exc
     except (ValueError, ArithmeticError) as exc:
         _report(out, name, {"accepted": False, "reason": str(exc)}, cfg)
         raise CheckFailure(str(exc)) from exc

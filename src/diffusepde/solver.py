@@ -12,6 +12,7 @@ contraction factor comes from the nearness constants.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import SimpleNamespace
@@ -19,6 +20,7 @@ from types import SimpleNamespace
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.csgraph import connected_components
 
 from .grids import GridFunction
@@ -29,6 +31,23 @@ SOLVER_TOL = 1e-10
 # largest relative right-hand-side component outside the admissible value
 # subspace that a solve accepts
 TOL_COMPATIBLE = 1e-8
+
+
+class DataOverflow(OverflowError):
+    """A quantity that a solve derives from its right-hand side overflows."""
+
+
+@contextmanager
+def _data_overflow():
+    """Turns numpy's floating-point overflow or invalid operation into
+    :class:`DataOverflow`: wraps a solve's arithmetic on its data once its
+    operators are built, where finite data can only overflow by their size."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise DataOverflow("a quantity derived from the right-hand side overflows "
+                           f"({exc})") from exc
 
 
 @dataclass
@@ -140,12 +159,42 @@ def hessian_central(u):
     return _derivative(u, 2)
 
 
-def _kron_sum(patterns, blocks):
-    """``sum D_axes (x) E_axes`` over the ``blocks`` (in their order), ``D``
-    the lattice pattern of the same axes; CSC."""
-    size = next(iter(patterns.values())).shape[0] * next(iter(blocks.values())).shape[0]
-    return sum((sp.kron(patterns[axes], E) for axes, E in blocks.items()),
-               sp.csc_matrix((size, size)))
+@lru_cache(maxsize=4)
+def _upper_patterns(domain):
+    """The entries on and above the diagonal of each second-order pattern of
+    :func:`lattice_patterns`, keyed by axes, as ``(rows, columns, values)``
+    with 64-bit indices, and the largest ``column - row`` among them (the
+    patterns' cell bandwidth).  Built once per domain."""
+    upper = {}
+    for axes, D in lattice_patterns(domain).items():
+        if len(axes) == 2:
+            U = sp.triu(D, format="coo")
+            upper[axes] = (U.row.astype(np.int64), U.col.astype(np.int64), U.data)
+    offset = max(int((cols - rows).max(initial=0)) for rows, cols, _ in upper.values())
+    return upper, offset
+
+
+def _negated_band(domain, blocks):
+    """The negated operator ``-sum D_axes (x) E_axes`` of the ``N x N``
+    ``blocks`` in LAPACK upper band storage, filled from the cached
+    :func:`_upper_patterns`: ``band[u + i - j, j] = -A[i, j]`` for ``max(0,
+    j - u) <= i <= j``, in Fortran order, with upper bandwidth ``u = N *
+    offset + N - 1``.  The entry of cells ``r <= c`` and components ``(a,
+    b)`` sits at ``i = r N + a``, ``j = c N + b``; a cell's own block
+    (``r == c``) gives only its entries with ``a <= b``."""
+    upper, offset = _upper_patterns(domain)
+    N = next(iter(blocks.values())).shape[0]
+    u = N * offset + N - 1
+    band = np.zeros((u + 1, lattice_patterns(domain)[0, 0].shape[0] * N), order="F")
+    flat = band.reshape(-1, order="F")  # a view: entry (k, j) is flat[k + j (u + 1)]
+    for axes, E in blocks.items():
+        rows, cols, vals = upper[axes]
+        base = u + N * (rows + cols * u)  # flat index of (i, j) for a = b = 0
+        apart = cols > rows
+        for a, b in zip(*np.nonzero(E)):
+            keep = apart if a > b else slice(None)
+            flat[base[keep] + (a + b * u)] -= E[a, b] * vals[keep]
+    return band
 
 
 def _component_split(blocks):
@@ -174,6 +223,14 @@ def _component_split(blocks):
     return Q, blocks, [np.flatnonzero(labels == g) for g in range(count)]
 
 
+def _check_trans(trans):
+    """Rejects a ``trans`` other than ``"N"``, ``"T"`` or ``"H"``, the values
+    SuperLU takes; the factors here are of real symmetric operators, so the
+    three solve the same system."""
+    if trans not in ("N", "T", "H"):
+        raise ValueError(f"trans must be 'N', 'T' or 'H', not {trans!r}")
+
+
 class SineFactor:
     """Inverse of ``sum_i e_i D_ii`` on the open box of interior shape
     ``shape``, ``D_ii`` the ``(1, -2, 1)`` pattern along axis ``i`` and
@@ -197,10 +254,7 @@ class SineFactor:
         self.eigenvalues = modes
 
     def solve(self, b, trans="N"):
-        """``trans`` is ``"N"``, ``"T"`` or ``"H"``, as for SuperLU; the
-        operator is real and symmetric, so all three solve the same system."""
-        if trans not in ("N", "T", "H"):
-            raise ValueError(f"trans must be 'N', 'T' or 'H', not {trans!r}")
+        _check_trans(trans)
         from scipy.fft import dstn
         axes = tuple(range(len(self.shape)))
         modes = dstn(b.reshape(self.shape + (-1,)), type=1, norm="ortho", axes=axes)
@@ -208,11 +262,33 @@ class SineFactor:
         return dstn(modes, type=1, norm="ortho", axes=axes).reshape(b.shape)
 
 
+class BandCholesky:
+    """Inverse of a group operator ``A`` whose negation is symmetric positive
+    definite, from the Cholesky factor ``-A = U^T U`` of its upper band
+    (:func:`_negated_band`), which LAPACK's ``dpbtrf`` overwrites in place.
+    A solve is ``dpbtrs`` on the negated right-hand side.  ``U.nnz`` counts
+    the stored band entries; ``L = U^T`` is not stored, so ``L.nnz`` reads 0."""
+
+    L = SimpleNamespace(nnz=0)
+
+    def __init__(self, band):
+        self.band, info = dpbtrf(band, overwrite_ab=True)
+        if info:
+            raise ArithmeticError(
+                "discrete operator numerically singular: the leading minor of order "
+                f"{info} of the negated operator is not positive definite")
+        self.U = SimpleNamespace(nnz=self.band.size)
+
+    def solve(self, b, trans="N"):
+        _check_trans(trans)
+        return dpbtrs(self.band, np.negative(b, order="F"), overwrite_b=True)[0]
+
+
 class SplitLU:
     """Factors of an operator that is block-diagonal over groups of
     components in the orthonormal basis ``Q`` (``None`` for the identity).
 
-    ``factors`` pairs each distinct factor (a SuperLU factor or a
+    ``factors`` pairs each distinct factor (a :class:`BandCholesky` or a
     :class:`SineFactor`) with the component groups that share it.  A solve
     rotates the right-hand side's cell rows into the basis, solves the
     groups of each factor as one multi-column right-hand side and rotates
@@ -281,7 +357,10 @@ class DiscreteOperator:
         return self._assemble()
 
     def _assemble(self):
-        return _kron_sum(lattice_patterns(self.domain), self._blocks)
+        patterns = lattice_patterns(self.domain)
+        size = self.n_cells * self.N
+        return sum((sp.kron(patterns[axes], E) for axes, E in self._blocks.items()),
+                   sp.csc_matrix((size, size)))
 
     def _apply(self, x):
         """The operator applied to the unknown vector ``x`` without assembling
@@ -301,7 +380,10 @@ class DiscreteOperator:
         one group, whose operator equals :attr:`matrix`.  On the open box
         (``mask_kind == "rect"``) a factor whose groups are single components
         with zero mixed blocks is a :class:`SineFactor`; every other factor
-        is a SuperLU factor."""
+        is a :class:`BandCholesky`.  A strictly Legendre-Hadamard tensor (every
+        regularized one) makes each group's negated operator symmetric
+        positive definite on any mask; any other tensor whose factor breaks
+        down raises ``ArithmeticError``."""
         if self._lu is None:
             Q, blocks, groups = _component_split(self._blocks)
             shared = {}
@@ -317,14 +399,7 @@ class DiscreteOperator:
                     factor = SineFactor([m - 2 for m in self.domain.shape],
                                         [sub[i, i].item() for i in range(self.domain.dim)])
                 else:
-                    matrix = _kron_sum(lattice_patterns(self.domain), sub)
-                    try:
-                        # symmetric to rounding: minimum degree on A + A^T, diagonal pivots
-                        factor = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A",
-                                           options={"SymmetricMode": True})
-                    except RuntimeError as exc:
-                        raise ArithmeticError(
-                            f"discrete operator numerically singular: {exc}") from exc
+                    factor = BandCholesky(_negated_band(self.domain, sub))
                 factors.append((factor, members))
             self._lu = SplitLU(Q, factors)
         return self._lu
@@ -349,8 +424,8 @@ class DiscreteOperator:
         lu = self.factorize()
         x = lu.solve(b)
         if not np.isfinite(x).all():
-            raise ArithmeticError("linear solve produced non-finite values "
-                                  f"(condition estimate {self.condition_estimate():.2e})")
+            raise DataOverflow("linear solve produced non-finite values "
+                               f"(condition estimate {self.condition_estimate():.2e})")
         resid = self._apply(x) - b
         bnorm = np.linalg.norm(b)
         if bnorm > 0 and np.linalg.norm(resid) > SOLVER_TOL * bnorm:
@@ -465,24 +540,26 @@ def solve_linear(dec, f, eps_sequence):
     projects onto the tensor subspaces and extrapolates linearly in epsilon
     to zero.  The right-hand side must take values in the admissible value
     subspace; a mismatch is a structural incompatibility, not a numerical
-    failure, and is rejected.
+    failure, and is rejected.  Data so large that a quantity derived from
+    them overflows raise :class:`DataOverflow`.
     """
     domain = f.domain
     _check_shape(dec, f)
     eps_sequence = list(eps_sequence)
     data = ranges_and_subspaces(dec)
-    defect = _compatible(f.values, data)
-    mask = domain.mask()
-    rhs = f.values[mask].reshape(-1)
-    # built first, the process-cached maps lie below the factors' memory,
-    # which the heap can then return once it is freed
-    maps = derivative_maps(domain, dec.N)
-    # one operator alive at a time, freed before the next is assembled
-    solutions = [DiscreteOperator(a_eps, domain).solve(rhs)
-                 for a_eps in _regularized(dec, eps_sequence)]
-    rows, cauchy = _fibre_limit(solutions, eps_sequence, maps, data, domain)
-    fd = FibreData(*(_on_grid(domain, mask, r) for r in rows))
-    resid = _tensor_hessian_residual(reconstruct(dec), fd.xi_D2u, f)
+    ops = [DiscreteOperator(a_eps, domain) for a_eps in _regularized(dec, eps_sequence)]
+    with _data_overflow():
+        defect = _compatible(f.values, data)
+        mask = domain.mask()
+        rhs = f.values[mask].reshape(-1)
+        # built first, the process-cached maps lie below the factors' memory,
+        # which the heap can then return once it is freed
+        maps = derivative_maps(domain, dec.N)
+        # one factor alive at a time: each operator is dropped once it has solved
+        solutions = [ops.pop(0).solve(rhs) for _ in eps_sequence]
+        rows, cauchy = _fibre_limit(solutions, eps_sequence, maps, data, domain)
+        fd = FibreData(*(_on_grid(domain, mask, r) for r in rows))
+        resid = _tensor_hessian_residual(reconstruct(dec), fd.xi_D2u, f)
     report = LinearSolveReport(eps_sequence=eps_sequence, cauchy_differences=cauchy,
                                final_residual=resid, compatibility_defect=defect)
     return fd, report
@@ -680,55 +757,57 @@ def campanato_solve(F, cert, f, eps_sequence, max_iter=40, tol=1e-10, tol_final=
 
     An iteration solves only the two finest epsilons, whose hessian rows it
     extrapolates; the returned triple and :func:`_fibre_limit`'s settling
-    guard read every epsilon's solution to the last iterate.
+    guard read every epsilon's solution to the last iterate.  Data so large
+    that a quantity derived from them overflows raise :class:`DataOverflow`.
     """
     dec = cert.dec
     _check_shape(dec, f)
     data = ranges_and_subspaces(dec)
-    _compatible(f.values, data)
     dom = f.domain
     eps_sequence = list(eps_sequence)
     ops = [DiscreteOperator(a_eps, dom) for a_eps in _regularized(dec, eps_sequence)]
-    maps = derivative_maps(dom, dec.N)
-    # A(x), the node coordinates and f on the active cells, read once
-    mask = dom.mask()
-    a_rows = cert.A_of_x.values[mask]
-    x_rows = dom.node_coords()[mask]
-    f_rows = f.values[mask]
-    f_norm = max(_l2(f_rows, dom), 1e-300)
+    with _data_overflow():
+        _compatible(f.values, data)
+        maps = derivative_maps(dom, dec.N)
+        # A(x), the node coordinates and f on the active cells, read once
+        mask = dom.mask()
+        a_rows = cert.A_of_x.values[mask]
+        x_rows = dom.node_coords()[mask]
+        f_rows = f.values[mask]
+        f_norm = max(_l2(f_rows, dom), 1e-300)
 
-    b = a_rows * f_rows
-    log = IterationLog(increments=[], ratios=[], residuals=[], stop=tol * f_norm)
-    bad_streak = 0
-    for k in range(max_iter):
-        _compatible(b, data)
-        fine = [op.solve(b.reshape(-1)) for op in ops[-2:]]
-        xi = [(maps[1] @ x).reshape(-1, data.xi.ambient_dim) @ data.xi.matrix.T
-              for x in fine]
-        resid_rows = F.evaluate(x_rows, a_rows, _extrapolate(*xi, eps_sequence)) - f_rows
-        resid = _l2(resid_rows, dom) / f_norm
-        update = a_rows * resid_rows
-        inc = _l2(update, dom)
-        log.increments.append(inc)
-        log.residuals.append(resid)
-        if len(log.increments) >= 2 and log.increments[-2] > 0:
-            ratio = inc / log.increments[-2]
-            log.ratios.append(ratio)
-            if ratio >= 1.0:
-                bad_streak += 1
-                if bad_streak >= 3:
-                    raise ArithmeticError(
-                        "iteration is not contracting (three consecutive "
-                        "ratios >= 1); the nearness certificate looks violated")
-            else:
-                bad_streak = 0
-        last, b = b, b - update
-        if inc <= log.stop:
-            break
-    # the last iteration solved the two finest on ``last``; free their factors
-    del ops[-2:]
-    solutions = [op.solve(last.reshape(-1)) for op in ops] + fine
-    rows, _ = _fibre_limit(solutions, eps_sequence, maps, data, dom)
+        b = a_rows * f_rows
+        log = IterationLog(increments=[], ratios=[], residuals=[], stop=tol * f_norm)
+        bad_streak = 0
+        for k in range(max_iter):
+            _compatible(b, data)
+            fine = [op.solve(b.reshape(-1)) for op in ops[-2:]]
+            xi = [(maps[1] @ x).reshape(-1, data.xi.ambient_dim) @ data.xi.matrix.T
+                  for x in fine]
+            resid_rows = F.evaluate(x_rows, a_rows, _extrapolate(*xi, eps_sequence)) - f_rows
+            resid = _l2(resid_rows, dom) / f_norm
+            update = a_rows * resid_rows
+            inc = _l2(update, dom)
+            log.increments.append(inc)
+            log.residuals.append(resid)
+            if len(log.increments) >= 2 and log.increments[-2] > 0:
+                ratio = inc / log.increments[-2]
+                log.ratios.append(ratio)
+                if ratio >= 1.0:
+                    bad_streak += 1
+                    if bad_streak >= 3:
+                        raise ArithmeticError(
+                            "iteration is not contracting (three consecutive "
+                            "ratios >= 1); the nearness certificate looks violated")
+                else:
+                    bad_streak = 0
+            last, b = b, b - update
+            if inc <= log.stop:
+                break
+        # the last iteration solved the two finest on ``last``; free their factors
+        del ops[-2:]
+        solutions = [op.solve(last.reshape(-1)) for op in ops] + fine
+        rows, _ = _fibre_limit(solutions, eps_sequence, maps, data, dom)
     if inc > log.stop and log.residuals[-1] > tol_final:
         raise ArithmeticError(f"no convergence within {max_iter} iterations "
                               f"(last residual {log.residuals[-1]:.3e})")

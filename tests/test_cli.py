@@ -538,6 +538,20 @@ def test_invalid_decomposition_exits_two(tmp_path, capsys, command, report, cond
     assert not (out / report).exists()
 
 
+def test_analyze_tensor_reads_eps_before_the_decomposition(tmp_path, capsys):
+    """A bad ``--eps`` is a parse error even when the decomposition fails a
+    factor condition, which is otherwise a check failure (exit 1)."""
+    dec = Decomposition((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
+                        (np.diag([1.0, -0.5]), np.diag([1.0, 0.0])))
+    dec.save(tmp_path / "dec.json")
+    args = ["analyze-tensor", "--decomposition", str(tmp_path / "dec.json")]
+    assert main([*args, "--out", str(tmp_path / "ok")]) == 1
+    out = tmp_path / "run"
+    assert main([*args, "--eps", "nan", "--out", str(out)]) == 2
+    assert "error: --eps" in capsys.readouterr().err
+    assert not (out / "analyze_tensor_report.json").exists()
+
+
 @pytest.mark.parametrize("command, flag", [
     ("check", "--r-list"), ("solve-linear", "--eps-seq"),
     ("solve-nonlinear", "--eps-seq"), ("verify-estimate", "--eps-list")])
@@ -905,10 +919,9 @@ def test_check_with_a_ratio_whose_steps_underflow_runs(tmp_path):
     assert doc["windows"] == [[[[s], [s, s]]] for s in (4 * h, 2 * h, h)]
 
 
-def _pinned_solve_digests(tmp_path, command):
-    """sha256 of every output of a 32^2 ``command`` run on the benchmark's
-    kind of input: the reports without their ``config`` (it names the
-    run's paths), the CSV tables and the three fibre grids."""
+def _pinned_solve_run(tmp_path, command):
+    """The output directory of a 32^2 ``command`` run on the benchmark's kind
+    of input."""
     dom = Domain.unit_square(32)
     x = dom.node_coords()
     dec_path, f_path = tmp_path / "dec.json", tmp_path / "f.grid"
@@ -924,8 +937,15 @@ def _pinned_solve_digests(tmp_path, command):
     out = tmp_path / "run"
     assert main([command, "--decomposition", str(dec_path), "--f", str(f_path),
                  "--out", str(out)]) == 0
+    return out
+
+
+def _pinned_solve_digests(tmp_path, command):
+    """sha256 of every output of :func:`_pinned_solve_run`: the reports
+    without their ``config`` (it names the run's paths), the CSV tables and
+    the three fibre grids."""
     digests = {}
-    for path in sorted(out.iterdir()):
+    for path in sorted(_pinned_solve_run(tmp_path, command).iterdir()):
         data = path.read_bytes()
         if path.suffix == ".json":
             doc = json.loads(data)
@@ -937,11 +957,11 @@ def _pinned_solve_digests(tmp_path, command):
 
 @pytest.mark.parametrize("command, digests", [
     ("solve-linear", {
-        "eps_convergence.csv": "28747eb0c1ef5231a4f819d150c118d8723e99d2c91dd4c6c72827a91e40ff15",
-        "pi_Du.grid": "db0c38f97038a39feefad361f7f45ef6da15061379cf3ec93d546ad7153d17b9",
-        "sigma_u.grid": "e3966872766e812f8f937af4e4cdda4bb89af794d3f466348336f4c87143a657",
-        "solve_report.json": "6fa5a7e03d2533d80a476cf9f9f48ff367f67ca9dd2ab2c6326305ec191824ad",
-        "xi_D2u.grid": "56a475a260418840498613b500117b81648716ca4bf076cad25e7cbee757084b"}),
+        "eps_convergence.csv": "435a7737233de9b50c1acd5c10cf7eede646fa407691adec7b3a68b18942bbe7",
+        "pi_Du.grid": "ccc5d466023bc26e1a2a6054afacef521c5c442befd3a6a8f4115890e60b9595",
+        "sigma_u.grid": "b08148de930337bb75ddb2a520c2c39b801d410aed7550cc7cea97fceed2f3dd",
+        "solve_report.json": "3d1f4aa307138a782984ed7305cfc4804bb9a6735e39bf4a85ad9e2f02fc7f49",
+        "xi_D2u.grid": "8ad9772272dbf32141c34a0c88bf102d94c6c3a4aafd40d6bcc0e003611987a0"}),
     ("solve-nonlinear", {
         "iteration_log.csv": "6e3adff2cec68b3efebbac2526928a3cb5958608827f6847df41ebaadd5db0fe",
         "nonlinear_report.json": "416ebab3dcabd0ad5ad57430f45c9216c5fef0cc0864301c3480260964f04733",
@@ -954,21 +974,50 @@ def test_solve_outputs_are_pinned(tmp_path, command, digests):
     assert _pinned_solve_digests(tmp_path, command) == digests
 
 
-@pytest.mark.parametrize("args", [
-    ["diffuse", "--grid", "big"],
-    ["check", "--grid", "big", "--system", "infinity-laplace", "--base-step", "0.125",
-     "--levels", "2", "--window", "2"],
-], ids=["diffuse-overflow", "check-overflow"])
-def test_an_overflowing_quotient_exits_two_without_a_warning(tmp_path, args):
-    """The quotients of the +-1.5e308 checkerboard overflow: the command
-    exits 2 naming ``--grid``, and numpy prints no floating-point warning."""
+def test_pinned_linear_solve_matches_a_superlu_reference(tmp_path, monkeypatch):
+    """The pinned ``solve-linear`` run's fibre grids agree to 1e-10 relative
+    with the same run whose operators are each factored whole by the
+    minimum-degree SuperLU LU."""
+    import scipy.sparse.linalg as spla
+
+    from diffusepde.grids import load_grid
+    from diffusepde.solver import DiscreteOperator
+
+    (tmp_path / "band").mkdir()
+    (tmp_path / "superlu").mkdir()
+    out = _pinned_solve_run(tmp_path / "band", "solve-linear")
+    monkeypatch.setattr(DiscreteOperator, "factorize", lambda self: spla.splu(
+        self.matrix, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True}))
+    ref = _pinned_solve_run(tmp_path / "superlu", "solve-linear")
+    for name in ("sigma_u", "pi_Du", "xi_D2u"):
+        got, want = (load_grid(d / f"{name}.grid").values for d in (out, ref))
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["diffuse", "--grid", "big"], "--grid"),
+    (["check", "--grid", "big", "--system", "infinity-laplace", "--base-step", "0.125",
+      "--levels", "2", "--window", "2"], "--grid"),
+    (["solve-linear", "--decomposition", "coupled", "--f", "big"], "--f"),
+    (["solve-nonlinear", "--decomposition", "diag", "--f", "big"], "--f"),
+], ids=["diffuse-overflow", "check-overflow", "solve-linear-overflow",
+        "solve-nonlinear-overflow"])
+def test_an_overflowing_quotient_exits_two_without_a_warning(tmp_path, capsys, args, flag):
+    """The quotients of the +-1.5e308 checkerboard overflow, and so do the
+    quantities a solve derives from it as data: the command exits 2 naming
+    the flag, and numpy prints no floating-point warning."""
     import warnings
 
-    args = [str(_checkerboard_grid(tmp_path)) if a == "big" else a for a in args]
+    files = {"big": _checkerboard_grid(tmp_path), "coupled": tmp_path / "coupled.json",
+             "diag": tmp_path / "diag.json"}
+    random_decomposition(np.random.default_rng(7), 2, 2).save(files["coupled"])
+    write_diag_dec(files["diag"])
+    args = [str(files.get(a, a)) for a in args]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main([*args, "--out", str(tmp_path / "run")]) == 2
     assert [str(w.message) for w in caught] == []
+    assert f"error: {flag}: " in capsys.readouterr().err
 
 
 SWEPT_VALUES = ["nan", "inf", "-inf", "0", "-0", "-1", "1e308", "1e-308", "1e30", "3.5"]

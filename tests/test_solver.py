@@ -8,8 +8,9 @@ import scipy.sparse.linalg as spla
 from diffusepde.checker import CoefficientSystem, check_dsolution, tensor_system
 from diffusepde.frames import build_frame, schedule_window
 from diffusepde.grids import Domain, GridFunction, shift_array
-from diffusepde.solver import (DiscreteOperator, EllipticityCertificate,
-                               IterationLog, SineFactor, assemble_and_solve_eps,
+from diffusepde.solver import (BandCholesky, DiscreteOperator, EllipticityCertificate,
+                               IterationLog, SineFactor, _negated_band,
+                               assemble_and_solve_eps,
                                boundary_ring_norm, campanato_solve,
                                check_degenerate_ellipticity, check_sigma_valued,
                                derivative_maps, fibre_norms, gradient_central,
@@ -621,16 +622,52 @@ def test_solve_matches_colamd_ordering(tensor, domain, rng):
     assert np.max(np.abs(u - ref)) <= 1e-11 * np.max(np.abs(ref))
 
 
-def test_lu_ordering_reduces_fill():
-    """Guards the ordering: at 64^2 the coupled operator's factors hold fewer
-    nonzeros than under COLAMD."""
-    op = DiscreteOperator(_coupled_eps01(), Domain.unit_square(64))
-    lu, colamd = op.factorize(), spla.splu(op.matrix)
-    assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
+def _non_commuting_eps():
+    return regularize(Decomposition((0.5 * np.diag([1.0, 0.0]), np.full((2, 2), 0.25)),
+                                    (np.diag([1.0, 0.5]), np.diag([0.5, 1.0]))), 1e-2)
+
+
+@pytest.mark.parametrize("tensor, group", [(_coupled_eps01(), 1), (_non_commuting_eps(), 2)],
+                         ids=["split", "coupled"])
+def test_band_is_as_wide_as_the_mixed_stencil(tensor, group):
+    """Guards the band width: at 64^2 (63^2 active cells) the mixed
+    stencil reaches 64 cells ahead, so a group of ``g`` components stores
+    ``u + 1 = 64 g + g`` band rows for each of its ``63^2 g`` unknowns."""
+    op = DiscreteOperator(tensor, Domain.unit_square(64))
+    lu = op.factorize()
+    assert [f.band.shape for f, _ in lu.factors] == [(65 * group, 63**2 * group)] * (2 // group)
+    assert lu.L.nnz + lu.U.nnz == 2 * group * 65 * 63**2
 
 
 def _mmd(matrix):
     return spla.splu(matrix, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+
+
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("domain", [
+    Domain.unit_square(24), Domain.unit_disc(24),
+    Domain(shape=(9, 9, 9), spacing=1 / 8, origin=(0.0, 0.0, 0.0)),
+], ids=["square", "disc", "box"])
+def test_band_factor_of_regularized_operators(N, domain, rng):
+    """A regularized tensor is strictly Legendre-Hadamard, so the band
+    Cholesky of its negated operator succeeds on any mask, for the whole
+    coupled operator as for its split groups, and solves as the
+    minimum-degree LU does to 1e-11."""
+    dec = random_decomposition(np.random.default_rng(N), N, domain.dim)
+    op = DiscreteOperator(regularize(canonicalize_decomposition(dec), 1e-3), domain)
+    b = op.rhs_vector(GridFunction(domain, rng.standard_normal(domain.shape + (N,))))
+    ref = _mmd(op.matrix).solve(b)
+    whole = BandCholesky(_negated_band(domain, op._blocks))
+    for x in (whole.solve(b), op.factorize().solve(b)):
+        assert np.max(np.abs(x - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+
+def test_negated_laplacian_has_no_band_cholesky():
+    """The negated Laplacian's operator is positive, not negative, definite:
+    its band factor breaks down at the first minor."""
+    op = DiscreteOperator(Tensor4(2, 2, -Tensor4.laplacian(2, 2).entries), Domain.unit_disc(16))
+    with pytest.raises(ArithmeticError, match="numerically singular"):
+        op.factorize()
 
 
 @pytest.mark.parametrize("N", [2, 3])
@@ -653,17 +690,17 @@ def test_split_factorization_of_commuting_tensor(N, domain, rng):
 
 def test_non_commuting_tensor_is_one_group(rng):
     """B factors that do not commute leave no decoupled components: one
-    factor of the whole operator, solving bit for bit as it does."""
-    dec = Decomposition((0.5 * np.diag([1.0, 0.0]), np.full((2, 2), 0.25)),
-                        (np.diag([1.0, 0.5]), np.diag([0.5, 1.0])))
+    factor of the whole operator, solving as its minimum-degree LU does to
+    1e-11."""
     dom = Domain.unit_square(32)
-    op = DiscreteOperator(regularize(dec, 1e-2), dom)
+    op = DiscreteOperator(_non_commuting_eps(), dom)
     lu = op.factorize()
     assert lu.Q is None
     assert [[g.tolist() for g in groups] for _, groups in lu.factors] == [[[0, 1]]]
     b = op.rhs_vector(GridFunction(dom, rng.standard_normal(dom.shape + (2,))))
-    assert np.array_equal(lu.solve(b), _mmd(op.matrix).solve(b))
-    assert np.array_equal(lu.solve(b, trans="T"), _mmd(op.matrix).solve(b, trans="T"))
+    for trans in ("N", "T"):
+        ref = _mmd(op.matrix).solve(b, trans=trans)
+        assert np.max(np.abs(lu.solve(b, trans=trans) - ref)) <= 1e-11 * np.max(np.abs(ref))
 
 
 def test_diagonal_tensor_components_share_one_factor(diag_dec, rng):
@@ -699,19 +736,18 @@ def _commuting_diagonal_tensor():
     (_commuting_diagonal_tensor(), Domain.unit_square(32), True),
     (Tensor4.laplacian(2, 2), Domain.unit_disc(24), False),
     (_coupled_eps01(), Domain.unit_square(32), False),
-    (regularize(Decomposition((0.5 * np.diag([1.0, 0.0]), np.full((2, 2), 0.25)),
-                              (np.diag([1.0, 0.5]), np.diag([0.5, 1.0]))), 1e-2),
-     Domain.unit_square(32), False),
+    (_non_commuting_eps(), Domain.unit_square(32), False),
 ], ids=["diagonal", "laplacian-interval", "laplacian-square", "laplacian-box",
         "commuting-diagonal", "laplacian-disc", "mixed-terms", "non-commuting"])
 def test_solve_path_follows_the_operator(tensor, domain, spectral, rng):
     """Single-component groups with no mixed term on the open box are solved
-    by the sine transform; disc masks, mixed terms and coupled groups keep
-    SuperLU.  Either factor solves as the minimum-degree LU of the whole
-    operator does, up to rounding."""
+    by the sine transform; disc masks, mixed terms and coupled groups by the
+    band Cholesky.  Either factor solves as the minimum-degree LU of the
+    whole operator does, up to rounding."""
     op = DiscreteOperator(tensor, domain)
     lu = op.factorize()
-    assert {isinstance(factor, SineFactor) for factor, _ in lu.factors} == {spectral}
+    assert {type(factor) for factor, _ in lu.factors} == {
+        SineFactor if spectral else BandCholesky}
     if spectral:
         assert all(f.L.nnz == f.U.nnz == 0 for f, _ in lu.factors)
         assert lu.L.nnz == lu.U.nnz == 0
