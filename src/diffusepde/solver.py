@@ -28,6 +28,10 @@ from .tensors import (Decomposition, canonicalize_decomposition,
                       ranges_and_subspaces, reconstruct, regularize)
 
 SOLVER_TOL = 1e-10
+# most entries a group's band factor stores on a 2-D lattice (32 MiB of
+# doubles); a larger group is factored by SuperLU, whose fill grows more
+# slowly there (README, "Factorization paths")
+BAND_MAX_ENTRIES_2D = 2**22
 # largest relative right-hand-side component outside the admissible value
 # subspace that a solve accepts
 TOL_COMPATIBLE = 1e-8
@@ -160,41 +164,84 @@ def hessian_central(u):
 
 
 @lru_cache(maxsize=4)
+def _cell_offset(domain):
+    """The farthest any second-order pattern of :func:`lattice_patterns`
+    reaches ahead in the active cells' order (largest ``column - row``)."""
+    reach = 0
+    for axes, D in lattice_patterns(domain).items():
+        if len(axes) == 2:
+            rows = np.repeat(np.arange(D.shape[0]), np.diff(D.indptr))
+            reach = max(reach, int((D.indices - rows).max(initial=0)))
+    return reach
+
+
+def _band_shape(domain, N):
+    """``(u + 1, unknowns)``, the LAPACK upper band storage of a group of
+    ``N`` components: upper bandwidth ``u = N * offset + N - 1``
+    (:func:`_cell_offset`) over ``N`` unknowns per active cell."""
+    return N * _cell_offset(domain) + N, lattice_patterns(domain)[0, 0].shape[0] * N
+
+
+def _takes_band(domain, N):
+    """Whether a group of ``N`` components is factored by :class:`BandCholesky`
+    rather than SuperLU: off 2-D lattices always, and on a 2-D one while its
+    band holds at most ``BAND_MAX_ENTRIES_2D`` entries, decided before the
+    band is allocated."""
+    rows, cols = _band_shape(domain, N)
+    return domain.dim != 2 or rows * cols <= BAND_MAX_ENTRIES_2D
+
+
+@lru_cache(maxsize=4)
 def _upper_patterns(domain):
     """The entries on and above the diagonal of each second-order pattern of
     :func:`lattice_patterns`, keyed by axes, as ``(rows, columns, values)``
-    with 64-bit indices, and the largest ``column - row`` among them (the
-    patterns' cell bandwidth).  Built once per domain."""
+    with 64-bit indices.  Built once per domain."""
     upper = {}
     for axes, D in lattice_patterns(domain).items():
         if len(axes) == 2:
             U = sp.triu(D, format="coo")
             upper[axes] = (U.row.astype(np.int64), U.col.astype(np.int64), U.data)
-    offset = max(int((cols - rows).max(initial=0)) for rows, cols, _ in upper.values())
-    return upper, offset
+    return upper
 
 
 def _negated_band(domain, blocks):
     """The negated operator ``-sum D_axes (x) E_axes`` of the ``N x N``
-    ``blocks`` in LAPACK upper band storage, filled from the cached
-    :func:`_upper_patterns`: ``band[u + i - j, j] = -A[i, j]`` for ``max(0,
-    j - u) <= i <= j``, in Fortran order, with upper bandwidth ``u = N *
-    offset + N - 1``.  The entry of cells ``r <= c`` and components ``(a,
-    b)`` sits at ``i = r N + a``, ``j = c N + b``; a cell's own block
-    (``r == c``) gives only its entries with ``a <= b``."""
-    upper, offset = _upper_patterns(domain)
+    ``blocks`` in LAPACK upper band storage of :func:`_band_shape`, filled
+    from the cached :func:`_upper_patterns`: ``band[u + i - j, j] = -A[i,
+    j]`` for ``max(0, j - u) <= i <= j``, in Fortran order.  The entry of
+    cells ``r <= c`` and components ``(a, b)`` sits at ``i = r N + a``, ``j
+    = c N + b``; a cell's own block (``r == c``) gives only its entries with
+    ``a <= b``."""
     N = next(iter(blocks.values())).shape[0]
-    u = N * offset + N - 1
-    band = np.zeros((u + 1, lattice_patterns(domain)[0, 0].shape[0] * N), order="F")
+    band = np.zeros(_band_shape(domain, N), order="F")
+    u = band.shape[0] - 1
     flat = band.reshape(-1, order="F")  # a view: entry (k, j) is flat[k + j (u + 1)]
     for axes, E in blocks.items():
-        rows, cols, vals = upper[axes]
+        rows, cols, vals = _upper_patterns(domain)[axes]
         base = u + N * (rows + cols * u)  # flat index of (i, j) for a = b = 0
         apart = cols > rows
         for a, b in zip(*np.nonzero(E)):
             keep = apart if a > b else slice(None)
             flat[base[keep] + (a + b * u)] -= E[a, b] * vals[keep]
     return band
+
+
+def _kron_sum(patterns, blocks):
+    """``sum D_axes (x) E_axes`` over the ``blocks`` (in their order), ``D``
+    the lattice pattern of the same axes; CSC."""
+    size = next(iter(patterns.values())).shape[0] * next(iter(blocks.values())).shape[0]
+    return sum((sp.kron(patterns[axes], E) for axes, E in blocks.items()),
+               sp.csc_matrix((size, size)))
+
+
+def _superlu(matrix):
+    """SuperLU factor of ``matrix``, symmetric to rounding: minimum degree
+    on ``A + A^T`` and diagonal pivots."""
+    try:
+        return spla.splu(matrix, permc_spec="MMD_AT_PLUS_A",
+                         options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise ArithmeticError(f"discrete operator numerically singular: {exc}") from exc
 
 
 def _component_split(blocks):
@@ -288,8 +335,9 @@ class SplitLU:
     """Factors of an operator that is block-diagonal over groups of
     components in the orthonormal basis ``Q`` (``None`` for the identity).
 
-    ``factors`` pairs each distinct factor (a :class:`BandCholesky` or a
-    :class:`SineFactor`) with the component groups that share it.  A solve
+    ``factors`` pairs each distinct factor (a :class:`BandCholesky`, a
+    SuperLU factor or a :class:`SineFactor`) with the component groups that
+    share it.  A solve
     rotates the right-hand side's cell rows into the basis, solves the
     groups of each factor as one multi-column right-hand side and rotates
     back.  ``L.nnz`` and ``U.nnz`` are summed over the distinct factors."""
@@ -357,10 +405,7 @@ class DiscreteOperator:
         return self._assemble()
 
     def _assemble(self):
-        patterns = lattice_patterns(self.domain)
-        size = self.n_cells * self.N
-        return sum((sp.kron(patterns[axes], E) for axes, E in self._blocks.items()),
-                   sp.csc_matrix((size, size)))
+        return _kron_sum(lattice_patterns(self.domain), self._blocks)
 
     def _apply(self, x):
         """The operator applied to the unknown vector ``x`` without assembling
@@ -379,11 +424,12 @@ class DiscreteOperator:
         components (:func:`_component_split`); a tensor that does not split is
         one group, whose operator equals :attr:`matrix`.  On the open box
         (``mask_kind == "rect"``) a factor whose groups are single components
-        with zero mixed blocks is a :class:`SineFactor`; every other factor
-        is a :class:`BandCholesky`.  A strictly Legendre-Hadamard tensor (every
-        regularized one) makes each group's negated operator symmetric
-        positive definite on any mask; any other tensor whose factor breaks
-        down raises ``ArithmeticError``."""
+        with zero mixed blocks is a :class:`SineFactor`.  Every other factor
+        is a :class:`BandCholesky` where :func:`_takes_band` allows, and a
+        SuperLU factor otherwise.  A strictly Legendre-Hadamard tensor
+        (every one regularized with ``eps > 0``) makes each group's negated
+        operator symmetric positive definite on any mask; any other tensor
+        whose factor breaks down raises ``ArithmeticError``."""
         if self._lu is None:
             Q, blocks, groups = _component_split(self._blocks)
             shared = {}
@@ -398,8 +444,10 @@ class DiscreteOperator:
                         E.any() for (i, j), E in sub.items() if i != j):
                     factor = SineFactor([m - 2 for m in self.domain.shape],
                                         [sub[i, i].item() for i in range(self.domain.dim)])
-                else:
+                elif _takes_band(self.domain, len(members[0])):
                     factor = BandCholesky(_negated_band(self.domain, sub))
+                else:
+                    factor = _superlu(_kron_sum(lattice_patterns(self.domain), sub))
                 factors.append((factor, members))
             self._lu = SplitLU(Q, factors)
         return self._lu
@@ -420,12 +468,21 @@ class DiscreteOperator:
     def solve(self, b):
         """Solution vector for the right-hand side vector ``b`` (see
         :meth:`rhs_vector`), with one step of iterative refinement when the
-        residual exceeds ``SOLVER_TOL`` relative to ``b``."""
+        residual exceeds ``SOLVER_TOL`` relative to ``b``.  A solution that is
+        not finite raises :class:`DataOverflow` when that of ``b`` scaled to a
+        largest entry of 1 is finite (the data are too large for the
+        operator), and ``ArithmeticError`` otherwise."""
         lu = self.factorize()
         x = lu.solve(b)
         if not np.isfinite(x).all():
-            raise DataOverflow("linear solve produced non-finite values "
-                               f"(condition estimate {self.condition_estimate():.2e})")
+            scale = np.abs(b).max()
+            if 0 < scale < np.inf and np.isfinite(lu.solve(b / scale)).all():
+                raise DataOverflow("the solution overflows: the right-hand side is "
+                                   "too large for the operator")
+            with np.errstate(over="ignore", invalid="ignore"):
+                cond = self.condition_estimate()
+            raise ArithmeticError("linear solve produced non-finite values "
+                                  f"(condition estimate {cond:.2e})")
         resid = self._apply(x) - b
         bnorm = np.linalg.norm(b)
         if bnorm > 0 and np.linalg.norm(resid) > SOLVER_TOL * bnorm:

@@ -1020,6 +1020,35 @@ def test_an_overflowing_quotient_exits_two_without_a_warning(tmp_path, capsys, a
     assert f"error: {flag}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case, code", [("coupled", 0), ("no-second-component", 1)])
+def test_a_zero_eps_solve_is_not_blamed_on_the_data(tmp_path, capsys, case, code):
+    """``--eps-seq 0.1,0`` solves the unregularized tensor last, which is
+    only degenerate elliptic.  The coupled decomposition's operator is still
+    definite and the solve is accepted; one whose second component has no
+    second derivative gives an operator that is singular on the disc, whose
+    band factor breaks down: exit 1 with a rejected report, not a parse
+    error of ``--f``."""
+    if case == "coupled":
+        dec, dom = random_decomposition(np.random.default_rng(7), 2, 2), Domain.unit_square(32)
+    else:
+        dec = Decomposition((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
+                            (np.eye(2), np.zeros((2, 2))))
+        dom = Domain.unit_disc(24)
+    dec.save(tmp_path / "dec.json")
+    x = dom.node_coords()
+    base = np.sin(np.pi * x[..., 0]) * np.sin(np.pi * x[..., 1])
+    save_grid(tmp_path / "f.grid", GridFunction(dom, base[..., None] * [1.0, 0.0]))
+    out = tmp_path / "run"
+    assert main(["solve-linear", "--decomposition", str(tmp_path / "dec.json"),
+                 "--f", str(tmp_path / "f.grid"), "--eps-seq", "0.1,0",
+                 "--out", str(out)]) == code
+    doc = json.loads((out / "solve_report.json").read_text())
+    assert doc["accepted"] is (code == 0)
+    if code:
+        assert "numerically singular" in doc["reason"]
+        assert "error: --f" not in capsys.readouterr().err
+
+
 SWEPT_VALUES = ["nan", "inf", "-inf", "0", "-0", "-1", "1e308", "1e-308", "1e30", "3.5"]
 LIST_FLAGS = {"eps-seq", "r-list", "eps-list"}
 FILE_FLAGS = ("--grid", "--f", "--tensor", "--decomposition")

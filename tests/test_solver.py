@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from diffusepde import solver
 from diffusepde.checker import CoefficientSystem, check_dsolution, tensor_system
 from diffusepde.frames import build_frame, schedule_window
 from diffusepde.grids import Domain, GridFunction, shift_array
@@ -88,7 +89,6 @@ def test_solve_linear_rejects_incompatible_data():
 def test_solves_reject_data_of_another_shape_before_assembly(monkeypatch, case):
     """Both solves reject data whose component count or lattice dimension is
     not the decomposition's before they assemble any operator."""
-    import diffusepde.solver as solver
     dom = Domain.unit_square(8)
     dec = Decomposition((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
                         (np.diag([1.0, 0.0]), np.diag([1.0, 0.0])))
@@ -627,6 +627,17 @@ def _non_commuting_eps():
                                     (np.diag([1.0, 0.5]), np.diag([0.5, 1.0]))), 1e-2)
 
 
+def test_lu_ordering_reduces_fill(monkeypatch):
+    """Guards the ordering of the SuperLU path, which a 2-D group over the
+    band budget takes: at 64^2, with the budget at 0, the coupled
+    operator's factors hold fewer nonzeros than under COLAMD."""
+    monkeypatch.setattr(solver, "BAND_MAX_ENTRIES_2D", 0)
+    op = DiscreteOperator(_coupled_eps01(), Domain.unit_square(64))
+    lu, colamd = op.factorize(), spla.splu(op.matrix)
+    assert {type(f) for f, _ in lu.factors} == {spla.SuperLU}
+    assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
+
+
 @pytest.mark.parametrize("tensor, group", [(_coupled_eps01(), 1), (_non_commuting_eps(), 2)],
                          ids=["split", "coupled"])
 def test_band_is_as_wide_as_the_mixed_stencil(tensor, group):
@@ -668,6 +679,52 @@ def test_negated_laplacian_has_no_band_cholesky():
     op = DiscreteOperator(Tensor4(2, 2, -Tensor4.laplacian(2, 2).entries), Domain.unit_disc(16))
     with pytest.raises(ArithmeticError, match="numerically singular"):
         op.factorize()
+
+
+@pytest.mark.parametrize("over", [False, True], ids=["within", "over"])
+def test_band_budget_selects_the_factor(monkeypatch, rng, over):
+    """A group on a 2-D lattice whose band would hold more than
+    ``BAND_MAX_ENTRIES_2D`` entries is factored by the minimum-degree
+    SuperLU LU instead, and solves as the band factor does to 1e-11."""
+    dom = Domain.unit_square(32)
+    op = DiscreteOperator(_coupled_eps01(), dom)
+    b = op.rhs_vector(GridFunction(dom, rng.standard_normal(dom.shape + (2,))))
+    ref = op.solve(b)
+    monkeypatch.setattr(solver, "BAND_MAX_ENTRIES_2D", 33 * 31**2 - over)
+    op = DiscreteOperator(_coupled_eps01(), dom)
+    kinds = {type(f) for f, _ in op.factorize().factors}
+    assert kinds == {spla.SuperLU if over else BandCholesky}
+    assert np.max(np.abs(op.solve(b) - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("domain, N, band", [
+    (Domain.unit_square(128), 1, True), (Domain.unit_square(160), 1, True),
+    (Domain.unit_square(192), 1, False), (Domain.unit_square(96), 2, True),
+    (Domain.unit_square(128), 2, False),
+    (Domain(shape=(33,) * 3, spacing=1 / 32, origin=(0.0,) * 3), 2, True),
+    (Domain.interval(0, 1, 4096), 3, True),
+], ids=["128-scalar", "160-scalar", "192-scalar", "96-pair", "128-pair", "32-cube-pair",
+        "interval"])
+def test_band_budget_is_read_before_allocation(domain, N, band):
+    """On a 2-D lattice the band is taken while it holds at most
+    ``BAND_MAX_ENTRIES_2D`` entries (the benchmark's scalar groups at 128^2
+    and scalar groups up to 160^2, 2-component groups up to 96^2), read from
+    its shape without allocating it; on other lattices it is always taken."""
+    assert solver._takes_band(domain, N) is band
+
+
+def test_non_finite_solution_names_its_cause():
+    """A non-finite solution raises ``DataOverflow`` when the unit-scaled
+    data solve finitely (the data are too large) and a plain
+    ``ArithmeticError`` when the operator itself is too near singular."""
+    dom = Domain.unit_disc(16)
+    op = DiscreteOperator(Tensor4.laplacian(1, 2), dom)
+    with pytest.raises(solver.DataOverflow, match="too large"):
+        op.solve(np.full(op.n_cells, 1.5e308))
+    op = DiscreteOperator(Tensor4(1, 2, 1e-310 * Tensor4.laplacian(1, 2).entries), dom)
+    with pytest.raises(ArithmeticError, match="non-finite values") as caught:
+        op.solve(np.ones(op.n_cells))
+    assert not isinstance(caught.value, OverflowError)
 
 
 @pytest.mark.parametrize("N", [2, 3])
