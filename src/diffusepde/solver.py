@@ -337,10 +337,9 @@ class SplitLU:
 
     ``factors`` pairs each distinct factor (a :class:`BandCholesky`, a
     SuperLU factor or a :class:`SineFactor`) with the component groups that
-    share it.  A solve
-    rotates the right-hand side's cell rows into the basis, solves the
-    groups of each factor as one multi-column right-hand side and rotates
-    back.  ``L.nnz`` and ``U.nnz`` are summed over the distinct factors."""
+    share it.  A solve rotates the right-hand side's cell rows into the
+    basis, solves the groups of each factor as one multi-column right-hand
+    side and rotates back.  ``L.nnz`` and ``U.nnz`` are summed over the distinct factors."""
 
     def __init__(self, Q, factors):
         self.Q = Q

@@ -707,9 +707,10 @@ def test_band_budget_selects_the_factor(monkeypatch, rng, over):
         "interval"])
 def test_band_budget_is_read_before_allocation(domain, N, band):
     """On a 2-D lattice the band is taken while it holds at most
-    ``BAND_MAX_ENTRIES_2D`` entries (the benchmark's scalar groups at 128^2
-    and scalar groups up to 160^2, 2-component groups up to 96^2), read from
-    its shape without allocating it; on other lattices it is always taken."""
+    ``BAND_MAX_ENTRIES_2D`` entries (scalar groups up to 161^2, the
+    benchmark's at 128^2 among them, and 2-component groups up to 101^2),
+    read from its shape without allocating it; on other lattices it is
+    always taken."""
     assert solver._takes_band(domain, N) is band
 
 
