@@ -4,7 +4,9 @@
 For each pair and each workload of ``BENCHMARK.json``, runs ``perfbench/run.py``
 untraced, for the benchmark's ``run_seconds``, once in an export of the
 parent commit and once in this checkout, as separate processes, and
-alternates which of the two runs first from pair to pair.  Each record keeps
+alternates which of the two runs first from pair to pair.  One more pair
+runs at a held-out seed, ``--seed`` + 1, which the claim was not measured
+on; it is summarized on its own.  Each record keeps
 the run's last JSON line (``correct``, ``attempted``, ``failed`` and the
 end-to-end metrics), its per-command fastest samples, and the load average
 and machine-speed probe before and after the run; the summary gives, per
@@ -122,18 +124,22 @@ def main(argv=None):
         with tarfile.open(fileobj=io.BytesIO(_git("archive", commits["parent"]))) as tar:
             tar.extractall(parent, filter="data")
         checkouts = {"parent": parent, "change": ROOT}
-        for pair in range(args.pairs):
+        held_out = args.seed + 1
+        for pair, seed in [(k, args.seed) for k in range(args.pairs)] + [(args.pairs, held_out)]:
             for workload in workloads:
                 order = SIDES if pair % 2 == 0 else SIDES[::-1]
                 for side in order:
-                    record = run_once(checkouts[side], workload, args.seed, seconds)
-                    runs.append({"pair": pair, "workload": workload, "side": side, **record})
-                    print(f"pair {pair} {workload} {side}: job_best_s "
+                    record = run_once(checkouts[side], workload, seed, seconds)
+                    runs.append({"pair": pair, "seed": seed, "workload": workload,
+                                 "side": side, **record})
+                    print(f"pair {pair} seed {seed} {workload} {side}: job_best_s "
                           f"{record['metrics']['job_best_s']:.4f}, peak_rss_mb "
                           f"{record['metrics']['peak_rss_mb']:.1f}", flush=True)
     doc = {"pr": args.pr, "commits": commits, "seed": args.seed, "seconds": seconds,
            "env": runs[0].get("env") if runs else None,
-           "summary": summarize(runs),
+           "summary": summarize([r for r in runs if r["seed"] == args.seed]),
+           "held_out_seed": held_out,
+           "held_out": summarize([r for r in runs if r["seed"] == held_out]),
            "runs": [{k: v for k, v in r.items() if k != "env"} for r in runs]}
     with open(ROOT / f"BENCH_{args.pr}.json", "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)

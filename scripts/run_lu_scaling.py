@@ -9,7 +9,7 @@ for the coupled random tensor and the diagonal tensor of the benchmark's
 
 Each row names its paths: ``lu`` (SuperLU factors: the reference, and
 the split factors of groups whose band would exceed
-``solver.BAND_MAX_ENTRIES``), ``band`` (band Cholesky factors) and
+``solver.BAND_MAX_ENTRIES_2D``), ``band`` (band Cholesky factors) and
 ``spectral`` (sine transform factors, which store no entries), joined by
 ``+`` when the split factors take several.  ``entries`` counts the L+U
 nonzeros of an ``lu`` factor and the stored band entries of a ``band``

@@ -339,12 +339,14 @@ class SplitLU:
     SuperLU factor or a :class:`SineFactor`) with the component groups that
     share it.  A solve rotates the right-hand side's cell rows into the
     basis, solves the groups of each factor as one multi-column right-hand
-    side and rotates back.  ``L.nnz`` and ``U.nnz`` are summed over the distinct factors."""
+    side and rotates back.  ``factors`` may be an iterator that builds each
+    factor as the solve reaches it: a single solve then holds one factor at a
+    time.  ``L.nnz`` and ``U.nnz`` are summed over the distinct factors."""
 
-    def __init__(self, Q, factors):
+    def __init__(self, Q, factors, N):
         self.Q = Q
         self.factors = factors
-        self.N = sum(len(g) for _, groups in factors for g in groups)
+        self.N = N
 
     def solve(self, b, trans="N"):
         rows = b.reshape(-1, self.N)
@@ -354,6 +356,7 @@ class SplitLU:
         for lu, groups in self.factors:
             cols = lu.solve(np.stack([rows[:, g].reshape(-1) for g in groups], axis=1),
                             trans=trans)
+            del lu  # freed before the next factor is built
             for g, col in zip(groups, cols.T):
                 out[:, g] = col.reshape(-1, len(g))
         if self.Q is not None:
@@ -418,37 +421,45 @@ class DiscreteOperator:
                 y += (patterns[axes] @ X) @ E.T
         return y.reshape(-1)
 
+    def _split(self):
+        """:class:`SplitLU` over an iterator that builds one factor per
+        distinct group of decoupled components (:func:`_component_split`) as
+        it is reached; a tensor that does not split is one group, whose
+        operator equals :attr:`matrix`.  On the open box (``mask_kind ==
+        "rect"``) a factor whose groups are single components with zero mixed
+        blocks is a :class:`SineFactor`.  Every other factor is a
+        :class:`BandCholesky` where :func:`_takes_band` allows, and a SuperLU
+        factor otherwise.  A strictly Legendre-Hadamard tensor (every one
+        regularized with ``eps > 0``) makes each group's negated operator
+        symmetric positive definite on any mask; any other tensor whose
+        factor breaks down raises ``ArithmeticError``."""
+        Q, blocks, groups = _component_split(self._blocks)
+        shared = {}
+        for g in groups:
+            sub = {axes: E[np.ix_(g, g)] for axes, E in blocks.items()}
+            key = tuple(E.tobytes() for E in sub.values())
+            shared.setdefault(key, (sub, []))[1].append(g)
+        return SplitLU(Q, ((self._factor(sub, len(members[0])), members)
+                           for sub, members in shared.values()), self.N)
+
+    def _factor(self, sub, size):
+        """The factor of one group of ``size`` components with blocks ``sub``
+        (see :meth:`_split`)."""
+        if self.domain.mask_kind == "rect" and size == 1 and not any(
+                E.any() for (i, j), E in sub.items() if i != j):
+            return SineFactor([m - 2 for m in self.domain.shape],
+                              [sub[i, i].item() for i in range(self.domain.dim)])
+        if _takes_band(self.domain, size):
+            return BandCholesky(_negated_band(self.domain, sub))
+        return _superlu(_kron_sum(lattice_patterns(self.domain), sub))
+
     def factorize(self):
-        """:class:`SplitLU` factors, one per distinct group of decoupled
-        components (:func:`_component_split`); a tensor that does not split is
-        one group, whose operator equals :attr:`matrix`.  On the open box
-        (``mask_kind == "rect"``) a factor whose groups are single components
-        with zero mixed blocks is a :class:`SineFactor`.  Every other factor
-        is a :class:`BandCholesky` where :func:`_takes_band` allows, and a
-        SuperLU factor otherwise.  A strictly Legendre-Hadamard tensor
-        (every one regularized with ``eps > 0``) makes each group's negated
-        operator symmetric positive definite on any mask; any other tensor
-        whose factor breaks down raises ``ArithmeticError``."""
+        """The :class:`SplitLU` of :meth:`_split` with every factor built and
+        kept, for an operator that is solved more than once."""
         if self._lu is None:
-            Q, blocks, groups = _component_split(self._blocks)
-            shared = {}
-            for g in groups:
-                sub = {axes: E[np.ix_(g, g)] for axes, E in blocks.items()}
-                key = tuple(E.tobytes() for E in sub.values())
-                shared.setdefault(key, (sub, []))[1].append(g)
-            box = self.domain.mask_kind == "rect"
-            factors = []
-            for sub, members in shared.values():
-                if box and len(members[0]) == 1 and not any(
-                        E.any() for (i, j), E in sub.items() if i != j):
-                    factor = SineFactor([m - 2 for m in self.domain.shape],
-                                        [sub[i, i].item() for i in range(self.domain.dim)])
-                elif _takes_band(self.domain, len(members[0])):
-                    factor = BandCholesky(_negated_band(self.domain, sub))
-                else:
-                    factor = _superlu(_kron_sum(lattice_patterns(self.domain), sub))
-                factors.append((factor, members))
-            self._lu = SplitLU(Q, factors)
+            split = self._split()
+            split.factors = list(split.factors)
+            self._lu = split
         return self._lu
 
     def condition_estimate(self):
@@ -470,12 +481,13 @@ class DiscreteOperator:
         residual exceeds ``SOLVER_TOL`` relative to ``b``.  A solution that is
         not finite raises :class:`DataOverflow` when that of ``b`` scaled to a
         largest entry of 1 is finite (the data are too large for the
-        operator), and ``ArithmeticError`` otherwise."""
-        lu = self.factorize()
-        x = lu.solve(b)
+        operator), and ``ArithmeticError`` otherwise.  Without factors kept
+        by :meth:`factorize`, each group's factor is built, used and freed in
+        turn; those two rare paths build and keep them all."""
+        x = (self.factorize() if self._lu is not None else self._split()).solve(b)
         if not np.isfinite(x).all():
             scale = np.abs(b).max()
-            if 0 < scale < np.inf and np.isfinite(lu.solve(b / scale)).all():
+            if 0 < scale < np.inf and np.isfinite(self.factorize().solve(b / scale)).all():
                 raise DataOverflow("the solution overflows: the right-hand side is "
                                    "too large for the operator")
             with np.errstate(over="ignore", invalid="ignore"):
@@ -486,7 +498,7 @@ class DiscreteOperator:
         bnorm = np.linalg.norm(b)
         if bnorm > 0 and np.linalg.norm(resid) > SOLVER_TOL * bnorm:
             # one step of iterative refinement before giving up
-            x = x + lu.solve(-resid)
+            x = x + self.factorize().solve(-resid)
             resid = self._apply(x) - b
             if np.linalg.norm(resid) > SOLVER_TOL * bnorm:
                 raise ArithmeticError(
@@ -611,7 +623,8 @@ def solve_linear(dec, f, eps_sequence):
         # built first, the process-cached maps lie below the factors' memory,
         # which the heap can then return once it is freed
         maps = derivative_maps(domain, dec.N)
-        # one factor alive at a time: each operator is dropped once it has solved
+        # one group factor alive at a time: each operator is dropped once it has
+        # solved, and its single solve frees each group's factor before the next
         solutions = [ops.pop(0).solve(rhs) for _ in eps_sequence]
         rows, cauchy = _fibre_limit(solutions, eps_sequence, maps, data, domain)
         fd = FibreData(*(_on_grid(domain, mask, r) for r in rows))
@@ -835,6 +848,8 @@ def campanato_solve(F, cert, f, eps_sequence, max_iter=40, tol=1e-10, tol_final=
         b = a_rows * f_rows
         log = IterationLog(increments=[], ratios=[], residuals=[], stop=tol * f_norm)
         bad_streak = 0
+        for op in ops[-2:]:  # solved once per iteration: their factors are kept
+            op.factorize()
         for k in range(max_iter):
             _compatible(b, data)
             fine = [op.solve(b.reshape(-1)) for op in ops[-2:]]

@@ -976,19 +976,26 @@ def test_solve_outputs_are_pinned(tmp_path, command, digests):
 
 def test_pinned_linear_solve_matches_a_superlu_reference(tmp_path, monkeypatch):
     """The pinned ``solve-linear`` run's fibre grids agree to 1e-10 relative
-    with the same run whose operators are each factored whole by the
-    minimum-degree SuperLU LU."""
+    with the same run whose group operators are each factored by the
+    minimum-degree SuperLU LU: two groups for each of the four epsilons."""
     import scipy.sparse.linalg as spla
 
+    from diffusepde import solver
     from diffusepde.grids import load_grid
-    from diffusepde.solver import DiscreteOperator
 
     (tmp_path / "band").mkdir()
     (tmp_path / "superlu").mkdir()
     out = _pinned_solve_run(tmp_path / "band", "solve-linear")
-    monkeypatch.setattr(DiscreteOperator, "factorize", lambda self: spla.splu(
-        self.matrix, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True}))
+    kinds = []
+
+    def superlu(self, sub, size):
+        factor = solver._superlu(solver._kron_sum(solver.lattice_patterns(self.domain), sub))
+        kinds.append(type(factor))
+        return factor
+
+    monkeypatch.setattr(solver.DiscreteOperator, "_factor", superlu)
     ref = _pinned_solve_run(tmp_path / "superlu", "solve-linear")
+    assert kinds == [spla.SuperLU] * 8
     for name in ("sigma_u", "pi_Du", "xi_D2u"):
         got, want = (load_grid(d / f"{name}.grid").values for d in (out, ref))
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
@@ -1000,16 +1007,22 @@ def test_pinned_linear_solve_matches_a_superlu_reference(tmp_path, monkeypatch):
       "--levels", "2", "--window", "2"], "--grid"),
     (["solve-linear", "--decomposition", "coupled", "--f", "big"], "--f"),
     (["solve-nonlinear", "--decomposition", "diag", "--f", "big"], "--f"),
+    (["check", "--system", "linear-tensor", "--tensor", "diag", "--grid", "u", "--f", "big",
+      "--base-step", "0.0625", "--levels", "2", "--window", "2"], "--f"),
 ], ids=["diffuse-overflow", "check-overflow", "solve-linear-overflow",
-        "solve-nonlinear-overflow"])
+        "solve-nonlinear-overflow", "check-linear-f-overflow"])
 def test_an_overflowing_quotient_exits_two_without_a_warning(tmp_path, capsys, args, flag):
     """The quotients of the +-1.5e308 checkerboard overflow, and so do the
-    quantities a solve derives from it as data: the command exits 2 naming
-    the flag, and numpy prints no floating-point warning."""
+    quantities a solve or a check derives from it as data: the command
+    exits 2 naming the flag, and numpy prints no floating-point warning."""
     import warnings
 
+    dom = Domain.unit_square(32)
+    x = dom.node_coords()
+    sines = np.sin(np.pi * x[..., 0]) * np.sin(np.pi * x[..., 1])
+    save_grid(tmp_path / "u.grid", GridFunction(dom, sines[..., None] * [1.0, 0.5]))
     files = {"big": _checkerboard_grid(tmp_path), "coupled": tmp_path / "coupled.json",
-             "diag": tmp_path / "diag.json"}
+             "diag": tmp_path / "diag.json", "u": tmp_path / "u.grid"}
     random_decomposition(np.random.default_rng(7), 2, 2).save(files["coupled"])
     write_diag_dec(files["diag"])
     args = [str(files.get(a, a)) for a in args]

@@ -890,6 +890,82 @@ def test_campanato_solves_the_coarser_epsilons_once(monkeypatch, diag_dec):
     assert [solves[id(op)] for op in created] == [1, 1, n, n]
 
 
+def test_a_single_use_solve_holds_one_group_factor_at_a_time(monkeypatch):
+    """``solve_linear`` solves each operator once.  On the coupled tensor at
+    32^2 (two scalar band groups per epsilon) it builds a group's factor,
+    solves with it and frees it before it builds the next: no more than one
+    :class:`BandCholesky` is ever alive."""
+    import weakref
+
+    live, counts = weakref.WeakSet(), []
+    init = BandCholesky.__init__
+
+    def tracked(self, band):
+        init(self, band)
+        live.add(self)
+        counts.append(len(live))
+
+    monkeypatch.setattr(BandCholesky, "__init__", tracked)
+    dom = Domain.unit_square(32)
+    solve_linear(random_decomposition(np.random.default_rng(7), 2, 2),
+                 sinsin(dom, (1.0, -0.5)), [1e-1, 1e-2, 1e-3, 1e-4])
+    assert counts == [1] * 8
+
+
+def test_campanato_factors_its_finest_operators_once(monkeypatch, diag_dec):
+    """Each operator's group factor is built once per run: the two finest,
+    which every iteration solves, before the loop, and the others for their
+    one solve after it."""
+    created, builds = [], {}
+    init, factor = DiscreteOperator.__init__, DiscreteOperator._factor
+
+    def counted_init(self, *args):
+        init(self, *args)
+        created.append(self)
+
+    def counted_factor(self, sub, size):
+        builds[id(self)] = builds.get(id(self), 0) + 1
+        return factor(self, sub, size)
+
+    monkeypatch.setattr(DiscreteOperator, "__init__", counted_init)
+    monkeypatch.setattr(DiscreteOperator, "_factor", counted_factor)
+    dom = Domain.unit_disc(16)
+    F, cert = make_nonlinearity(diag_dec, GridFunction(dom, np.ones(dom.shape + (1,))),
+                                gamma=0.2)
+    _, log = campanato_solve(F, cert, sinsin(dom, (1.0, -0.5)), [1e-1, 1e-2, 1e-3, 1e-4])
+    assert len(log.increments) > 2
+    assert [builds[id(op)] for op in created] == [1, 1, 1, 1]
+
+
+def test_one_refinement_step_mends_a_perturbed_group_solve(monkeypatch, rng):
+    """A first group solve that is off by 1e-6 relative leaves a residual
+    above ``SOLVER_TOL``; one refinement step brings it within the
+    tolerance, and the solution matches the unperturbed one to 1e-11."""
+    dom = Domain.unit_square(32)
+    op = DiscreteOperator(_coupled_eps01(), dom)
+    b = op.rhs_vector(GridFunction(dom, rng.standard_normal(dom.shape + (2,))))
+    ref = DiscreteOperator(_coupled_eps01(), dom).solve(b)
+    calls, residuals = [], []
+    solve, apply = BandCholesky.solve, DiscreteOperator._apply
+
+    def perturbed(self, rhs, trans="N"):
+        calls.append(trans)
+        x = solve(self, rhs, trans)
+        return x * (1 + 1e-6) if len(calls) == 1 else x
+
+    def measured(self, x):
+        y = apply(self, x)
+        residuals.append(np.linalg.norm(y - b) / np.linalg.norm(b))
+        return y
+
+    monkeypatch.setattr(BandCholesky, "solve", perturbed)
+    monkeypatch.setattr(DiscreteOperator, "_apply", measured)
+    x = op.solve(b)
+    assert len(calls) == 4  # two groups, solved once and refined once
+    assert residuals[0] > solver.SOLVER_TOL >= residuals[1] and len(residuals) == 2
+    assert np.max(np.abs(x - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("tensor", [
     _coupled_eps01(),
     regularize(canonicalize_decomposition(
