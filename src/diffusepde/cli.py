@@ -303,10 +303,11 @@ def _cmd_check(cfg, out):
                             f"on a {dom.dim}-D grid")
     f = _data_grid(cfg, f"the {F.name} system", F.n, F.M, grid=dom)
     with np.errstate(over="ignore"):  # an overflow is rejected below
-        if f is not None and not np.isfinite(np.linalg.norm(f.values[dom.mask()], axis=-1)).all():
-            raise ManifestError("--f: the data's norm overflows at some cell, so no "
-                                "residual against them is finite")
-    levels =_number(cfg, "levels", 3, int)
+        finite = f is None or np.isfinite(np.linalg.norm(f.values[dom.mask()], axis=-1)).all()
+    if not finite:
+        raise ManifestError("--f: the data's norm overflows at some cell, so no "
+                            "residual against them is finite")
+    levels = _number(cfg, "levels", 3, int)
     base = _number(cfg, "base-step", 16 * dom.spacing, float, (0, np.inf))
     count = _number(cfg, "window", 3, int, (0, np.inf))
     ratio = _number(cfg, "ratio", 0.5, float, (0, 1))
