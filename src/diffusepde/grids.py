@@ -250,6 +250,8 @@ def read_header(fh, fmt, keys):
 def load_grid(path):
     with open(path, "rb") as fh:
         dom, header = read_header(fh, GRID_FORMAT, ("components",))
+        if not dom.mask().any():
+            raise ValueError(f"the {dom.mask_kind} mask keeps no node of the {dom.shape} lattice")
         count = dom.n_nodes * header["components"]
         raw = fh.read(count * 8)
         if len(raw) != count * 8:

@@ -19,9 +19,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpbtrf, dpbtrs
-from scipy.sparse.csgraph import connected_components
 
 from .grids import GridFunction
 from .tensors import (Decomposition, canonicalize_decomposition,
@@ -88,19 +86,26 @@ def lattice_patterns(domain):
     the zero extension) is dropped.  Keyed by axes: ``(a,)`` is the
     ``(-1, 0, 1)`` pattern along axis ``a``, ``(i, i)`` the ``(1, -2, 1)``
     pattern along axis ``i``, and ``(i, j)`` for ``i < j`` the product of the
-    ``(-1, 0, 1)`` patterns along both axes.  Built once per domain; callers
-    must not modify the shared matrices."""
+    ``(-1, 0, 1)`` patterns along both axes.  A row keeps its entries by
+    descending column, so that a product adds them in the order of the shift
+    formulas ``v[+1] - v[-1]``, ``v[+1] - 2 v + v[-1]`` and ``v[++] - v[+-] -
+    v[-+] + v[--]``.  Built once per domain; callers must not modify the
+    shared matrices."""
     keep = np.flatnonzero(domain.mask())
 
     def lattice(axes, values, offsets):
         """Kronecker product over the lattice axes of the 1-D pattern
         ``values`` at ``offsets`` along ``axes`` and the identity along the
-        others, restricted to the active cells."""
+        others, restricted to the active cells, rows by descending column."""
         out = sp.identity(1, format="csr")
         for k, m in enumerate(domain.shape):
             factor = sp.diags(values, offsets, (m, m)) if k in axes else sp.identity(m)
             out = sp.kron(out, factor, format="csr")
-        return out[keep][:, keep]
+        out = out[keep][:, keep]
+        out.sort_indices()
+        row = np.repeat(np.arange(out.shape[0]), np.diff(out.indptr))
+        flip = out.indptr[row] + out.indptr[row + 1] - 1 - np.arange(out.nnz)
+        return sp.csr_matrix((out.data[flip], out.indices[flip], out.indptr), shape=out.shape)
 
     dims = range(domain.dim)
     patterns = {(a,): lattice((a,), [-1.0, 1.0], [-1, 1]) for a in dims}
@@ -110,44 +115,25 @@ def lattice_patterns(domain):
     return patterns
 
 
-@lru_cache(maxsize=4)
-def derivative_maps(domain, N):
-    """Sparse maps ``(G, H)`` from the unknown vector of ``N`` components
-    (ordered as in :class:`DiscreteOperator`) to the active-cell rows of its
-    central gradient and hessian, laid out ``(component, axis)`` and
-    ``(component, i, j)``: ``G = sum_a kron(D_a / 2h, I_N (x) e_a)``, ``H =
-    sum_{i <= j} kron(D_ij / s_ij, I_N (x) e_ij)`` with ``D`` the
-    :func:`lattice_patterns`, ``s_ii = h^2`` and ``s_ij = 4 h^2``.  A row
-    keeps its entries by descending column, so that a product adds them in
-    the order of the shift formulas ``(v[+1] - v[-1]) / 2h``, ``(v[+1] - 2 v
-    + v[-1]) / h^2`` and ``(v[++] - v[+-] - v[-+] + v[--]) / 4h^2``.  Built
-    once per domain and ``N``; callers must not modify the shared maps."""
-    patterns = lattice_patterns(domain)
-    n, h = domain.dim, domain.spacing
-
-    def derivative(order):
-        A = 0
-        for axes, D in patterns.items():
-            if len(axes) == order:
-                e = np.zeros((n,) * order)
-                e[axes] = e[axes[::-1]] = 1.0
-                scale = h**2 if len(set(axes)) < order else (2 * h) ** order
-                A = A + sp.kron(D / scale, np.kron(np.eye(N), e.reshape(-1, 1)), format="csr")
-        A.sort_indices()
-        row = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-        flip = A.indptr[row] + A.indptr[row + 1] - 1 - np.arange(A.nnz)
-        return sp.csr_matrix((A.data[flip], A.indices[flip], A.indptr), shape=A.shape)
-
-    return derivative(1), derivative(2)
+def _derivative_rows(domain, X, order):
+    """Active-cell rows of the central gradient (``order`` 1, laid out
+    ``(component, axis)``) or hessian (``order`` 2, ``(component, i, j)``) of
+    the field whose active-cell rows are ``X``: each :func:`lattice_patterns`
+    product divided by ``2h``, ``h^2`` (``i == j``) or ``4h^2``."""
+    h = domain.spacing
+    out = np.empty(X.shape + (domain.dim,) * order)
+    for axes, D in lattice_patterns(domain).items():
+        if len(axes) == order:
+            scale = 2 * h if order == 1 else h**2 if axes[0] == axes[1] else 4 * h**2
+            out[(..., *axes)] = out[(..., *axes[::-1])] = (D @ X) / scale
+    return out.reshape(len(X), -1)
 
 
 def _derivative(u, order):
-    """The grid function whose active-cell rows are the derivative map of
-    ``order`` (1 or 2) applied to those of ``u``."""
+    """The grid function whose active-cell rows are :func:`_derivative_rows`
+    of ``order`` (1 or 2) of those of ``u``."""
     mask = u.domain.mask()
-    rows = u.values[mask]
-    D = derivative_maps(u.domain, u.components)[order - 1]
-    return _on_grid(u.domain, mask, (D @ rows.reshape(-1)).reshape(len(rows), -1))
+    return _on_grid(u.domain, mask, _derivative_rows(u.domain, u.values[mask], order))
 
 
 def gradient_central(u):
@@ -237,6 +223,7 @@ def _kron_sum(patterns, blocks):
 def _superlu(matrix):
     """SuperLU factor of ``matrix``, symmetric to rounding: minimum degree
     on ``A + A^T`` and diagonal pivots."""
+    import scipy.sparse.linalg as spla
     try:
         return spla.splu(matrix, permc_spec="MMD_AT_PLUS_A",
                          options={"SymmetricMode": True})
@@ -265,9 +252,17 @@ def _component_split(blocks):
         tol = 1e-13 * max(np.abs(E).max() for E in blocks.values())
         if all(off_diagonal(R) <= tol for R in rotated.values()):
             Q, blocks = V, {axes: np.diag(np.diag(R)) for axes, R in rotated.items()}
-    count, labels = connected_components(sum(E != 0 for E in blocks.values()),
-                                         directed=False)
-    return Q, blocks, [np.flatnonzero(labels == g) for g in range(count)]
+    return Q, blocks, _coupled_groups(sum(E != 0 for E in blocks.values()))
+
+
+def _coupled_groups(adjacency):
+    """The connected components of the undirected graph on the components
+    whose edges are the nonzero entries of the nonnegative ``adjacency``,
+    each listed once, from its least member: a row of the transitive closure
+    (a path between components has fewer steps than there are components)."""
+    n = len(adjacency)
+    reach = np.linalg.matrix_power(adjacency + adjacency.T + np.eye(n) > 0, n)
+    return [np.flatnonzero(row) for i, row in enumerate(reach) if row.argmax() == i]
 
 
 def _check_trans(trans):
@@ -328,7 +323,10 @@ class BandCholesky:
 
     def solve(self, b, trans="N"):
         _check_trans(trans)
-        return dpbtrs(self.band, np.negative(b, order="F"), overwrite_b=True)[0]
+        x, info = dpbtrs(self.band, np.negative(b, order="F"), overwrite_b=True)
+        if info:
+            raise ValueError(f"dpbtrs rejected its argument number {-info}")
+        return x
 
 
 class SplitLU:
@@ -466,6 +464,7 @@ class DiscreteOperator:
         """1-norm condition number estimate from the operator's factors;
         raises ``ArithmeticError`` as :meth:`factorize` does when there are
         none."""
+        import scipy.sparse.linalg as spla
         lu = self.factorize()
         inverse = spla.LinearOperator(self.matrix.shape, matvec=lu.solve,
                                       rmatvec=lambda b: lu.solve(b, trans="T"))
@@ -530,11 +529,12 @@ class LinearSolveReport:
                 "compatibility_defect": float(self.compatibility_defect)}
 
 
-def _fibre_rows(x, maps, data):
-    """Active-cell rows of the projected triple of the unknown vector ``x``."""
-    G, H = maps
-    return tuple(v.reshape(-1, p.ambient_dim) @ p.matrix.T
-                 for v, p in ((x, data.sigma), (G @ x, data.pi), (H @ x, data.xi)))
+def _fibre_rows(X, domain, data):
+    """Active-cell rows of the projected triple of the field whose
+    active-cell rows are ``X``."""
+    return tuple(v @ p.matrix.T for v, p in ((X, data.sigma),
+                                            (_derivative_rows(domain, X, 1), data.pi),
+                                            (_derivative_rows(domain, X, 2), data.xi)))
 
 
 def _extrapolate(a, b, eps_sequence):
@@ -547,8 +547,7 @@ def fibre_projections(u, data):
     """Project the solution, its central-difference gradient and hessian onto
     the tensor subspaces."""
     mask = u.domain.mask()
-    rows = _fibre_rows(u.values[mask].reshape(-1),
-                       derivative_maps(u.domain, u.components), data)
+    rows = _fibre_rows(u.values[mask], u.domain, data)
     return FibreData(*(_on_grid(u.domain, mask, r) for r in rows))
 
 
@@ -587,11 +586,11 @@ def _regularized(dec, eps_sequence):
     return [regularize(canon, eps) for eps in eps_sequence]
 
 
-def _fibre_limit(solutions, eps_sequence, maps, data, domain):
-    """Projected triples of the regularized solution vectors, extrapolated
-    linearly in epsilon to zero (active-cell rows), and the Cauchy
-    differences between consecutive triples."""
-    triples = [_fibre_rows(x, maps, data) for x in solutions]
+def _fibre_limit(solutions, eps_sequence, data, domain):
+    """Projected triples of the regularized solutions (active-cell rows),
+    extrapolated linearly in epsilon to zero, and the Cauchy differences
+    between consecutive triples."""
+    triples = [_fibre_rows(X, domain, data) for X in solutions]
     cauchy = [sum(_l2(ra - rb, domain) for ra, rb in zip(a, b))
               for a, b in zip(triples, triples[1:])]
     if len(cauchy) >= 2 and cauchy[-1] > 2.0 * cauchy[0] + 1e-12:
@@ -620,13 +619,10 @@ def solve_linear(dec, f, eps_sequence):
         defect = _compatible(f.values, data)
         mask = domain.mask()
         rhs = f.values[mask].reshape(-1)
-        # built first, the process-cached maps lie below the factors' memory,
-        # which the heap can then return once it is freed
-        maps = derivative_maps(domain, dec.N)
         # one group factor alive at a time: each operator is dropped once it has
         # solved, and its single solve frees each group's factor before the next
-        solutions = [ops.pop(0).solve(rhs) for _ in eps_sequence]
-        rows, cauchy = _fibre_limit(solutions, eps_sequence, maps, data, domain)
+        solutions = [ops.pop(0).solve(rhs).reshape(-1, dec.N) for _ in eps_sequence]
+        rows, cauchy = _fibre_limit(solutions, eps_sequence, data, domain)
         fd = FibreData(*(_on_grid(domain, mask, r) for r in rows))
         resid = _tensor_hessian_residual(reconstruct(dec), fd.xi_D2u, f)
     report = LinearSolveReport(eps_sequence=eps_sequence, cauchy_differences=cauchy,
@@ -724,8 +720,9 @@ def make_nonlinearity(dec, A_of_x, gamma, g=None, lipschitz_g=0.0):
     if nu * abs(gamma) + lipschitz_g >= nu:
         raise ValueError("parameters violate the nearness requirement "
                          f"nu*|gamma| + Lip(g) < nu (nu={nu:.3e})")
-    tensor = reconstruct(dec)
     N, n = dec.N, dec.n
+    # T : X as a product of rows: contract[(b, i, j), a] = T[a, i, b, j]
+    contract = reconstruct(dec).entries.transpose(2, 1, 3, 0).reshape(N * n * n, N)
 
     from .checker import CoefficientSystem
 
@@ -733,11 +730,10 @@ def make_nonlinearity(dec, A_of_x, gamma, g=None, lipschitz_g=0.0):
         """``uval`` holds the rows' scaling values ``A(x)``."""
         # masked-out nodes carry zeroed scaling values; results there are unused
         a = np.where(uval[:, 0] > 0, uval[:, 0], 1.0)
-        Xp = data.xi.project(X.reshape((-1, N, n, n)))
-        lin = np.einsum("aibj,cbij->ca", tensor.entries, Xp)
-        out = (1.0 + gamma) * lin
+        Xp = data.xi.project(X.reshape((-1, N, n, n))).reshape(X.shape[0], -1)
+        out = (1.0 + gamma) * (Xp @ contract)
         if g is not None:
-            gv = np.asarray(g(Xp.reshape(X.shape[0], -1)), float)
+            gv = np.asarray(g(Xp), float)
             out = out + data.sigma.project(gv)
         return out / a[:, None]
 
@@ -824,10 +820,11 @@ def campanato_solve(F, cert, f, eps_sequence, max_iter=40, tol=1e-10, tol_final=
     update is small relative to the data; three consecutive non-contractive
     steps abort with a certificate-violation error.
 
-    An iteration solves only the two finest epsilons, whose hessian rows it
-    extrapolates; the returned triple and :func:`_fibre_limit`'s settling
-    guard read every epsilon's solution to the last iterate.  Data so large
-    that a quantity derived from them overflows raise :class:`DataOverflow`.
+    An iteration solves only the two finest epsilons and takes the projected
+    hessian rows of their extrapolated solution alone; the returned triple
+    and :func:`_fibre_limit`'s settling guard read every epsilon's solution
+    to the last iterate.  Data so large that a quantity derived from them
+    overflows raise :class:`DataOverflow`.
     """
     dec = cert.dec
     _check_shape(dec, f)
@@ -837,7 +834,6 @@ def campanato_solve(F, cert, f, eps_sequence, max_iter=40, tol=1e-10, tol_final=
     ops = [DiscreteOperator(a_eps, dom) for a_eps in _regularized(dec, eps_sequence)]
     with _data_overflow():
         _compatible(f.values, data)
-        maps = derivative_maps(dom, dec.N)
         # A(x), the node coordinates and f on the active cells, read once
         mask = dom.mask()
         a_rows = cert.A_of_x.values[mask]
@@ -852,10 +848,9 @@ def campanato_solve(F, cert, f, eps_sequence, max_iter=40, tol=1e-10, tol_final=
             op.factorize()
         for k in range(max_iter):
             _compatible(b, data)
-            fine = [op.solve(b.reshape(-1)) for op in ops[-2:]]
-            xi = [(maps[1] @ x).reshape(-1, data.xi.ambient_dim) @ data.xi.matrix.T
-                  for x in fine]
-            resid_rows = F.evaluate(x_rows, a_rows, _extrapolate(*xi, eps_sequence)) - f_rows
+            fine = [op.solve(b.reshape(-1)).reshape(-1, dec.N) for op in ops[-2:]]
+            xi = _derivative_rows(dom, _extrapolate(*fine, eps_sequence), 2) @ data.xi.matrix.T
+            resid_rows = F.evaluate(x_rows, a_rows, xi) - f_rows
             resid = _l2(resid_rows, dom) / f_norm
             update = a_rows * resid_rows
             inc = _l2(update, dom)
@@ -877,8 +872,8 @@ def campanato_solve(F, cert, f, eps_sequence, max_iter=40, tol=1e-10, tol_final=
                 break
         # the last iteration solved the two finest on ``last``; free their factors
         del ops[-2:]
-        solutions = [op.solve(last.reshape(-1)) for op in ops] + fine
-        rows, _ = _fibre_limit(solutions, eps_sequence, maps, data, dom)
+        solutions = [op.solve(last.reshape(-1)).reshape(-1, dec.N) for op in ops] + fine
+        rows, _ = _fibre_limit(solutions, eps_sequence, data, dom)
     if inc > log.stop and log.residuals[-1] > tol_final:
         raise ArithmeticError(f"no convergence within {max_iter} iterations "
                               f"(last residual {log.residuals[-1]:.3e})")

@@ -963,11 +963,11 @@ def _pinned_solve_digests(tmp_path, command):
         "solve_report.json": "3d1f4aa307138a782984ed7305cfc4804bb9a6735e39bf4a85ad9e2f02fc7f49",
         "xi_D2u.grid": "8ad9772272dbf32141c34a0c88bf102d94c6c3a4aafd40d6bcc0e003611987a0"}),
     ("solve-nonlinear", {
-        "iteration_log.csv": "6e3adff2cec68b3efebbac2526928a3cb5958608827f6847df41ebaadd5db0fe",
-        "nonlinear_report.json": "416ebab3dcabd0ad5ad57430f45c9216c5fef0cc0864301c3480260964f04733",
-        "pi_Du.grid": "6dc92c3c55d327f27cbeafe1ddd937b1862564b633d024c4891c588f971dce69",
-        "sigma_u.grid": "c073e04d78d42eb3ab3a67dd307184481d17b26f286c2ca3dfb955b249f50a95",
-        "xi_D2u.grid": "8b18a8c80b3b63360c53afe08451072d34e636ef18a431d4c9c8417db65aa3c6"}),
+        "iteration_log.csv": "25281bf9cfab5602414a560a59e907c985c871e16b5e8b653083d555d946d5bf",
+        "nonlinear_report.json": "79deba17c709aa6f97483858e45a6b0dcec37b666575ab225e0dded966102cae",
+        "pi_Du.grid": "afe06c81932808f06d80ecc023903d7d7d698237006d91fd8ba8f07819adf6e8",
+        "sigma_u.grid": "406da5941387325c7554bd10ca5a2c421d8961e304a24e0af8f395167de350ce",
+        "xi_D2u.grid": "5e3fc004e85e06a0bdbfed115b128c02712df538dabf4bce333dea24b7287b84"}),
 ])
 def test_solve_outputs_are_pinned(tmp_path, command, digests):
     """The solves' outputs, bit for bit, at the default epsilon sequence."""
@@ -1060,6 +1060,39 @@ def test_a_zero_eps_solve_is_not_blamed_on_the_data(tmp_path, capsys, case, code
     if code:
         assert "numerically singular" in doc["reason"]
         assert "error: --f" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["empty-rect", "empty-disc", "nan"])
+def test_every_grid_flag_rejects_a_bad_grid_file(tmp_path, capsys, case):
+    """A 2 x 2 lattice keeps no active cell under either mask, and a NaN on
+    an active node has no differences.  Every command that reads a grid
+    file exits 2 on such a file and names the file's flag, instead of an
+    internal error, a failed solve, or an accepted empty one."""
+    files = {"bad": tmp_path / "bad.grid", "coupled": tmp_path / "coupled.json",
+             "diag": tmp_path / "diag.json"}
+    if case == "nan":
+        dom = Domain.unit_square(16)
+        values = np.ones(dom.shape + (2,))
+        save_grid(files["bad"], GridFunction(dom, values))
+        # the NaN goes into the file's body, which save_grid would refuse
+        values[8, 8, 0] = np.nan
+        head = files["bad"].read_bytes()[:-values.nbytes]
+        files["bad"].write_bytes(head + values.astype("<f8").tobytes())
+    else:
+        dom = Domain(shape=(2, 2), spacing=0.5, origin=(0.0, 0.0), mask_kind=case[6:])
+        save_grid(files["bad"], GridFunction(dom, np.ones((2, 2, 2))))
+    random_decomposition(np.random.default_rng(7), 2, 2).save(files["coupled"])
+    write_diag_dec(files["diag"])
+    runs = [(["diffuse", "--grid", "bad"], "--grid"),
+            (["check", "--grid", "bad", "--system", "infinity-laplace"], "--grid"),
+            (["solve-linear", "--decomposition", "coupled", "--f", "bad"], "--f"),
+            (["solve-linear", "--decomposition", "diag", "--f", "bad"], "--f"),
+            (["solve-nonlinear", "--decomposition", "diag", "--f", "bad"], "--f")]
+    for k, (args, flag) in enumerate(runs):
+        args = [str(files.get(a, a)) for a in args]
+        assert main([*args, "--out", str(tmp_path / f"run{k}")]) == 2, args
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err and "--gamma" not in err, (args, err)
 
 
 SWEPT_VALUES = ["nan", "inf", "-inf", "0", "-0", "-1", "1e308", "1e-308", "1e30", "3.5"]

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from diffusepde.solver import (BandCholesky, DiscreteOperator, EllipticityCertif
                                assemble_and_solve_eps,
                                boundary_ring_norm, campanato_solve,
                                check_degenerate_ellipticity, check_sigma_valued,
-                               derivative_maps, fibre_norms, gradient_central,
+                               fibre_norms, gradient_central,
                                hessian_central, lattice_patterns, make_nonlinearity,
                                poincare_check, solve_linear, verify_hessian_estimate)
 from diffusepde.tensors import (Decomposition, Tensor4, canonicalize_decomposition,
@@ -417,21 +418,22 @@ def shift_hessian(u):
     Domain(shape=(6, 7, 5), spacing=0.25, origin=(0.0, 0.0, 0.0)),
 ], ids=["rect", "disc", "interval", "box", "rect-dyadic", "box-dyadic"])
 def test_derivative_maps_match_shift_differences(domain, rng):
-    """``G x`` and ``H x``, and the grid functions ``gradient_central`` and
-    ``hessian_central`` built from them, are the shift stencils' central
-    gradient and hessian of the same two-component map, whose zero extension
-    enters at the cells next to masked-out nodes.  At a power-of-two spacing
-    they are bit-identical."""
+    """The pattern products of ``_derivative_rows``, and the grid functions
+    ``gradient_central`` and ``hessian_central`` built from them, are the
+    shift stencils' central gradient and hessian of the same two-component
+    map, whose zero extension enters at the cells next to masked-out nodes.
+    At a power-of-two spacing they are bit-identical."""
     u = GridFunction(domain, rng.standard_normal(domain.shape + (2,)))
     mask = domain.mask()
-    G, H = derivative_maps(domain, 2)
-    x = u.values[mask].reshape(-1)
+    X = u.values[mask]
     dyadic = math.frexp(domain.spacing)[0] == 0.5
-    for want, got in ((shift_gradient(u), (G @ x, gradient_central(u).values)),
-                      (shift_hessian(u), (H @ x, hessian_central(u).values))):
+    for want, got in ((shift_gradient(u), (solver._derivative_rows(domain, X, 1),
+                                           gradient_central(u).values)),
+                      (shift_hessian(u), (solver._derivative_rows(domain, X, 2),
+                                          hessian_central(u).values))):
         assert not got[1][~mask].any()
         want = want[mask].reshape(-1)
-        for g in (got[0], got[1][mask].reshape(-1)):
+        for g in (got[0].reshape(-1), got[1][mask].reshape(-1)):
             if dyadic:
                 assert np.array_equal(g, want)
             else:
@@ -439,11 +441,10 @@ def test_derivative_maps_match_shift_differences(domain, rng):
 
 
 def test_derivative_maps_are_built_once_per_domain():
-    """An equal domain reads the cached patterns and maps, not new copies."""
-    maps = derivative_maps(Domain.unit_square(12), 2)
-    again = derivative_maps(Domain.unit_square(12), 2)
-    assert all(a is b for a, b in zip(maps, again))
-    assert lattice_patterns(Domain.unit_disc(16)) is lattice_patterns(Domain.unit_disc(16))
+    """An equal domain reads the cached patterns, which the gradient and
+    hessian rows multiply, not new copies."""
+    for dom in (Domain.unit_square(12), Domain.unit_disc(16)):
+        assert lattice_patterns(dom) is lattice_patterns(Domain(**vars(dom)))
 
 
 def test_poincare_closed_form_and_battery(rng):
@@ -935,6 +936,102 @@ def test_campanato_factors_its_finest_operators_once(monkeypatch, diag_dec):
     _, log = campanato_solve(F, cert, sinsin(dom, (1.0, -0.5)), [1e-1, 1e-2, 1e-3, 1e-4])
     assert len(log.increments) > 2
     assert [builds[id(op)] for op in created] == [1, 1, 1, 1]
+
+
+def test_campanato_takes_one_hessian_per_iteration(monkeypatch, diag_dec):
+    """An iteration extrapolates its two finest solutions and differentiates
+    only the result: one hessian per iteration, and after the loop one
+    gradient and one hessian per epsilon for the returned triple."""
+    orders = []
+    rows = solver._derivative_rows
+
+    def counted(domain, X, order):
+        orders.append(order)
+        return rows(domain, X, order)
+
+    monkeypatch.setattr(solver, "_derivative_rows", counted)
+    dom = Domain.unit_disc(16)
+    F, cert = make_nonlinearity(diag_dec, GridFunction(dom, np.ones(dom.shape + (1,))),
+                                gamma=0.2)
+    eps = [1e-1, 1e-2, 1e-3, 1e-4]
+    _, log = campanato_solve(F, cert, sinsin(dom, (1.0, -0.5)), eps)
+    assert len(log.increments) > 2
+    assert orders == [2] * len(log.increments) + [1, 2] * len(eps)
+
+
+_MODULES_AFTER_A_SOLVE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from diffusepde import solver
+from diffusepde.grids import Domain, GridFunction
+from diffusepde.tensors import random_decomposition
+solver.BAND_MAX_ENTRIES_2D = int(sys.argv[2])
+superlu, factors = solver._superlu, []
+solver._superlu = lambda matrix: factors.append(superlu(matrix)) or factors[-1]
+dom = Domain.unit_square(16)
+x = dom.node_coords()
+f = np.sin(np.pi * x[..., :1]) * np.sin(np.pi * x[..., 1:]) * [1.0, -0.5]
+solver.solve_linear(random_decomposition(np.random.default_rng(7), 2, 2),
+                    GridFunction(dom, f), [1e-1, 1e-2, 1e-3])
+print(json.dumps(["scipy.sparse.linalg" in sys.modules,
+                  sorted({type(lu).__name__ for lu in factors}), len(factors)]))
+"""
+
+
+@pytest.mark.parametrize("budget, want", [(2**22, [False, [], 0]),
+                                          (0, [True, ["SuperLU"], 6])],
+                         ids=["band", "superlu"])
+def test_a_band_solve_does_not_load_sparse_linalg(budget, want):
+    """A 2-D box solve whose groups fit the band budget factors no group by
+    SuperLU and leaves ``scipy.sparse.linalg`` unloaded; with the budget at
+    0 its two groups at each of three epsilons are SuperLU factors."""
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", _MODULES_AFTER_A_SOLVE, str(src), str(budget)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == want
+
+
+def _chain_adjacency():
+    """Components 0-1-2-3-4 coupled in a chain (one way round) and 5 alone."""
+    adjacency = np.zeros((6, 6), dtype=int)
+    for a in range(4):
+        adjacency[a + 1, a] = 1
+    return adjacency
+
+
+def _split_adjacency(tensor):
+    _, blocks, _ = solver._component_split(DiscreteOperator(tensor, Domain.unit_square(8))._blocks)
+    return sum(E != 0 for E in blocks.values())
+
+
+@pytest.mark.parametrize("adjacency", [
+    _chain_adjacency(),
+    _split_adjacency(Tensor4.laplacian(3, 2)),
+    _split_adjacency(regularize(canonicalize_decomposition(
+        random_decomposition(np.random.default_rng(3), 3, 2)), 1e-2)),
+    _split_adjacency(_non_commuting_eps()),
+], ids=["chain", "decoupled", "rotated", "coupled"])
+def test_coupled_groups_match_connected_components(adjacency):
+    """The transitive closure's groups are scipy's connected components of
+    the undirected graph, in the same order."""
+    from scipy.sparse.csgraph import connected_components
+    count, labels = connected_components(adjacency, directed=False)
+    want = [np.flatnonzero(labels == g).tolist() for g in range(count)]
+    assert [g.tolist() for g in solver._coupled_groups(adjacency)] == want
+
+
+def test_band_solve_raises_on_a_rejected_argument():
+    """``dpbtrs`` rejects the right-hand side of an operator without
+    unknowns (its leading dimension is below 1): the solve raises instead of
+    returning LAPACK's untouched output."""
+    lu = BandCholesky(np.zeros((2, 0), order="F"))
+    with pytest.raises(ValueError, match="argument number 8"):
+        lu.solve(np.zeros((0, 1)))
 
 
 def test_one_refinement_step_mends_a_perturbed_group_solve(monkeypatch, rng):
