@@ -7,17 +7,17 @@ for the coupled random tensor and the diagonal tensor of the benchmark's
 ``solve`` workload at seed 7 and the scalar Laplacian, on the
 ``--dim``-dimensional unit box.
 
-Each row names its paths: ``lu`` (SuperLU factors: the reference, and
-the split factors of groups whose band would exceed
-``solver.BAND_MAX_ENTRIES_2D``), ``band`` (band Cholesky factors) and
+Each row names its paths: ``lu`` (the reference's SuperLU factor),
+``torus`` (capacitance-matrix factors on the torus, every 2-D group that
+is not spectral), ``band`` (band Cholesky factors, off 2-D lattices) and
 ``spectral`` (sine transform factors, which store no entries), joined by
 ``+`` when the split factors take several.  ``entries`` counts the L+U
-nonzeros of an ``lu`` factor and the stored band entries of a ``band``
-factor.
+nonzeros of an ``lu`` factor, the stored LU entries of a ``torus``
+factor's bordered capacitance system and the stored band entries of a
+``band`` factor.
 
 Run as ``PYTHONPATH=src python scripts/run_lu_scaling.py --resolution 128``
-(or ``--dim 3 --resolution 24``); at ``--resolution 256`` the scalar
-groups exceed the band budget and take SuperLU.  Times are the best of ``--repeat``
+(or ``--dim 3 --resolution 24``).  Times are the best of ``--repeat``
 factorizations, in one thread.
 """
 
@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from diffusepde.grids import Domain
-from diffusepde.solver import BandCholesky, DiscreteOperator, SineFactor
+from diffusepde.solver import BandCholesky, DiscreteOperator, SineFactor, TorusFactor
 from diffusepde.tensors import (Decomposition, canonicalize_decomposition,
                                 random_decomposition, regularize)
 
@@ -80,9 +80,8 @@ def main():
         del whole
         split_s, split = best(lambda: DiscreteOperator(tensor, dom),
                               DiscreteOperator.factorize, args.repeat)
-        path = "+".join(sorted({"spectral" if isinstance(f, SineFactor) else
-                                "band" if isinstance(f, BandCholesky) else "lu"
-                                for f, _ in split.factors}))
+        names = {SineFactor: "spectral", TorusFactor: "torus", BandCholesky: "band"}
+        path = "+".join(sorted({names[type(f)] for f, _ in split.factors}))
         size = op.matrix.shape[0]
         print(f"{name},whole,lu,{size},1,{whole_s:.3f},{whole_nnz}")
         print(f"{name},split,{path},{size},{len(split.factors)},{split_s:.3f},"

@@ -406,7 +406,7 @@ def _cmd_solve_nonlinear(cfg, out):
     try:
         F, cert = solver.make_nonlinearity(dec, a_of_x, gamma=gamma, g=g,
                                            lipschitz_g=lip)
-    except ValueError as exc:
+    except solver.NearnessViolation as exc:
         # the certificate needs |gamma| + lip-frac < 1
         raise ManifestError(
             f"--gamma must lie in ({lip_frac - 1:g}, {1 - lip_frac:g}) for --lip-frac "

@@ -19,20 +19,20 @@ from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.linalg.lapack import dgetrf, dgetrs, dpbtrf, dpbtrs
 
 from .grids import GridFunction
 from .tensors import (Decomposition, canonicalize_decomposition,
                       ranges_and_subspaces, reconstruct, regularize)
 
 SOLVER_TOL = 1e-10
-# most entries a group's band factor stores on a 2-D lattice (32 MiB of
-# doubles); a larger group is factored by SuperLU, whose fill grows more
-# slowly there (README, "Factorization paths")
-BAND_MAX_ENTRIES_2D = 2**22
 # largest relative right-hand-side component outside the admissible value
 # subspace that a solve accepts
 TOL_COMPATIBLE = 1e-8
+# a torus mode whose symbol eigenvalue is at most this fraction of the largest
+# is singular, and :class:`TorusFactor` borders it; bordering treats the mode as
+# null, so the fraction stays at rounding level and near-singular modes are inverted
+_SINGULAR_MODE_TOL = 1e-13
 
 
 class DataOverflow(OverflowError):
@@ -168,15 +168,6 @@ def _band_shape(domain, N):
     return N * _cell_offset(domain) + N, lattice_patterns(domain)[0, 0].shape[0] * N
 
 
-def _takes_band(domain, N):
-    """Whether a group of ``N`` components is factored by :class:`BandCholesky`
-    rather than SuperLU: off 2-D lattices always, and on a 2-D one while its
-    band holds at most ``BAND_MAX_ENTRIES_2D`` entries, decided before the
-    band is allocated."""
-    rows, cols = _band_shape(domain, N)
-    return domain.dim != 2 or rows * cols <= BAND_MAX_ENTRIES_2D
-
-
 @lru_cache(maxsize=4)
 def _upper_patterns(domain):
     """The entries on and above the diagonal of each second-order pattern of
@@ -220,17 +211,6 @@ def _kron_sum(patterns, blocks):
                sp.csc_matrix((size, size)))
 
 
-def _superlu(matrix):
-    """SuperLU factor of ``matrix``, symmetric to rounding: minimum degree
-    on ``A + A^T`` and diagonal pivots."""
-    import scipy.sparse.linalg as spla
-    try:
-        return spla.splu(matrix, permc_spec="MMD_AT_PLUS_A",
-                         options={"SymmetricMode": True})
-    except RuntimeError as exc:
-        raise ArithmeticError(f"discrete operator numerically singular: {exc}") from exc
-
-
 def _component_split(blocks):
     """An orthonormal component basis ``Q`` (``None`` for the identity), the
     blocks rotated into it, and the groups of components they still couple.
@@ -267,8 +247,8 @@ def _coupled_groups(adjacency):
 
 def _check_trans(trans):
     """Rejects a ``trans`` other than ``"N"``, ``"T"`` or ``"H"``, the values
-    SuperLU takes; the factors here are of real symmetric operators, so the
-    three solve the same system."""
+    a sparse LU solve takes; the factors here are of real symmetric
+    operators, so the three solve the same system."""
     if trans not in ("N", "T", "H"):
         raise ValueError(f"trans must be 'N', 'T' or 'H', not {trans!r}")
 
@@ -329,13 +309,137 @@ class BandCholesky:
         return x
 
 
+class TorusFactor:
+    """Inverse of a group operator on a 2-D lattice by the capacitance-matrix
+    method (Buzbee, Dorr, George & Golub 1971; Hockney 1970).
+
+    Both mask kinds leave the first and last node layers inactive, so the
+    lattice with those layers identified is a torus of shape ``(s1 - 1, s2 -
+    1)``.  There the group's stencil ``P`` has constant coefficients: it is
+    diagonal in Fourier modes, with the ``N x N`` symbol ``sum_i E_ii (2 cos
+    t_i - 2) - 4 E_01 sin t_0 sin t_1``, and the operator is ``P`` restricted
+    to the active cells.  A solution is the active part of a torus field
+    ``x = P+ (b + E_G lam) + Phi mu`` that vanishes on the ghost ring ``G``
+    (the inactive nodes within one step of an active one, diagonals
+    included).  ``P+`` inverts the symbol on its regular modes; ``Phi`` is a
+    real basis of the singular ones (the ``N`` constant modes always), and
+    ``(lam, mu)`` solve the bordered capacitance system ``[C Phi_G; Phi_G^T
+    0]`` that makes ``x`` vanish on ``G`` and the source lie in the range of
+    ``P``.  ``C = (P+)_GG`` is gathered by index difference from the
+    fundamental solutions ``P+ delta`` and LU-factored once.  A solve is two
+    real FFT pairs and one dense LU solve.  ``U.nnz`` counts the stored
+    entries of the bordered LU; ``L`` shares that storage, so ``L.nnz``
+    reads 0.  Non-finite values are left to the caller's check."""
+
+    L = SimpleNamespace(nnz=0)
+
+    def __init__(self, domain, blocks):
+        from scipy.fft import irfftn
+        self.shape = tuple(m - 1 for m in domain.shape)
+        self.active = domain.mask()[:self.shape[0], :self.shape[1]]
+        self.N = N = blocks[0, 0].shape[0]
+        n0, n1 = self.shape
+        with np.errstate(all="ignore"):
+            # mode angles on the half spectrum of a real transform; sin(pi) is 0
+            t0 = 2 * np.pi * np.fft.fftfreq(n0)[:, None]
+            t1 = 2 * np.pi * np.fft.rfftfreq(n1)[None, :]
+            mixed = np.where(np.abs(t0) == np.pi, 0.0, np.sin(t0)) * np.where(
+                t1 == np.pi, 0.0, np.sin(t1))
+            symbol = (blocks[0, 0] * (2 * np.cos(t0) - 2)[..., None, None]
+                      + blocks[1, 1] * (2 * np.cos(t1) - 2)[..., None, None]
+                      - 4 * blocks[0, 1] * mixed[..., None, None])
+            w, V = (symbol[..., 0], np.ones(symbol.shape)) if N == 1 else np.linalg.eigh(symbol)
+            singular = np.abs(w) <= _SINGULAR_MODE_TOL * np.abs(w).max()
+            inverse = np.divide(1.0, w, out=np.zeros_like(w), where=~singular)
+            self.inverse = (V * inverse[..., None, :]) @ V.swapaxes(-1, -2)
+            self._singular_basis(V, singular)
+
+            near = np.zeros_like(self.active)
+            for shift in np.ndindex(3, 3):
+                near |= np.roll(self.active, np.subtract(shift, 1), axis=(0, 1))
+            self.ghost = near & ~self.active
+            g0, g1 = np.nonzero(self.ghost)
+            n_ghost, n_border = len(g0) * N, len(self.k0) + len(self.sines)
+            if n_border > n_ghost:
+                raise ArithmeticError(
+                    f"discrete operator numerically singular: {n_border} torus modes "
+                    f"are singular, more than its {n_ghost} ghost unknowns can border")
+            fundamental = irfftn(self.inverse, s=self.shape, axes=(0, 1))
+            C = fundamental[np.subtract.outer(g0, g0) % n0, np.subtract.outer(g1, g1) % n1]
+            phase = 2 * np.pi * (np.outer(g0, self.k0) / n0 + np.outer(g1, self.k1) / n1)
+            trig = np.concatenate([np.cos(phase), np.sin(phase[:, self.sines])], axis=1)
+            null = np.concatenate([self.null, self.null[self.sines]])
+            border = np.einsum("gm,ma->gam", trig, null).reshape(n_ghost, n_border)
+            self.scale = np.abs(C).max()
+            system = np.zeros((n_ghost + n_border,) * 2, order="F")
+            system[:n_ghost, :n_ghost] = C.transpose(0, 2, 1, 3).reshape(n_ghost, n_ghost)
+            system[:n_ghost, n_ghost:] = self.scale * border
+            system[n_ghost:, :n_ghost] = self.scale * border.T
+            self.lu, self.piv, _ = dgetrf(system, overwrite_a=True)
+            pivots = np.abs(np.diag(self.lu))
+            if pivots.min() <= len(pivots) * np.finfo(float).eps * pivots.max():
+                raise ArithmeticError("discrete operator numerically singular: the bordered "
+                                      "capacitance system has a pivot at rounding level")
+        self.U = SimpleNamespace(nnz=self.lu.size)
+
+    def _singular_basis(self, V, singular):
+        """The singular modes' real basis: for each mode ``k`` on the half
+        spectrum, and each null vector ``v`` of its symbol, ``cos(k x) v``
+        and, unless ``k = -k`` on the torus, ``sin(k x) v``.  A mode whose
+        conjugate also lies on the half spectrum (second index 0 or ``n1 /
+        2``) is taken once, from the lesser first index."""
+        n0, n1 = self.shape
+        k0, k1, j = np.nonzero(singular)
+        partner = -k0 % n0
+        paired = (k1 == 0) | (2 * k1 == n1)
+        keep = ~paired | (k0 <= partner)
+        self.k0, self.k1 = k0[keep], k1[keep]
+        self.null = V[self.k0, self.k1, :, j[keep]]
+        self.mirrored = paired[keep] & (k0 < partner)[keep]
+        self.sines = np.flatnonzero(~paired[keep] | self.mirrored)
+
+    def _times_symbol(self, spectrum):
+        """``P+`` applied mode by mode to ``spectrum`` of shape ``(..., N, m)``."""
+        return sum(self.inverse[..., :, b, None] * spectrum[..., None, b, :]
+                   for b in range(self.N))
+
+    def solve(self, b, trans="N"):
+        _check_trans(trans)
+        from scipy.fft import irfftn, rfftn
+        N, n_modes = self.N, len(self.k0)
+        with np.errstate(all="ignore"):
+            field = np.zeros(self.shape + (N, b.size // b.shape[0]))
+            field[self.active] = b.reshape(-1, *field.shape[2:])
+            spectrum = rfftn(field, axes=(0, 1))
+            y = irfftn(self._times_symbol(spectrum), s=self.shape, axes=(0, 1))
+            # the source's components along the singular basis
+            c = np.einsum("sa,sam->sm", self.null, spectrum[self.k0, self.k1])
+            rhs = np.concatenate([-y[self.ghost].reshape(-1, field.shape[-1]),
+                                  -self.scale * c.real, self.scale * c.imag[self.sines]])
+            sol = dgetrs(self.lu, self.piv, rhs)[0]
+            n_ghost = len(rhs) - n_modes - len(self.sines)
+            field[self.ghost] = sol[:n_ghost].reshape(-1, *field.shape[2:])
+            spectrum = self._times_symbol(rfftn(field, axes=(0, 1)))
+            # Phi mu on the singular modes: (n / 2) (mu_cos - i mu_sin) v at k and
+            # its conjugate at -k, and n mu_cos v at a k with k = -k
+            mu = self.scale * sol[n_ghost:]
+            coef = mu[:n_modes].astype(complex)
+            coef[self.sines] = 0.5 * (coef[self.sines] - 1j * mu[n_modes:])
+            lift = (self.active.size * coef)[:, None, :] * self.null[:, :, None]
+            np.add.at(spectrum, (self.k0, self.k1), lift)
+            np.add.at(spectrum, (-self.k0[self.mirrored] % self.shape[0], self.k1[self.mirrored]),
+                      lift[self.mirrored].conj())
+            x = irfftn(spectrum, s=self.shape, axes=(0, 1))[self.active]
+        return x.reshape(b.shape)
+
+
 class SplitLU:
     """Factors of an operator that is block-diagonal over groups of
     components in the orthonormal basis ``Q`` (``None`` for the identity).
 
-    ``factors`` pairs each distinct factor (a :class:`BandCholesky`, a
-    SuperLU factor or a :class:`SineFactor`) with the component groups that
-    share it.  A solve rotates the right-hand side's cell rows into the
+    ``factors`` pairs each distinct factor (a :class:`SineFactor`, a
+    :class:`TorusFactor` or a :class:`BandCholesky`) with the component
+    groups that share it.  A solve rotates the right-hand side's cell rows into the
     basis, solves the groups of each factor as one multi-column right-hand
     side and rotates back.  ``factors`` may be an iterator that builds each
     factor as the solve reaches it: a single solve then holds one factor at a
@@ -426,11 +530,12 @@ class DiscreteOperator:
         operator equals :attr:`matrix`.  On the open box (``mask_kind ==
         "rect"``) a factor whose groups are single components with zero mixed
         blocks is a :class:`SineFactor`.  Every other factor is a
-        :class:`BandCholesky` where :func:`_takes_band` allows, and a SuperLU
-        factor otherwise.  A strictly Legendre-Hadamard tensor (every one
-        regularized with ``eps > 0``) makes each group's negated operator
-        symmetric positive definite on any mask; any other tensor whose
-        factor breaks down raises ``ArithmeticError``."""
+        :class:`TorusFactor` on a 2-D lattice, box or disc, and a
+        :class:`BandCholesky` on 1-D and 3-D ones.  A strictly
+        Legendre-Hadamard tensor (every one regularized with ``eps > 0``)
+        makes each group's negated operator symmetric positive definite on
+        any mask; any other tensor whose factor breaks down raises
+        ``ArithmeticError``."""
         Q, blocks, groups = _component_split(self._blocks)
         shared = {}
         for g in groups:
@@ -447,9 +552,9 @@ class DiscreteOperator:
                 E.any() for (i, j), E in sub.items() if i != j):
             return SineFactor([m - 2 for m in self.domain.shape],
                               [sub[i, i].item() for i in range(self.domain.dim)])
-        if _takes_band(self.domain, size):
-            return BandCholesky(_negated_band(self.domain, sub))
-        return _superlu(_kron_sum(lattice_patterns(self.domain), sub))
+        if self.domain.dim == 2:
+            return TorusFactor(self.domain, sub)
+        return BandCholesky(_negated_band(self.domain, sub))
 
     def factorize(self):
         """The :class:`SplitLU` of :meth:`_split` with every factor built and
@@ -572,10 +677,14 @@ def _compatible(values, data):
 
 def _check_shape(dec, f):
     """Reject data ``f`` whose component count or lattice dimension is not
-    the factored system's."""
+    the factored system's, or whose mask has no active cell."""
     if (f.components, f.domain.dim) != (dec.N, dec.n):
         raise ValueError(f"right-hand side has {f.components} components on a "
                          f"{f.domain.dim}-D grid; the system takes {dec.N} on {dec.n}-D grids")
+    if not f.domain.mask().any():
+        raise ValueError(f"the {f.domain.mask_kind} mask of the "
+                         f"{' x '.join(map(str, f.domain.shape))} lattice has no active "
+                         "cell: there is nothing to solve")
 
 
 def _regularized(dec, eps_sequence):
@@ -682,6 +791,11 @@ def verify_hessian_estimate(dec, maps, eps_list, tol_est=0.05):
     return reports
 
 
+class NearnessViolation(ValueError):
+    """Parameters of :func:`make_nonlinearity` that violate its nearness
+    requirement."""
+
+
 @dataclass
 class EllipticityCertificate:
     """Nearness constants tying a nonlinear system to a factored linear one."""
@@ -712,14 +826,15 @@ def make_nonlinearity(dec, A_of_x, gamma, g=None, lipschitz_g=0.0):
     ``nu * |gamma| + lipschitz_g < nu``; the certificate carries
     ``B = lipschitz_g / nu`` and ``C = |gamma|`` (derivation: subtract the
     tensor action from the scaled increment and bound the two remainders
-    separately).  The returned evaluator is constant along the complement of
-    the hessian subspace by construction.
+    separately); parameters that break it raise :class:`NearnessViolation`.
+    The returned evaluator is constant along the complement of the hessian
+    subspace by construction.
     """
     data = ranges_and_subspaces(dec)
     nu = data.nu
     if nu * abs(gamma) + lipschitz_g >= nu:
-        raise ValueError("parameters violate the nearness requirement "
-                         f"nu*|gamma| + Lip(g) < nu (nu={nu:.3e})")
+        raise NearnessViolation("parameters violate the nearness requirement "
+                                f"nu*|gamma| + Lip(g) < nu (nu={nu:.3e})")
     N, n = dec.N, dec.n
     # T : X as a product of rows: contract[(b, i, j), a] = T[a, i, b, j]
     contract = reconstruct(dec).entries.transpose(2, 1, 3, 0).reshape(N * n * n, N)

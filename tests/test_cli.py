@@ -103,6 +103,36 @@ def test_write_csv_empty_rows_header_only(tmp_path):
     assert path.read_text() == "a,b\n"
 
 
+def _solve_nonlinear_args(tmp_path, *flags):
+    dec_path, f_path = tmp_path / "dec.json", tmp_path / "f.grid"
+    write_diag_dec(dec_path)
+    dom = Domain.unit_square(16)
+    x = dom.node_coords()
+    base = np.sin(np.pi * x[..., 0]) * np.sin(np.pi * x[..., 1])
+    save_grid(f_path, GridFunction(dom, np.stack([base, -0.5 * base], axis=-1)))
+    return ["solve-nonlinear", "--decomposition", str(dec_path), "--f", str(f_path),
+            *flags, "--out", str(tmp_path / "run")]
+
+
+def test_only_the_nearness_violation_blames_gamma_and_lip_frac(tmp_path, capsys, monkeypatch):
+    """``--gamma`` and ``--lip-frac`` that break the nearness requirement
+    are a parse error naming both flags; a ``ValueError`` raised elsewhere
+    in ``make_nonlinearity`` is not reported against them."""
+    from diffusepde import solver
+    assert main(_solve_nonlinear_args(tmp_path, "--gamma", "0.8", "--lip-frac", "0.3")) == 2
+    err = capsys.readouterr().err
+    assert "--gamma must lie in" in err and "nearness requirement" in err
+
+    def broken(dec):
+        raise ValueError("a fault outside the nearness check")
+
+    monkeypatch.setattr(solver, "reconstruct", broken)
+    assert main(_solve_nonlinear_args(tmp_path)) == 3
+    err = capsys.readouterr().err
+    assert "a fault outside the nearness check" in err
+    assert "--gamma" not in err and "--lip-frac" not in err
+
+
 def test_iteration_log_rows():
     from diffusepde.solver import IterationLog
     log = IterationLog(increments=[1.0, 0.5], ratios=[0.5], residuals=[0.2, 0.1])
@@ -957,11 +987,11 @@ def _pinned_solve_digests(tmp_path, command):
 
 @pytest.mark.parametrize("command, digests", [
     ("solve-linear", {
-        "eps_convergence.csv": "435a7737233de9b50c1acd5c10cf7eede646fa407691adec7b3a68b18942bbe7",
-        "pi_Du.grid": "ccc5d466023bc26e1a2a6054afacef521c5c442befd3a6a8f4115890e60b9595",
-        "sigma_u.grid": "b08148de930337bb75ddb2a520c2c39b801d410aed7550cc7cea97fceed2f3dd",
-        "solve_report.json": "3d1f4aa307138a782984ed7305cfc4804bb9a6735e39bf4a85ad9e2f02fc7f49",
-        "xi_D2u.grid": "8ad9772272dbf32141c34a0c88bf102d94c6c3a4aafd40d6bcc0e003611987a0"}),
+        "eps_convergence.csv": "917314a12cf7197676a1ca605fe8cde0909ff17e53eb524004cebc37eefad8b9",
+        "pi_Du.grid": "94ce0f54a5151c143b92176266fbadff68f15674927a7487f62dfd7c90f60f17",
+        "sigma_u.grid": "31cd17f6c7aa9d66b3373771de0b700f6042ff30b28fa448272a2fadcb0c35ed",
+        "solve_report.json": "e4fddd2cf193774837003be7af0a3b63ca9128e0824da543f2ebe82c92632be7",
+        "xi_D2u.grid": "d8aa74cb97d31253442cf39bcb651fa1896b4b5e9e4d1f23d91ec4e7fa87afe7"}),
     ("solve-nonlinear", {
         "iteration_log.csv": "25281bf9cfab5602414a560a59e907c985c871e16b5e8b653083d555d946d5bf",
         "nonlinear_report.json": "79deba17c709aa6f97483858e45a6b0dcec37b666575ab225e0dded966102cae",
@@ -983,13 +1013,14 @@ def test_pinned_linear_solve_matches_a_superlu_reference(tmp_path, monkeypatch):
     from diffusepde import solver
     from diffusepde.grids import load_grid
 
-    (tmp_path / "band").mkdir()
+    (tmp_path / "torus").mkdir()
     (tmp_path / "superlu").mkdir()
-    out = _pinned_solve_run(tmp_path / "band", "solve-linear")
+    out = _pinned_solve_run(tmp_path / "torus", "solve-linear")
     kinds = []
 
     def superlu(self, sub, size):
-        factor = solver._superlu(solver._kron_sum(solver.lattice_patterns(self.domain), sub))
+        factor = spla.splu(solver._kron_sum(solver.lattice_patterns(self.domain), sub),
+                           permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
         kinds.append(type(factor))
         return factor
 

@@ -11,7 +11,7 @@ from diffusepde.checker import CoefficientSystem, check_dsolution, tensor_system
 from diffusepde.frames import build_frame, schedule_window
 from diffusepde.grids import Domain, GridFunction, shift_array
 from diffusepde.solver import (BandCholesky, DiscreteOperator, EllipticityCertificate,
-                               IterationLog, SineFactor, _negated_band,
+                               IterationLog, SineFactor, TorusFactor, _negated_band,
                                assemble_and_solve_eps,
                                boundary_ring_norm, campanato_solve,
                                check_degenerate_ellipticity, check_sigma_valued,
@@ -109,6 +109,30 @@ def test_solves_reject_data_of_another_shape_before_assembly(monkeypatch, case):
         solve_linear(dec, f, [1e-1, 1e-2])
     with pytest.raises(ValueError, match="right-hand side has"):
         campanato_solve(F, cert, f, [1e-1, 1e-2])
+
+
+@pytest.mark.parametrize("dec", [
+    random_decomposition(np.random.default_rng(7), 2, 2),
+    Decomposition((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
+                  (np.diag([1.0, 0.0]), np.diag([1.0, 0.0]))),
+], ids=["coupled", "diagonal"])
+def test_solves_reject_an_empty_mask_before_assembly(monkeypatch, dec):
+    """On a 2 x 2 box no cell is active: both solves name the empty mask
+    before they build any operator."""
+    dom = Domain.unit_square(8)
+    F, cert = make_nonlinearity(dec, GridFunction(dom, np.ones(dom.shape + (1,))),
+                                gamma=0.1)
+    empty = Domain.unit_square(1)
+    f = GridFunction(empty, np.zeros(empty.shape + (2,)))
+
+    def assembled(*args, **kwargs):
+        raise AssertionError("an operator was assembled")
+
+    monkeypatch.setattr(solver, "DiscreteOperator", assembled)
+    for solve in (lambda: solve_linear(dec, f, [1e-1, 1e-2]),
+                  lambda: campanato_solve(F, cert, f, [1e-1, 1e-2])):
+        with pytest.raises(ValueError, match="rect mask of the 2 x 2 lattice has no active cell"):
+            solve()
 
 
 @pytest.mark.parametrize("dec", [
@@ -614,8 +638,9 @@ def test_operator_matrix_is_pinned(tensor, domain, digests):
                                      origin=(0.0, 0.0, 0.0))),
 ], ids=["coupled-square", "laplacian-disc", "laplacian-interval", "laplacian-cube"])
 def test_solve_matches_colamd_ordering(tensor, domain, rng):
-    """The minimum-degree LU solves as the default COLAMD ordering does, up
-    to rounding; the unknown order is the same."""
+    """The operator's solve (sine, torus or band factors) agrees with an LU
+    under the default COLAMD ordering, up to rounding; the unknown order is
+    the same."""
     op = DiscreteOperator(tensor, domain)
     f = GridFunction(domain, rng.standard_normal(domain.shape + (op.N,)))
     u = op.solve(op.rhs_vector(f))
@@ -628,27 +653,33 @@ def _non_commuting_eps():
                                     (np.diag([1.0, 0.5]), np.diag([0.5, 1.0]))), 1e-2)
 
 
-def test_lu_ordering_reduces_fill(monkeypatch):
-    """Guards the ordering of the SuperLU path, which a 2-D group over the
-    band budget takes: at 64^2, with the budget at 0, the coupled
-    operator's factors hold fewer nonzeros than under COLAMD."""
-    monkeypatch.setattr(solver, "BAND_MAX_ENTRIES_2D", 0)
-    op = DiscreteOperator(_coupled_eps01(), Domain.unit_square(64))
-    lu, colamd = op.factorize(), spla.splu(op.matrix)
-    assert {type(f) for f, _ in lu.factors} == {spla.SuperLU}
-    assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
+def _cube(resolution):
+    return Domain(shape=(resolution + 1,) * 3, spacing=1 / resolution, origin=(0.0,) * 3)
 
 
-@pytest.mark.parametrize("tensor, group", [(_coupled_eps01(), 1), (_non_commuting_eps(), 2)],
+def _coupled_3d():
+    """A random 3-D decomposition: it splits into scalar groups with mixed terms."""
+    dec = random_decomposition(np.random.default_rng(3), 2, 3)
+    return regularize(canonicalize_decomposition(dec), 0.1)
+
+
+def _non_commuting_3d():
+    return regularize(Decomposition((0.5 * np.diag([1.0, 0.0]), np.full((2, 2), 0.25)),
+                                    (np.diag([1.0, 0.5, 0.75]), np.diag([0.5, 1.0, 0.25]))),
+                      1e-2)
+
+
+@pytest.mark.parametrize("tensor, group", [(_coupled_3d(), 1), (_non_commuting_3d(), 2)],
                          ids=["split", "coupled"])
 def test_band_is_as_wide_as_the_mixed_stencil(tensor, group):
-    """Guards the band width: at 64^2 (63^2 active cells) the mixed
-    stencil reaches 64 cells ahead, so a group of ``g`` components stores
-    ``u + 1 = 64 g + g`` band rows for each of its ``63^2 g`` unknowns."""
-    op = DiscreteOperator(tensor, Domain.unit_square(64))
+    """Guards the band width of a 3-D group: at 8^3 (7^3 active cells) the
+    mixed stencil reaches 7^2 + 7 = 56 cells ahead, so a group of ``g``
+    components stores ``u + 1 = 56 g + g`` band rows for each of its ``7^3
+    g`` unknowns."""
+    op = DiscreteOperator(tensor, _cube(8))
     lu = op.factorize()
-    assert [f.band.shape for f, _ in lu.factors] == [(65 * group, 63**2 * group)] * (2 // group)
-    assert lu.L.nnz + lu.U.nnz == 2 * group * 65 * 63**2
+    assert [f.band.shape for f, _ in lu.factors] == [(57 * group, 7**3 * group)] * (2 // group)
+    assert lu.L.nnz + lu.U.nnz == 2 * group * 57 * 7**3
 
 
 def _mmd(matrix):
@@ -662,9 +693,9 @@ def _mmd(matrix):
 ], ids=["square", "disc", "box"])
 def test_band_factor_of_regularized_operators(N, domain, rng):
     """A regularized tensor is strictly Legendre-Hadamard, so the band
-    Cholesky of its negated operator succeeds on any mask, for the whole
-    coupled operator as for its split groups, and solves as the
-    minimum-degree LU does to 1e-11."""
+    Cholesky of its whole negated operator succeeds on any mask; it and the
+    operator's own group factors solve as the minimum-degree LU does to
+    1e-11."""
     dec = random_decomposition(np.random.default_rng(N), N, domain.dim)
     op = DiscreteOperator(regularize(canonicalize_decomposition(dec), 1e-3), domain)
     b = op.rhs_vector(GridFunction(domain, rng.standard_normal(domain.shape + (N,))))
@@ -679,40 +710,18 @@ def test_negated_laplacian_has_no_band_cholesky():
     its band factor breaks down at the first minor."""
     op = DiscreteOperator(Tensor4(2, 2, -Tensor4.laplacian(2, 2).entries), Domain.unit_disc(16))
     with pytest.raises(ArithmeticError, match="numerically singular"):
-        op.factorize()
+        BandCholesky(_negated_band(op.domain, op._blocks))
 
 
-@pytest.mark.parametrize("over", [False, True], ids=["within", "over"])
-def test_band_budget_selects_the_factor(monkeypatch, rng, over):
-    """A group on a 2-D lattice whose band would hold more than
-    ``BAND_MAX_ENTRIES_2D`` entries is factored by the minimum-degree
-    SuperLU LU instead, and solves as the band factor does to 1e-11."""
-    dom = Domain.unit_square(32)
-    op = DiscreteOperator(_coupled_eps01(), dom)
-    b = op.rhs_vector(GridFunction(dom, rng.standard_normal(dom.shape + (2,))))
-    ref = op.solve(b)
-    monkeypatch.setattr(solver, "BAND_MAX_ENTRIES_2D", 33 * 31**2 - over)
-    op = DiscreteOperator(_coupled_eps01(), dom)
-    kinds = {type(f) for f, _ in op.factorize().factors}
-    assert kinds == {spla.SuperLU if over else BandCholesky}
-    assert np.max(np.abs(op.solve(b) - ref)) <= 1e-11 * np.max(np.abs(ref))
-
-
-@pytest.mark.parametrize("domain, N, band", [
-    (Domain.unit_square(128), 1, True), (Domain.unit_square(160), 1, True),
-    (Domain.unit_square(192), 1, False), (Domain.unit_square(96), 2, True),
-    (Domain.unit_square(128), 2, False),
-    (Domain(shape=(33,) * 3, spacing=1 / 32, origin=(0.0,) * 3), 2, True),
-    (Domain.interval(0, 1, 4096), 3, True),
-], ids=["128-scalar", "160-scalar", "192-scalar", "96-pair", "128-pair", "32-cube-pair",
-        "interval"])
-def test_band_budget_is_read_before_allocation(domain, N, band):
-    """On a 2-D lattice the band is taken while it holds at most
-    ``BAND_MAX_ENTRIES_2D`` entries (scalar groups up to 161^2, the
-    benchmark's at 128^2 among them, and 2-component groups up to 101^2),
-    read from its shape without allocating it; on other lattices it is
-    always taken."""
-    assert solver._takes_band(domain, N) is band
+@pytest.mark.parametrize("domain, N, shape", [
+    (_cube(32), 2, (2 * (31**2 + 31) + 2, 2 * 31**3)),
+    (Domain.interval(0, 1, 4096), 3, (3 * 1 + 3, 3 * 4095)),
+], ids=["32-cube-pair", "interval"])
+def test_band_budget_is_read_before_allocation(domain, N, shape):
+    """Off 2-D lattices a group takes the band, whatever its size: at 32^3
+    a pair's band would hold 118 M entries.  Its shape is read from the
+    lattice patterns' reach without allocating it."""
+    assert solver._band_shape(domain, N) == shape
 
 
 def test_non_finite_solution_names_its_cause():
@@ -783,36 +792,138 @@ def _commuting_diagonal_tensor():
     return regularize(canonicalize_decomposition(dec), 1e-2)
 
 
-@pytest.mark.parametrize("tensor, domain, spectral", [
+@pytest.mark.parametrize("tensor, domain, kind", [
     (regularize(canonicalize_decomposition(
         Decomposition((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
                       (np.diag([1.0, 0.0]), np.diag([1.0, 0.0])))), 1e-3),
-     Domain.unit_square(32), True),
-    (Tensor4.laplacian(2, 1), Domain.interval(0, 1, 50), True),
-    (Tensor4.laplacian(2, 2), Domain.unit_square(20), True),
+     Domain.unit_square(32), SineFactor),
+    (Tensor4.laplacian(2, 1), Domain.interval(0, 1, 50), SineFactor),
+    (Tensor4.laplacian(2, 2), Domain.unit_square(20), SineFactor),
     (Tensor4.laplacian(1, 3), Domain(shape=(9, 10, 8), spacing=1 / 8,
-                                     origin=(0.0, 0.0, 0.0)), True),
-    (_commuting_diagonal_tensor(), Domain.unit_square(32), True),
-    (Tensor4.laplacian(2, 2), Domain.unit_disc(24), False),
-    (_coupled_eps01(), Domain.unit_square(32), False),
-    (_non_commuting_eps(), Domain.unit_square(32), False),
+                                     origin=(0.0, 0.0, 0.0)), SineFactor),
+    (_commuting_diagonal_tensor(), Domain.unit_square(32), SineFactor),
+    (Tensor4.laplacian(2, 2), Domain.unit_disc(24), TorusFactor),
+    (_coupled_eps01(), Domain.unit_square(32), TorusFactor),
+    (_non_commuting_eps(), Domain.unit_square(32), TorusFactor),
+    (Tensor4.laplacian(2, 1), Domain(shape=(51,), spacing=1 / 50, origin=(0.0,),
+                                     mask_kind="disc"), BandCholesky),
+    (_coupled_3d(), _cube(8), BandCholesky),
+    (_non_commuting_3d(), Domain(shape=(9, 8, 7), spacing=1 / 8, origin=(0.0,) * 3,
+                                 mask_kind="disc"), BandCholesky),
 ], ids=["diagonal", "laplacian-interval", "laplacian-square", "laplacian-box",
-        "commuting-diagonal", "laplacian-disc", "mixed-terms", "non-commuting"])
-def test_solve_path_follows_the_operator(tensor, domain, spectral, rng):
+        "commuting-diagonal", "laplacian-disc", "mixed-terms", "non-commuting",
+        "interval-disc-band", "mixed-cube-band", "non-commuting-ball-band"])
+def test_solve_path_follows_the_operator(tensor, domain, kind, rng):
     """Single-component groups with no mixed term on the open box are solved
-    by the sine transform; disc masks, mixed terms and coupled groups by the
-    band Cholesky.  Either factor solves as the minimum-degree LU of the
-    whole operator does, up to rounding."""
+    by the sine transform; every other group on a 2-D lattice (disc masks,
+    mixed terms, coupled groups) by the torus factor, and on a 1-D or 3-D
+    lattice by the band Cholesky.  Each factor solves as the minimum-degree
+    LU of the whole operator does, up to rounding."""
     op = DiscreteOperator(tensor, domain)
     lu = op.factorize()
-    assert {type(factor) for factor, _ in lu.factors} == {
-        SineFactor if spectral else BandCholesky}
-    if spectral:
+    assert {type(factor) for factor, _ in lu.factors} == {kind}
+    if kind is SineFactor:
         assert all(f.L.nnz == f.U.nnz == 0 for f, _ in lu.factors)
         assert lu.L.nnz == lu.U.nnz == 0
     b = op.rhs_vector(GridFunction(domain, rng.standard_normal(domain.shape + (op.N,))))
     ref = _mmd(op.matrix).solve(b)
     assert np.max(np.abs(lu.solve(b) - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+
+def _coupled_decomposition():
+    return canonicalize_decomposition(random_decomposition(np.random.default_rng(3), 2, 2))
+
+
+def _non_commuting_decomposition():
+    return Decomposition((0.5 * np.diag([1.0, 0.0]), np.full((2, 2), 0.25)),
+                         (np.diag([1.0, 0.5]), np.diag([0.5, 1.0])))
+
+
+def _rank_one_decomposition():
+    """One component differentiated twice along ``(1, -1)``: at eps 0 its
+    symbol vanishes at the constant mode alone, but only to fourth order
+    along ``(1, 1)``."""
+    a = np.array([1.0, -1.0]) / np.sqrt(2)
+    return Decomposition((np.eye(1),), (np.outer(a, a),))
+
+
+def _diagonal_decomposition():
+    """At eps 0 each component's symbol vanishes on the whole line of modes
+    constant along the first axis."""
+    return Decomposition((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
+                         (np.diag([1.0, 0.0]), np.diag([1.0, 0.0])))
+
+
+@pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3, 1e-4, 0.0])
+@pytest.mark.parametrize("make, group", [(_coupled_decomposition, 1),
+                                         (_non_commuting_decomposition, 2)],
+                         ids=["mixed-scalar", "non-commuting-pair"])
+@pytest.mark.parametrize("domain", [Domain.unit_square(32), Domain.unit_disc(24)],
+                         ids=["box", "disc"])
+def test_torus_factor_matches_a_minimum_degree_lu(domain, make, group, eps, rng):
+    """Scalar groups with mixed terms and the non-commuting pair are solved
+    on the torus, down to eps 0, as the minimum-degree LU of the whole
+    operator solves them, to 1e-11.  Only the constant modes are bordered."""
+    op = DiscreteOperator(regularize(make(), eps), domain)
+    lu = op.factorize()
+    assert {type(f) for f, _ in lu.factors} == {TorusFactor}
+    assert {len(g) for _, groups in lu.factors for g in groups} == {group}
+    assert all(len(f.k0) == group and len(f.sines) == 0 for f, _ in lu.factors)
+    b = op.rhs_vector(GridFunction(domain, rng.standard_normal(domain.shape + (2,))))
+    ref = _mmd(op.matrix).solve(b)
+    assert np.max(np.abs(lu.solve(b) - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("make, domain, bordered", [
+    (_rank_one_decomposition, Domain.unit_square(32), 1),
+    (_rank_one_decomposition, Domain.unit_disc(24), 1),
+    (_diagonal_decomposition, Domain.unit_disc(24), 24),
+], ids=["rank-one-box", "rank-one-disc", "diagonal-disc"])
+def test_torus_factor_borders_the_singular_modes(make, domain, bordered, rng):
+    """At eps 0 the torus symbol is singular beyond the constant modes of
+    the diagonal tensor: the 24 modes constant along the first axis of the
+    24-step torus are bordered as 24 real functions (13 cosines and 11
+    sines), and the solve still matches the minimum-degree LU to 1e-11."""
+    op = DiscreteOperator(regularize(canonicalize_decomposition(make()), 0.0), domain)
+    lu = op.factorize()
+    assert {type(f) for f, _ in lu.factors} == {TorusFactor}
+    assert {len(f.k0) + len(f.sines) for f, _ in lu.factors} == {bordered}
+    b = op.rhs_vector(GridFunction(domain, rng.standard_normal(domain.shape + (op.N,))))
+    ref = _mmd(op.matrix).solve(b)
+    assert np.max(np.abs(lu.solve(b) - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+
+def test_ghost_ring_of_the_box_is_the_identified_layers():
+    """On the 128^2 box the ghost ring is the torus's inactive cross, the
+    identified first and last layers: 255 nodes."""
+    op = DiscreteOperator(_coupled_eps01(), Domain.unit_square(128))
+    factor = TorusFactor(op.domain, op._blocks)
+    assert factor.ghost.sum() == 255
+    assert factor.ghost[0].all() and factor.ghost[:, 0].all()
+    assert factor.U.nnz == (2 * 255 + 2) ** 2
+
+
+def _wave():
+    """``u_11 - u_22``: indefinite, singular on the disc's lattice."""
+    entries = np.zeros((1, 2, 1, 2))
+    entries[0, 0, 0, 0], entries[0, 1, 0, 1] = 1.0, -1.0
+    return Tensor4(1, 2, entries)
+
+
+@pytest.mark.parametrize("tensor, reason", [
+    (Tensor4(1, 2, np.zeros((1, 2, 1, 2))), "256 torus modes are singular"),
+    (_wave(), "bordered capacitance system"),
+], ids=["zero", "wave"])
+def test_singular_torus_group_raises_without_a_warning(tensor, reason):
+    """A group singular on the torus beyond what its ghost ring can border,
+    or whose bordered system is singular, raises ``ArithmeticError`` and
+    emits no warning first."""
+    import warnings
+    op = DiscreteOperator(tensor, Domain.unit_disc(16))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError, match=f"numerically singular: .*{reason}"):
+            op.factorize()
 
 
 def test_zero_tensor_operator_is_singular():
@@ -893,20 +1004,20 @@ def test_campanato_solves_the_coarser_epsilons_once(monkeypatch, diag_dec):
 
 def test_a_single_use_solve_holds_one_group_factor_at_a_time(monkeypatch):
     """``solve_linear`` solves each operator once.  On the coupled tensor at
-    32^2 (two scalar band groups per epsilon) it builds a group's factor,
+    32^2 (two scalar torus groups per epsilon) it builds a group's factor,
     solves with it and frees it before it builds the next: no more than one
-    :class:`BandCholesky` is ever alive."""
+    :class:`TorusFactor` is ever alive."""
     import weakref
 
     live, counts = weakref.WeakSet(), []
-    init = BandCholesky.__init__
+    init = TorusFactor.__init__
 
-    def tracked(self, band):
-        init(self, band)
+    def tracked(self, domain, blocks):
+        init(self, domain, blocks)
         live.add(self)
         counts.append(len(live))
 
-    monkeypatch.setattr(BandCholesky, "__init__", tracked)
+    monkeypatch.setattr(TorusFactor, "__init__", tracked)
     dom = Domain.unit_square(32)
     solve_linear(random_decomposition(np.random.default_rng(7), 2, 2),
                  sinsin(dom, (1.0, -0.5)), [1e-1, 1e-2, 1e-3, 1e-4])
@@ -966,34 +1077,49 @@ import numpy as np
 from diffusepde import solver
 from diffusepde.grids import Domain, GridFunction
 from diffusepde.tensors import random_decomposition
-solver.BAND_MAX_ENTRIES_2D = int(sys.argv[2])
-superlu, factors = solver._superlu, []
-solver._superlu = lambda matrix: factors.append(superlu(matrix)) or factors[-1]
-dom = Domain.unit_square(16)
+factor, kinds = solver.DiscreteOperator._factor, []
+def recorded(self, sub, size):
+    lu = factor(self, sub, size)
+    kinds.append(type(lu).__name__)
+    return lu
+solver.DiscreteOperator._factor = recorded
+dim, kind = int(sys.argv[2]), sys.argv[3]
+dom = Domain((9,) * dim, 1 / 8, (0.0,) * dim, kind)
 x = dom.node_coords()
-f = np.sin(np.pi * x[..., :1]) * np.sin(np.pi * x[..., 1:]) * [1.0, -0.5]
-solver.solve_linear(random_decomposition(np.random.default_rng(7), 2, 2),
+f = np.prod(np.sin(np.pi * x), axis=-1)[..., None] * [1.0, -0.5]
+solver.solve_linear(random_decomposition(np.random.default_rng(7), 2, dim),
                     GridFunction(dom, f), [1e-1, 1e-2, 1e-3])
-print(json.dumps(["scipy.sparse.linalg" in sys.modules,
-                  sorted({type(lu).__name__ for lu in factors}), len(factors)]))
+print(json.dumps(["scipy.sparse.linalg" in sys.modules, sorted(set(kinds)), len(kinds)]))
 """
 
 
-@pytest.mark.parametrize("budget, want", [(2**22, [False, [], 0]),
-                                          (0, [True, ["SuperLU"], 6])],
-                         ids=["band", "superlu"])
-def test_a_band_solve_does_not_load_sparse_linalg(budget, want):
-    """A 2-D box solve whose groups fit the band budget factors no group by
-    SuperLU and leaves ``scipy.sparse.linalg`` unloaded; with the budget at
-    0 its two groups at each of three epsilons are SuperLU factors."""
+def _modules_after_a_solve(dim, kind):
+    """Whether ``scipy.sparse.linalg`` is loaded after a ``solve_linear`` of
+    the coupled tensor on a ``dim``-D lattice of 8 steps with mask ``kind``,
+    the factor kinds it built and how many: two groups at each of three
+    epsilons."""
     import subprocess
     import sys
     from pathlib import Path
     src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run([sys.executable, "-c", _MODULES_AFTER_A_SOLVE, str(src), str(budget)],
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", _MODULES_AFTER_A_SOLVE, str(src), str(dim),
+                           kind], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == want
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("dim, kind", [(3, "rect")], ids=["band"])
+def test_a_band_solve_does_not_load_sparse_linalg(dim, kind):
+    """A 3-D box solve factors its groups by the band Cholesky and leaves
+    ``scipy.sparse.linalg`` unloaded."""
+    assert _modules_after_a_solve(dim, kind) == [False, ["BandCholesky"], 6]
+
+
+@pytest.mark.parametrize("kind", ["rect", "disc"], ids=["box", "disc"])
+def test_a_torus_solve_does_not_load_sparse_linalg(kind):
+    """A 2-D box or disc solve factors its groups on the torus and leaves
+    ``scipy.sparse.linalg`` unloaded."""
+    assert _modules_after_a_solve(2, kind) == [False, ["TorusFactor"], 6]
 
 
 def _chain_adjacency():
@@ -1043,7 +1169,7 @@ def test_one_refinement_step_mends_a_perturbed_group_solve(monkeypatch, rng):
     b = op.rhs_vector(GridFunction(dom, rng.standard_normal(dom.shape + (2,))))
     ref = DiscreteOperator(_coupled_eps01(), dom).solve(b)
     calls, residuals = [], []
-    solve, apply = BandCholesky.solve, DiscreteOperator._apply
+    solve, apply = TorusFactor.solve, DiscreteOperator._apply
 
     def perturbed(self, rhs, trans="N"):
         calls.append(trans)
@@ -1055,7 +1181,7 @@ def test_one_refinement_step_mends_a_perturbed_group_solve(monkeypatch, rng):
         residuals.append(np.linalg.norm(y - b) / np.linalg.norm(b))
         return y
 
-    monkeypatch.setattr(BandCholesky, "solve", perturbed)
+    monkeypatch.setattr(TorusFactor, "solve", perturbed)
     monkeypatch.setattr(DiscreteOperator, "_apply", measured)
     x = op.solve(b)
     assert len(calls) == 4  # two groups, solved once and refined once
