@@ -8,8 +8,9 @@ for the coupled random tensor and the diagonal tensor of the benchmark's
 ``--dim``-dimensional unit box.
 
 Each row names its paths: ``lu`` (the reference's SuperLU factor),
-``torus`` (capacitance-matrix factors on the torus, every 2-D group that
-is not spectral), ``band`` (band Cholesky factors, off 2-D lattices) and
+``torus`` (capacitance-matrix factors on the torus, the 2-D groups that
+are not spectral where it costs less than the band), ``band`` (band
+Cholesky factors: off 2-D lattices, and the other 2-D groups) and
 ``spectral`` (sine transform factors, which store no entries), joined by
 ``+`` when the split factors take several.  ``entries`` counts the L+U
 nonzeros of an ``lu`` factor, the stored LU entries of a ``torus``

@@ -13,7 +13,7 @@ contraction factor comes from the nearness constants.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from types import SimpleNamespace
 
@@ -168,6 +168,66 @@ def _band_shape(domain, N):
     return N * _cell_offset(domain) + N, lattice_patterns(domain)[0, 0].shape[0] * N
 
 
+def _transposed(domain):
+    """The 2-D lattice with its axes swapped: its mask is the transpose of
+    ``domain``'s and its active cells, in row-major order, are ``domain``'s
+    in column-major order."""
+    return replace(domain, shape=domain.shape[::-1], origin=domain.origin[::-1])
+
+
+@lru_cache(maxsize=4)
+def _column_order(domain):
+    """The index in ``domain``'s row-major cell order of each active cell of
+    the 2-D lattice taken in column-major order (:func:`_transposed`).
+    Built once per domain; callers must not modify it."""
+    index = np.full(domain.shape, -1)
+    mask = domain.mask()
+    index[mask] = np.arange(np.count_nonzero(mask))
+    return index.T[index.T >= 0]
+
+
+@lru_cache(maxsize=4)
+def _torus_rings(domain):
+    """The active cells and the ghost ring (the inactive nodes within one
+    step of an active one, diagonals included) on the torus of a 2-D
+    lattice, whose shape ``(s1 - 1, s2 - 1)`` identifies the first and last
+    node layers.  Built once per domain; callers must not modify them."""
+    shape = tuple(m - 1 for m in domain.shape)
+    active = domain.mask()[:shape[0], :shape[1]]
+    near = np.zeros_like(active)
+    for shift in np.ndindex(3, 3):
+        near |= np.roll(active, np.subtract(shift, 1), axis=(0, 1))
+    return active, near & ~active
+
+
+def _band_lattice(domain):
+    """The lattice in whose row-major cell order a group's band is stored:
+    on a 2-D lattice whose second axis is the longer, the transposed one
+    (:func:`_transposed`), so that the band reaches one row of the shorter
+    axis ahead; otherwise ``domain`` itself."""
+    if domain.dim == 2 and domain.shape[1] > domain.shape[0]:
+        return _transposed(domain)
+    return domain
+
+
+def _takes_torus(domain, N):
+    """Whether a group of ``N`` components on ``domain`` is factored on the
+    torus (:class:`TorusFactor`) rather than by the band: on a 2-D lattice,
+    when the torus factor's LU costs no more flops than the band Cholesky,
+    both read from sizes known before either is allocated.  The bordered
+    system has a side of at least ``m = N (|G| + 1)``, ``G`` the ghost ring
+    of :func:`_torus_rings`, and its LU costs ``2 m^3 / 3``; the band of
+    :func:`_band_lattice` with ``n`` unknowns and upper bandwidth ``u``
+    (:func:`_band_shape`) costs about ``n u^2``.  On a square lattice the
+    torus is taken from 8 steps for a box and 28 for a disc; on a thin
+    strip, whose ghost ring runs the strip's length, the band is."""
+    if domain.dim != 2:
+        return False
+    rows, unknowns = _band_shape(_band_lattice(domain), N)
+    side = N * (int(_torus_rings(domain)[1].sum()) + 1)
+    return 2 * side**3 <= 3 * unknowns * (rows - 1) ** 2
+
+
 @lru_cache(maxsize=4)
 def _upper_patterns(domain):
     """The entries on and above the diagonal of each second-order pattern of
@@ -288,25 +348,37 @@ class BandCholesky:
     """Inverse of a group operator ``A`` whose negation is symmetric positive
     definite, from the Cholesky factor ``-A = U^T U`` of its upper band
     (:func:`_negated_band`), which LAPACK's ``dpbtrf`` overwrites in place.
-    A solve is ``dpbtrs`` on the negated right-hand side.  ``U.nnz`` counts
-    the stored band entries; ``L = U^T`` is not stored, so ``L.nnz`` reads 0."""
+    A solve is ``dpbtrs`` on the negated right-hand side.  When the band
+    orders the cells otherwise than the operator, ``cells`` gives the
+    operator's index of each band cell (:func:`_column_order`), and a solve
+    permutes the right-hand side's cell rows into the band's order and back.
+    ``U.nnz`` counts the stored band entries; ``L = U^T`` is not stored, so
+    ``L.nnz`` reads 0."""
 
     L = SimpleNamespace(nnz=0)
 
-    def __init__(self, band):
+    def __init__(self, band, cells=None):
         self.band, info = dpbtrf(band, overwrite_ab=True)
         if info:
             raise ArithmeticError(
                 "discrete operator numerically singular: the leading minor of order "
                 f"{info} of the negated operator is not positive definite")
         self.U = SimpleNamespace(nnz=self.band.size)
+        self.cells = cells
 
     def solve(self, b, trans="N"):
         _check_trans(trans)
+        cells = self.cells
+        if cells is not None:
+            b = b.reshape(len(cells), -1)[cells].reshape(b.shape)
         x, info = dpbtrs(self.band, np.negative(b, order="F"), overwrite_b=True)
         if info:
             raise ValueError(f"dpbtrs rejected its argument number {-info}")
-        return x
+        if cells is None:
+            return x
+        out = np.empty(x.shape)
+        out.reshape(len(cells), -1)[cells] = x.reshape(len(cells), -1)
+        return out
 
 
 class TorusFactor:
@@ -336,7 +408,7 @@ class TorusFactor:
     def __init__(self, domain, blocks):
         from scipy.fft import irfftn
         self.shape = tuple(m - 1 for m in domain.shape)
-        self.active = domain.mask()[:self.shape[0], :self.shape[1]]
+        self.active, self.ghost = _torus_rings(domain)
         self.N = N = blocks[0, 0].shape[0]
         n0, n1 = self.shape
         with np.errstate(all="ignore"):
@@ -354,10 +426,6 @@ class TorusFactor:
             self.inverse = (V * inverse[..., None, :]) @ V.swapaxes(-1, -2)
             self._singular_basis(V, singular)
 
-            near = np.zeros_like(self.active)
-            for shift in np.ndindex(3, 3):
-                near |= np.roll(self.active, np.subtract(shift, 1), axis=(0, 1))
-            self.ghost = near & ~self.active
             g0, g1 = np.nonzero(self.ghost)
             n_ghost, n_border = len(g0) * N, len(self.k0) + len(self.sines)
             if n_border > n_ghost:
@@ -530,8 +598,9 @@ class DiscreteOperator:
         operator equals :attr:`matrix`.  On the open box (``mask_kind ==
         "rect"``) a factor whose groups are single components with zero mixed
         blocks is a :class:`SineFactor`.  Every other factor is a
-        :class:`TorusFactor` on a 2-D lattice, box or disc, and a
-        :class:`BandCholesky` on 1-D and 3-D ones.  A strictly
+        :class:`BandCholesky` on 1-D and 3-D lattices; on a 2-D lattice, box or
+        disc, it is a :class:`TorusFactor` or a :class:`BandCholesky`,
+        whichever costs less (:func:`_takes_torus`).  A strictly
         Legendre-Hadamard tensor (every one regularized with ``eps > 0``)
         makes each group's negated operator symmetric positive definite on
         any mask; any other tensor whose factor breaks down raises
@@ -547,14 +616,21 @@ class DiscreteOperator:
 
     def _factor(self, sub, size):
         """The factor of one group of ``size`` components with blocks ``sub``
-        (see :meth:`_split`)."""
-        if self.domain.mask_kind == "rect" and size == 1 and not any(
+        (see :meth:`_split`); :func:`_takes_torus` chooses between the torus
+        and the band on a 2-D lattice, and the band takes the cell order of
+        :func:`_band_lattice`."""
+        domain = self.domain
+        if domain.mask_kind == "rect" and size == 1 and not any(
                 E.any() for (i, j), E in sub.items() if i != j):
-            return SineFactor([m - 2 for m in self.domain.shape],
-                              [sub[i, i].item() for i in range(self.domain.dim)])
-        if self.domain.dim == 2:
-            return TorusFactor(self.domain, sub)
-        return BandCholesky(_negated_band(self.domain, sub))
+            return SineFactor([m - 2 for m in domain.shape],
+                              [sub[i, i].item() for i in range(domain.dim)])
+        if _takes_torus(domain, size):
+            return TorusFactor(domain, sub)
+        lattice = _band_lattice(domain)
+        if lattice is domain:
+            return BandCholesky(_negated_band(domain, sub))
+        blocks = {(0, 0): sub[1, 1], (1, 1): sub[0, 0], (0, 1): sub[0, 1]}
+        return BandCholesky(_negated_band(lattice, blocks), _column_order(domain))
 
     def factorize(self):
         """The :class:`SplitLU` of :meth:`_split` with every factor built and

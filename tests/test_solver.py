@@ -713,15 +713,54 @@ def test_negated_laplacian_has_no_band_cholesky():
         BandCholesky(_negated_band(op.domain, op._blocks))
 
 
-@pytest.mark.parametrize("domain, N, shape", [
-    (_cube(32), 2, (2 * (31**2 + 31) + 2, 2 * 31**3)),
-    (Domain.interval(0, 1, 4096), 3, (3 * 1 + 3, 3 * 4095)),
-], ids=["32-cube-pair", "interval"])
-def test_band_budget_is_read_before_allocation(domain, N, shape):
-    """Off 2-D lattices a group takes the band, whatever its size: at 32^3
-    a pair's band would hold 118 M entries.  Its shape is read from the
-    lattice patterns' reach without allocating it."""
-    assert solver._band_shape(domain, N) == shape
+def _strip(shape):
+    """The open box on a 2-D lattice of ``shape``, unit spacing."""
+    return Domain(shape=shape, spacing=1.0, origin=(0.0, 0.0))
+
+
+@pytest.mark.parametrize("domain, N, shape, band", [
+    (Domain.unit_square(128), 1, (129, 127**2), False),
+    (Domain.unit_square(160), 1, (161, 159**2), False),
+    (Domain.unit_square(192), 1, (193, 191**2), False),
+    (Domain.unit_square(96), 2, (2 * 96 + 2, 2 * 95**2), False),
+    (Domain.unit_square(128), 2, (2 * 128 + 2, 2 * 127**2), False),
+    (_cube(32), 2, (2 * (31**2 + 31) + 2, 2 * 31**3), True),
+    (Domain.interval(0, 1, 4096), 3, (3 * 1 + 3, 3 * 4095), True),
+    (_strip((3, 20001)), 1, (2, 19999), True),
+    (_strip((9, 2049)), 2, (2 * 8 + 2, 2 * 7 * 2047), True),
+    (_strip((2049, 9)), 2, (2 * 8 + 2, 2 * 7 * 2047), True),
+], ids=["128-scalar", "160-scalar", "192-scalar", "96-pair", "128-pair", "32-cube-pair",
+        "interval", "strip-3", "strip-9", "strip-9-upright"])
+def test_band_budget_is_read_before_allocation(domain, N, shape, band):
+    """A group takes the band off 2-D lattices, whatever its size (at 32^3
+    a pair's band would hold 118 M entries), and on a 2-D lattice whenever
+    its Cholesky costs fewer flops than the torus factor's bordered LU.  The
+    band's shape is read from the lattice patterns' reach, along the shorter
+    axis of a 2-D lattice, without allocating it: on the squares the torus
+    is cheaper, on the strips (whose ghost ring runs their length, 20001
+    nodes at 3 x 20001) the band, a few rows wide."""
+    assert solver._band_shape(solver._band_lattice(domain), N) == shape
+    assert solver._takes_torus(domain, N) is not band
+
+
+@pytest.mark.parametrize("shape, rows", [((3, 20001), 2), ((9, 2049), 9), ((2049, 9), 9)],
+                         ids=["3-wide", "9-wide", "9-wide-upright"])
+def test_thin_strip_takes_a_narrow_band(shape, rows, rng):
+    """On a thin strip the ghost ring runs the strip's length, so its groups
+    take the band, stored along the short axis whichever way up the strip
+    lies: each scalar group of the coupled tensor keeps ``rows`` band rows
+    (the mixed stencil reaches one short row and one cell ahead), permutes
+    its cells only when the long axis is the second, and solves as the
+    minimum-degree LU of the whole operator does to 1e-11."""
+    domain = _strip(shape)
+    op = DiscreteOperator(_coupled_eps01(), domain)
+    lu = op.factorize()
+    assert {type(f) for f, _ in lu.factors} == {BandCholesky}
+    assert {f.band.shape[0] for f, _ in lu.factors} == {rows}
+    assert all((f.cells is None) == (shape[0] > shape[1]) for f, _ in lu.factors)
+    b = op.rhs_vector(GridFunction(domain, rng.standard_normal(shape + (2,))))
+    ref = _mmd(op.matrix).solve(b)
+    assert np.max(np.abs(lu.solve(b) - ref)) <= 1e-11 * np.max(np.abs(ref))
 
 
 def test_non_finite_solution_names_its_cause():
@@ -802,9 +841,13 @@ def _commuting_diagonal_tensor():
     (Tensor4.laplacian(1, 3), Domain(shape=(9, 10, 8), spacing=1 / 8,
                                      origin=(0.0, 0.0, 0.0)), SineFactor),
     (_commuting_diagonal_tensor(), Domain.unit_square(32), SineFactor),
-    (Tensor4.laplacian(2, 2), Domain.unit_disc(24), TorusFactor),
+    (Tensor4.laplacian(2, 2), Domain.unit_disc(32), TorusFactor),
     (_coupled_eps01(), Domain.unit_square(32), TorusFactor),
     (_non_commuting_eps(), Domain.unit_square(32), TorusFactor),
+    (_non_commuting_eps(), Domain((18, 27), 1 / 26, (0.0, 0.0)), TorusFactor),
+    (Tensor4.laplacian(2, 2), Domain.unit_disc(24), BandCholesky),
+    (_non_commuting_eps(), _strip((257, 9)), BandCholesky),
+    (Tensor4.laplacian(2, 2), Domain((9, 257), 1.0, (0.0, 0.0), "disc"), BandCholesky),
     (Tensor4.laplacian(2, 1), Domain(shape=(51,), spacing=1 / 50, origin=(0.0,),
                                      mask_kind="disc"), BandCholesky),
     (_coupled_3d(), _cube(8), BandCholesky),
@@ -812,13 +855,16 @@ def _commuting_diagonal_tensor():
                                  mask_kind="disc"), BandCholesky),
 ], ids=["diagonal", "laplacian-interval", "laplacian-square", "laplacian-box",
         "commuting-diagonal", "laplacian-disc", "mixed-terms", "non-commuting",
-        "interval-disc-band", "mixed-cube-band", "non-commuting-ball-band"])
+        "non-commuting-odd-box", "small-disc-band", "non-commuting-strip-band", "strip-disc-band", "interval-disc-band", "mixed-cube-band", "non-commuting-ball-band"])
 def test_solve_path_follows_the_operator(tensor, domain, kind, rng):
     """Single-component groups with no mixed term on the open box are solved
-    by the sine transform; every other group on a 2-D lattice (disc masks,
-    mixed terms, coupled groups) by the torus factor, and on a 1-D or 3-D
-    lattice by the band Cholesky.  Each factor solves as the minimum-degree
-    LU of the whole operator does, up to rounding."""
+    by the sine transform.  Every other group on a 2-D lattice (disc masks,
+    mixed terms, coupled groups) is solved by the torus factor where it
+    costs less than the band Cholesky (the 32^2 box and disc, the odd
+    non-square box) and by the band elsewhere (the 24-step disc, whose ghost
+    ring is long for its cells, and thin strips either way up); on a 1-D or
+    3-D lattice by the band Cholesky.  Each factor solves as the
+    minimum-degree LU of the whole operator does, up to rounding."""
     op = DiscreteOperator(tensor, domain)
     lu = op.factorize()
     assert {type(factor) for factor, _ in lu.factors} == {kind}
@@ -858,12 +904,16 @@ def _diagonal_decomposition():
 @pytest.mark.parametrize("make, group", [(_coupled_decomposition, 1),
                                          (_non_commuting_decomposition, 2)],
                          ids=["mixed-scalar", "non-commuting-pair"])
-@pytest.mark.parametrize("domain", [Domain.unit_square(32), Domain.unit_disc(24)],
-                         ids=["box", "disc"])
+@pytest.mark.parametrize("domain", [
+    Domain.unit_square(32), Domain.unit_disc(32), Domain((18, 27), 1 / 26, (0.0, 0.0)),
+    Domain.unit_disc(33),
+], ids=["box", "disc", "odd-box", "odd-disc"])
 def test_torus_factor_matches_a_minimum_degree_lu(domain, make, group, eps, rng):
     """Scalar groups with mixed terms and the non-commuting pair are solved
     on the torus, down to eps 0, as the minimum-degree LU of the whole
-    operator solves them, to 1e-11.  Only the constant modes are bordered."""
+    operator solves them, to 1e-11: on even and odd tori (an odd side has
+    no Nyquist mode), square or not.  Only the constant modes are
+    bordered."""
     op = DiscreteOperator(regularize(make(), eps), domain)
     lu = op.factorize()
     assert {type(f) for f, _ in lu.factors} == {TorusFactor}
@@ -876,14 +926,18 @@ def test_torus_factor_matches_a_minimum_degree_lu(domain, make, group, eps, rng)
 
 @pytest.mark.parametrize("make, domain, bordered", [
     (_rank_one_decomposition, Domain.unit_square(32), 1),
-    (_rank_one_decomposition, Domain.unit_disc(24), 1),
-    (_diagonal_decomposition, Domain.unit_disc(24), 24),
-], ids=["rank-one-box", "rank-one-disc", "diagonal-disc"])
+    (_rank_one_decomposition, Domain.unit_disc(32), 1),
+    (_diagonal_decomposition, Domain.unit_disc(32), 32),
+    (_rank_one_decomposition, Domain((18, 27), 1 / 26, (0.0, 0.0)), 1),
+    (_diagonal_decomposition, Domain.unit_disc(33), 33),
+], ids=["rank-one-box", "rank-one-disc", "diagonal-disc", "rank-one-odd-box",
+        "diagonal-odd-disc"])
 def test_torus_factor_borders_the_singular_modes(make, domain, bordered, rng):
     """At eps 0 the torus symbol is singular beyond the constant modes of
-    the diagonal tensor: the 24 modes constant along the first axis of the
-    24-step torus are bordered as 24 real functions (13 cosines and 11
-    sines), and the solve still matches the minimum-degree LU to 1e-11."""
+    the diagonal tensor: the 32 modes constant along the first axis of the
+    32-step torus are bordered as 32 real functions (17 cosines and 15
+    sines), and the 33 of the 33-step torus as 17 cosines and 16 sines.
+    The solve still matches the minimum-degree LU to 1e-11."""
     op = DiscreteOperator(regularize(canonicalize_decomposition(make()), 0.0), domain)
     lu = op.factorize()
     assert {type(f) for f, _ in lu.factors} == {TorusFactor}
@@ -911,7 +965,7 @@ def _wave():
 
 
 @pytest.mark.parametrize("tensor, reason", [
-    (Tensor4(1, 2, np.zeros((1, 2, 1, 2))), "256 torus modes are singular"),
+    (Tensor4(1, 2, np.zeros((1, 2, 1, 2))), "1024 torus modes are singular"),
     (_wave(), "bordered capacitance system"),
 ], ids=["zero", "wave"])
 def test_singular_torus_group_raises_without_a_warning(tensor, reason):
@@ -919,7 +973,7 @@ def test_singular_torus_group_raises_without_a_warning(tensor, reason):
     or whose bordered system is singular, raises ``ArithmeticError`` and
     emits no warning first."""
     import warnings
-    op = DiscreteOperator(tensor, Domain.unit_disc(16))
+    op = DiscreteOperator(tensor, Domain.unit_disc(32))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ArithmeticError, match=f"numerically singular: .*{reason}"):
@@ -1083,8 +1137,8 @@ def recorded(self, sub, size):
     kinds.append(type(lu).__name__)
     return lu
 solver.DiscreteOperator._factor = recorded
-dim, kind = int(sys.argv[2]), sys.argv[3]
-dom = Domain((9,) * dim, 1 / 8, (0.0,) * dim, kind)
+dim, kind, steps = int(sys.argv[2]), sys.argv[3], int(sys.argv[4])
+dom = Domain((steps + 1,) * dim, 1 / steps, (0.0,) * dim, kind)
 x = dom.node_coords()
 f = np.prod(np.sin(np.pi * x), axis=-1)[..., None] * [1.0, -0.5]
 solver.solve_linear(random_decomposition(np.random.default_rng(7), 2, dim),
@@ -1093,33 +1147,33 @@ print(json.dumps(["scipy.sparse.linalg" in sys.modules, sorted(set(kinds)), len(
 """
 
 
-def _modules_after_a_solve(dim, kind):
+def _modules_after_a_solve(dim, kind, steps=8):
     """Whether ``scipy.sparse.linalg`` is loaded after a ``solve_linear`` of
-    the coupled tensor on a ``dim``-D lattice of 8 steps with mask ``kind``,
-    the factor kinds it built and how many: two groups at each of three
-    epsilons."""
+    the coupled tensor on a ``dim``-D lattice of ``steps`` steps with mask
+    ``kind``, the factor kinds it built and how many: two groups at each of
+    three epsilons."""
     import subprocess
     import sys
     from pathlib import Path
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run([sys.executable, "-c", _MODULES_AFTER_A_SOLVE, str(src), str(dim),
-                           kind], capture_output=True, text=True, timeout=120)
+                           kind, str(steps)], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
 
-@pytest.mark.parametrize("dim, kind", [(3, "rect")], ids=["band"])
+@pytest.mark.parametrize("dim, kind", [(3, "rect"), (2, "disc")], ids=["band", "disc-band"])
 def test_a_band_solve_does_not_load_sparse_linalg(dim, kind):
-    """A 3-D box solve factors its groups by the band Cholesky and leaves
-    ``scipy.sparse.linalg`` unloaded."""
+    """A 3-D box solve, or one on the 8-step disc, factors its groups by the
+    band Cholesky and leaves ``scipy.sparse.linalg`` unloaded."""
     assert _modules_after_a_solve(dim, kind) == [False, ["BandCholesky"], 6]
 
 
 @pytest.mark.parametrize("kind", ["rect", "disc"], ids=["box", "disc"])
 def test_a_torus_solve_does_not_load_sparse_linalg(kind):
-    """A 2-D box or disc solve factors its groups on the torus and leaves
-    ``scipy.sparse.linalg`` unloaded."""
-    assert _modules_after_a_solve(2, kind) == [False, ["TorusFactor"], 6]
+    """A 2-D box or disc solve at 32 steps factors its groups on the torus
+    and leaves ``scipy.sparse.linalg`` unloaded."""
+    assert _modules_after_a_solve(2, kind, steps=32) == [False, ["TorusFactor"], 6]
 
 
 def _chain_adjacency():
