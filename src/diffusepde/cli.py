@@ -17,11 +17,12 @@ import json
 import re
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 # ``solver`` loads scipy, which only the solve-side commands need; they import it
-from . import grids, measures, reference, tensors
+from . import measures, reference, tensors
 from .checker import (NoFeasibleRadius, check_dsolution, default_margin,
                       infinity_laplace_system, eikonal_system, tangent_system, tensor_system)
 from .frames import QuotientOverflow, build_frame, window_cascade
@@ -33,12 +34,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_PARSE_ERROR = 2
 EXIT_INTERNAL = 3
-
-
-def write_json(path, doc):
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
 
 
 def write_csv(path, header, rows):
@@ -89,57 +84,85 @@ def effective_config(args):
     """The subcommand's flags as given on the command line, else in the
     manifest, else ``None``; with the seed and the output directory."""
     manifest = load_manifest(args.manifest) if args.manifest else {}
-    cfg = {}
-    for key in COMMANDS[args.command][2]:
-        flag = getattr(args, key.replace("-", "_"))
-        cfg[key] = flag if flag is not None else manifest.get(key)
-    cfg["seed"] = args.seed
-    cfg["out"] = str(args.out)
-    return cfg
+    given = vars(args)
+    cfg = {key: manifest.get(key) if given[key] is None else given[key]
+           for key in COMMANDS[args.command][2]}
+    return {**cfg, "seed": args.seed, "out": str(args.out)}
 
 
-def _number(cfg, key, default, kind=float, bounds=(-np.inf, np.inf), closed=False):
-    """``cfg[key]`` as ``kind``, or ``default`` when it is unset (``None``
-    when both are).  A value that does not convert, or lies outside the
-    interval ``bounds`` (open, or closed at its lower end when ``closed``),
-    is a parse error."""
-    value = default if cfg[key] is None else cfg[key]
-    if value is None:
-        return None
-    try:
-        value = kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ManifestError(f"--{key}: {exc}") from exc
-    lo, hi = bounds
-    if not (lo <= value if closed else lo < value) or not value < hi:
-        raise ManifestError(f"--{key} must lie in {'[' if closed else '('}{lo}, {hi}), "
-                            f"got {value}")
-    return value
+class Flag(NamedTuple):
+    """A flag of a subcommand in :data:`COMMANDS`: its ``kind`` (``str`` for
+    a file or a name, ``int``, ``float``, ``list`` of floats, ``bool`` for a
+    switch), the ``default`` it reads when unset, the interval ``(lo, hi)``
+    its numbers lie in (closed at ``lo`` when ``closed``), and whether its
+    subcommand requires it."""
+
+    kind: type
+    default: object = None
+    lo: float = -np.inf
+    hi: float = np.inf
+    closed: bool = False
+    required: bool = False
+
+    def interval(self):
+        return f"{'[' if self.closed else '('}{self.lo}, {self.hi})"
+
+    def help(self):
+        """The flag's ``--help`` line: its kind, interval and default."""
+        text = {str: "file or name", int: "integer", float: "float",
+                list: "comma-separated floats", bool: "switch"}[self.kind]
+        if (self.lo, self.hi) != (-np.inf, np.inf):
+            text += f" in {self.interval()}"
+        if self.required or self.default is None:
+            return text + ("; required" if self.required else "")
+        return f"{text}; default {self.default}"
+
+    def read(self, key, raw):
+        """``raw``, the value given for ``--key``, or the default when ``raw``
+        is ``None``, read as the flag's kind (a list from a comma-separated
+        string or a JSON array).  A value of another kind or JSON type, a
+        number outside the interval and an empty list are parse errors."""
+        raw = self.default if raw is None else raw
+        if raw is None:
+            return None
+        if self.kind is list:
+            tokens = [str(t) for t in raw] if isinstance(raw, list) else str(raw).split(",")
+            values = [self._replace(kind=float).read(key, t) for t in tokens if t != ""]
+            if not values:
+                raise ManifestError(f"--{key} needs at least one value")
+            return values
+        if self.kind in (str, bool) or isinstance(raw, bool):
+            if type(raw) is not self.kind:
+                raise ManifestError(f"--{key}: {json.dumps(raw)} is not of kind "
+                                    f"{self.kind.__name__}")
+            return raw
+        try:
+            value = self.kind(raw)
+            if self.kind is int and isinstance(raw, float) and value != raw:
+                raise ValueError(f"{raw!r} is not an integer")
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ManifestError(f"--{key}: {exc}") from exc
+        if not (self.lo <= value if self.closed else self.lo < value) or not value < self.hi:
+            raise ManifestError(f"--{key} must lie in {self.interval()}, got {value}")
+        return value
 
 
-def _numbers(cfg, key, default, bounds, closed=False):
-    """The entries of ``cfg[key]`` (a comma-separated string or a list), each
-    read as ``_number`` reads a float, or ``default`` when unset; none is a parse error."""
-    raw = cfg[key]
-    if raw is None:
-        return default
-    tokens = [str(t) for t in raw] if isinstance(raw, list) else str(raw).split(",")
-    values = [_number({key: t}, key, None, float, bounds, closed) for t in tokens if t != ""]
-    if not values:
-        raise ManifestError(f"--{key} needs at least one value")
-    return values
-
-
-def _eps_sequence(cfg):
-    """``--eps-seq``: two or more strictly decreasing entries in [0, inf)."""
-    eps = _numbers(cfg, "eps-seq", [1e-1, 1e-2, 1e-3, 1e-4], (0, np.inf), closed=True)
-    if len(eps) < 2 or any(b >= a for a, b in zip(eps, eps[1:])):
-        raise ManifestError(f"--eps-seq needs two or more strictly decreasing entries, got {eps}")
-    return eps
+def read_flags(command, cfg):
+    """The flags of ``command`` in ``cfg`` (:func:`effective_config`), each
+    read by its :class:`Flag` in declaration order; a required flag unset or
+    empty is a parse error naming every such flag."""
+    flags = COMMANDS[command][2]
+    missing = [f"--{key}" for key, flag in flags.items()
+               if flag.required and cfg[key] in (None, "")]
+    if missing:
+        raise ManifestError(f"{command} needs {' and '.join(missing)}")
+    return {key: flag.read(key, cfg[key]) for key, flag in flags.items()}
 
 
 def _report(out, name, doc, cfg):
-    write_json(out / name, {**doc, "config": cfg})
+    with open(out / name, "w") as fh:
+        json.dump({**doc, "config": cfg}, fh, sort_keys=True, indent=1)
+        fh.write("\n")
 
 
 def _grid_block(dom):
@@ -156,13 +179,13 @@ def _save_fibres(out, fd):
         save_grid(out / f"{name}.grid", getattr(fd, name))
 
 
-def _data_grid(cfg, system, n, M, grid=None):
+def _data_grid(opts, system, n, M, grid=None):
     """The ``--f`` grid, or ``None`` when unset.  It is a parse error unless
     it lies on an ``n``-D lattice (on ``grid``'s lattice and mask when
     given) and has the ``M`` components of ``system``'s equations."""
-    if not cfg["f"]:
+    if not opts["f"]:
         return None
-    f = _load_input(load_grid, cfg["f"], "--f")
+    f = _load_input(load_grid, opts["f"], "--f")
     if grid is not None and f.domain != grid:
         raise ManifestError(f"--f lies on another lattice or mask than --grid: "
                             f"{f.domain} against {grid}")
@@ -175,10 +198,10 @@ def _data_grid(cfg, system, n, M, grid=None):
     return f
 
 
-def _valid_decomposition(cfg):
+def _valid_decomposition(opts):
     """The ``--decomposition`` file.  It is a parse error unless it meets
     every factor condition of ``tensors.validate_decomposition``."""
-    dec = _load_input(Decomposition.load, cfg["decomposition"], "--decomposition")
+    dec = _load_input(Decomposition.load, opts["decomposition"], "--decomposition")
     failed = tensors.validate_decomposition(dec).failures()
     if failed:
         raise ManifestError("--decomposition fails the factor condition(s) "
@@ -186,13 +209,10 @@ def _valid_decomposition(cfg):
     return dec
 
 
-# subcommands ---------------------------------------------------------------
+# subcommands (report config, flags as read by read_flags, output directory) ---
 
-def _cmd_analyze_tensor(cfg, out):
-    if not cfg["decomposition"]:
-        raise ManifestError("analyze-tensor needs a decomposition file")
-    eps = _number(cfg, "eps", None, float, (0, np.inf), closed=True)
-    dec = _load_input(Decomposition.load, cfg["decomposition"], "--decomposition")
+def _cmd_analyze_tensor(cfg, opts, out):
+    dec = _load_input(Decomposition.load, opts["decomposition"], "--decomposition")
     validation = tensors.validate_decomposition(dec)
     doc = {
         "validation": {k: {"passed": bool(ok), "detail": detail}
@@ -209,9 +229,9 @@ def _cmd_analyze_tensor(cfg, out):
             "witness_vector": (validation.common_vector.tolist()
                                if validation.common_vector is not None else None),
         })
-        if eps is not None:
+        if opts["eps"] is not None:
             try:
-                a_eps = tensors.regularize(tensors.canonicalize_decomposition(dec), eps)
+                a_eps = tensors.regularize(tensors.canonicalize_decomposition(dec), opts["eps"])
             except ValueError as exc:
                 raise ManifestError(f"--eps: {exc}") from exc
             # 10 000 unit rank-one directions eta (x) a, drawn row by row
@@ -222,33 +242,27 @@ def _cmd_analyze_tensor(cfg, out):
             q = eta[:, :, None] * a[:, None, :]
             vals = np.einsum("aibj,kai,kbj->k", a_eps.entries, q, q)
             doc["regularized_rank_one_min"] = float(vals.min())
-            doc["eps"] = eps
+            doc["eps"] = opts["eps"]
     _report(out, "analyze_tensor_report.json", doc, cfg)
     if not validation.passed:
         raise CheckFailure("decomposition invalid: " + ", ".join(validation.failures()))
 
 
-def _cmd_diffuse(cfg, out):
-    if not cfg["grid"]:
-        raise ManifestError("diffuse needs a grid file")
-    u = _load_input(load_grid, cfg["grid"], "--grid")
+def _cmd_diffuse(cfg, opts, out):
+    u = _load_input(load_grid, opts["grid"], "--grid")
     dom = u.domain
-    order = _number(cfg, "order", 1, int, (0, np.inf))
     # a step of more lattice spacings than a float holds shifts by no integer
-    base = _number(cfg, "base-step", 8 * dom.spacing, float,
-                   (0, np.finfo(float).max * dom.spacing))
-    count = _number(cfg, "window", 4, int, (0, np.inf))
-    ratio = _number(cfg, "ratio", 0.5, float, (0, 1))
-    r_inf = _number(cfg, "r-inf", None, float, (0, np.inf))
+    base = Flag(float, 8 * dom.spacing, 0, sys.float_info.max * dom.spacing).read(
+        "base-step", opts["base-step"])
     frame = build_frame("standard", N=u.components, n=dom.dim)
-    windows = window_cascade(base, 1, count, ratio, order, dom.spacing)
+    windows = window_cascade(base, 1, opts["window"], opts["ratio"], opts["order"], dom.spacing)
     if not windows:
         raise ManifestError("--base-step/--window: every step of the window lies "
                             f"below the lattice spacing {dom.spacing!r}; raise --base-step")
     window = windows[0]
     try:
-        r_inf = measures.default_cutoff(u, frame) if r_inf is None else r_inf
-        field = diffuse_field(u, frame, order, window, r_inf)
+        r_inf = measures.default_cutoff(u, frame) if opts["r-inf"] is None else opts["r-inf"]
+        field = diffuse_field(u, frame, opts["order"], window, r_inf)
     except QuotientOverflow as exc:
         raise ManifestError(f"--grid: {exc}") from exc
     save_measure_field(out / "measure.bin", field)
@@ -264,22 +278,20 @@ def _cmd_diffuse(cfg, out):
     _report(out, "diffuse_report.json", doc, cfg)
 
 
-def _build_system(cfg, u):
-    name = cfg["system"]
+def _build_system(cfg, opts, u):
+    name = opts["system"]
     for flag, reader in (("tensor", "linear-tensor"), ("speed", "eikonal-tangent")):
         if cfg[flag] is not None and name != reader:
             raise ManifestError(f"--{flag}: only the {reader} system reads it, not {name!r}")
     if name == "infinity-laplace":
         return infinity_laplace_system(u.domain.dim)
     if name == "linear-tensor":
-        if not cfg.get("tensor"):
-            raise ManifestError("linear-tensor check needs a decomposition file")
-        dec = _load_input(Decomposition.load, cfg["tensor"], "--tensor")
+        if not opts["tensor"]:
+            raise ManifestError("check --system linear-tensor needs --tensor")
+        dec = _load_input(Decomposition.load, opts["tensor"], "--tensor")
         return tensor_system(reconstruct(dec))
     if name == "eikonal-tangent":
-        speed = _number(cfg, "speed", 1.0, float, (0, np.inf), closed=True)
-        base = eikonal_system(u.domain.dim, u.components, speed)
-        return tangent_system(base)
+        return tangent_system(eikonal_system(u.domain.dim, u.components, opts["speed"]))
     raise ManifestError(f"unknown system {name!r}")
 
 
@@ -290,39 +302,33 @@ def _require_interior(dom, windows, remedy):
                             f"of the windows; {remedy}")
 
 
-def _cmd_check(cfg, out):
-    if not cfg["grid"] or not cfg["system"]:
-        raise ManifestError("check needs a grid file and a system name")
-    u = _load_input(load_grid, cfg["grid"], "--grid")
+def _cmd_check(cfg, opts, out):
+    u = _load_input(load_grid, opts["grid"], "--grid")
     dom = u.domain
-    F = _build_system(cfg, u)
+    F = _build_system(cfg, opts, u)
     if (u.components, dom.dim) != (F.N, F.n):
-        flag = "--tensor" if cfg["system"] == "linear-tensor" else "--system"
+        flag = "--tensor" if opts["system"] == "linear-tensor" else "--system"
         raise ManifestError(f"{flag}: the {F.name} system takes maps of {F.N} components "
                             f"on {F.n}-D grids; --grid holds {u.components} components "
                             f"on a {dom.dim}-D grid")
-    f = _data_grid(cfg, f"the {F.name} system", F.n, F.M, grid=dom)
+    f = _data_grid(opts, f"the {F.name} system", F.n, F.M, grid=dom)
     with np.errstate(over="ignore"):  # an overflow is rejected below
         finite = f is None or np.isfinite(np.linalg.norm(f.values[dom.mask()], axis=-1)).all()
     if not finite:
         raise ManifestError("--f: the data's norm overflows at some cell, so no "
                             "residual against them is finite")
-    levels = _number(cfg, "levels", 3, int)
-    base = _number(cfg, "base-step", 16 * dom.spacing, float, (0, np.inf))
-    count = _number(cfg, "window", 3, int, (0, np.inf))
-    ratio = _number(cfg, "ratio", 0.5, float, (0, 1))
-    r_list = _numbers(cfg, "r-list", None, (0, np.inf))
-    c_disc = _number(cfg, "c-disc", None, float, (0, np.inf), closed=True)
+    base = 16 * dom.spacing if opts["base-step"] is None else opts["base-step"]
     frame = build_frame("standard", N=u.components, n=dom.dim)
-    windows = window_cascade(base, levels, count, ratio, F.order, dom.spacing)
+    windows = window_cascade(base, opts["levels"], opts["window"], opts["ratio"], F.order,
+                             dom.spacing)
     if len(windows) < 2:
         raise ManifestError("window cascade needs at least two refinement "
                             "levels above the lattice spacing; lower "
                             "--levels or raise --base-step")
     _require_interior(dom, windows, "refine the grid or lower --base-step or --window")
-    kwargs = {} if c_disc is None else {"C_disc": c_disc}
+    kwargs = {} if opts["c-disc"] is None else {"C_disc": opts["c-disc"]}
     try:
-        report = check_dsolution(u, F, frame, windows, R_list=r_list, f=f, **kwargs)
+        report = check_dsolution(u, F, frame, windows, R_list=opts["r-list"], f=f, **kwargs)
     except NoFeasibleRadius as exc:
         raise ManifestError(f"--r-list: {exc}") from exc
     except QuotientOverflow as exc:
@@ -360,13 +366,19 @@ def _solve_or_reject(out, name, cfg, solve):
         raise CheckFailure(str(exc)) from exc
 
 
-def _cmd_solve_linear(cfg, out):
+def _solve_inputs(opts):
+    """A solve's valid ``--decomposition``, its ``--f`` and strictly decreasing ``--eps-seq``."""
+    dec = _valid_decomposition(opts)
+    f = _data_grid(opts, "the --decomposition tensor", dec.n, dec.N)
+    eps = opts["eps-seq"]
+    if len(eps) < 2 or any(b >= a for a, b in zip(eps, eps[1:])):
+        raise ManifestError(f"--eps-seq needs two or more strictly decreasing entries, got {eps}")
+    return dec, f, eps
+
+
+def _cmd_solve_linear(cfg, opts, out):
     from . import solver
-    if not cfg["decomposition"] or not cfg["f"]:
-        raise ManifestError("solve-linear needs a decomposition and a data grid")
-    dec = _valid_decomposition(cfg)
-    f = _data_grid(cfg, "the --decomposition tensor", dec.n, dec.N)
-    eps_seq = _eps_sequence(cfg)
+    dec, f, eps_seq = _solve_inputs(opts)
     fd, rep = _solve_or_reject(out, "solve_report.json", cfg,
                                lambda: solver.solve_linear(dec, f, eps_seq))
     _save_fibres(out, fd)
@@ -381,27 +393,18 @@ def _cmd_solve_linear(cfg, out):
     write_csv(out / "eps_convergence.csv", ["eps", "cauchy_difference"], rows)
 
 
-def _cmd_solve_nonlinear(cfg, out):
+def _cmd_solve_nonlinear(cfg, opts, out):
     from . import solver
-    if not cfg["decomposition"] or not cfg["f"]:
-        raise ManifestError("solve-nonlinear needs a decomposition and a data grid")
-    dec = _valid_decomposition(cfg)
-    f = _data_grid(cfg, "the --decomposition tensor", dec.n, dec.N)
+    dec, f, eps_seq = _solve_inputs(opts)
     dom = f.domain
-    eps_seq = _eps_sequence(cfg)
-    gamma = _number(cfg, "gamma", 0.2, float, (-1, 1))
-    lip_frac = _number(cfg, "lip-frac", 0.3, float, (0, 1), closed=True)
-    max_iter = _number(cfg, "max-iter", 40, int, (0, np.inf))
-    tol_final = _number(cfg, "tol-final", 1e-6, float, (0, np.inf))
+    gamma, lip_frac = opts["gamma"], opts["lip-frac"]
 
     lip = lip_frac * tensors.ranges_and_subspaces(dec).nu
     a_of_x = GridFunction.from_callable(
         dom, lambda x: (1.0 + 0.25 * np.sin(np.pi * x[..., 0]))[..., None])
-    N, n = dec.N, dec.n
 
     def g(Y):
-        Yt = Y.reshape(-1, N, n, n)
-        return lip * np.sin(Yt[:, :, 0, 0])
+        return lip * np.sin(Y.reshape(-1, dec.N, dec.n, dec.n)[:, :, 0, 0])
 
     try:
         F, cert = solver.make_nonlinearity(dec, a_of_x, gamma=gamma, g=g,
@@ -412,37 +415,26 @@ def _cmd_solve_nonlinear(cfg, out):
             f"--gamma must lie in ({lip_frac - 1:g}, {1 - lip_frac:g}) for --lip-frac "
             f"{lip_frac:g}, or --lip-frac must lie in [0, {1 - abs(gamma):g}) for --gamma "
             f"{gamma:g}: {exc}") from exc
-    fd, log = _solve_or_reject(out, "nonlinear_report.json", cfg,
-                               lambda: solver.campanato_solve(F, cert, f, eps_seq,
-                                                              max_iter=max_iter,
-                                                              tol_final=tol_final))
+    fd, log = _solve_or_reject(out, "nonlinear_report.json", cfg, lambda: solver.campanato_solve(
+        F, cert, f, eps_seq, max_iter=opts["max-iter"], tol_final=opts["tol-final"]))
     _save_fibres(out, fd)
     write_csv(out / "iteration_log.csv", ["iteration", "increment", "ratio",
                                           "residual"], log.to_rows())
-    doc = {
-        "iterations": len(log.increments),
-        "kappa": cert.kappa,
-        "certificate": {"B": cert.B, "C": cert.C},
-        "final_residual": log.residuals[-1],
-        "max_ratio": log.max_ratio(),
-        "eps_sequence": eps_seq,
-        "tol_final": tol_final,
-        "grid": _grid_block(dom),
-    }
+    doc = {"iterations": len(log.increments), "kappa": cert.kappa,
+           "certificate": {"B": cert.B, "C": cert.C}, "final_residual": log.residuals[-1],
+           "max_ratio": log.max_ratio(), "eps_sequence": eps_seq,
+           "tol_final": opts["tol-final"], "grid": _grid_block(dom)}
     _report(out, "nonlinear_report.json", doc, cfg)
 
 
-def _cmd_reference(cfg, out):
-    name = cfg["case"]
-    if not name:
-        raise ManifestError("reference needs a case name")
+def _cmd_reference(cfg, opts, out):
+    name = opts["case"]
     if name not in reference.CASE_PARAMETERS:
         raise ManifestError(f"unknown reference case {name!r}")
-    if cfg["check"] and name != "sawtooth":
+    if opts["check"] and name != "sawtooth":
         raise ManifestError(f"--check: only the sawtooth case has a check, not {name!r}")
-    params = {param: _number(cfg, param.lower(), None, kind, (0, np.inf)) for param, kind
-              in [("resolution", int), ("M", float), ("k", int), ("depth", int), ("mu", float)]}
-    params = {param: v for param, v in params.items() if v is not None}
+    params = {param: opts[param.lower()] for param in ("resolution", "M", "k", "depth", "mu")
+              if opts[param.lower()] is not None}
     for param in params:
         if param not in reference.CASE_PARAMETERS[name]:
             raise ManifestError(f"--{param.lower()}: the {name} case takes no such parameter")
@@ -457,7 +449,7 @@ def _cmd_reference(cfg, out):
         save_grid(out / f"{grid_name}.grid", gf)
     doc = {"name": case.name, "params": case.params, "expected": case.expected}
     settled = True
-    if cfg["check"]:
+    if opts["check"]:
         u = case.grids["map"]
         h = u.domain.spacing
         frame = build_frame("standard", N=2, n=2)
@@ -480,25 +472,22 @@ def _cmd_reference(cfg, out):
         raise CheckFailure("sawtooth pairing residual did not settle")
 
 
-def _cmd_verify_estimate(cfg, out):
+def _cmd_verify_estimate(cfg, opts, out):
     from . import solver
     rng = np.random.default_rng(cfg["seed"])
-    res = _number(cfg, "resolution", 64, int, (2, np.inf), closed=True)
-    eps_list = _numbers(cfg, "eps-list", [0.0, 0.1, 1.0], (0, np.inf), closed=True)
-    tol_est = _number(cfg, "tol-est", 0.05, float, (0, np.inf), closed=True)
+    res, eps_list, tol_est = opts["resolution"], opts["eps-list"], opts["tol-est"]
     dom = Domain.unit_square(res)
     x = dom.node_coords()
 
-    if cfg["decomposition"]:
-        dec = _valid_decomposition(cfg)
+    if opts["decomposition"]:
+        dec = _valid_decomposition(opts)
         if (dec.N, dec.n) != (2, 2):
             raise ManifestError(f"--decomposition takes maps of {dec.N} components on "
                                 f"{dec.n}-D grids; the battery's maps have 2 components "
                                 f"on the unit square")
         decs = [dec]
     else:
-        count = _number(cfg, "battery", 5, int, (0, np.inf))
-        decs = [tensors.random_decomposition(rng, 2, 2) for _ in range(count)]
+        decs = [tensors.random_decomposition(rng, 2, 2) for _ in range(opts["battery"])]
 
     # the products sin(a pi x) sin(b pi y), a, b = 1..3, row-major in (a, b)
     basis = [np.sin(a * np.pi * x[..., 0]) * np.sin(b * np.pi * x[..., 1])
@@ -510,7 +499,7 @@ def _cmd_verify_estimate(cfg, out):
 
     rows = []
     for d, dec in enumerate(decs):
-        maps = (random_trig() for _ in range(20 if not cfg["decomposition"] else 5))
+        maps = (random_trig() for _ in range(20 if not opts["decomposition"] else 5))
         try:
             reps = solver.verify_hessian_estimate(dec, maps, eps_list, tol_est=tol_est)
         except ValueError as exc:
@@ -528,30 +517,40 @@ def _cmd_verify_estimate(cfg, out):
         raise CheckFailure("hessian estimate battery has failures")
 
 
-# name: (handler, help, {flag: argparse type}).  The flags are also the
-# manifest's fields and the keys of the report's ``config``; ``bool`` marks
-# a switch, which reads ``None`` unless it is given.
+REQUIRED = Flag(str, required=True)
+SOLVE_FLAGS = {"decomposition": REQUIRED, "f": REQUIRED,
+               "eps-seq": Flag(list, "0.1,0.01,0.001,0.0001", 0, closed=True)}
+
+# name: (handler, help, {flag: Flag}).  The flags are also the manifest's fields
+# and the keys of the report's ``config``, which keeps each value as given.
 COMMANDS = {
     "analyze-tensor": (_cmd_analyze_tensor, "validate a factored tensor and report its "
-                       "subspaces and constants", {"decomposition": str, "eps": float}),
-    "diffuse": (_cmd_diffuse, "build an empirical quotient measure field",
-                {"grid": str, "order": int, "base-step": float, "window": int,
-                 "ratio": float, "r-inf": float}),
-    "check": (_cmd_check, "run the solution characterizations",
-              {"grid": str, "system": str, "tensor": str, "f": str, "levels": int,
-               "base-step": float, "ratio": float, "window": int, "r-list": str,
-               "speed": float, "c-disc": float}),
-    "solve-linear": (_cmd_solve_linear, "vanishing-regularization linear solve",
-                     {"decomposition": str, "f": str, "eps-seq": str}),
+                       "subspaces and constants",
+                       {"decomposition": REQUIRED, "eps": Flag(float, None, 0, closed=True)}),
+    "diffuse": (_cmd_diffuse, "build an empirical quotient measure field (default --base-step 8h)",
+                {"grid": REQUIRED, "order": Flag(int, 1, 0), "base-step": Flag(float, None, 0),
+                 "window": Flag(int, 4, 0), "ratio": Flag(float, 0.5, 0, 1),
+                 "r-inf": Flag(float, None, 0)}),
+    "check": (_cmd_check, "run the solution characterizations (default --base-step 16h)",
+              {"grid": REQUIRED, "system": REQUIRED, "tensor": Flag(str), "f": Flag(str),
+               "levels": Flag(int, 3), "base-step": Flag(float, None, 0),
+               "ratio": Flag(float, 0.5, 0, 1), "window": Flag(int, 3, 0),
+               "r-list": Flag(list, None, 0), "speed": Flag(float, 1.0, 0, closed=True),
+               "c-disc": Flag(float, None, 0, closed=True)}),
+    "solve-linear": (_cmd_solve_linear, "vanishing-regularization linear solve", SOLVE_FLAGS),
     "solve-nonlinear": (_cmd_solve_nonlinear, "certified nearness fixed-point solve",
-                        {"decomposition": str, "f": str, "eps-seq": str, "gamma": float,
-                         "lip-frac": float, "max-iter": int, "tol-final": float}),
+                        {**SOLVE_FLAGS, "gamma": Flag(float, 0.2, -1, 1),
+                         "lip-frac": Flag(float, 0.3, 0, 1, closed=True),
+                         "max-iter": Flag(int, 40, 0), "tol-final": Flag(float, 1e-6, 0)}),
     "reference": (_cmd_reference, "build a reference case",
-                  {"case": str, "resolution": int, "m": float, "k": int, "depth": int,
-                   "mu": float, "check": bool}),
+                  {"case": REQUIRED, "resolution": Flag(int, None, 0), "m": Flag(float, None, 0),
+                   "k": Flag(int, None, 0), "depth": Flag(int, None, 0),
+                   "mu": Flag(float, None, 0), "check": Flag(bool)}),
     "verify-estimate": (_cmd_verify_estimate, "hessian estimate battery",
-                        {"decomposition": str, "battery": int, "resolution": int,
-                         "eps-list": str, "tol-est": float}),
+                        {"decomposition": Flag(str), "battery": Flag(int, 5, 0),
+                         "resolution": Flag(int, 64, 2, closed=True),
+                         "eps-list": Flag(list, "0.0,0.1,1.0", 0, closed=True),
+                         "tol-est": Flag(float, 0.05, 0, closed=True)}),
 }
 
 
@@ -562,15 +561,14 @@ def build_parser():
                     "PDE systems")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, text, flags) in COMMANDS.items():
-        p = sub.add_parser(name, help=text)
+        p = sub.add_parser(name, help=text, description=text)
         p.add_argument("--manifest", help="JSON manifest; flags override its fields")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=0)
-        for flag, kind in flags.items():
-            if kind is bool:
-                p.add_argument(f"--{flag}", action="store_true", default=None)
-            else:
-                p.add_argument(f"--{flag}", type=kind)
+        for key, flag in flags.items():
+            kind = ({"action": "store_true", "default": None} if flag.kind is bool
+                    else {"type": {list: str}.get(flag.kind, flag.kind)})
+            p.add_argument(f"--{key}", dest=key, help=flag.help(), **kind)
     return parser
 
 
@@ -583,7 +581,8 @@ def main(argv=None):
     try:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        COMMANDS[args.command][0](effective_config(args), out)
+        cfg = effective_config(args)
+        COMMANDS[args.command][0](cfg, read_flags(args.command, cfg), out)
         return EXIT_OK
     except ManifestError as exc:
         print(f"error: {exc}", file=sys.stderr)

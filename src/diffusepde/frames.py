@@ -10,6 +10,7 @@ interpolation with the zero extension outside the mask.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,15 +229,17 @@ def schedule_window(base_step, count, ratio=0.5, order=1, separation=1.0):
 def window_cascade(base_step, levels, count, ratio, order, spacing):
     """The window cascade of a check: at level ``lvl`` the window of
     ``count`` steps from ``base_step / 2**lvl``, less its steps below the
-    lattice ``spacing``; a level left empty is dropped."""
+    lattice ``spacing``.  A level is empty exactly when its top step lies
+    below the spacing, so the cascade stops at its first empty level."""
     windows = []
     for lvl in range(levels):
-        top = base_step / 2**lvl
+        top = math.ldexp(base_step, -lvl)  # base_step / 2**lvl, without overflow
         # steps fall with k: keep the leading ones, so no step below the
         # spacing is built (one that underflows to zero could not be)
         kept = sum(top * ratio**k >= spacing for k in range(count))
-        if kept:
-            windows.append(schedule_window(top, kept, ratio=ratio, order=order))
+        if not kept:
+            break
+        windows.append(schedule_window(top, kept, ratio=ratio, order=order))
     return windows
 
 

@@ -305,14 +305,6 @@ def _coupled_groups(adjacency):
     return [np.flatnonzero(row) for i, row in enumerate(reach) if row.argmax() == i]
 
 
-def _check_trans(trans):
-    """Rejects a ``trans`` other than ``"N"``, ``"T"`` or ``"H"``, the values
-    a sparse LU solve takes; the factors here are of real symmetric
-    operators, so the three solve the same system."""
-    if trans not in ("N", "T", "H"):
-        raise ValueError(f"trans must be 'N', 'T' or 'H', not {trans!r}")
-
-
 class SineFactor:
     """Inverse of ``sum_i e_i D_ii`` on the open box of interior shape
     ``shape``, ``D_ii`` the ``(1, -2, 1)`` pattern along axis ``i`` and
@@ -335,8 +327,7 @@ class SineFactor:
                                   "a mode eigenvalue is zero")
         self.eigenvalues = modes
 
-    def solve(self, b, trans="N"):
-        _check_trans(trans)
+    def solve(self, b):
         from scipy.fft import dstn
         axes = tuple(range(len(self.shape)))
         modes = dstn(b.reshape(self.shape + (-1,)), type=1, norm="ortho", axes=axes)
@@ -366,8 +357,7 @@ class BandCholesky:
         self.U = SimpleNamespace(nnz=self.band.size)
         self.cells = cells
 
-    def solve(self, b, trans="N"):
-        _check_trans(trans)
+    def solve(self, b):
         cells = self.cells
         if cells is not None:
             b = b.reshape(len(cells), -1)[cells].reshape(b.shape)
@@ -471,8 +461,7 @@ class TorusFactor:
         return sum(self.inverse[..., :, b, None] * spectrum[..., None, b, :]
                    for b in range(self.N))
 
-    def solve(self, b, trans="N"):
-        _check_trans(trans)
+    def solve(self, b):
         from scipy.fft import irfftn, rfftn
         N, n_modes = self.N, len(self.k0)
         with np.errstate(all="ignore"):
@@ -518,14 +507,13 @@ class SplitLU:
         self.factors = factors
         self.N = N
 
-    def solve(self, b, trans="N"):
+    def solve(self, b):
         rows = b.reshape(-1, self.N)
         if self.Q is not None:
             rows = rows @ self.Q
         out = np.empty_like(rows)
         for lu, groups in self.factors:
-            cols = lu.solve(np.stack([rows[:, g].reshape(-1) for g in groups], axis=1),
-                            trans=trans)
+            cols = lu.solve(np.stack([rows[:, g].reshape(-1) for g in groups], axis=1))
             del lu  # freed before the next factor is built
             for g, col in zip(groups, cols.T):
                 out[:, g] = col.reshape(-1, len(g))
@@ -647,8 +635,8 @@ class DiscreteOperator:
         none."""
         import scipy.sparse.linalg as spla
         lu = self.factorize()
-        inverse = spla.LinearOperator(self.matrix.shape, matvec=lu.solve,
-                                      rmatvec=lambda b: lu.solve(b, trans="T"))
+        # every factor inverts a symmetric operator: the transposed solve is the solve
+        inverse = spla.LinearOperator(self.matrix.shape, matvec=lu.solve, rmatvec=lu.solve)
         return float(spla.onenormest(self.matrix) * spla.onenormest(inverse))
 
     def rhs_vector(self, f):

@@ -842,6 +842,16 @@ def test_diffuse_drops_the_steps_below_the_lattice_spacing(tmp_path):
     assert doc["schedules"] == [[[8 * h]], [[4 * h]], [[2 * h]], [[h]]]
 
 
+def test_diffuse_on_a_lattice_coarser_than_one_runs_without_a_warning(tmp_path):
+    """On a spacing of 2 the bound ``--base-step < float max * spacing`` is
+    infinite; computing it raises no overflow warning (an error under the
+    test configuration, so an exit 3)."""
+    dom = Domain(shape=(17, 17), spacing=2.0, origin=(0.0, 0.0), mask_kind="rect")
+    save_grid(tmp_path / "u.grid", GridFunction.from_callable(dom, lambda x: np.sin(x)))
+    assert main(["diffuse", "--grid", str(tmp_path / "u.grid"),
+                 "--out", str(tmp_path / "run")]) == 0
+
+
 def test_diffuse_with_every_step_below_the_lattice_spacing_exits_two(tmp_path, capsys):
     out = tmp_path / "run"
     code = main(["diffuse", "--grid", str(_sine_grid(tmp_path, 32)), "--base-step", "0.001",
@@ -1127,7 +1137,6 @@ def test_every_grid_flag_rejects_a_bad_grid_file(tmp_path, capsys, case):
 
 
 SWEPT_VALUES = ["nan", "inf", "-inf", "0", "-0", "-1", "1e308", "1e-308", "1e30", "3.5"]
-LIST_FLAGS = {"eps-seq", "r-list", "eps-list"}
 FILE_FLAGS = ("--grid", "--f", "--tensor", "--decomposition")
 
 
@@ -1159,8 +1168,8 @@ def test_every_numeric_flag_exits_zero_one_or_two(tmp_path, capsys, resolution):
              ["verify-estimate", "--battery", "1", "--resolution", str(resolution)]]
     faults, runs = [], 0
     for argv in bases:
-        for flag, kind in COMMANDS[argv[0]][2].items():
-            if kind not in (int, float) and flag not in LIST_FLAGS:
+        for flag, spec in COMMANDS[argv[0]][2].items():
+            if spec.kind not in (int, float, list):
                 continue
             for value in SWEPT_VALUES:
                 args = list(argv)
@@ -1176,3 +1185,114 @@ def test_every_numeric_flag_exits_zero_one_or_two(tmp_path, capsys, resolution):
                     faults.append((args, code, err.strip().splitlines()[-1:]))
     assert runs == 350
     assert faults == []
+
+
+def test_read_flags_honours_each_interval():
+    """``read_flags`` alone, on every numeric flag of ``cli.COMMANDS``: the
+    lower end of the flag's interval is read exactly when it is closed, a
+    value just inside it is read, the upper end is a parse error naming the
+    flag, and a declared default lies in the interval."""
+    from diffusepde.cli import COMMANDS, ManifestError, read_flags
+
+    checked = 0
+    for command, (_, _, flags) in COMMANDS.items():
+        unset = {key: "x" if flag.required else None for key, flag in flags.items()}
+        for key, flag in flags.items():
+            if flag.kind not in (int, float, list):
+                continue
+
+            def reads(value):
+                raw = [value] if flag.kind is list else value
+                try:
+                    return read_flags(command, {**unset, key: raw})[key] == raw
+                except ManifestError as exc:
+                    assert str(exc).startswith(f"--{key}"), exc
+                    return False
+
+            if flag.kind is int:
+                inside = flag.lo + 1 if np.isfinite(flag.lo) else -2**62
+            else:
+                inside = np.nextafter(flag.lo, flag.hi)
+            assert reads(flag.lo) is flag.closed, (command, key)
+            assert reads(inside), (command, key, inside)
+            assert not reads(flag.hi), (command, key)
+            flag.read(key, None)  # the default, if any, lies in the interval
+            checked += 1
+    assert checked == 28
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("window", 2.9, "--window: 2.9 is not an integer"),
+    ("window", True, "--window: true is not of kind int"),
+    ("window", "2.5", "--window: invalid literal for int()"),
+    ("ratio", True, "--ratio: true is not of kind float")])
+def test_manifest_value_of_another_kind_exits_two(tmp_path, capsys, key, value, message):
+    """A manifest value that its flag's kind does not hold is a parse error
+    naming the flag: it is not converted (``2.9`` to 2 windows, ``true`` to a
+    ratio of 1.0) while the report's ``config`` records the value given."""
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"grid": str(_sine_grid(tmp_path, 16)), key: value}))
+    out = tmp_path / "run"
+    assert main(["diffuse", "--manifest", str(manifest), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command, fields, message", [
+    ("diffuse", {"grid": 0}, "--grid: 0 is not of kind str"),
+    ("diffuse", {"grid": ["u.grid"]}, '--grid: ["u.grid"] is not of kind str'),
+    ("reference", {"case": "sawtooth", "check": "yes"}, '--check: "yes" is not of kind bool')])
+def test_manifest_file_name_or_switch_of_another_type_exits_two(tmp_path, capsys, command,
+                                                               fields, message):
+    """A file, name or switch flag takes a JSON string or boolean; another
+    value is a parse error naming the flag, where an integer used to be
+    opened as a file descriptor and a list to exit 3."""
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(fields))
+    out = tmp_path / "run"
+    assert main([command, "--manifest", str(manifest), "--out", str(out)]) == 2
+    assert f"error: {message}\n" == capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check"], "check needs --grid and --system"),
+    (["check", "--system", "infinity-laplace"], "check needs --grid"),
+    (["solve-linear"], "solve-linear needs --decomposition and --f"),
+    (["solve-nonlinear", "--f", "f.grid"], "solve-nonlinear needs --decomposition"),
+    (["analyze-tensor"], "analyze-tensor needs --decomposition"),
+    (["diffuse"], "diffuse needs --grid"),
+    (["reference"], "reference needs --case")])
+def test_missing_required_input_names_its_flags(tmp_path, capsys, argv, message):
+    assert main([*argv, "--out", str(tmp_path / "run")]) == 2
+    assert f"error: {message}\n" == capsys.readouterr().err
+
+
+def test_check_with_more_levels_than_a_float_step_can_halve_runs(tmp_path):
+    """``--levels 1100`` asks for steps below 2**-1023 of the base step; the
+    cascade stops at its first level below the lattice spacing, so from 4h
+    it holds the windows from 4h, 2h and h."""
+    out = tmp_path / "run"
+    code = main(["check", "--grid", str(_sine_grid(tmp_path, 32)), "--system",
+                 "infinity-laplace", "--base-step", "0.125", "--levels", "1100",
+                 "--out", str(out)])
+    assert code in (0, 1)
+    h = 1.0 / 32
+    doc = json.loads((out / "check_report.json").read_text())
+    assert [w[0][0][0] for w in doc["windows"]] == [4 * h, 2 * h, h]
+    assert doc["config"]["levels"] == 1100
+
+
+def test_help_lines_come_from_the_flag_table(capsys):
+    """``--help`` gives each flag's kind, interval and default or
+    requiredness as ``cli.COMMANDS`` declares them."""
+    assert main(["check", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for line in ["--grid GRID file or name; required", "--levels LEVELS integer; default 3",
+                 "--ratio RATIO float in (0, 1); default 0.5",
+                 "--r-list R-LIST comma-separated floats in (0, inf)",
+                 "--c-disc C-DISC float in [0, inf)"]:
+        assert line in text
+    assert main(["solve-linear", "--help"]) == 0
+    assert ("--eps-seq EPS-SEQ comma-separated floats in [0, inf); default "
+            "0.1,0.01,0.001,0.0001") in " ".join(capsys.readouterr().out.split())

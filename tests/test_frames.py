@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from diffusepde.frames import (Frame, HSchedule, build_frame,
                                difference_quotient_1, expand_in_frame,
                                jet_difference_quotients, reassemble_from_frame,
                                schedule_battery, schedule_window,
-                               symmetrized_outer)
+                               symmetrized_outer, window_cascade)
 from diffusepde.grids import Domain, GridFunction
 from diffusepde.reference import fat_cantor_indicator, sawtooth_map
 from diffusepde.tensors import random_decomposition
@@ -393,3 +394,15 @@ def test_cli_import_does_not_load_scipy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_window_cascade_stops_at_its_first_empty_level():
+    """Once a level's top step lies below the spacing every later level is
+    empty: a million levels give the windows of twenty, and a cascade that
+    halves its base step past 2**-1023 raises no OverflowError."""
+    want = window_cascade(1.0, 20, 3, 0.5, 2, 1 / 64)
+    assert len(want) == 7
+    assert window_cascade(1.0, 10**6, 3, 0.5, 2, 1 / 64) == want
+    # 1e300 / 2**lvl >= 1e-300 up to lvl = floor(600 log2 10) = 1993
+    deep = window_cascade(1e300, 10**6, 1, 0.5, 1, 1e-300)
+    assert len(deep) == 1994 and deep[-1][0].rows == ((math.ldexp(1e300, -1993),),)
