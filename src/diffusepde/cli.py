@@ -221,8 +221,7 @@ def _cmd_analyze_tensor(cfg, opts, out):
     }
     if validation.passed:
         data = tensors.ranges_and_subspaces(dec)
-        nu, bound = tensors.ellipticity_constant(dec,
-                                                 rng=np.random.default_rng(cfg["seed"]))
+        nu, bound = tensors.ellipticity_constant(dec)
         doc.update({
             "nu": nu, "nu_bound": bound,
             "dims": {"sigma": data.sigma.dim, "pi": data.pi.dim, "xi": data.xi.dim},

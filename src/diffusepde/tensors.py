@@ -472,18 +472,29 @@ def _factor_ranges(dec):
     return sigma_g, t_g, min(cands)
 
 
-def ellipticity_constant(dec, rng=None, n_starts=64, n_samples=100_000):
+def ellipticity_constant(dec):
     """Minimum of the rank-one quadratic form over unit directions inside the
     tensor range, with its upper bound: the least per-factor candidate
     ``lambda_min(B^g) * lambda_min(A^g)``.
 
-    The candidates attain the minimum for factored tensors; a multistart
-    projected-gradient search plus dense sampling of admissible rank-one
-    directions cross-checks that no smaller value exists.
+    The candidates attain the minimum for factored tensors; a descent over
+    each factor pair's ranges and over the mixed directions cross-checks
+    that no smaller value exists.
     """
-    data_sig, data_t, bound = _factor_ranges(dec)
-    rng = np.random.default_rng(0) if rng is None else rng
-    best = _search_minimum(dec, data_sig, data_t, rng, n_starts, n_samples)
+    sigma_g, t_g, bound = _factor_ranges(dec)
+    tasks = [(sg, tg) for sg, tg in zip(sigma_g, t_g) if sg.shape[1] and tg.shape[1]]
+    # mixed directions: domain vector shared by every active factor
+    active_t = [tg for tg in t_g if tg.shape[1]]
+    if len(active_t) > 1:
+        inter = _subspace_intersection(active_t, dec.n)
+        if inter.shape[1]:
+            # an orthonormal basis of the value ranges' span, which they
+            # are not themselves where two ranges overlap
+            stacked = np.hstack([sg for sg in sigma_g if sg.shape[1]])
+            tasks.append((range_basis(stacked @ stacked.T), inter))
+    e = reconstruct(dec).entries
+    best = min(_alternating_minimum(np.einsum("aibj,ar,is,bu,jv->rsuv", e, sg, tg, sg, tg))
+               for sg, tg in tasks)
     if best < bound - max(1e-8, 1e-9 * bound):
         raise ArithmeticError(
             f"search found rank-one energy {best:.6e} below candidate {bound:.6e}")
@@ -493,60 +504,24 @@ def ellipticity_constant(dec, rng=None, n_starts=64, n_samples=100_000):
     return float(nu), bound
 
 
-def _search_minimum(dec, sigma_g, t_g, rng, n_starts, n_samples):
+def _alternating_minimum(r):
+    """Least energy ``r[p,s,q,t] eta_p a_s eta_q a_t`` over unit ``eta`` and
+    ``a`` reached from each domain basis vector by exact alternating steps:
+    for a fixed ``a`` the least energy over ``eta`` is the lowest eigenvalue
+    of ``r a a``, and for a fixed ``eta`` that over ``a`` is the lowest of
+    ``r eta eta``.  Each step minimizes, so the energy never rises; the
+    descent stops when it no longer falls."""
     best = np.inf
-    tasks = []
-    for sg, tg, b, a in zip(sigma_g, t_g, dec.B_factors, dec.A_factors):
-        if sg.shape[1] and tg.shape[1]:
-            tasks.append((sg, tg))
-    # mixed directions: domain vector shared by every active factor
-    active_t = [tg for tg in t_g if tg.shape[1]]
-    if len(active_t) > 1:
-        inter = _subspace_intersection(active_t, dec.n)
-        if inter.shape[1]:
-            all_sigma = np.hstack([sg for sg in sigma_g if sg.shape[1]])
-            tasks.append((all_sigma, inter))
-
-    for sg, tg in tasks:
-        # each start draws its p, then its q, from the stream
-        starts = rng.standard_normal((max(1, n_starts // len(tasks)),
-                                      sg.shape[1] + tg.shape[1]))
-        vals = _projected_gradient(dec, sg, tg, starts[:, :sg.shape[1]],
-                                   starts[:, sg.shape[1]:])
-        best = min(best, float(vals.min()))
-        k = max(1, n_samples // max(len(tasks), 1))
-        ps = rng.standard_normal((k, sg.shape[1]))
-        qs = rng.standard_normal((k, tg.shape[1]))
-        etas = ps @ sg.T
-        avecs = qs @ tg.T
-        etas /= np.linalg.norm(etas, axis=1, keepdims=True)
-        avecs /= np.linalg.norm(avecs, axis=1, keepdims=True)
-        vals = np.zeros(k)
-        for b, am in zip(dec.B_factors, dec.A_factors):
-            vals += np.einsum("ka,ab,kb->k", etas, b, etas) * \
-                np.einsum("ki,ij,kj->k", avecs, am, avecs)
-        best = min(best, float(vals.min()))
-    return best
-
-
-def _projected_gradient(dec, sg, tg, p, q):
-    """Rank-one energy after projected-gradient descent on the unit spheres,
-    from each start: the rows of ``p`` (value coordinates in ``sg``) and
-    ``q`` (domain coordinates in ``tg``)."""
-    Bp = [sg.T @ b @ sg for b in dec.B_factors]
-    Ap = [tg.T @ a @ tg for a in dec.A_factors]
-    for step in range(201):
-        p = p / np.linalg.norm(p, axis=1, keepdims=True)
-        q = q / np.linalg.norm(q, axis=1, keepdims=True)
-        bp, aq = [p @ bb.T for bb in Bp], [q @ aa.T for aa in Ap]
-        x = [np.sum(v * p, axis=1) for v in bp]
-        y = [np.sum(v * q, axis=1) for v in aq]
-        if step == 200:
-            return sum(xg * yg for xg, yg in zip(x, y))
-        gp = sum(2 * v * yg[:, None] for v, yg in zip(bp, y))
-        gq = sum(2 * v * xg[:, None] for v, xg in zip(aq, x))
-        p = p - 0.2 * (gp - np.sum(gp * p, axis=1, keepdims=True) * p)
-        q = q - 0.2 * (gq - np.sum(gq * q, axis=1, keepdims=True) * q)
+    for a in np.eye(r.shape[1]):
+        lam = np.inf
+        while True:
+            eta = np.linalg.eigh(np.einsum("psqt,s,t->pq", r, a, a))[1][:, 0]
+            w, v = np.linalg.eigh(np.einsum("psqt,p,q->st", r, eta, eta))
+            if not w[0] < lam:
+                break
+            lam, a = w[0], v[:, 0]
+        best = min(best, lam)
+    return float(best)
 
 
 def regularize(dec, eps):

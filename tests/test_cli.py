@@ -166,17 +166,25 @@ def test_solve_nonlinear_cli(tmp_path):
     assert len(log) == doc["iterations"] + 1
 
 
-def test_report_determinism_same_seed(tmp_path):
+@pytest.mark.parametrize("seeds, eps", [(("7", "7"), ["--eps", "0.1"]), (("0", "5"), [])],
+                         ids=["same-seed", "seed-free-without-eps"])
+def test_report_determinism_same_seed(tmp_path, seeds, eps):
+    """A rerun is byte-identical; without ``--eps`` the seed feeds nothing
+    but ``config.seed``."""
     dec_path = tmp_path / "dec.json"
-    write_diag_dec(dec_path)
+    random_decomposition(np.random.default_rng(3), 2, 2).save(dec_path)
     out = tmp_path / "run"
-    args = ["analyze-tensor", "--decomposition", str(dec_path),
-            "--out", str(out), "--seed", "7", "--eps", "0.1"]
-    assert main(args) == 0
-    first = (out / "analyze_tensor_report.json").read_bytes()
-    assert main(args) == 0
-    second = (out / "analyze_tensor_report.json").read_bytes()
-    assert first == second  # byte-identical rerun
+    reports = []
+    for seed in seeds:
+        assert main(["analyze-tensor", "--decomposition", str(dec_path),
+                     "--out", str(out), "--seed", seed, *eps]) == 0
+        reports.append((out / "analyze_tensor_report.json").read_bytes())
+    first, second = (json.loads(r) for r in reports)
+    assert first["config"].pop("seed") == int(seeds[0])
+    assert second["config"].pop("seed") == int(seeds[1])
+    assert first == second
+    if seeds[0] == seeds[1]:
+        assert reports[0] == reports[1]  # byte-identical rerun
 
 
 def test_manifest_and_flag_override(tmp_path):

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffusepde.tensors import (Decomposition, SubspaceProjector, Tensor4,
-                                _search_minimum, _subspace_intersection,
                                 canonicalize_decomposition, ellipticity_constant,
                                 normalize_decomposition, random_decomposition,
                                 range_basis, ranges_and_subspaces, reconstruct,
@@ -226,8 +225,21 @@ def test_ellipticity_bound_battery(rng):
     for _ in range(50):
         dec = random_decomposition(rng, int(rng.integers(1, 4)),
                                    int(rng.integers(1, 4)), normalized=False)
-        nu, bound = ellipticity_constant(dec, n_starts=8, n_samples=2000)
-        assert 0 < nu <= bound + 1e-8
+        nu, bound = ellipticity_constant(dec)
+        assert 0 < nu <= bound
+        assert nu == pytest.approx(bound, rel=1e-12, abs=0.0)
+
+
+def test_energy_below_the_bound_raises():
+    """Overlapping B ranges (the only failed condition) put the least
+    rank-one energy, ``1 - 1/sqrt(2)`` at ``a`` anywhere, below every
+    factor's candidate 1."""
+    v = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    dec = Decomposition((np.diag([1.0, 0.0]), np.outer(v, v)), (np.eye(2), np.eye(2)))
+    assert validate_decomposition(dec).failures() == ["range_orthogonality"]
+    with pytest.raises(ArithmeticError,
+                       match=f"energy {1 - 1 / np.sqrt(2.0):.6e} below candidate 1.000000e"):
+        ellipticity_constant(dec)
 
 
 @pytest.mark.parametrize("seed", [2, 9, 10, 16, 21, 102])
@@ -254,68 +266,25 @@ def test_random_decomposition_is_pinned():
         "0ce31af5494bcb4fb01e11e261ab32e4466f1ebfc4d3840142dee554b78463a2"
 
 
-def _scalar_projected_gradient(dec, sg, tg, p, q, iters=200, lr=0.2):
-    p = p / np.linalg.norm(p)
-    q = q / np.linalg.norm(q)
-    Bp = [sg.T @ b @ sg for b in dec.B_factors]
-    Ap = [tg.T @ a @ tg for a in dec.A_factors]
-    for _ in range(iters):
-        gp = np.zeros_like(p)
-        gq = np.zeros_like(q)
-        for bb, aa in zip(Bp, Ap):
-            x = p @ bb @ p
-            y = q @ aa @ q
-            gp += 2 * (bb @ p) * y
-            gq += 2 * (aa @ q) * x
-        gp -= (gp @ p) * p
-        gq -= (gq @ q) * q
-        p = p - lr * gp
-        q = q - lr * gq
-        p /= np.linalg.norm(p)
-        q /= np.linalg.norm(q)
-    return float(sum((p @ bb @ p) * (q @ aa @ q) for bb, aa in zip(Bp, Ap)))
-
-
-def _scalar_search_minimum(dec, sigma_g, t_g, rng, n_starts, n_samples):
-    """Reference multistart: one projected-gradient run per start, each
-    drawing its ``p`` and then its ``q``, then the dense sampling."""
-    tasks = [(sg, tg) for sg, tg in zip(sigma_g, t_g) if sg.shape[1] and tg.shape[1]]
-    active_t = [tg for tg in t_g if tg.shape[1]]
-    if len(active_t) > 1:
-        inter = _subspace_intersection(active_t, dec.n)
-        if inter.shape[1]:
-            tasks.append((np.hstack([sg for sg in sigma_g if sg.shape[1]]), inter))
-    best = np.inf
-    for sg, tg in tasks:
-        for _ in range(max(1, n_starts // len(tasks))):
-            p = rng.standard_normal(sg.shape[1])
-            q = rng.standard_normal(tg.shape[1])
-            best = min(best, _scalar_projected_gradient(dec, sg, tg, p, q))
-        k = max(1, n_samples // len(tasks))
-        etas = rng.standard_normal((k, sg.shape[1])) @ sg.T
-        avecs = rng.standard_normal((k, tg.shape[1])) @ tg.T
-        etas /= np.linalg.norm(etas, axis=1, keepdims=True)
-        avecs /= np.linalg.norm(avecs, axis=1, keepdims=True)
-        vals = sum(np.einsum("ka,ab,kb->k", etas, b, etas)
-                   * np.einsum("ki,ij,kj->k", avecs, a, avecs)
-                   for b, a in zip(dec.B_factors, dec.A_factors))
-        best = min(best, float(vals.min()))
-    return best
-
-
-def test_batched_multistart_matches_per_start_search():
-    """All starts of a task run as one batch: the same minimum up to
-    rounding, and the same random stream consumed."""
+@pytest.mark.parametrize("N, n", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_nu_meets_its_bound_and_no_domain_grid_point_falls_below(N, n):
+    """``nu`` meets the least factor candidate to 1e-12.  On n = 2, a grid of
+    4096 directions ``a`` on the circle, each with its exact least energy
+    over the value ranges of the factors whose A range is the whole plane,
+    finds nothing lower."""
     for seed in range(8):
-        for N, n in ((2, 2), (3, 2), (2, 3)):
-            dec = random_decomposition(np.random.default_rng(seed), N, n)
-            sigma_g = [range_basis(b) for b in dec.B_factors]
-            t_g = [range_basis(a) for a in dec.A_factors]
-            rng, ref_rng = np.random.default_rng(seed + 100), np.random.default_rng(seed + 100)
-            got = _search_minimum(dec, sigma_g, t_g, rng, 8, 500)
-            want = _scalar_search_minimum(dec, sigma_g, t_g, ref_rng, 8, 500)
-            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
+        dec = random_decomposition(np.random.default_rng(seed), N, n)
+        nu, bound = ellipticity_constant(dec)
+        assert nu == pytest.approx(bound, rel=1e-12, abs=0.0)
+        full = [g for g, a in enumerate(dec.A_factors) if range_basis(a).shape[1] == n]
+        if n != 2 or not full:
+            continue
+        s = np.hstack([range_basis(dec.B_factors[g]) for g in full])
+        theta = np.linspace(0.0, np.pi, 4096, endpoint=False)
+        a = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        m = sum(np.einsum("ki,ij,kj->k", a, dec.A_factors[g], a)[:, None, None]
+                * (s.T @ dec.B_factors[g] @ s) for g in full)
+        assert np.linalg.eigvalsh(m)[:, 0].min() >= nu * (1 - 1e-12)
 
 
 def test_decomposable_tensor_nonnegative(rng):
