@@ -970,14 +970,19 @@ def check_degenerate_ellipticity(F, cert, sample_count=200):
 
 @dataclass
 class IterationLog:
+    """History of :func:`campanato_solve`'s Anderson iteration: each step's
+    increment ``|G(b_k) - b_k|`` and residual, and from the second on the
+    Lipschitz quotient ``|G(b_k) - G(b_{k-1})| / |b_k - b_{k-1}|`` of ``G``,
+    which after a Picard step is the ratio of the last two increments."""
+
     increments: list
     ratios: list
     residuals: list
     stop: float = 0.0   # the iteration stops at an increment this small
 
     def max_ratio(self):
-        """Largest ratio whose earlier increment exceeds ``1e3 * stop``, or
-        ``None``: the ratios of increments near the stop are rounding."""
+        """Largest quotient whose earlier increment exceeds ``1e3 * stop``,
+        or ``None``: the quotients of increments near the stop are rounding."""
         return max((r for r, inc in zip(self.ratios, self.increments)
                     if inc > 1e3 * self.stop), default=None)
 
@@ -990,14 +995,22 @@ class IterationLog:
         return rows
 
 
+# the Anderson depth, and the worst-conditioned Gram matrix solved, not restarted
+_ANDERSON_DEPTH, _ANDERSON_COND = 2, 1e10
+
+
 def campanato_solve(F, cert, f, eps_sequence, max_iter=40, tol=1e-10, tol_final=1e-6):
     """Fixed-point solve of a certified nonlinear system.
 
-    Iterates ``b <- b - A(x) (F(x, G2(u_b)) - f)`` where ``u_b`` solves the
-    factored linear problem with data ``b``; the nearness constants make the
-    update a contraction with factor ``kappa = B + C``.  Stops when the
-    update is small relative to the data; three consecutive non-contractive
-    steps abort with a certificate-violation error.
+    Finds the fixed point of ``G(b) = b - A(x) (F(x, G2(u_b)) - f)``, where
+    ``u_b`` solves the factored linear problem with data ``b``; the nearness
+    constants make ``G`` a contraction with factor ``kappa = B + C``.  Each
+    step evaluates ``G`` once and takes the Anderson step of depth 2 (Walker
+    & Ni 2011); the first step, and each after a rising increment or an
+    ill-conditioned fit, is the Picard step ``b <- G(b)``.  Stops when the
+    increment is small relative to the data.  A Lipschitz quotient of ``G``
+    (see :class:`IterationLog`) of at least 1 above the floor of
+    :meth:`IterationLog.max_ratio` contradicts ``kappa < 1`` and aborts.
 
     An iteration solves only the two finest epsilons and takes the projected
     hessian rows of their extrapolated solution alone; the returned triple
@@ -1022,36 +1035,53 @@ def campanato_solve(F, cert, f, eps_sequence, max_iter=40, tol=1e-10, tol_final=
 
         b = a_rows * f_rows
         log = IterationLog(increments=[], ratios=[], residuals=[], stop=tol * f_norm)
-        bad_streak = 0
+        # overwritten in place: the history's differences of the update
+        # r = b - G(b) and of G, then r_k, r_{k-1} and the step d = b_{k-1} - b_k
+        dR, dG = np.empty((2, _ANDERSON_DEPTH, b.size))
+        update, last, step = np.empty((3,) + b.shape)
+        kept = 0   # differences taken since the history was last restarted
         for op in ops[-2:]:  # solved once per iteration: their factors are kept
             op.factorize()
         for k in range(max_iter):
+            if k:
+                b -= step
             _compatible(b, data)
             fine = [op.solve(b.reshape(-1)).reshape(-1, dec.N) for op in ops[-2:]]
             xi = _derivative_rows(dom, _extrapolate(*fine, eps_sequence), 2) @ data.xi.matrix.T
             resid_rows = F.evaluate(x_rows, a_rows, xi) - f_rows
             resid = _l2(resid_rows, dom) / f_norm
-            update = a_rows * resid_rows
+            np.multiply(a_rows, resid_rows, out=update)
             inc = _l2(update, dom)
             log.increments.append(inc)
             log.residuals.append(resid)
-            if len(log.increments) >= 2 and log.increments[-2] > 0:
-                ratio = inc / log.increments[-2]
+            if k:
+                new = kept % _ANDERSON_DEPTH
+                np.subtract(update, last, out=dR[new].reshape(b.shape))
+                # G(b_k) - G(b_{k-1}) = (r_{k-1} - d) - r_k, which is -r_k to
+                # the bit after a Picard step (d = r_{k-1})
+                np.subtract(last, step, out=dG[new].reshape(b.shape))
+                dG[new] -= update.reshape(-1)
+                ratio = _l2(dG[new], dom) / _l2(step, dom)
                 log.ratios.append(ratio)
-                if ratio >= 1.0:
-                    bad_streak += 1
-                    if bad_streak >= 3:
-                        raise ArithmeticError(
-                            "iteration is not contracting (three consecutive "
-                            "ratios >= 1); the nearness certificate looks violated")
-                else:
-                    bad_streak = 0
-            last, b = b, b - update
+                if ratio >= 1.0 and log.increments[-2] > 1e3 * log.stop:
+                    raise ArithmeticError(
+                        f"iteration is not contracting (Lipschitz quotient {ratio:.3g} "
+                        ">= 1); the nearness certificate looks violated")
+                kept = kept + 1 if inc <= log.increments[-2] else 0
             if inc <= log.stop:
                 break
-        # the last iteration solved the two finest on ``last``; free their factors
-        del ops[-2:]
-        solutions = [op.solve(last.reshape(-1)).reshape(-1, dec.N) for op in ops] + fine
+            m = min(kept, _ANDERSON_DEPTH)
+            gram = dR[:m] @ dR[:m].T
+            if m and np.linalg.cond(gram) > _ANDERSON_COND:
+                m = kept = 0
+            gamma = np.linalg.solve(gram[:m, :m], dR[:m] @ update.reshape(-1))
+            np.dot(gamma, dG[:m], out=step.reshape(-1))
+            step += update
+            last, update = update, last
+        # the last iteration solved the two finest on ``b``; free their
+        # factors, and the history before the coarser solves
+        del ops[-2:], dR, dG, update, last, step
+        solutions = [op.solve(b.reshape(-1)).reshape(-1, dec.N) for op in ops] + fine
         rows, _ = _fibre_limit(solutions, eps_sequence, data, dom)
     if inc > log.stop and log.residuals[-1] > tol_final:
         raise ArithmeticError(f"no convergence within {max_iter} iterations "

@@ -1011,11 +1011,11 @@ def _pinned_solve_digests(tmp_path, command):
         "solve_report.json": "e4fddd2cf193774837003be7af0a3b63ca9128e0824da543f2ebe82c92632be7",
         "xi_D2u.grid": "d8aa74cb97d31253442cf39bcb651fa1896b4b5e9e4d1f23d91ec4e7fa87afe7"}),
     ("solve-nonlinear", {
-        "iteration_log.csv": "25281bf9cfab5602414a560a59e907c985c871e16b5e8b653083d555d946d5bf",
-        "nonlinear_report.json": "79deba17c709aa6f97483858e45a6b0dcec37b666575ab225e0dded966102cae",
-        "pi_Du.grid": "afe06c81932808f06d80ecc023903d7d7d698237006d91fd8ba8f07819adf6e8",
-        "sigma_u.grid": "406da5941387325c7554bd10ca5a2c421d8961e304a24e0af8f395167de350ce",
-        "xi_D2u.grid": "5e3fc004e85e06a0bdbfed115b128c02712df538dabf4bce333dea24b7287b84"}),
+        "iteration_log.csv": "8c918b48dcc4798c0cf3137a0901c9fc526c6036ef8b1f21f46bc59cfac61259",
+        "nonlinear_report.json": "7a4bba7500aafbe5bf67a918fe3d853b56edad477ecb89f531e4d3477d38bf83",
+        "pi_Du.grid": "f7f1414bc8660a89c0c5c188dd80e8a9b0c1aede835f9049d22ce139819ccda7",
+        "sigma_u.grid": "ee9ddade2cc26ec9746638dcf2d1a95e08a1a901f1cd4f81ec6071a1853813ca",
+        "xi_D2u.grid": "421a7cd4f527ee677692cecd6996e0843e22f332345431a6125b22d229146d65"}),
 ])
 def test_solve_outputs_are_pinned(tmp_path, command, digests):
     """The solves' outputs, bit for bit, at the default epsilon sequence."""

@@ -363,29 +363,80 @@ def test_campanato_zero_data_fixed_point():
     assert len(log.increments) == 1
 
 
-def test_campanato_contraction_ratios():
-    dom = Domain.unit_square(32)
+def nearness_system(dom, gamma=0.2, lip_frac=0.3):
+    """Acceptance criterion 6's certified system on ``dom``: ``kappa`` is
+    ``gamma + lip_frac``."""
     dec = Decomposition((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
                         (np.diag([1.0, 0.0]), np.diag([1.0, 0.0])))
-    data = ranges_and_subspaces(dec)
-    lip = 0.3 * data.nu
+    lip = lip_frac * ranges_and_subspaces(dec).nu
     a_of_x = GridFunction.from_callable(
         dom, lambda x: (1.0 + 0.3 * np.sin(np.pi * x[..., 0])
                         * np.cos(np.pi * x[..., 1]))[..., None])
-    F, cert = make_nonlinearity(
-        dec, a_of_x, gamma=0.2,
+    return make_nonlinearity(
+        dec, a_of_x, gamma=gamma,
         g=lambda Y: lip * np.sin(Y.reshape(-1, 2, 2, 2)[:, :, 0, 0]),
         lipschitz_g=lip)
+
+
+def criterion_6_data(dom):
+    x = dom.node_coords()
+    return GridFunction(dom, np.stack(
+        [np.sin(np.pi * x[..., 0]) * np.sin(np.pi * x[..., 1]),
+         np.sin(2 * np.pi * x[..., 0]) * np.sin(np.pi * x[..., 1])], axis=-1))
+
+
+def test_campanato_contraction_ratios():
+    dom = Domain.unit_square(32)
+    F, cert = nearness_system(dom)
     f = sinsin(dom, (1.0, -0.7))
     fd, log = campanato_solve(F, cert, f, [1e-1, 1e-2, 1e-3, 1e-4],
                               max_iter=40, tol_final=1e-6)
     assert max(log.ratios) <= cert.kappa + 0.1
     assert log.residuals[-1] <= 1e-6
+    # the first step is Picard's: its quotient is the increments' ratio
+    assert log.ratios[0] == log.increments[1] / log.increments[0]
     # the loop's bookkeeping must not move the iterates: pinned count and norms
-    assert len(log.increments) == 32
+    assert len(log.increments) == 11
     assert fibre_norms(fd) == pytest.approx(
-        (0.041901721189968426, 0.12727467145654217, 0.4133625665158658),
+        (0.04190172119260556, 0.12727467146430604, 0.4133625665418222),
         rel=1e-11, abs=0.0)
+
+
+def test_campanato_matches_a_picard_reference():
+    """On criterion 6's system at 32^2 the fibres agree to 1e-10 relative
+    with those of a plain Picard loop built from :func:`solve_linear`, which
+    stops at the same increment."""
+    dom = Domain.unit_square(32)
+    F, cert = nearness_system(dom)
+    f = criterion_6_data(dom)
+    eps = [1e-1, 1e-2, 1e-3, 1e-4]
+    fd, log = campanato_solve(F, cert, f, eps)
+
+    mask, a = dom.mask(), cert.A_of_x.values
+    x, a_rows, f_rows = dom.node_coords()[mask], a[mask], f.values[mask]
+    b = a * f.values
+    for steps in range(1, 41):
+        ref, _ = solve_linear(cert.dec, GridFunction(dom, b), eps)
+        update = np.zeros_like(b)
+        update[mask] = a_rows * (F.evaluate(x, a_rows, ref.xi_D2u.values[mask]) - f_rows)
+        if GridFunction(dom, update).l2_norm() <= log.stop:
+            break
+        b = b - update
+    assert (steps, len(log.increments)) == (32, 12)
+    for name in ("sigma_u", "pi_Du", "xi_D2u"):
+        got, want = getattr(fd, name).values, getattr(ref, name).values
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_campanato_converges_near_kappa_one():
+    """At kappa 0.95 Picard steps contract too slowly to reach the stop in
+    40 iterations; the accelerated ones do, under the certificate."""
+    dom = Domain.unit_square(32)
+    F, cert = nearness_system(dom, gamma=0.6, lip_frac=0.35)
+    _, log = campanato_solve(F, cert, criterion_6_data(dom), [1e-1, 1e-2, 1e-3, 1e-4])
+    assert cert.kappa == pytest.approx(0.95)
+    assert len(log.increments) <= 40 and log.increments[-1] <= log.stop
+    assert max(log.ratios) <= cert.kappa
 
 
 def test_eps_refinement_that_does_not_settle_is_rejected():
@@ -995,17 +1046,17 @@ def test_condition_estimate_matches_dense_condition_number():
     assert dense / 3 <= est <= dense * (1 + 1e-12)
 
 
-def test_max_ratio_ignores_increments_at_the_stopping_floor(diag_dec):
-    """Perturbing the increments near the stopping tolerance moves the
-    largest ratio of the whole log but not the reported one."""
+def test_max_ratio_ignores_increments_at_the_stopping_floor():
+    """Perturbing the quotients whose earlier increment is near the stopping
+    tolerance moves the largest quotient of the whole log but not the
+    reported one."""
     dom = Domain.unit_square(16)
-    a_of_x = GridFunction(dom, np.ones(dom.shape + (1,)))
-    F, cert = make_nonlinearity(diag_dec, a_of_x, gamma=0.2)
+    F, cert = nearness_system(dom)
     _, log = campanato_solve(F, cert, sinsin(dom, (1.0, -0.5)), [1e-1, 1e-2, 1e-3])
-    inc = np.array(log.increments)
-    floor = inc < 100 * log.stop
-    inc[floor] *= 1 + 1e-4 * np.arange(1, floor.sum() + 1)
-    perturbed = IterationLog(list(inc), list(inc[1:] / inc[:-1]), log.residuals, log.stop)
+    floor = np.array(log.increments[:-1]) < 100 * log.stop
+    ratios = np.array(log.ratios)
+    ratios[floor] *= 1 + np.arange(1, floor.sum() + 1)
+    perturbed = IterationLog(log.increments, list(ratios), log.residuals, log.stop)
     assert max(perturbed.ratios) != max(log.ratios)
     assert perturbed.max_ratio() == log.max_ratio() <= cert.kappa
     assert IterationLog([1e-9, 5e-10], [0.5], [0.0, 0.0], stop=1e-12).max_ratio() is None
@@ -1027,6 +1078,25 @@ def test_campanato_aborts_when_not_contracting():
     cert = EllipticityCertificate(dec=dec, A_of_x=a_of_x, B=0.0, C=0.2)
     with pytest.raises(ArithmeticError, match="not contracting"):
         campanato_solve(F, cert, sinsin(dom, (1.0, 0.5)), [1e-1, 1e-2], max_iter=20)
+
+
+def test_campanato_quotients_near_the_stop_do_not_abort():
+    """The system of the test above, stopped at 0.1 relative: the
+    increments double from 1.1 but stay below 1e3 times the stop for four
+    steps, so their quotients near 2 abort nothing and the loop runs out."""
+    dom = Domain.unit_square(16)
+    dec = Decomposition((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
+                        (np.diag([1.0, 0.0]), np.diag([1.0, 0.0])))
+    T = reconstruct(dec).entries
+
+    def evaluate(x, uval, X):
+        return 3.0 * np.einsum("aibj,cbij->ca", T, X.reshape(-1, 2, 2, 2))
+
+    F = CoefficientSystem(order=2, n=2, N=2, M=2, evaluate=evaluate)
+    cert = EllipticityCertificate(dec=dec, A_of_x=GridFunction(dom, np.ones(dom.shape + (1,))),
+                                  B=0.0, C=0.2)
+    with pytest.raises(ArithmeticError, match="no convergence within 4 iterations"):
+        campanato_solve(F, cert, sinsin(dom, (1.0, 0.5)), [1e-1, 1e-2], max_iter=4, tol=0.1)
 
 
 def test_campanato_solves_the_coarser_epsilons_once(monkeypatch, diag_dec):
