@@ -331,13 +331,6 @@ class CheckReport:
         }
 
 
-def default_phi_family(field):
-    """The :func:`witness_family` of the finite atoms on ``field``'s masked
-    cells, cells row-major and atoms innermost."""
-    mask = field.domain.mask()
-    return witness_family(field.points[mask][~field.infinite[mask]])
-
-
 def witness_family(finite_pts):
     """Compactly supported witnesses near the finite atoms ``finite_pts``
     (``(rows, D)``) plus one at the origin.
@@ -551,23 +544,6 @@ def check_dsolution(u, F, frame, schedules, R_list=None, Phi_family=None, f=None
                                  "infeasible_R": {str(k): v for k, v in
                                                   infeasible_R.items()}},
                        residual_field=sup_field)
-
-
-def check_dsolution_battery(u, F, frame, batteries, **kwargs):
-    """Run the characterizations over several schedule families and report the
-    worst case per characterization (a finite surrogate of quantifying over
-    every refinement sequence)."""
-    reports = {name: check_dsolution(u, F, frame, fam, **kwargs)
-               for name, fam in batteries.items()}
-    worst = {}
-    verdicts = {}
-    for name, rep in reports.items():
-        for char, seq in rep.residuals.items():
-            if char not in worst or seq[-1] > worst[char][1]:
-                worst[char] = (name, seq[-1])
-            verdicts[char] = verdicts.get(char, True) and rep.verdicts[char]
-    return {"reports": reports, "worst": worst, "verdicts": verdicts,
-            "passed": all(verdicts.values())}
 
 
 def _distance_residual(vals, res, F, x_flat, uval_flat, R, lin, lip):

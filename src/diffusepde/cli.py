@@ -322,8 +322,7 @@ def _cmd_check(cfg, opts, out):
                              dom.spacing)
     if len(windows) < 2:
         raise ManifestError("window cascade needs at least two refinement "
-                            "levels above the lattice spacing; lower "
-                            "--levels or raise --base-step")
+                            "levels above the lattice spacing; raise --base-step")
     _require_interior(dom, windows, "refine the grid or lower --base-step or --window")
     kwargs = {} if opts["c-disc"] is None else {"C_disc": opts["c-disc"]}
     try:
@@ -532,7 +531,7 @@ COMMANDS = {
                  "r-inf": Flag(float, None, 0)}),
     "check": (_cmd_check, "run the solution characterizations (default --base-step 16h)",
               {"grid": REQUIRED, "system": REQUIRED, "tensor": Flag(str), "f": Flag(str),
-               "levels": Flag(int, 3), "base-step": Flag(float, None, 0),
+               "levels": Flag(int, 3, 2, closed=True), "base-step": Flag(float, None, 0),
                "ratio": Flag(float, 0.5, 0, 1), "window": Flag(int, 3, 0),
                "r-list": Flag(list, None, 0), "speed": Flag(float, 1.0, 0, closed=True),
                "c-disc": Flag(float, None, 0, closed=True)}),

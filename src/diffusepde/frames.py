@@ -51,26 +51,6 @@ class Frame:
     def n(self):
         return self.E_domain.shape[1]
 
-    def induced_basis_element(self, alpha, idx):
-        """Normalized ``E^alpha (x) sym(e_{i1}, ..., e_{ip})`` for domain indices ``idx``."""
-        vecs = [self.E_domain[alpha, i] for i in idx]
-        e = np.tensordot(self.E_range[alpha], symmetrized_outer(vecs), axes=0)
-        return e / np.linalg.norm(e)
-
-
-def symmetrized_outer(vecs):
-    """Symmetrized outer product of a list of vectors (order p tensor)."""
-    p = len(vecs)
-    if p == 1:
-        return np.asarray(vecs[0], float)
-    total = None
-    for perm in itertools.permutations(range(p)):
-        t = np.asarray(vecs[perm[0]], float)
-        for k in perm[1:]:
-            t = np.tensordot(t, vecs[k], axes=0)
-        total = t if total is None else total + t
-    return total / float(np.prod(range(1, p + 1)))
-
 
 def build_frame(mode="standard", dec=None, N=None, n=None):
     """Standard canonical frames, or frames adapted to a factored tensor.
@@ -123,37 +103,6 @@ def gram_schmidt_complete(vectors, dim):
     return out
 
 
-def expand_in_frame(t, frame):
-    """Coefficients of a tensor in the induced (normalized) frame basis.
-
-    Order-1 tensors (N, n) expand over all index pairs; order-p symmetric
-    tensors (N, n, ..., n) expand over nondecreasing index tuples.
-    Returns ``(labels, coefficients)``.
-    """
-    t = np.asarray(t, float)
-    N, n = frame.N, frame.n
-    p = t.ndim - 1
-    if t.shape != (N,) + (n,) * p:
-        raise ValueError("tensor shape does not match the frame")
-    labels, coeffs = [], []
-    for alpha in range(N):
-        for idx in itertools.combinations_with_replacement(range(n), p):
-            e = frame.induced_basis_element(alpha, idx)
-            labels.append((alpha,) + idx)
-            coeffs.append(float(np.tensordot(e, t, axes=p + 1)))
-    return labels, np.array(coeffs)
-
-
-def reassemble_from_frame(labels, coeffs, frame):
-    """Inverse of :func:`expand_in_frame` for symmetric tensors."""
-    p = len(labels[0]) - 1
-    out = np.zeros((frame.N,) + (frame.n,) * p)
-    for lab, c in zip(labels, coeffs):
-        e = frame.induced_basis_element(lab[0], lab[1:])
-        out += c * e
-    return out
-
-
 @dataclass(frozen=True)
 class HSchedule:
     """One evaluation point of step sizes for an order-p quotient jet.
@@ -190,19 +139,6 @@ class HSchedule:
     @staticmethod
     def first_order(h):
         return HSchedule(rows=((h,),))
-
-    @staticmethod
-    def second_order(h1):
-        """Second-order jet point with both in-row steps ``h1``."""
-        return HSchedule(rows=((h1,), (h1, h1)))
-
-    def scale_separation(self):
-        """Largest ratio of a later step to an earlier one within a row."""
-        worst = 0.0
-        for row in self.rows:
-            for k in range(len(row) - 1):
-                worst = max(worst, abs(row[k]) / abs(row[k + 1]))
-        return worst
 
 
 def schedule_window(base_step, count, ratio=0.5, order=1, separation=1.0):
@@ -241,27 +177,6 @@ def window_cascade(base_step, levels, count, ratio, order, spacing):
             break
         windows.append(schedule_window(top, kept, ratio=ratio, order=order))
     return windows
-
-
-def schedule_battery(base_step, levels, count, order, spacing, rng=None):
-    """Three families of refining windows: dyadic, geometric ratio 1/3, and
-    randomized steps.  Checks run over the whole battery report the worst
-    case; all steps stay at or above the lattice spacing.
-    """
-    rng = np.random.default_rng(0) if rng is None else rng
-    families = {name: window_cascade(base_step, levels, count, ratio, order, spacing)
-                for name, ratio in (("dyadic", 0.5), ("geometric3", 1.0 / 3.0))}
-    fam = []
-    for lvl in range(levels):
-        top = base_step * 0.5**lvl
-        win = []
-        for _ in range(count):
-            steps = rng.uniform(max(spacing, top / 3), top, size=order)
-            rows = tuple(tuple(steps[:q]) for q in range(1, order + 1))
-            win.append(HSchedule(rows=rows))
-        fam.append(win)
-    families["randomized"] = fam
-    return families
 
 
 def _interp_shifted(values, domain, offset):

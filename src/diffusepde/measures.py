@@ -8,7 +8,7 @@ finite-resolution surrogate of measure-valued derivative limits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,86 +16,6 @@ from .frames import HSchedule, difference_quotient_1, jet_difference_quotients
 from .grids import GridFunction, read_header
 
 WEIGHT_TOL = 1e-12
-
-
-@dataclass
-class AtomicMeasure:
-    """Finitely many weighted atoms summing to unit mass."""
-
-    points: np.ndarray      # (k, D) payloads; rows flagged infinite are zeroed
-    weights: np.ndarray     # (k,)
-    infinite: np.ndarray    # (k,) bool
-
-    def __post_init__(self):
-        self.points = np.atleast_2d(np.asarray(self.points, float))
-        self.weights = np.asarray(self.weights, float)
-        self.infinite = np.asarray(self.infinite, bool)
-        if (self.weights <= 0).any():
-            raise ValueError("weights must be positive")
-        if abs(self.weights.sum() - 1.0) > WEIGHT_TOL:
-            raise ValueError("weights must sum to one")
-
-    @property
-    def total_mass(self):
-        return float(self.weights.sum())
-
-    @property
-    def infinity_mass(self):
-        return float(self.weights[self.infinite].sum())
-
-    def finite_atoms(self):
-        keep = ~self.infinite
-        return self.points[keep], self.weights[keep]
-
-
-def reduced_support(measure):
-    """Finite atoms only, weights unrescaled: ``[(point, weight), ...]``."""
-    pts, w = measure.finite_atoms()
-    return [(pts[k].copy(), float(w[k])) for k in range(len(w))]
-
-
-def barycenter_off_infinity(measure):
-    """Weighted sum of the finite atoms (unnormalized restriction barycenter).
-
-    When all mass is finite this recovers the plain mean; infinite mass is
-    simply dropped, so the result scales with the finite fraction.
-    """
-    pts, w = measure.finite_atoms()
-    if len(w) == 0:
-        return np.zeros(measure.points.shape[1])
-    return np.einsum("k,kd->d", w, pts)
-
-
-def translate(measure, a):
-    """Shift finite atoms by ``a``; the atom at infinity is left intact.
-
-    Shifted atoms stay finite however far they move; :func:`translate_field`
-    is the translation that re-clips atoms leaving the cutoff ball to infinity.
-    """
-    a = np.asarray(a, float)
-    pts = measure.points.copy()
-    inf = measure.infinite.copy()
-    pts[~inf] += a
-    return AtomicMeasure(points=pts, weights=measure.weights.copy(), infinite=inf)
-
-
-def chordal_distance(x, y, scale):
-    """Metric of the spherical compactification via stereographic embedding.
-
-    ``y=None`` denotes the point at infinity; distances to it shrink as the
-    finite argument grows.
-    """
-    if x is None and y is None:
-        return 0.0
-    if x is None:
-        x, y = y, None
-    x = np.asarray(x, float)
-    gx = np.sqrt(1.0 + (x @ x) / scale**2)
-    if y is None:
-        return float(scale / gx)
-    y = np.asarray(y, float)
-    gy = np.sqrt(1.0 + (y @ y) / scale**2)
-    return float(np.linalg.norm(x - y) / (gx * gy))
 
 
 @dataclass(frozen=True)
@@ -137,12 +57,6 @@ def bump(center, radius):
 
     return TestFunction(finite_part=lambda x: profile(np.sum((x - center) ** 2, axis=-1)),
                         support_radius=radius, center=center, profile=profile)
-
-
-def constant_one():
-    """The constant test function (not compactly supported, 1 at infinity)."""
-    return TestFunction(finite_part=lambda x: np.ones(x.shape[:-1]),
-                        value_at_infinity=1.0, support_radius=None)
 
 
 class YoungMeasureField:
@@ -200,17 +114,6 @@ def _clip_to_infinity(points, R_inf):
     return points, infinite
 
 
-def dirac_field(v, R_inf):
-    """One atom per cell at the sampled value; values beyond the cutoff go to
-    the point at infinity."""
-    _check_cutoff(R_inf)
-    dom = v.domain
-    pts = v.values[..., None, :]
-    pts, inf = _clip_to_infinity(pts, R_inf)
-    w = np.ones(dom.shape + (1,))
-    return YoungMeasureField(dom, (v.components,), pts, w, inf, R_inf)
-
-
 def default_cutoff(u, frame):
     """Default infinity cutoff: 1e6 times the range of the four-step quotient."""
     coarse = difference_quotient_1(u, frame, 4 * u.domain.spacing)
@@ -247,12 +150,6 @@ def diffuse_field(u, frame, order, schedules, R_inf, jets=None):
     k = pts.shape[-2]
     w = np.full(dom.shape + (k,), 1.0 / k)
     return YoungMeasureField(dom, space_shape, pts, w, inf, R_inf)
-
-
-def diffuse_jet_field(u, frame, windows, R_inf):
-    """Independently windowed fields for orders 1..p (a fibre product)."""
-    return [diffuse_field(u, frame, q, win, R_inf)
-            for q, win in enumerate(windows, start=1)]
 
 
 def witness_values(phis, points):
@@ -323,42 +220,6 @@ def pair(field, phis, weight_fn=None, weight_bounded=False, where=None):
     return GridFunction(dom, full.reshape(dom.shape + (-1,)))
 
 
-def pair_product(fields, phi_list, weight_fn):
-    """Pairing against a fibre-product measure of independently built fields.
-
-    ``phi_list`` holds one compactly supported factor per field; the weight
-    function receives the concatenated payload tuple.
-    """
-    if len(fields) != len(phi_list):
-        raise ValueError("need one test factor per field")
-    dom = fields[0].domain
-    out = None
-    # iterate over the product of atom indices (windows are small)
-    ranges = [range(f.n_atoms) for f in fields]
-    import itertools as _it
-    x = dom.node_coords().reshape(-1, dom.dim)
-    for combo in _it.product(*ranges):
-        w = np.ones(dom.shape)
-        phi_val = np.ones(dom.shape)
-        payloads = []
-        dead = np.zeros(dom.shape, dtype=bool)
-        for f, phi, k in zip(fields, phi_list, combo):
-            w = w * f.weights[..., k]
-            vals = phi(f.points[..., k, :])
-            vals = np.where(f.infinite[..., k], 0.0, vals)
-            phi_val = phi_val * vals
-            dead |= f.infinite[..., k]
-            payloads.append(f.points[..., k, :].reshape(-1, f.space_dim))
-        joint = np.concatenate(payloads, axis=-1)
-        g = np.asarray(weight_fn(x, joint), float)
-        if g.ndim == 1:
-            g = g[:, None]
-        g = g.reshape(dom.shape + (g.shape[-1],))
-        term = (w * phi_val * ~dead)[..., None] * g
-        out = term if out is None else out + term
-    return GridFunction(dom, out)
-
-
 def is_concentrated(field, ref, radius, mass_threshold):
     """Per-cell test: mass within ``radius`` of the reference value.
 
@@ -376,25 +237,6 @@ def is_concentrated(field, ref, radius, mass_threshold):
     return passes, {"fraction_passing": frac,
                     "radius": float(radius),
                     "mass_threshold": float(mass_threshold)}
-
-
-def translate_field(field, shifts):
-    """Cellwise translation of the finite atoms by a grid of shift vectors."""
-    pts = field.points.copy()
-    s = shifts.values[..., None, :]
-    pts = np.where(field.infinite[..., None], pts, pts + s)
-    over = ~field.infinite & (np.linalg.norm(pts, axis=-1) > field.R_inf)
-    inf = field.infinite | over
-    pts = np.where(inf[..., None], 0.0, pts)
-    return YoungMeasureField(field.domain, field.space_shape, pts,
-                             field.weights.copy(), inf, field.R_inf)
-
-
-def barycenter_field(field):
-    """Grid function of per-cell restriction barycenters."""
-    w = np.where(field.infinite, 0.0, field.weights)
-    vals = np.einsum("...k,...kd->...d", w, field.points)
-    return GridFunction(field.domain, vals)
 
 
 # serialization ------------------------------------------------------------

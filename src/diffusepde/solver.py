@@ -924,50 +924,6 @@ def make_nonlinearity(dec, A_of_x, gamma, g=None, lipschitz_g=0.0):
     return system, cert
 
 
-def check_degenerate_ellipticity(F, cert, sample_count=200):
-    """Sample the nearness inequality and the value-subspace constraint.
-
-    Draws cells and tensor pairs, evaluates the increment defect and compares
-    it against the certified bound; reports the worst margin (negative means
-    a violation) and the largest component outside the value subspace.
-    """
-    rng = np.random.default_rng(0)
-    dec = cert.dec
-    data = ranges_and_subspaces(dec)
-    tensor = reconstruct(dec)
-    N, n = dec.N, dec.n
-    dom = cert.A_of_x.domain
-    mask_idx = np.argwhere(dom.mask())
-    pick = mask_idx[rng.integers(0, len(mask_idx), size=sample_count)]
-    x = np.asarray(dom.origin) + dom.spacing * pick
-    a_vals = cert.A_of_x.values[tuple(pick.T)][:, 0]
-
-    D = N * n * n
-    X = rng.standard_normal((sample_count, D))
-    Z = rng.standard_normal((sample_count, D))
-    X = 0.5 * (X.reshape(-1, N, n, n) + X.reshape(-1, N, n, n).transpose(0, 1, 3, 2)).reshape(-1, D)
-    Z = 0.5 * (Z.reshape(-1, N, n, n) + Z.reshape(-1, N, n, n).transpose(0, 1, 3, 2)).reshape(-1, D)
-
-    a_rows = a_vals[:, None]
-    FX = F.evaluate(x, a_rows, X)
-    FZ = F.evaluate(x, a_rows, X + Z) - FX
-    AZ = np.einsum("aibj,cbij->ca", tensor.entries, Z.reshape(-1, N, n, n))
-    xiZ = data.xi.project(Z.reshape(-1, N, n, n)).reshape(-1, D)
-    lhs = np.linalg.norm(AZ - a_rows * FZ, axis=1)
-    rhs = (cert.B * data.nu * np.linalg.norm(xiZ, axis=1)
-           + cert.C * np.linalg.norm(AZ, axis=1))
-    margins = rhs + 1e-9 - lhs
-    sigma_defect = np.max(np.abs(FX - data.sigma.project(FX)))
-    violations = int(np.sum(margins < 0))
-    return {
-        "worst_margin": float(margins.min()),
-        "violations": violations,
-        "sigma_defect": float(sigma_defect),
-        "samples": int(sample_count),
-        "passed": bool(violations == 0 and sigma_defect <= 1e-6),
-    }
-
-
 @dataclass
 class IterationLog:
     """History of :func:`campanato_solve`'s Anderson iteration: each step's

@@ -91,16 +91,6 @@ class Tensor4:
         d = self.N * self.n
         return self.entries.reshape(d, d)
 
-    def apply(self, arg):
-        """Act on a matrix Q in R^{Nn} (shape (N, n)) or a hessian-type tensor
-        X in R_s^{Nn^2} (shape (N, n, n)); returns R^{Nn} resp. R^N."""
-        arg = np.asarray(arg, dtype=float)
-        if arg.shape == (self.N, self.n):
-            return np.einsum("aibj,bj->ai", self.entries, arg)
-        if arg.shape == (self.N, self.n, self.n):
-            return np.einsum("aibj,bij->a", self.entries, arg)
-        raise ValueError(f"argument shape {arg.shape} matches neither action")
-
     def rank_one_form(self, eta, a):
         """Quadratic form on the rank-one direction ``eta (x) a``."""
         q = np.outer(eta, a)
@@ -362,11 +352,6 @@ class SubspaceProjector:
         w, v = np.linalg.eigh(np.eye(self.ambient_dim) - self.matrix)
         keep = w > 0.5
         return v[:, keep].T
-
-    def contains(self, x):
-        x = np.asarray(x, float)
-        r = x - self.project(x)
-        return float(np.linalg.norm(r)) <= 1e-9 * max(1.0, float(np.linalg.norm(x)))
 
     def distance(self, other):
         return operator_norm(self.matrix - other.matrix)

@@ -4,11 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from diffusepde.checker import (CheckReport, check_dsolution, cutoff,
-                                default_phi_family, eikonal_system,
-                                infinity_laplace_system, tangent_system,
-                                tensor_system)
-from diffusepde.frames import HSchedule, build_frame, schedule_window
+from diffusepde.checker import (CheckReport, check_dsolution, cutoff, eikonal_system,
+                                infinity_laplace_system, tangent_system, tensor_system,
+                                witness_family)
+from diffusepde.frames import HSchedule, build_frame, schedule_window, window_cascade
 from diffusepde.grids import Domain, GridFunction
 from diffusepde.measures import bump
 from diffusepde.tensors import Tensor4
@@ -351,19 +350,16 @@ def test_skipped_characterizations_without_oracle():
 
 
 def test_schedule_battery_worst_case():
-    from diffusepde.checker import check_dsolution_battery
-    from diffusepde.frames import schedule_battery
+    """The solution passes every characterization over window cascades of
+    step ratio 1/2 and 1/3 alike."""
     dom, u, f = manufactured_laplace(res=64)
     F = tensor_system(Tensor4.laplacian(2, 2))
     fr = build_frame("standard", N=2, n=2)
     h = dom.spacing
-    batteries = schedule_battery(8 * h, levels=2, count=2, order=2,
-                                 spacing=h, rng=np.random.default_rng(5))
-    assert set(batteries) == {"dyadic", "geometric3", "randomized"}
-    out = check_dsolution_battery(u, F, fr, batteries, f=f)
-    assert out["passed"], out["worst"]
-    # worst-case bookkeeping names the offending family
-    assert all(fam in batteries for fam, _ in out["worst"].values())
+    for ratio in (0.5, 1.0 / 3.0):
+        rep = check_dsolution(u, F, fr, window_cascade(8 * h, 2, 2, ratio, 2, h), f=f)
+        assert rep.passed, (ratio, rep.residuals)
+        assert len(rep.verdicts) == 5
 
 
 def test_phi_family_shapes():
@@ -372,7 +368,8 @@ def test_phi_family_shapes():
     from diffusepde.measures import diffuse_field
     h = dom.spacing
     field = diffuse_field(u, fr, 2, schedule_window(4 * h, 2, 0.5, order=2), 1e9)
-    phis = default_phi_family(field)
+    mask = dom.mask()
+    phis = witness_family(field.points[mask][~field.infinite[mask]])
     assert len(phis) == 6
     assert all(p.compactly_supported for p in phis)
 
@@ -389,9 +386,7 @@ def test_sawtooth_escaping_cluster_pairing_decreases():
     F = infinity_laplace_system(2)
     # one schedule per level with steps (s, s): curvature atoms live on the
     # lattice {2mh/s^2} which coarsens by a factor four per refinement
-    windows = [[HSchedule.second_order(8 * h)],
-               [HSchedule.second_order(4 * h)],
-               [HSchedule.second_order(2 * h)]]
+    windows = [[HSchedule(rows=((s,), (s, s)))] for s in (8 * h, 4 * h, 2 * h)]
     center = np.zeros(8)
     center[0] = -1.0 / (32 * h)  # smallest level-0 curvature magnitude
     phi = bump(center, radius=0.5 / (32 * h))
@@ -554,11 +549,57 @@ def test_rotated_domain_frame_gives_the_same_verdicts():
         assert all(v == expect for v in verdicts[0].values()), verdicts
 
 
+def _transposed(u):
+    """``u`` with its lattice axes swapped, on the same square lattice."""
+    assert len(set(u.domain.shape)) == 1
+    return GridFunction(u.domain, u.values.transpose(1, 0, 2))
+
+
+def test_sawtooth_check_commutes_with_the_axis_swap():
+    """The supremal check of ``reference --check`` (128 steps, four levels
+    of three steps from 16 h) gives the same verdicts and bit-identical
+    residual cascades on the map with its lattice axes swapped."""
+    from diffusepde.reference import sawtooth_map
+    u = sawtooth_map(1.0, 4, 128).grids["map"]
+    h = u.domain.spacing
+    windows = window_cascade(16 * h, 4, 3, 0.5, 2, h)
+    F, fr = infinity_laplace_system(2), build_frame("standard", N=2, n=2)
+    reps = [check_dsolution(v, F, fr, windows, R_list=[10.0, 100.0])
+            for v in (u, _transposed(u))]
+    assert not np.array_equal(u.values, _transposed(u).values)
+    assert len(reps[0].residuals) == 5
+    assert reps[0].verdicts == reps[1].verdicts
+    assert reps[0].residuals == reps[1].residuals
+
+
+def test_laplace_check_commutes_with_the_axis_swap():
+    """The Laplace tensor check of :func:`manufactured_laplace`, with
+    ``x0**2 x1`` added to the first component so that the swap moves the map,
+    gives the same verdicts on the map and data with their lattice axes
+    swapped: on the solution's data (all five pass, residual cascades bit
+    for bit) and on 1.8 times it (all five fail, cascades equal but for
+    rounding, 9e-15 at most)."""
+    dom, u, f = manufactured_laplace(64)
+    x = dom.node_coords()
+    u = GridFunction(dom, u.values + (x[..., 0] ** 2 * x[..., 1])[..., None] * [1.0, 0.0])
+    f = GridFunction(dom, f.values + 2 * x[..., 1][..., None] * [1.0, 0.0])
+    F, fr = tensor_system(Tensor4.laplacian(2, 2)), build_frame("standard", N=2, n=2)
+    for scale, expect in ((1.0, True), (1.8, False)):
+        reps = [check_dsolution(v, F, fr, default_windows(dom), R_list=[100.0], f=g * scale)
+                for v, g in ((u, f), (_transposed(u), _transposed(f)))]
+        assert len(reps[0].verdicts) == 5
+        assert all(v == expect for v in reps[0].verdicts.values()), reps[0].verdicts
+        assert reps[0].verdicts == reps[1].verdicts
+        for key, cascade in reps[0].residuals.items():
+            assert np.allclose(cascade, reps[1].residuals[key], rtol=1e-12, atol=0)
+        if expect:
+            assert reps[0].residuals == reps[1].residuals
+
+
 def _pinned_check(case):
     """One check off the benchmark's jet-linear path, serialized: the report's
     JSON document followed by the finest-level residual field as float64."""
-    from diffusepde.checker import CoefficientSystem, check_dsolution_battery
-    from diffusepde.frames import schedule_battery
+    from diffusepde.checker import CoefficientSystem
     from diffusepde.solver import make_nonlinearity
     from diffusepde.tensors import Decomposition, ranges_and_subspaces, reconstruct
 
@@ -611,12 +652,16 @@ def _pinned_check(case):
     else:
         dom, u, f = manufactured_laplace(res=32)
         h = dom.spacing
-        batteries = schedule_battery(4 * h, levels=2, count=2, order=2, spacing=h,
-                                     rng=np.random.default_rng(5))
-        out = check_dsolution_battery(u, tensor_system(Tensor4.laplacian(2, 2)),
-                                      build_frame("standard", N=2, n=2), batteries,
-                                      f=f, R_list=[50.0])
-        reports = [out["reports"][name] for name in sorted(out["reports"])]
+        # cascades of step ratio 1/2 and 1/3, then windows of random steps
+        families = [window_cascade(4 * h, 2, 2, ratio, 2, h) for ratio in (0.5, 1.0 / 3.0)]
+        rng = np.random.default_rng(5)
+        families.append([[HSchedule(rows=(tuple(steps[:1]), tuple(steps)))
+                          for steps in rng.uniform(max(h, top / 3), top, size=(2, 2))]
+                         for top in (4 * h, 2 * h)])
+        reports = [check_dsolution(u, tensor_system(Tensor4.laplacian(2, 2)),
+                                   build_frame("standard", N=2, n=2), windows,
+                                   f=f, R_list=[50.0])
+                   for windows in families]
     return b"".join(json.dumps(rep.to_json_dict(), sort_keys=True).encode()
                     + np.asarray(rep.residual_field.values, np.float64).tobytes()
                     for rep in reports)
@@ -671,7 +716,7 @@ def test_a_check_evaluates_each_distinct_jet_once(monkeypatch):
     u = sawtooth_map(1.0, 2, 32).grids["map"]
     dom = u.domain
     h = dom.spacing
-    jets = [HSchedule.second_order(s * h) for s in (5, 4, 3, 2, 1)]
+    jets = [HSchedule(rows=((s * h,), (s * h, s * h))) for s in (5, 4, 3, 2, 1)]
     windows = [jets[0:3], jets[1:4], jets[2:5], jets[3:5]]
     fr = build_frame("standard", N=2, n=2)
     clipped, witnessed, cuts = [], [], []

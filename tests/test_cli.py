@@ -373,7 +373,11 @@ def test_diffuse_rejects_bad_numeric_flag(tmp_path, capsys, flag, value):
     ("--ratio", "1.5", "--ratio must lie in"),
     ("--base-step", "nan", "--base-step must lie in"),
     ("--base-step", "-1", "--base-step must lie in"),
-    ("--levels", "0", "at least two refinement levels")])
+    ("--levels", "0", "--levels must lie in [2, inf), got 0"),
+    ("--levels", "1", "--levels must lie in [2, inf), got 1"),
+    ("--levels", "-1", "--levels must lie in [2, inf), got -1"),
+    ("--base-step", "0.04", "at least two refinement levels above the lattice "
+     "spacing; raise --base-step")])
 def test_check_rejects_bad_numeric_flag(tmp_path, capsys, flag, value, message):
     out = tmp_path / "run"
     code = main(["check", "--grid", str(_sine_grid(tmp_path, 32)), "--system",
@@ -1296,7 +1300,7 @@ def test_help_lines_come_from_the_flag_table(capsys):
     requiredness as ``cli.COMMANDS`` declares them."""
     assert main(["check", "--help"]) == 0
     text = " ".join(capsys.readouterr().out.split())
-    for line in ["--grid GRID file or name; required", "--levels LEVELS integer; default 3",
+    for line in ["--grid GRID file or name; required", "--levels LEVELS integer in [2, inf); default 3",
                  "--ratio RATIO float in (0, 1); default 0.5",
                  "--r-list R-LIST comma-separated floats in (0, inf)",
                  "--c-disc C-DISC float in [0, inf)"]:

@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import math
 
 import numpy as np
@@ -7,11 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffusepde.frames import (Frame, HSchedule, build_frame,
-                               difference_quotient_1, expand_in_frame,
-                               jet_difference_quotients, reassemble_from_frame,
-                               schedule_battery, schedule_window,
-                               symmetrized_outer, window_cascade)
+from diffusepde.frames import (Frame, HSchedule, build_frame, difference_quotient_1,
+                               jet_difference_quotients, schedule_window, window_cascade)
 from diffusepde.grids import Domain, GridFunction
 from diffusepde.reference import fat_cantor_indicator, sawtooth_map
 from diffusepde.tensors import random_decomposition
@@ -59,60 +55,6 @@ def test_frame_orthonormality_random_rotations(seed):
     for a in range(3):
         gram = fr.E_domain[a] @ fr.E_domain[a].T
         assert np.linalg.norm(gram - np.eye(2)) < 1e-10
-
-
-def test_induced_basis_orthonormal():
-    rng = np.random.default_rng(3)
-    q_n = np.linalg.qr(rng.standard_normal((2, 2)))[0]
-    q_d = np.stack([np.linalg.qr(rng.standard_normal((3, 3)))[0] for _ in range(2)])
-    fr = Frame(q_n, q_d)
-    elems = []
-    for alpha in range(2):
-        for idx in itertools.combinations_with_replacement(range(3), 2):
-            elems.append(fr.induced_basis_element(alpha, idx).reshape(-1))
-    gram = np.array([[u @ v for v in elems] for u in elems])
-    assert np.linalg.norm(gram - np.eye(len(elems))) < 1e-10
-
-
-def test_symmetrized_outer_symmetric():
-    t = symmetrized_outer([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
-    assert np.allclose(t, t.T)
-    assert t[0, 1] == pytest.approx(0.5)
-
-
-def test_expand_standard_frame_is_identity_layout():
-    fr = build_frame("standard", N=2, n=2)
-    t = np.arange(4, dtype=float).reshape(2, 2)
-    labels, coeffs = expand_in_frame(t, fr)
-    lookup = dict(zip(labels, coeffs))
-    for a in range(2):
-        for i in range(2):
-            assert lookup[(a, i)] == t[a, i]
-
-
-def test_expand_rotated_indicator():
-    rng = np.random.default_rng(5)
-    q_n = np.linalg.qr(rng.standard_normal((2, 2)))[0]
-    q_d = np.stack([np.linalg.qr(rng.standard_normal((2, 2)))[0] for _ in range(2)])
-    fr = Frame(q_n, q_d)
-    t = fr.induced_basis_element(0, (0,))
-    labels, coeffs = expand_in_frame(t, fr)
-    lookup = dict(zip(labels, coeffs))
-    assert lookup[(0, 0)] == pytest.approx(1.0)
-    others = [v for k, v in lookup.items() if k != (0, 0)]
-    assert np.max(np.abs(others)) < 1e-12
-
-
-def test_expand_reassemble_roundtrip():
-    rng = np.random.default_rng(6)
-    q_n = np.linalg.qr(rng.standard_normal((2, 2)))[0]
-    q_d = np.stack([np.linalg.qr(rng.standard_normal((3, 3)))[0] for _ in range(2)])
-    fr = Frame(q_n, q_d)
-    t = rng.standard_normal((2, 3, 3))
-    t = 0.5 * (t + t.transpose(0, 2, 1))
-    labels, coeffs = expand_in_frame(t, fr)
-    back = reassemble_from_frame(labels, coeffs, fr)
-    assert np.linalg.norm(back - t) < 1e-12
 
 
 def test_quotient_exact_on_linear_map():
@@ -241,7 +183,6 @@ def test_schedule_validation():
     dom = Domain.unit_square(8)
     with pytest.raises(ValueError):
         sched.validate_for(dom)  # 0.05 is below the spacing 0.125
-    assert sched.scale_separation() == pytest.approx(2.0)
 
 
 @pytest.mark.parametrize("E_range, E_domain", [
@@ -251,24 +192,6 @@ def test_schedule_validation():
 def test_frame_rejects_nonfinite_entries(E_range, E_domain):
     with pytest.raises(ValueError, match="finite"):
         Frame(np.asarray(E_range), np.stack([np.asarray(E_domain)] * 2))
-
-
-@pytest.mark.parametrize("levels, count, order", [(1, 3, 1), (3, 2, 3)])
-def test_schedule_battery_shapes(levels, count, order):
-    """Every family's schedules have the battery's order and steps at or
-    above the spacing; the randomized family has ``levels`` windows of
-    ``count`` schedules, the others at most that many."""
-    h = 0.01
-    families = schedule_battery(0.08, levels, count, order, h)
-    assert sorted(families) == ["dyadic", "geometric3", "randomized"]
-    assert [len(w) for w in families["randomized"]] == [count] * levels
-    for windows in families.values():
-        assert 1 <= len(windows) <= levels
-        for window in windows:
-            assert 1 <= len(window) <= count
-            for sched in window:
-                assert sched.order == order
-                assert min(abs(s) for row in sched.rows for s in row) >= h
 
 
 def test_schedule_window_shapes():

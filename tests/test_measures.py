@@ -7,49 +7,25 @@ from diffusepde.checker import check_dsolution, tensor_system
 from diffusepde.frames import (HSchedule, build_frame, difference_quotient_1,
                                schedule_window)
 from diffusepde.grids import Domain, GridFunction
-from diffusepde.measures import (AtomicMeasure, TestFunction, YoungMeasureField,
-                                 barycenter_field, barycenter_off_infinity,
-                                 bump, chordal_distance, constant_one,
-                                 diffuse_field, diffuse_jet_field, dirac_field,
+from diffusepde.measures import (TestFunction, YoungMeasureField, bump, diffuse_field,
                                  is_concentrated, load_measure_field, pair,
-                                 pair_product, reduced_support,
-                                 save_measure_field, translate,
-                                 translate_field)
+                                 save_measure_field)
 from diffusepde.reference import fat_cantor_indicator, infinity_witness_cells, oscillation_example
 from diffusepde.tensors import Tensor4
 
 
-def atom(points, weights, infinite):
-    return AtomicMeasure(points=np.array(points, float),
-                         weights=np.array(weights, float),
-                         infinite=np.array(infinite, bool))
+# the constant test function: not compactly supported, one at infinity
+CONSTANT_ONE = TestFunction(finite_part=lambda x: np.ones(x.shape[:-1]), value_at_infinity=1.0)
 
 
-def test_dirac_field_zero_map():
-    dom = Domain.unit_square(8)
-    v = GridFunction(dom, np.zeros(dom.shape + (2,)))
-    field = dirac_field(v, R_inf=10.0)
-    assert field.n_atoms == 1
-    assert not field.infinite.any()
-    assert np.all(field.points == 0.0)
-
-
-def test_dirac_field_identity_map():
-    dom = Domain.interval(0.0, 1.0, 16)
-    v = GridFunction(dom, dom.axis_coords(0)[:, None])
-    field = dirac_field(v, R_inf=10.0)
-    mask = dom.mask()
-    assert np.allclose(field.points[mask, 0, 0], dom.axis_coords(0)[mask])
-
-
-def test_dirac_field_cutoff_to_infinity():
-    dom = Domain.interval(0.0, 1.0, 8)
-    vals = np.ones(dom.shape + (1,))
-    vals[4, 0] = 1e10
-    v = GridFunction(dom, vals)
-    field = dirac_field(v, R_inf=1e3)
-    assert field.infinite[4, 0]
-    assert not field.infinite[3, 0]
+def one_atom_field(v, R_inf):
+    """One atom per cell at the value of ``v``; values beyond ``R_inf`` sit
+    at infinity with a zeroed payload."""
+    dom = v.domain
+    pts = v.values[..., None, :]
+    infinite = np.linalg.norm(pts, axis=-1) > R_inf
+    return YoungMeasureField(dom, (v.components,), np.where(infinite[..., None], 0.0, pts),
+                             np.ones(dom.shape + (1,)), infinite, R_inf)
 
 
 @pytest.mark.parametrize("R_inf", [np.nan, -1.0, 0.0])
@@ -59,31 +35,20 @@ def test_cutoff_radius_must_be_positive(R_inf):
     frame = build_frame("standard", N=2, n=2)
     window = [HSchedule(((0.25,),))]
     with pytest.raises(ValueError, match="cutoff radius must be positive"):
-        dirac_field(v, R_inf)
-    with pytest.raises(ValueError, match="cutoff radius must be positive"):
         diffuse_field(v, frame, 1, window, R_inf)
-    assert not dirac_field(v, np.inf).infinite.any()
+    assert not diffuse_field(v, frame, 1, window, np.inf).infinite.any()
 
 
-def test_reduced_support_examples():
-    m = atom([[0.0]], [1.0], [True])
-    assert reduced_support(m) == []
-    m = atom([[2.0], [0.0]], [0.5, 0.5], [False, True])
-    rs = reduced_support(m)
-    assert len(rs) == 1
-    assert rs[0][0][0] == 2.0 and rs[0][1] == 0.5
-    m = atom([[3.0]], [1.0], [False])
-    assert reduced_support(m)[0][1] == 1.0
-
-
-def test_barycenter_examples():
-    assert barycenter_off_infinity(atom([[3.0]], [1.0], [False]))[0] == 3.0
-    # unnormalized restriction: half the mass at infinity halves the value
-    m = atom([[2.0], [0.0]], [0.5, 0.5], [False, True])
-    assert barycenter_off_infinity(m)[0] == pytest.approx(1.0)
+def shift_atoms(field, shifts):
+    """``field`` with the finite atoms of each cell moved by that cell's value
+    of the grid function ``shifts``."""
+    rows = np.repeat(shifts.values.reshape(-1, shifts.components), field.n_atoms, axis=0)
+    return field.map_payloads(lambda X: X + rows)
 
 
 def test_barycenter_field_recovers_quotient():
+    """A one-schedule first-order field holds one finite atom per cell, of
+    unit weight: the difference quotient itself."""
     dom = Domain.unit_square(16)
     u = GridFunction.from_callable(
         dom, lambda x: (x[..., 0] ** 2 - x[..., 1])[..., None])
@@ -91,33 +56,8 @@ def test_barycenter_field_recovers_quotient():
     h = 2 * dom.spacing
     q = difference_quotient_1(u, fr, h)
     field = diffuse_field(u, fr, 1, [HSchedule.first_order(h)], R_inf=1e9)
-    bary = barycenter_field(field)
-    assert np.allclose(bary.values, q.values, atol=1e-12)
-
-
-def test_translate_examples():
-    m = atom([[0.0, 0.0]], [1.0], [False])
-    t = translate(m, [1.0, -2.0])
-    assert np.allclose(t.points[0], [1.0, -2.0])
-    m_inf = atom([[0.0]], [1.0], [True])
-    t = translate(m_inf, [5.0])
-    assert t.infinite[0]
-    m2 = atom([[1.0], [0.0]], [0.5, 0.5], [False, True])
-    t2 = translate(m2, [2.0])
-    assert t2.points[0, 0] == 3.0 and t2.infinite[1]
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.floats(-5, 5), min_size=2, max_size=2),
-       st.lists(st.floats(-5, 5), min_size=2, max_size=2))
-def test_translate_group_law(a, b):
-    m = atom([[0.5, -1.0], [2.0, 0.0], [0.0, 0.0]],
-             [0.25, 0.25, 0.5], [False, False, True])
-    lhs = translate(translate(m, a), b)
-    rhs = translate(m, np.add(a, b))
-    assert np.allclose(lhs.points, rhs.points, atol=1e-12)
-    assert np.array_equal(lhs.infinite, rhs.infinite)
-    assert lhs.total_mass == pytest.approx(1.0)
+    assert not field.infinite.any() and (field.weights == 1.0).all()
+    assert np.allclose(field.points[..., 0, :], q.values, atol=1e-12)
 
 
 def test_weight_conservation_through_operations():
@@ -129,14 +69,14 @@ def test_weight_conservation_through_operations():
                           R_inf=1e6)
     mask = dom.mask()
     assert np.allclose(field.weights.sum(axis=-1)[mask], 1.0, atol=1e-12)
-    shifted = translate_field(field, difference_quotient_1(u, fr, h))
+    shifted = shift_atoms(field, difference_quotient_1(u, fr, h))
     assert np.allclose(shifted.weights.sum(axis=-1)[mask], 1.0, atol=1e-12)
 
 
 def test_pair_single_atom_recovers_coefficient():
     dom = Domain.unit_square(8)
     v = GridFunction(dom, np.zeros(dom.shape + (1,)))
-    field = dirac_field(v, R_inf=10.0)
+    field = one_atom_field(v, R_inf=10.0)
     phi = bump(np.zeros(1), radius=1.0)
 
     def weight(x, X):
@@ -152,7 +92,7 @@ def test_pair_infinity_mass_with_compact_phi_vanishes():
     dom = Domain.unit_square(8)
     vals = np.full(dom.shape + (1,), 1e12)
     v = GridFunction(dom, np.where(dom.mask()[..., None], vals, 0.0))
-    field = dirac_field(v, R_inf=1.0)
+    field = one_atom_field(v, R_inf=1.0)
     phi = bump(np.zeros(1), radius=5.0)
     out = pair(field, [phi], lambda x, X: np.ones((x.shape[0], 1)))
     assert np.allclose(out.values[dom.mask()], 0.0)
@@ -178,10 +118,10 @@ def test_pair_strong_residual_reduction():
 
 def test_pair_rejects_unbounded_weight_with_noncompact_phi():
     dom = Domain.unit_square(4)
-    field = dirac_field(GridFunction(dom, np.zeros(dom.shape + (1,))), 1.0)
+    field = one_atom_field(GridFunction(dom, np.zeros(dom.shape + (1,))), 1.0)
     with pytest.raises(ValueError):
-        pair(field, [constant_one()], lambda x, X: X)
-    pair(field, [constant_one()], lambda x, X: np.ones((x.shape[0], 1)),
+        pair(field, [CONSTANT_ONE], lambda x, X: X)
+    pair(field, [CONSTANT_ONE], lambda x, X: np.ones((x.shape[0], 1)),
          weight_bounded=True)
 
 
@@ -191,7 +131,7 @@ def test_pair_infinity_convention():
     dom = Domain.unit_square(4)
     vals = np.full(dom.shape + (1,), 100.0)
     v = GridFunction(dom, np.where(dom.mask()[..., None], vals, 0.0))
-    field = dirac_field(v, R_inf=10.0)  # all mask atoms at infinity
+    field = one_atom_field(v, R_inf=10.0)  # all mask atoms at infinity
 
     def weight(x, X):
         raise AssertionError("weight map must not see the atom at infinity")
@@ -200,7 +140,7 @@ def test_pair_infinity_convention():
         assert X.shape[0] == 0 or np.all(X == 0.0)
         return np.ones((x.shape[0], 1))
 
-    out = pair(field, [constant_one()], safe_weight, weight_bounded=True)
+    out = pair(field, [CONSTANT_ONE], safe_weight, weight_bounded=True)
     assert np.allclose(out.values[dom.mask()], 1.0)
 
 
@@ -242,7 +182,7 @@ def test_family_pairing_matches_per_witness_pairing_bit_for_bit():
     assert (~field.infinite[field.domain.mask()]).any()
     dom = field.domain
     phis = [bump(np.zeros(4), r) for r in (0.5, 1.0, 4.0)]
-    phis += [bump(np.array([1.0, 0.0, 0.0, -1.0]), 2.0), constant_one()]
+    phis += [bump(np.array([1.0, 0.0, 0.0, -1.0]), 2.0), CONSTANT_ONE]
     rows = field.points.reshape(-1, 4)
     x_rep = np.repeat(dom.node_coords().reshape(-1, 2), field.n_atoms, axis=0)
     weight_rows = np.stack([rows[:, 0] * rows[:, 3] - 0.3, np.sin(rows[:, 1]),
@@ -268,7 +208,7 @@ def test_pairing_on_a_mask_matches_the_full_pairing_bit_for_bit():
     where[5:9, 10:12] = False
     assert field.infinite[where].any() and (~field.infinite[where]).any()
     phis = [bump(np.zeros(4), r) for r in (0.5, 1.0, 4.0)]
-    phis += [bump(np.array([1.0, 0.0, 0.0, -1.0]), 2.0), constant_one()]
+    phis += [bump(np.array([1.0, 0.0, 0.0, -1.0]), 2.0), CONSTANT_ONE]
     seen = []
 
     def weight(x, X):
@@ -295,7 +235,7 @@ def test_mixed_family_pairing_obeys_the_infinity_convention():
     weights = np.broadcast_to([0.25, 0.75], dom.shape + (2,))
     infinite = np.broadcast_to([False, True], dom.shape + (2,))
     field = YoungMeasureField(dom, (1,), pts, weights, infinite, R_inf=10.0)
-    phis = [bump(np.zeros(1), 2.0), constant_one()]
+    phis = [bump(np.zeros(1), 2.0), CONSTANT_ONE]
 
     def weight(x, X):
         X = X.reshape(dom.shape + (2, 1))
@@ -317,30 +257,11 @@ def test_check_rejects_a_witness_family_that_is_not_compactly_supported():
         * [1.0, 0.0])
     h = dom.spacing
     windows = [schedule_window(4 * h / 2**lvl, 2, ratio=0.5, order=2) for lvl in range(2)]
-    family = [bump(np.zeros(8), 1.0), constant_one()]
+    family = [bump(np.zeros(8), 1.0), CONSTANT_ONE]
     with pytest.raises(ValueError, match="compactly supported"):
         check_dsolution(u, tensor_system(Tensor4.laplacian(2, 2)),
                         build_frame("standard", N=2, n=2), windows,
                         R_list=[10.0], Phi_family=family)
-
-
-def test_pair_product_fibre_structure():
-    dom = Domain.unit_square(8)
-    u = GridFunction.from_callable(dom, lambda x: (3.0 * x[..., 0])[..., None])
-    fr = build_frame("standard", N=1, n=2)
-    h = dom.spacing
-    fields = diffuse_jet_field(u, fr,
-                               [[HSchedule.first_order(h)],
-                                [HSchedule.second_order(h)]], R_inf=1e9)
-    phis = [bump(np.array([3.0, 0.0]), 2.0), bump(np.zeros(4), 1.0)]
-
-    def weight(x, joint):
-        return np.ones((x.shape[0], 1))
-
-    out = pair_product(fields, phis, weight)
-    inner = dom.interior_mask(4 * h)
-    # both factors sit at their bump centers, so the product is phi1*phi2 > 0
-    assert (out.values[inner, 0] > 0.5).all()
 
 
 def test_diffuse_jet_field_clips_each_order_at_R_inf():
@@ -349,9 +270,9 @@ def test_diffuse_jet_field_clips_each_order_at_R_inf():
     dom = Domain.unit_square(8)
     u = GridFunction.from_callable(dom, lambda x: (3.0 * x[..., 0])[..., None])
     h = dom.spacing
-    first, second = diffuse_jet_field(u, build_frame("standard", N=1, n=2),
-                                      [[HSchedule.first_order(h)],
-                                       [HSchedule.second_order(h)]], R_inf=2.0)
+    fr = build_frame("standard", N=1, n=2)
+    first = diffuse_field(u, fr, 1, [HSchedule.first_order(h)], R_inf=2.0)
+    second = diffuse_field(u, fr, 2, [HSchedule(rows=((h,), (h, h)))], R_inf=2.0)
     inner = dom.interior_mask(4 * h)
     assert first.infinite[inner].all()
     assert not second.infinite[inner].any()
@@ -360,7 +281,7 @@ def test_diffuse_jet_field_clips_each_order_at_R_inf():
 def test_is_concentrated_dirac_vs_itself():
     dom = Domain.unit_square(8)
     v = GridFunction.from_callable(dom, lambda x: x)
-    field = dirac_field(v, R_inf=1e6)
+    field = one_atom_field(v, R_inf=1e6)
     passes, summary = is_concentrated(field, v, radius=1e-8, mass_threshold=1.0)
     assert summary["fraction_passing"] == 1.0
 
@@ -412,7 +333,7 @@ def test_additivity_with_differentiable_shift():
     f_sum = diffuse_field(uv, fr, 1, window, R_inf=1e9)
     f_u = diffuse_field(u, fr, 1, window, R_inf=1e9)
     shift = difference_quotient_1(v, fr, 2 * h)
-    translated = translate_field(f_u, shift)
+    translated = shift_atoms(f_u, shift)
     inner = dom.interior_mask(5 * h)
     dist = np.linalg.norm(f_sum.points - translated.points, axis=-1)
     assert dist[inner].max() < 20 * h
@@ -455,26 +376,16 @@ def test_convergence_principle_for_pairings():
     for m in (1, 2, 4, 8, 64):
         vals = np.stack([np.full(dom.shape, 1.0 + 1.0 / m),
                          np.zeros(dom.shape)], axis=-1)
-        field_m = dirac_field(GridFunction(dom, vals), R_inf=1e6)
+        field_m = one_atom_field(GridFunction(dom, vals), R_inf=1e6)
         out = pair(field_m, [phi], coeff_m(m))
         assert np.abs(out.values).max() < 1e-12
-    limit_field = dirac_field(target, R_inf=1e6)
+    limit_field = one_atom_field(target, R_inf=1e6)
 
     def weight_inf(x, X):
         return (X[:, 0] - 1.0)[:, None]
 
     out = pair(limit_field, [phi], weight_inf)
     assert np.abs(out.values).max() < 1e-12
-
-
-def test_chordal_distance_monotone_to_infinity():
-    s = 10.0
-    d1 = chordal_distance(np.array([1.0]), None, s)
-    d2 = chordal_distance(np.array([100.0]), None, s)
-    d3 = chordal_distance(np.array([10000.0]), None, s)
-    assert d1 > d2 > d3
-    assert chordal_distance(None, None, s) == 0.0
-    assert chordal_distance(np.array([1.0]), np.array([1.0]), s) == 0.0
 
 
 def test_measure_serialization_roundtrip(tmp_path):
@@ -580,13 +491,6 @@ def test_measure_file_infinity_flag_must_be_zero_or_one(tmp_path):
     path.write_bytes(header + rec.astype("<f8").tobytes())
     with pytest.raises(ValueError, match="infinity flag"):
         load_measure_field(path)
-
-
-def test_atomic_measure_weight_validation():
-    with pytest.raises(ValueError):
-        atom([[0.0]], [0.5], [False])
-    with pytest.raises(ValueError):
-        atom([[0.0], [1.0]], [0.7, -0.3], [False, False])
 
 
 def test_compactly_supported_phi_vanishes_at_infinity():

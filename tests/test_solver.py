@@ -14,7 +14,7 @@ from diffusepde.solver import (BandCholesky, DiscreteOperator, EllipticityCertif
                                IterationLog, SineFactor, TorusFactor, _negated_band,
                                assemble_and_solve_eps,
                                boundary_ring_norm, campanato_solve,
-                               check_degenerate_ellipticity, check_sigma_valued,
+                               check_sigma_valued,
                                fibre_norms, gradient_central,
                                hessian_central, lattice_patterns, make_nonlinearity,
                                poincare_check, solve_linear, verify_hessian_estimate)
@@ -277,40 +277,6 @@ def test_hessian_estimate_is_one_pass_per_decomposition(monkeypatch, rng):
                     for u in maps for eps in eps_list]
 
 
-def test_check_degenerate_ellipticity_linear_exact():
-    dom = Domain.unit_square(16)
-    dec = Decomposition((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
-                        (np.diag([1.0, 0.0]), np.diag([1.0, 0.0])))
-    a_of_x = GridFunction(dom, np.full(dom.shape + (1,), 2.0))
-    F, cert = make_nonlinearity(dec, a_of_x, gamma=0.0)
-    rep = check_degenerate_ellipticity(F, cert, sample_count=100)
-    assert rep["passed"]
-    assert rep["worst_margin"] >= 0.0
-    assert rep["sigma_defect"] < 1e-12
-
-
-def test_check_degenerate_ellipticity_flags_violations():
-    dom = Domain.unit_square(16)
-    dec = Decomposition((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
-                        (np.diag([1.0, 0.0]), np.diag([1.0, 0.0])))
-    data = ranges_and_subspaces(dec)
-    nu = data.nu
-    a_of_x = GridFunction(dom, np.ones(dom.shape + (1,)))
-    tensor = reconstruct(dec)
-
-    def evaluate(x, uval, X):
-        Xp = data.xi.project(X.reshape(-1, 2, 2, 2))
-        lin = np.einsum("aibj,cbij->ca", tensor.entries, Xp)
-        rough = 2.0 * nu * np.sin(Xp.reshape(X.shape[0], -1)[:, :2])
-        return lin + data.sigma.project(rough)
-
-    F = CoefficientSystem(order=2, n=2, N=2, M=2, evaluate=evaluate,
-                          name="too-rough")
-    cert = EllipticityCertificate(dec=dec, A_of_x=a_of_x, B=0.3, C=0.2)
-    rep = check_degenerate_ellipticity(F, cert, sample_count=300)
-    assert rep["violations"] > 0 and not rep["passed"]
-
-
 def test_make_nonlinearity_properties(rng):
     dom = Domain.unit_square(16)
     dec = Decomposition((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
@@ -331,6 +297,19 @@ def test_make_nonlinearity_properties(rng):
     a = a_of_x.values.reshape(-1, 1)[:50]
     assert np.allclose(F.evaluate(x, a, X + Z), F.evaluate(x, a, X),
                        atol=1e-12)
+    # the certified nearness on symmetric samples, at masked cells:
+    # |T:Z - A (F(X+Z) - F(X))| <= B nu |xi Z| + C |T:Z|
+    mask = dom.mask()
+    x, a = dom.node_coords()[mask][:200], a_of_x.values[mask][:200]
+    X, Z = (0.5 * (Y + Y.transpose(0, 1, 3, 2))
+            for Y in rng.standard_normal((2, len(a), 2, 2, 2)))
+    TZ = np.einsum("aibj,cbij->ca", reconstruct(dec).entries, Z)
+    X, Z = X.reshape(len(a), -1), Z.reshape(len(a), -1)
+    lhs = np.linalg.norm(TZ - a * (F.evaluate(x, a, X + Z) - F.evaluate(x, a, X)), axis=1)
+    xiZ = data.xi.project(Z.reshape(-1, 2, 2, 2)).reshape(len(a), -1)
+    rhs = (cert.B * data.nu * np.linalg.norm(xiZ, axis=1)
+           + cert.C * np.linalg.norm(TZ, axis=1))
+    assert len(a) == 200 and (lhs <= rhs + 1e-9).all()
     with pytest.raises(ValueError):
         make_nonlinearity(dec, a_of_x, gamma=0.9, g=None, lipschitz_g=0.2 * data.nu)
 

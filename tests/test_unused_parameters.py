@@ -2,7 +2,8 @@
 parameter with a default is passed by some call, and some call passes it a
 value other than its default; no required parameter is passed one literal
 by every call; every function, class and method of the package is loaded by
-some code other than its own definition.
+some code other than its own definition that a pipeline, a script, the
+benchmark or an acceptance criterion runs.
 
 A parameter no body reads, one no caller sets, one every caller sets to its
 default or to one literal, and a member nothing loads are options that
@@ -11,7 +12,11 @@ Module-level functions and the methods of module-level classes are checked;
 ``self`` and ``cls`` are exempt, and so are functions nested in a function
 body, since callbacks follow the signature of the protocol they are handed
 to.  Calls are matched to a parameter by the callee's name alone, anywhere in
-``src/``, ``scripts/``, ``tests/`` and ``perfbench/``.
+``src/``, ``scripts/``, ``tests/`` and ``perfbench/``.  A member is loaded
+only by a load in ``src/``, ``scripts/``, ``perfbench/`` or
+``tests/test_acceptance.py``, or by a name the benchmark's tracer patches: a
+member that only unit tests load adds code to keep and no behaviour to the
+tool.
 """
 
 import ast
@@ -52,6 +57,9 @@ def test_every_parameter_is_read():
 
 ROOT = PACKAGE.parent.parent
 CALLER_DIRS = ("src", "scripts", "tests", "perfbench")
+READER_DIRS = ("src", "scripts", "perfbench")
+ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 @functools.cache
@@ -325,16 +333,40 @@ def _loads(node):
     return bare, attrs
 
 
+def _reader_trees():
+    """Parsed modules whose loads keep a member alive: the package, the
+    scripts, the benchmark and the acceptance criteria, but no unit test."""
+    return [tree for path, tree in _caller_trees().items()
+            if path.relative_to(ROOT).parts[0] in READER_DIRS or path == ACCEPTANCE]
+
+
+def _traced_attributes():
+    """Attribute names the benchmark's tracer passes to ``Tracer.patch``; it
+    binds them by name, so a member it names is loaded."""
+    tree = _caller_trees()[TRACING]
+    aliases = {target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+               and isinstance(node.value, ast.Attribute) and node.value.attr == "patch"
+               for target in node.targets if isinstance(target, ast.Name)}
+    return {node.args[1].value for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and len(node.args) > 1
+            and ((isinstance(node.func, ast.Name) and node.func.id in aliases)
+                 or (isinstance(node.func, ast.Attribute) and node.func.attr == "patch"))
+            and isinstance(node.args[1], ast.Constant)}
+
+
 def test_every_package_member_is_loaded():
-    """A function, class or method that no code outside its own definition
-    loads by name is dead; a method counts only when loaded as an attribute."""
+    """A function, class or method that no reader (:func:`_reader_trees`,
+    :func:`_traced_attributes`) loads by name outside its own definition is
+    dead; a method counts only when loaded as an attribute."""
     bare, attrs = defaultdict(int), defaultdict(int)
-    for tree in _caller_trees().values():
+    for tree in _reader_trees():
         tree_bare, tree_attrs = _loads(tree)
         for name, count in tree_bare.items():
             bare[name] += count
         for name, count in tree_attrs.items():
             attrs[name] += count
+    for name in _traced_attributes():
+        attrs[name] += 1
     unloaded = []
     for label, name, node, is_method in _package_members():
         own_bare, own_attrs = _loads(node)
